@@ -305,14 +305,8 @@ uint64_t nowNanos() {
 
 Stopwatch::Stopwatch() : startNanos_(nowNanos()) {}
 
-void Stopwatch::reset() { startNanos_ = nowNanos(); }
-
 double Stopwatch::elapsedSeconds() const {
   return static_cast<double>(nowNanos() - startNanos_) * 1e-9;
-}
-
-double throughputMBps(uint64_t bytes, double seconds) {
-  return seconds <= 0.0 ? 0.0 : static_cast<double>(bytes) / 1e6 / seconds;
 }
 
 }  // namespace freqdedup::exp

@@ -87,8 +87,7 @@ void printRow(const std::vector<std::string>& cells);
 std::string fmtPct(double pct);
 std::string fmtDouble(double v, int precision = 2);
 
-// --- Throughput-bench helpers (shared by pipeline_throughput and any bench
-// that measures wall-clock rates) ---
+// --- Command-line and timing helpers for the measurement benches ---
 
 /// Parses `--threads N` from argv; returns `fallback` when absent. Ignores
 /// unrelated arguments so benches can layer their own flags.
@@ -107,14 +106,10 @@ uint64_t bytesFlag(int argc, char** argv, const std::string& name,
 class Stopwatch {
  public:
   Stopwatch();
-  void reset();
   [[nodiscard]] double elapsedSeconds() const;
 
  private:
   uint64_t startNanos_;
 };
-
-/// Megabytes (1e6 bytes) per second; 0 when elapsed time is 0.
-double throughputMBps(uint64_t bytes, double seconds);
 
 }  // namespace freqdedup::exp

@@ -15,7 +15,6 @@
 #include "core/defense.h"
 #include "crypto/mle.h"
 #include "kvstore/logkv.h"
-#include "pipeline/parallel_ingest_pipeline.h"
 #include "storage/dedup_engine.h"
 
 namespace freqdedup {
@@ -101,30 +100,6 @@ void BM_DedupEngineIngest(benchmark::State& state) {
                           static_cast<int64_t>(records.size()));
 }
 BENCHMARK(BM_DedupEngineIngest)->Unit(benchmark::kMillisecond);
-
-void BM_ParallelPipelineIngest(benchmark::State& state) {
-  Rng rng(6);
-  std::vector<ChunkRecord> records(100'000);
-  for (auto& r : records) r = {rng.uniformInt(0, 30'000), 8192};
-  DedupEngineParams params;
-  params.cacheBytes = 8192 * kFpMetadataBytes;
-  params.expectedFingerprints = 200'000;
-  PipelineOptions options;
-  options.parallelism = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    ParallelIngestPipeline pipeline(params, options);
-    pipeline.ingestBackup(records);
-    pipeline.finish();
-    benchmark::DoNotOptimize(pipeline.stats());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(records.size()));
-}
-BENCHMARK(BM_ParallelPipelineIngest)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_FrequencyIndexBuild(benchmark::State& state) {
   Rng rng(7);

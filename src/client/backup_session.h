@@ -2,8 +2,9 @@
 //
 // A BackupSession consumes an object's bytes incrementally — append() any
 // number of times, then finish() — and produces exactly the recipes and
-// store contents the historic one-shot BackupManager::backup() produced, at
-// every append granularity, for every scheme and parallelism level:
+// store contents of a one-shot backup of the whole object (the frozen
+// reference in tests/client/legacy_backup_reference.h), at every append
+// granularity, for every scheme and parallelism level:
 //  - chunk boundaries come from the chunker's incremental ChunkStream, which
 //    is byte-equivalent to Chunker::split();
 //  - MLE encrypts chunk by chunk (a bounded window of chunks when parallel);

@@ -1,6 +1,6 @@
 // Bounded multi-producer/multi-consumer queue.
 //
-// The backpressure primitive of the parallel ingest pipeline: producers block
+// The backpressure primitive behind ThreadPool's task queue: producers block
 // when the queue is full, consumers block when it is empty, and close()
 // initiates a graceful drain — queued items are still delivered, after which
 // pop() returns nullopt and further pushes fail.

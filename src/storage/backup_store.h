@@ -1,6 +1,6 @@
 // Content-addressed chunk store with container packing.
 //
-// `BackupStore` is the storage interface the backup client (BackupManager)
+// `BackupStore` is the storage interface the backup client (DedupClient)
 // writes through: ciphertext chunks deduplicated by ciphertext fingerprint
 // and packed into containers, named metadata blobs (sealed recipes), and
 // per-backup reference manifests that drive deletion and garbage collection.
@@ -25,7 +25,6 @@
 
 #include "common/fingerprint.h"
 #include "obs/metrics.h"
-#include "storage/block_cache.h"
 #include "storage/cold_tier.h"
 #include "storage/container.h"
 
@@ -58,8 +57,6 @@ struct StoreOptions {
   /// promotion and fsck --deep (0 disables it, kUnboundedBlockCacheBytes
   /// never evicts).
   uint64_t blockCacheBytes = kDefaultBlockCacheBytes;
-  /// Eviction order of the block cache.
-  BlockCacheEviction eviction = BlockCacheEviction::kLru;
   /// Hot/cold tiering (demotion policy + simulated cold-store performance).
   ColdTierOptions coldTier;
 };

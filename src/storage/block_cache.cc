@@ -7,77 +7,13 @@
 
 namespace freqdedup {
 
-namespace {
-
-/// Recency list shared by the built-in policies: LRU moves an accessed id to
-/// the front, FIFO leaves admission order untouched. victim() is the back.
-class ListPolicy final : public BlockCache::EvictionPolicy {
- public:
-  explicit ListPolicy(bool promoteOnAccess) : promote_(promoteOnAccess) {}
-
-  void onAdmit(uint32_t id) override {
-    order_.push_front(id);
-    where_.emplace(id, order_.begin());
-  }
-  void onAccess(uint32_t id) override {
-    if (!promote_) return;
-    const auto it = where_.find(id);
-    if (it == where_.end()) return;
-    order_.splice(order_.begin(), order_, it->second);
-  }
-  void onErase(uint32_t id) override {
-    const auto it = where_.find(id);
-    if (it == where_.end()) return;
-    order_.erase(it->second);
-    where_.erase(it);
-  }
-  [[nodiscard]] uint32_t victim() const override {
-    FDD_CHECK_MSG(!order_.empty(), "victim() on an empty cache");
-    return order_.back();
-  }
-  void clear() override {
-    order_.clear();
-    where_.clear();
-  }
-
- private:
-  const bool promote_;
-  std::list<uint32_t> order_;  // front = most recent
-  std::unordered_map<uint32_t, std::list<uint32_t>::iterator> where_;
-};
-
-}  // namespace
-
-const char* evictionName(BlockCacheEviction eviction) {
-  switch (eviction) {
-    case BlockCacheEviction::kLru:
-      return "lru";
-    case BlockCacheEviction::kFifo:
-      return "fifo";
-  }
-  return "unknown";
-}
-
-std::optional<BlockCacheEviction> evictionFromName(std::string_view name) {
-  if (name == "lru") return BlockCacheEviction::kLru;
-  if (name == "fifo") return BlockCacheEviction::kFifo;
-  return std::nullopt;
-}
-
-std::unique_ptr<BlockCache::EvictionPolicy> BlockCache::makePolicy(
-    BlockCacheEviction eviction) {
-  return std::make_unique<ListPolicy>(eviction == BlockCacheEviction::kLru);
-}
-
 BlockCache::BlockCache(uint64_t budgetBytes)
-    : BlockCache(budgetBytes, nullptr, nullptr) {}
+    : BlockCache(budgetBytes, nullptr) {}
 
-BlockCache::BlockCache(uint64_t budgetBytes, obs::MetricsRegistry& registry,
-                       std::unique_ptr<EvictionPolicy> policy)
-    : BlockCache(budgetBytes, &registry, std::move(policy)) {}
+BlockCache::BlockCache(uint64_t budgetBytes, obs::MetricsRegistry& registry)
+    : BlockCache(budgetBytes, &registry) {}
 
-BlockCache::BlockCache(uint64_t budgetBytes, obs::MetricsRegistry* registry,
-                       std::unique_ptr<EvictionPolicy> policy)
+BlockCache::BlockCache(uint64_t budgetBytes, obs::MetricsRegistry* registry)
     : ownedRegistry_(registry == nullptr
                          ? std::make_unique<obs::MetricsRegistry>()
                          : nullptr),
@@ -91,9 +27,7 @@ BlockCache::BlockCache(uint64_t budgetBytes, obs::MetricsRegistry* registry,
       evictions_(registry_.counter("cache.evictions")),
       cachedBytesGauge_(registry_.gauge("cache.cached_bytes")),
       peakCachedBytesGauge_(registry_.gauge("cache.peak_cached_bytes")),
-      budget_(budgetBytes),
-      policy_(policy != nullptr ? std::move(policy)
-                                : makePolicy(BlockCacheEviction::kLru)) {
+      budget_(budgetBytes) {
   // The budget itself, as a gauge, so one snapshot carries both sides of
   // the cached_bytes <= budget_bytes invariant. An unbounded budget is not
   // representable (and not an invariant worth checking), so it is omitted.
@@ -123,8 +57,8 @@ std::optional<BlockCache::Entry> BlockCache::get(uint32_t id,
     std::lock_guard lock(mu_);
     const auto it = entries_.find(id);
     if (it != entries_.end()) {
-      entry = it->second;
-      policy_->onAccess(id);
+      entry = it->second.entry;
+      recency_.splice(recency_.begin(), recency_, it->second.recency);
     }
   }
   // Counters are wait-free registry atomics, updated outside the cache
@@ -142,14 +76,13 @@ void BlockCache::evictUntilFitsLocked(uint64_t incomingCharge,
   // incomingCharge <= budget_ (larger objects were rejected), so the
   // subtraction cannot underflow; an unbounded budget never enters the loop.
   while (!entries_.empty() && cachedBytes_ > budget_ - incomingCharge) {
-    const uint32_t victim = policy_->victim();
-    const auto it = entries_.find(victim);
-    FDD_CHECK_MSG(it != entries_.end(), "policy victim not in cache");
-    const uint64_t charge = entryCharge(it->second);
+    const auto it = entries_.find(recency_.back());
+    FDD_CHECK_MSG(it != entries_.end(), "LRU victim not in cache");
+    const uint64_t charge = entryCharge(it->second.entry);
     cachedBytes_ -= charge;
     evictedBytes += charge;
     entries_.erase(it);
-    policy_->onErase(victim);
+    recency_.pop_back();
     ++evicted;
   }
 }
@@ -176,10 +109,11 @@ BlockCache::Entry BlockCache::admit(
   int64_t peakDelta = 0;
   {
     std::lock_guard lock(mu_);
-    if (!entries_.contains(id)) {
+    const auto it = entries_.find(id);
+    if (it == entries_.end()) {
       evictUntilFitsLocked(charge, evicted, evictedBytes);
-      entries_.emplace(id, entry);
-      policy_->onAdmit(id);
+      recency_.push_front(id);
+      entries_.emplace(id, Slot{entry, recency_.begin()});
       cachedBytes_ += charge;
       if (cachedBytes_ > peakCachedBytes_) {
         peakDelta = static_cast<int64_t>(cachedBytes_ - peakCachedBytes_);
@@ -189,7 +123,7 @@ BlockCache::Entry BlockCache::admit(
     } else {
       // Already present (a racing loader admitted first): keep the resident
       // copy, just refresh its recency.
-      policy_->onAccess(id);
+      recency_.splice(recency_.begin(), recency_, it->second.recency);
     }
   }
   if (admitted) {
@@ -211,10 +145,10 @@ void BlockCache::invalidate(uint32_t id) {
     std::lock_guard lock(mu_);
     const auto it = entries_.find(id);
     if (it != entries_.end()) {
-      released = static_cast<int64_t>(entryCharge(it->second));
+      released = static_cast<int64_t>(entryCharge(it->second.entry));
       cachedBytes_ -= static_cast<uint64_t>(released);
+      recency_.erase(it->second.recency);
       entries_.erase(it);
-      policy_->onErase(id);
       erased = true;
     }
   }
@@ -230,7 +164,7 @@ void BlockCache::clear() {
     std::lock_guard lock(mu_);
     released = static_cast<int64_t>(cachedBytes_);
     entries_.clear();
-    policy_->clear();
+    recency_.clear();
     cachedBytes_ = 0;
   }
   cachedBytesGauge_.sub(released);

@@ -26,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -34,16 +33,6 @@
 #include "storage/container.h"
 
 namespace freqdedup {
-
-/// Built-in eviction policies selectable through StoreOptions/CLI flags.
-enum class BlockCacheEviction : uint8_t {
-  kLru,   // evict the least recently used container (default)
-  kFifo,  // evict in admission order, ignoring accesses
-};
-
-[[nodiscard]] const char* evictionName(BlockCacheEviction eviction);
-[[nodiscard]] std::optional<BlockCacheEviction> evictionFromName(
-    std::string_view name);
 
 class BlockCache {
  public:
@@ -54,23 +43,6 @@ class BlockCache {
     std::shared_ptr<const Container> container;
     std::shared_ptr<const std::vector<uint32_t>> payloadCrcs;
   };
-
-  /// Eviction order tracker. The cache owns one policy instance and calls
-  /// it with its mutex held; implementations keep whatever order metadata
-  /// they need but never the entries themselves. victim() names the next id
-  /// to evict among those currently admitted (called only when non-empty).
-  class EvictionPolicy {
-   public:
-    virtual ~EvictionPolicy() = default;
-    virtual void onAdmit(uint32_t id) = 0;
-    virtual void onAccess(uint32_t id) = 0;
-    virtual void onErase(uint32_t id) = 0;
-    [[nodiscard]] virtual uint32_t victim() const = 0;
-    virtual void clear() = 0;
-  };
-
-  static std::unique_ptr<EvictionPolicy> makePolicy(
-      BlockCacheEviction eviction);
 
   /// Point-in-time view of the cache's counters (which live in a
   /// MetricsRegistry as `cache.*`; this struct is the test-facing view).
@@ -91,13 +63,12 @@ class BlockCache {
   /// kUnboundedBlockCacheBytes never evicts. The single-argument form keeps
   /// counters in a private registry; pass the owning store's registry to
   /// surface them as that store's `cache.*` metrics. Counter updates are
-  /// wait-free and never taken under the cache mutex. A null policy means
-  /// LRU.
+  /// wait-free and never taken under the cache mutex. Eviction is least
+  /// recently used first.
   explicit BlockCache(uint64_t budgetBytes);
-  BlockCache(uint64_t budgetBytes, obs::MetricsRegistry& registry,
-             std::unique_ptr<EvictionPolicy> policy = nullptr);
+  BlockCache(uint64_t budgetBytes, obs::MetricsRegistry& registry);
 
-  /// Cached entry for a container id, promoting it per the eviction policy.
+  /// Cached entry for a container id, promoting it to most recently used.
   /// `recordStats` = false makes the lookup an internal probe (still
   /// promoting) that leaves the lookup/hit/miss counters untouched — used
   /// by the single-flight loader's re-check so one logical miss is not
@@ -129,8 +100,13 @@ class BlockCache {
   static uint64_t entryCharge(const Entry& entry);
 
  private:
-  BlockCache(uint64_t budgetBytes, obs::MetricsRegistry* registry,
-             std::unique_ptr<EvictionPolicy> policy);
+  /// An admitted entry and its position in the recency list.
+  struct Slot {
+    Entry entry;
+    std::list<uint32_t>::iterator recency;
+  };
+
+  BlockCache(uint64_t budgetBytes, obs::MetricsRegistry* registry);
 
   void evictUntilFitsLocked(uint64_t incomingCharge, uint64_t& evicted,
                             uint64_t& evictedBytes);
@@ -147,10 +123,10 @@ class BlockCache {
   obs::Gauge& cachedBytesGauge_;
   obs::Gauge& peakCachedBytesGauge_;
   const uint64_t budget_;
-  std::unique_ptr<EvictionPolicy> policy_;
 
   mutable std::mutex mu_;
-  std::unordered_map<uint32_t, Entry> entries_;
+  std::unordered_map<uint32_t, Slot> entries_;
+  std::list<uint32_t> recency_;  // front = most recently used
   uint64_t cachedBytes_ = 0;
   uint64_t peakCachedBytes_ = 0;
 };

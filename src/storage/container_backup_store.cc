@@ -148,8 +148,7 @@ ContainerBackupStore::ContainerBackupStore(std::unique_ptr<KvStore> index,
       hotBytes_(registry_.gauge("tier.hot_bytes")),
       coldContainers_(registry_.gauge("tier.cold_containers")),
       coldBytes_(registry_.gauge("tier.cold_bytes")),
-      readCache_(dir_.empty() ? 0 : options.blockCacheBytes, registry_,
-                 BlockCache::makePolicy(options.eviction)) {
+      readCache_(dir_.empty() ? 0 : options.blockCacheBytes, registry_) {
   logKv_ = dynamic_cast<LogKv*>(index_.get());
   // Surface the index's WAL/checkpoint/recovery activity (wal.*, ckpt.*)
   // in this store's registry alongside the store.* metrics.

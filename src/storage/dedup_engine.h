@@ -91,7 +91,7 @@ struct DedupEngineStats {
                      static_cast<double>(uniqueBytes);
   }
 
-  /// Merges counters from another engine (e.g. a shard of the sharded index).
+  /// Merges counters from another engine.
   DedupEngineStats& operator+=(const DedupEngineStats& o) {
     logicalChunks += o.logicalChunks;
     logicalBytes += o.logicalBytes;
@@ -152,9 +152,8 @@ class DedupEngine {
   /// Legacy-shaped view over this engine's metrics registry.
   [[nodiscard]] DedupEngineStats stats() const;
   /// Point-in-time snapshot of the engine's ingest.* metrics. Each engine
-  /// (each shard of the sharded index) owns its registry, so per-shard
-  /// counters merge via MetricsSnapshot::merge with no cross-shard
-  /// contention on the ingest hot path.
+  /// owns its registry, so several engines' counters merge via
+  /// MetricsSnapshot::merge with no shared state on the ingest hot path.
   [[nodiscard]] obs::MetricsSnapshot metricsSnapshot() const {
     return registry_.snapshot();
   }

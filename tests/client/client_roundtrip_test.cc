@@ -1,0 +1,478 @@
+// Whole-object round trips through DedupClient: backup -> restore across
+// every EncryptionScheme, commit/restore by name with sealed recipes,
+// tamper detection (substituted ciphertext, wrong key), delete + GC safety,
+// parallel-vs-serial bit-identity for single objects and whole backup
+// chains, and the scrambleOrder properties.
+#include "client/dedup_client.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "chunking/cdc_chunker.h"
+#include "common/rng.h"
+#include "storage/container_backup_store.h"
+
+namespace freqdedup {
+namespace {
+
+ByteVec randomContent(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  ByteVec data(n);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.next());
+  return data;
+}
+
+CdcParams smallCdc() {
+  CdcParams p;
+  p.minSize = 256;
+  p.avgSize = 1024;
+  p.maxSize = 4096;
+  return p;
+}
+
+BackupOptions minhashOptions(EncryptionScheme scheme) {
+  BackupOptions options;
+  options.scheme = scheme;
+  options.segmentParams.minBytes = 8 * 1024;
+  options.segmentParams.avgBytes = 16 * 1024;
+  options.segmentParams.maxBytes = 32 * 1024;
+  options.segmentParams.avgChunkBytes = 1024;
+  return options;
+}
+
+/// Backs up one in-memory object in a single append.
+BackupOutcome backupAll(DedupClient& client, const std::string& name,
+                        ByteView content) {
+  BackupSession session = client.beginBackup(name);
+  session.append(content);
+  return session.finish();
+}
+
+ByteVec restoreAll(DedupClient& client, const BackupOutcome& outcome) {
+  return client.beginRestore(outcome.fileRecipe, outcome.keyRecipe).readAll();
+}
+
+class ClientRoundtripSchemes
+    : public ::testing::TestWithParam<EncryptionScheme> {};
+
+TEST_P(ClientRoundtripSchemes, BackupRestoreRoundtrip) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker, minhashOptions(GetParam()));
+
+  const ByteVec content = randomContent(1, 300 * 1024);
+  const BackupOutcome outcome = backupAll(client, "file.bin", content);
+  EXPECT_EQ(outcome.chunkCount,
+            outcome.newChunks + outcome.duplicateChunks);
+  EXPECT_EQ(restoreAll(client, outcome), content);
+}
+
+TEST_P(ClientRoundtripSchemes, SecondIdenticalBackupFullyDeduplicates) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker, minhashOptions(GetParam()));
+
+  const ByteVec content = randomContent(2, 200 * 1024);
+  (void)backupAll(client, "v1", content);
+  const BackupOutcome second = backupAll(client, "v2", content);
+  EXPECT_EQ(second.newChunks, 0u)
+      << "identical content must deduplicate fully under " \
+         "deterministic schemes";
+  EXPECT_EQ(restoreAll(client, second), content);
+}
+
+TEST_P(ClientRoundtripSchemes, ModifiedBackupMostlyDeduplicates) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker, minhashOptions(GetParam()));
+
+  ByteVec content = randomContent(3, 400 * 1024);
+  (void)backupAll(client, "v1", content);
+  // Clustered 2 % modification.
+  for (size_t i = 100'000; i < 108'000; ++i) content[i] ^= 0xFF;
+  const BackupOutcome second = backupAll(client, "v2", content);
+  EXPECT_LT(second.newChunks, second.chunkCount / 3);
+  EXPECT_EQ(restoreAll(client, second), content);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, ClientRoundtripSchemes,
+    ::testing::Values(EncryptionScheme::kMle, EncryptionScheme::kMinHash,
+                      EncryptionScheme::kMinHashScrambled));
+
+TEST(ClientRoundtrip, RecipePreservesOriginalOrderUnderScrambling) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker,
+                     minhashOptions(EncryptionScheme::kMinHashScrambled));
+
+  const ByteVec content = randomContent(4, 150 * 1024);
+  const BackupOutcome outcome = backupAll(client, "f", content);
+  // Restoring via the recipe must reproduce the exact byte order even though
+  // chunks were uploaded in scrambled order (Section 6.2).
+  EXPECT_EQ(restoreAll(client, outcome), content);
+  // Recipe sizes must sum to the file size in order.
+  uint64_t total = 0;
+  for (const auto& e : outcome.fileRecipe.entries) total += e.size;
+  EXPECT_EQ(total, content.size());
+}
+
+TEST(ClientRoundtrip, StoreAndRestoreByNameWithSealedRecipes) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+
+  AesKey userKey{};
+  userKey.fill(0x55);
+  Rng rng(5);
+  const ByteVec content = randomContent(6, 100 * 1024);
+  const BackupOutcome outcome = backupAll(client, "docs/thesis.tex", content);
+  client.commitBackup("docs/thesis.tex", outcome, userKey, rng);
+  EXPECT_EQ(client.beginRestore("docs/thesis.tex", userKey).readAll(),
+            content);
+}
+
+TEST(ClientRoundtrip, RestoreByNameMissingThrows) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+  AesKey userKey{};
+  EXPECT_THROW((void)client.beginRestore("ghost", userKey).readAll(),
+               std::runtime_error);
+}
+
+TEST(ClientRoundtrip, WrongUserKeyFailsRecipeParsing) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+  AesKey rightKey{}, wrongKey{};
+  rightKey.fill(1);
+  wrongKey.fill(2);
+  Rng rng(7);
+  const BackupOutcome outcome =
+      backupAll(client, "f", randomContent(8, 50 * 1024));
+  client.commitBackup("f", outcome, rightKey, rng);
+  EXPECT_THROW((void)client.beginRestore("f", wrongKey).readAll(),
+               std::runtime_error);
+}
+
+TEST(ClientRoundtrip, MleAndMinHashProduceDifferentCiphertexts) {
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  const ByteVec content = randomContent(9, 100 * 1024);
+
+  MemBackupStore storeA;
+  DedupClient mleClient(storeA, km, chunker);
+  const auto mleOutcome = backupAll(mleClient, "f", content);
+
+  MemBackupStore storeB;
+  DedupClient mhClient(storeB, km, chunker,
+                       minhashOptions(EncryptionScheme::kMinHash));
+  const auto mhOutcome = backupAll(mhClient, "f", content);
+
+  size_t differing = 0;
+  ASSERT_EQ(mleOutcome.fileRecipe.entries.size(),
+            mhOutcome.fileRecipe.entries.size());
+  for (size_t i = 0; i < mleOutcome.fileRecipe.entries.size(); ++i) {
+    differing += mleOutcome.fileRecipe.entries[i].cipherFp !=
+                 mhOutcome.fileRecipe.entries[i].cipherFp;
+  }
+  EXPECT_EQ(differing, mleOutcome.fileRecipe.entries.size());
+}
+
+class ScrambleOrderProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ScrambleOrderProperty, IsPermutationWithinSegments) {
+  Rng rng(GetParam());
+  const size_t count = 100;
+  const std::vector<Segment> segments = {{0, 30}, {30, 31}, {31, 100}};
+  const std::vector<size_t> order = scrambleOrder(count, segments, rng);
+  ASSERT_EQ(order.size(), count);
+  // Permutation overall.
+  std::vector<size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < count; ++i) EXPECT_EQ(sorted[i], i);
+  // Each segment's indices stay within the segment.
+  size_t pos = 0;
+  for (const Segment& seg : segments) {
+    for (size_t i = seg.begin; i < seg.end; ++i, ++pos) {
+      EXPECT_GE(order[pos], seg.begin);
+      EXPECT_LT(order[pos], seg.end);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScrambleOrderProperty,
+                         ::testing::Values(1, 2, 3, 99));
+
+TEST(ScrambleOrder, SingletonSegmentUnchanged) {
+  Rng rng(1);
+  const std::vector<Segment> segments = {{0, 1}};
+  EXPECT_EQ(scrambleOrder(1, segments, rng), std::vector<size_t>{0});
+}
+
+TEST(ScrambleOrder, RejectsNonCoveringSegments) {
+  Rng rng(1);
+  const std::vector<Segment> segments = {{0, 2}};
+  EXPECT_THROW(scrambleOrder(5, segments, rng), std::logic_error);
+}
+
+class ClientRoundtripParallelism
+    : public ::testing::TestWithParam<EncryptionScheme> {};
+
+TEST_P(ClientRoundtripParallelism, ParallelEncryptionIsBitIdenticalToSerial) {
+  const ByteVec content = randomContent(9, 400 * 1024);
+
+  const auto runBackup = [&](uint32_t parallelism) {
+    MemBackupStore store;
+    KeyManager km(toBytes("secret"));
+    CdcChunker chunker(smallCdc());
+    BackupOptions options = minhashOptions(GetParam());
+    options.parallelism = parallelism;
+    DedupClient client(store, km, chunker, options);
+    BackupOutcome outcome = backupAll(client, "file.bin", content);
+    EXPECT_EQ(restoreAll(client, outcome), content);
+    return outcome;
+  };
+
+  const BackupOutcome serial = runBackup(1);
+  const BackupOutcome parallel = runBackup(4);
+  EXPECT_EQ(parallel.newChunks, serial.newChunks);
+  EXPECT_EQ(parallel.duplicateChunks, serial.duplicateChunks);
+  // Recipes must match byte for byte: parallel encryption only reorders the
+  // computation, never the upload/storage order.
+  EXPECT_EQ(serializeFileRecipe(parallel.fileRecipe),
+            serializeFileRecipe(serial.fileRecipe));
+  EXPECT_EQ(serializeKeyRecipe(parallel.keyRecipe),
+            serializeKeyRecipe(serial.keyRecipe));
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, ClientRoundtripParallelism,
+                         ::testing::Values(EncryptionScheme::kMle,
+                                           EncryptionScheme::kMinHash,
+                                           EncryptionScheme::kMinHashScrambled));
+
+/// A backup chain with churn: each version rewrites a few scattered ranges
+/// of the previous one, so later backups mostly deduplicate.
+std::vector<ByteVec> churnChain(uint64_t seed, size_t versions, size_t bytes) {
+  Rng rng(seed);
+  std::vector<ByteVec> chain = {randomContent(seed, bytes)};
+  for (size_t v = 1; v < versions; ++v) {
+    ByteVec next = chain.back();
+    for (int edit = 0; edit < 4; ++edit) {
+      const size_t at = rng.pickIndex(next.size() - 2048);
+      for (size_t i = at; i < at + 2048; ++i)
+        next[i] = static_cast<uint8_t>(rng.next());
+    }
+    chain.push_back(std::move(next));
+  }
+  return chain;
+}
+
+class ClientChainParallelism : public ::testing::TestWithParam<uint32_t> {};
+
+// The whole chain through one store: every backup's dedup counters and
+// recipes, and the store's final unique-chunk accounting, are exact for
+// any session parallelism.
+TEST_P(ClientChainParallelism, ChainMatchesSerialDedupResults) {
+  const std::vector<ByteVec> chain = churnChain(5, 4, 256 * 1024);
+
+  struct ChainRun {
+    std::vector<BackupOutcome> outcomes;
+    BackupStoreStats stats;
+  };
+  const auto runChain = [&](uint32_t parallelism) {
+    MemBackupStore store(/*containerBytes=*/64 * 1024);
+    KeyManager km(toBytes("secret"));
+    CdcChunker chunker(smallCdc());
+    BackupOptions options = minhashOptions(EncryptionScheme::kMinHash);
+    options.parallelism = parallelism;
+    DedupClient client(store, km, chunker, options);
+    ChainRun run;
+    for (size_t v = 0; v < chain.size(); ++v)
+      run.outcomes.push_back(
+          backupAll(client, "v" + std::to_string(v), chain[v]));
+    EXPECT_EQ(restoreAll(client, run.outcomes.back()), chain.back());
+    store.flush();
+    run.stats = store.stats();
+    return run;
+  };
+
+  const ChainRun serial = runChain(1);
+  const ChainRun parallel = runChain(GetParam());
+  ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+  for (size_t v = 0; v < serial.outcomes.size(); ++v) {
+    const BackupOutcome& p = parallel.outcomes[v];
+    const BackupOutcome& s = serial.outcomes[v];
+    EXPECT_EQ(p.chunkCount, s.chunkCount) << "version " << v;
+    EXPECT_EQ(p.newChunks, s.newChunks) << "version " << v;
+    EXPECT_EQ(p.duplicateChunks, s.duplicateChunks) << "version " << v;
+    EXPECT_EQ(serializeFileRecipe(p.fileRecipe),
+              serializeFileRecipe(s.fileRecipe))
+        << "version " << v;
+    EXPECT_EQ(serializeKeyRecipe(p.keyRecipe), serializeKeyRecipe(s.keyRecipe))
+        << "version " << v;
+  }
+  EXPECT_GT(serial.outcomes.back().duplicateChunks, 0u);
+  EXPECT_EQ(parallel.stats.uniqueChunks, serial.stats.uniqueChunks);
+  EXPECT_EQ(parallel.stats.storedBytes, serial.stats.storedBytes);
+  EXPECT_EQ(parallel.stats.logicalBytes, serial.stats.logicalBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ClientChainParallelism,
+                         ::testing::Values(2u, 4u, 8u));
+
+TEST(ClientRoundtrip, TinyObjectsRoundTripUnderParallelism) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  BackupOptions options = minhashOptions(EncryptionScheme::kMinHashScrambled);
+  options.parallelism = 4;
+  DedupClient client(store, km, chunker, options);
+  // Empty, one byte, and sizes around the chunker's minimum chunk: fewer
+  // chunks than workers must neither hang nor drop bytes.
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{255}, size_t{256},
+                            size_t{257}, size_t{4096}}) {
+    const ByteVec content = randomContent(100 + size, size);
+    const BackupOutcome outcome =
+        backupAll(client, "tiny" + std::to_string(size), content);
+    EXPECT_EQ(outcome.chunkCount, outcome.newChunks + outcome.duplicateChunks)
+        << size << " bytes";
+    EXPECT_EQ(restoreAll(client, outcome), content) << size << " bytes";
+  }
+}
+
+TEST(ClientRoundtrip, RecipesCarryPlaintextFingerprints) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+  const BackupOutcome outcome =
+      backupAll(client, "f", randomContent(11, 100 * 1024));
+  for (const RecipeEntry& e : outcome.fileRecipe.entries)
+    EXPECT_NE(e.plainFp, 0u);
+}
+
+TEST(ClientRoundtrip, RestoreDetectsSubstitutedCiphertext) {
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  const ByteVec content = randomContent(12, 60 * 1024);
+
+  MemBackupStore honest;
+  DedupClient client(honest, km, chunker);
+  const BackupOutcome outcome = backupAll(client, "f", content);
+
+  // A tampering store that hands back garbage under the recipe's first
+  // ciphertext fingerprint.
+  const Fp victim = outcome.fileRecipe.entries[0].cipherFp;
+  MemBackupStore swapped;
+  DedupClient swappedClient(swapped, km, chunker);
+  for (const RecipeEntry& e : outcome.fileRecipe.entries) {
+    if (e.cipherFp == victim) {
+      swapped.putChunk(e.cipherFp, ByteVec(e.size, 0xEE));
+    } else {
+      swapped.putChunk(e.cipherFp, honest.getChunk(e.cipherFp));
+    }
+  }
+  EXPECT_THROW(restoreAll(swappedClient, outcome), std::runtime_error);
+}
+
+TEST(ClientRoundtrip, RestoreDetectsWrongDecryptionKey) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+  const ByteVec content = randomContent(13, 60 * 1024);
+  const BackupOutcome outcome = backupAll(client, "f", content);
+
+  KeyRecipe tampered = outcome.keyRecipe;
+  tampered.keys[0][0] ^= 0x01;
+  // The ciphertext is authentic, but decryption under the wrong key yields
+  // a plaintext whose fingerprint no longer matches the recipe.
+  EXPECT_THROW(
+      (void)client.beginRestore(outcome.fileRecipe, tampered).readAll(),
+      std::runtime_error);
+}
+
+TEST(ClientRoundtrip, DeleteBackupReleasesReferencesAndRecipes) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+  AesKey userKey{};
+  userKey.fill(0x11);
+  Rng rng(14);
+
+  const ByteVec content = randomContent(15, 80 * 1024);
+  const BackupOutcome outcome = backupAll(client, "doomed", content);
+  client.commitBackup("doomed", outcome, userKey, rng);
+  ASSERT_EQ(client.listBackups(), std::vector<std::string>{"doomed"});
+
+  EXPECT_TRUE(client.deleteBackup("doomed"));
+  EXPECT_FALSE(client.deleteBackup("doomed"));
+  EXPECT_TRUE(client.listBackups().empty());
+  EXPECT_THROW((void)client.beginRestore("doomed", userKey).readAll(),
+               std::runtime_error);
+
+  const GcStats gc = store.collectGarbage();
+  EXPECT_GT(gc.chunksReclaimed, 0u);
+  EXPECT_EQ(store.stats().uniqueChunks, 0u) << "all chunks were unreferenced";
+  EXPECT_TRUE(store.verify().ok());
+}
+
+TEST(ClientRoundtrip, RecommittingANameStaysRestorableAndGcSafe) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+  AesKey userKey{};
+  userKey.fill(0x33);
+  Rng rng(18);
+
+  ByteVec content = randomContent(19, 150 * 1024);
+  client.commitBackup("x", backupAll(client, "x", content), userKey, rng);
+  for (size_t i = 10'000; i < 14'000; ++i) content[i] ^= 0xAA;
+  client.commitBackup("x", backupAll(client, "x", content), userKey, rng);
+
+  const GcStats gc = store.collectGarbage();
+  EXPECT_GT(gc.chunksReclaimed, 0u) << "v1-only chunks become unreferenced";
+  EXPECT_EQ(client.beginRestore("x", userKey).readAll(), content);
+  EXPECT_EQ(client.listBackups(), std::vector<std::string>{"x"});
+  EXPECT_TRUE(store.verify().ok());
+}
+
+TEST(ClientRoundtrip, DeleteOneOfTwoSharingBackupsKeepsSharedChunks) {
+  MemBackupStore store;
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+  AesKey userKey{};
+  userKey.fill(0x22);
+  Rng rng(16);
+
+  ByteVec content = randomContent(17, 200 * 1024);
+  const BackupOutcome first = backupAll(client, "v1", content);
+  client.commitBackup("v1", first, userKey, rng);
+  for (size_t i = 50'000; i < 54'000; ++i) content[i] ^= 0xFF;
+  const BackupOutcome second = backupAll(client, "v2", content);
+  client.commitBackup("v2", second, userKey, rng);
+
+  EXPECT_TRUE(client.deleteBackup("v1"));
+  store.collectGarbage();
+  EXPECT_EQ(client.beginRestore("v2", userKey).readAll(), content)
+      << "shared chunks must survive deleting the other backup";
+  EXPECT_TRUE(store.verify().ok());
+}
+
+}  // namespace
+}  // namespace freqdedup

@@ -8,8 +8,6 @@
 // legacy_backup_reference.h. (The original took the client's store mutex
 // around getChunk; the caller-provided store here is its own serialization
 // domain, which is behavior-identical for a single restore.)
-// bench/restore_throughput.cc carries a hand-synced mirror of this loop as
-// its measured baseline (bench/ does not include test headers).
 #pragma once
 
 #include <stdexcept>

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "chunking/cdc_chunker.h"
+#include "client/dedup_client.h"
 #include "core/attack_eval.h"
 #include "core/attacks.h"
 #include "core/defense.h"
@@ -12,7 +13,6 @@
 #include "datagen/snapshot_gen.h"
 #include "datagen/vm_gen.h"
 #include "obs/metrics.h"
-#include "storage/backup_manager.h"
 #include "storage/container_backup_store.h"
 #include "storage/dedup_engine.h"
 #include "trace/trace_io.h"
@@ -139,13 +139,16 @@ TEST(ContentPipeline, SnapshotChainBacksUpAndRestores) {
   options.segmentParams.avgBytes = 128 * 1024;
   options.segmentParams.maxBytes = 256 * 1024;
   options.segmentParams.avgChunkBytes = 4096;
-  BackupManager manager(store, km, chunker, options);
+  DedupClient client(store, km, chunker, options);
 
   size_t restored = 0;
   for (const auto& [name, content] : finalSnapshot) {
-    const BackupOutcome outcome = manager.backup(name, content);
-    EXPECT_EQ(manager.restore(outcome.fileRecipe, outcome.keyRecipe),
-              content);
+    BackupSession session = client.beginBackup(name);
+    session.append(content);
+    const BackupOutcome outcome = session.finish();
+    EXPECT_EQ(
+        client.beginRestore(outcome.fileRecipe, outcome.keyRecipe).readAll(),
+        content);
     if (++restored >= 10) break;  // ten files is plenty for integration
   }
   if (obs::kObsEnabled) EXPECT_GT(store.stats().uniqueChunks, 0u);

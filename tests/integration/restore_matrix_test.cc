@@ -9,9 +9,9 @@
 #include <tuple>
 
 #include "chunking/cdc_chunker.h"
+#include "client/dedup_client.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "storage/backup_manager.h"
 #include "storage/file_backup_store.h"
 
 namespace freqdedup {
@@ -32,6 +32,19 @@ CdcParams smallCdc() {
   p.avgSize = 1024;
   p.maxSize = 4096;
   return p;
+}
+
+/// Backs up one in-memory object in a single append.
+BackupOutcome backupAll(DedupClient& client, const std::string& name,
+                        ByteView content) {
+  BackupSession session = client.beginBackup(name);
+  session.append(content);
+  return session.finish();
+}
+
+ByteVec restoreByName(DedupClient& client, const std::string& name,
+                      const AesKey& userKey) {
+  return client.beginRestore(name, userKey).readAll();
 }
 
 class RestoreMatrix : public ::testing::TestWithParam<MatrixParam> {
@@ -67,8 +80,8 @@ class RestoreMatrix : public ::testing::TestWithParam<MatrixParam> {
     return o;
   }
 
-  [[nodiscard]] BackupManager makeManager(BackupStore& store) const {
-    return BackupManager(store, km_, chunker_, options());
+  [[nodiscard]] DedupClient makeClient(BackupStore& store) const {
+    return DedupClient(store, km_, chunker_, options());
   }
 
   std::string dir_;
@@ -91,13 +104,14 @@ TEST_P(RestoreMatrix, CloseReopenRestoreBitIdentical) {
 
   {
     const auto store = openStore();
-    BackupManager manager = makeManager(*store);
+    DedupClient client = makeClient(*store);
     for (const auto& [name, content] : objects) {
-      const BackupOutcome outcome = manager.backup(name, content);
-      manager.commitBackup(name, outcome, userKey, rng);
+      const BackupOutcome outcome = backupAll(client, name, content);
+      client.commitBackup(name, outcome, userKey, rng);
       // In-process restore must already round-trip.
-      EXPECT_EQ(manager.restore(outcome.fileRecipe, outcome.keyRecipe),
-                content);
+      EXPECT_EQ(
+          client.beginRestore(outcome.fileRecipe, outcome.keyRecipe).readAll(),
+          content);
     }
     store->flush();
   }  // close (memory backend: contents are gone, so reuse below is a no-op)
@@ -106,10 +120,10 @@ TEST_P(RestoreMatrix, CloseReopenRestoreBitIdentical) {
 
   // Reopen from disk: every backup must restore bit-identically.
   const auto reopened = openStore();
-  BackupManager manager = makeManager(*reopened);
-  ASSERT_EQ(manager.listBackups().size(), objects.size());
+  DedupClient client = makeClient(*reopened);
+  ASSERT_EQ(client.listBackups().size(), objects.size());
   for (const auto& [name, content] : objects)
-    EXPECT_EQ(manager.restoreByName(name, userKey), content) << name;
+    EXPECT_EQ(restoreByName(client, name, userKey), content) << name;
   EXPECT_TRUE(reopened->verify().ok());
 }
 
@@ -124,11 +138,11 @@ TEST_P(RestoreMatrix, DeleteAndGcThenRestoreSurvivor) {
 
   {
     const auto store = openStore();
-    BackupManager manager = makeManager(*store);
-    manager.commitBackup("keep", manager.backup("keep", keep), userKey, rng);
-    manager.commitBackup("drop", manager.backup("drop", drop), userKey, rng);
+    DedupClient client = makeClient(*store);
+    client.commitBackup("keep", backupAll(client, "keep", keep), userKey, rng);
+    client.commitBackup("drop", backupAll(client, "drop", drop), userKey, rng);
 
-    EXPECT_TRUE(manager.deleteBackup("drop"));
+    EXPECT_TRUE(client.deleteBackup("drop"));
     const uint64_t storedBefore = store->stats().storedBytes;
     const GcStats gc = store->collectGarbage();
     EXPECT_GT(gc.chunksReclaimed, 0u) << "the edited region was unshared";
@@ -136,8 +150,8 @@ TEST_P(RestoreMatrix, DeleteAndGcThenRestoreSurvivor) {
       EXPECT_LT(store->stats().storedBytes, storedBefore);
     EXPECT_TRUE(store->verify().ok());
 
-    EXPECT_EQ(manager.restoreByName("keep", userKey), keep);
-    EXPECT_THROW(manager.restoreByName("drop", userKey), std::runtime_error);
+    EXPECT_EQ(restoreByName(client, "keep", userKey), keep);
+    EXPECT_THROW(restoreByName(client, "drop", userKey), std::runtime_error);
     store->flush();
   }
 
@@ -145,9 +159,9 @@ TEST_P(RestoreMatrix, DeleteAndGcThenRestoreSurvivor) {
 
   // The survivor must still restore after close + reopen.
   const auto reopened = openStore();
-  BackupManager manager = makeManager(*reopened);
-  EXPECT_EQ(manager.restoreByName("keep", userKey), keep);
-  EXPECT_EQ(manager.listBackups(), std::vector<std::string>{"keep"});
+  DedupClient client = makeClient(*reopened);
+  EXPECT_EQ(restoreByName(client, "keep", userKey), keep);
+  EXPECT_EQ(client.listBackups(), std::vector<std::string>{"keep"});
   EXPECT_TRUE(reopened->verify().ok());
 }
 
@@ -190,9 +204,9 @@ TEST_P(RestoreMatrix, TieredCompressedRestoresMatchSingleTierColdAndWarm) {
   for (const auto& [dir, options] :
        {std::pair{baseDir, baseOptions}, std::pair{tieredDir, tieredOptions}}) {
     FileBackupStore store(dir, options);
-    BackupManager manager = makeManager(store);
+    DedupClient client = makeClient(store);
     for (const auto& [name, content] : objects)
-      manager.commitBackup(name, manager.backup(name, content), userKey, rng);
+      client.commitBackup(name, backupAll(client, name, content), userKey, rng);
     store.flush();
     if (options.coldTier.demoteOnGc)
       EXPECT_GT(store.collectGarbage().containersDemoted, 0u);
@@ -203,11 +217,11 @@ TEST_P(RestoreMatrix, TieredCompressedRestoresMatchSingleTierColdAndWarm) {
   {
     FileBackupStore base(baseDir, baseOptions);
     FileBackupStore tiered(tieredDir, tieredOptions);
-    BackupManager baseManager = makeManager(base);
-    BackupManager tieredManager = makeManager(tiered);
+    DedupClient baseClient = makeClient(base);
+    DedupClient tieredClient = makeClient(tiered);
     for (const auto& [name, content] : objects) {
-      const ByteVec fromBase = baseManager.restoreByName(name, userKey);
-      const ByteVec fromTiered = tieredManager.restoreByName(name, userKey);
+      const ByteVec fromBase = restoreByName(baseClient, name, userKey);
+      const ByteVec fromTiered = restoreByName(tieredClient, name, userKey);
       EXPECT_EQ(fromBase, content) << name;
       EXPECT_EQ(fromTiered, content) << "cold " << name;
     }
@@ -221,7 +235,7 @@ TEST_P(RestoreMatrix, TieredCompressedRestoresMatchSingleTierColdAndWarm) {
 
     // Warm pass in the same instance: promoted copies + block cache.
     for (const auto& [name, content] : objects)
-      EXPECT_EQ(tieredManager.restoreByName(name, userKey), content)
+      EXPECT_EQ(restoreByName(tieredClient, name, userKey), content)
           << "warm " << name;
     EXPECT_EQ(tiered.readStats().coldReads, rs.coldReads)
         << "promoted containers must serve hot";
@@ -232,9 +246,9 @@ TEST_P(RestoreMatrix, TieredCompressedRestoresMatchSingleTierColdAndWarm) {
 
   // And once more after another reopen: the promoted layout persists.
   FileBackupStore tiered(tieredDir, tieredOptions);
-  BackupManager manager = makeManager(tiered);
+  DedupClient client = makeClient(tiered);
   for (const auto& [name, content] : objects)
-    EXPECT_EQ(manager.restoreByName(name, userKey), content)
+    EXPECT_EQ(restoreByName(client, name, userKey), content)
         << "promoted " << name;
   EXPECT_TRUE(tiered.verify().ok());
 }

@@ -1,6 +1,6 @@
 // BlockCache: byte-budget semantics (0 = disabled, finite, unbounded),
 // actual-payload-byte accounting, admission rejects for objects larger than
-// the whole budget, LRU/FIFO eviction order, GC invalidation, and the
+// the whole budget, LRU eviction order, GC invalidation, and the
 // admission-time payload CRC table that lets every cache hit be
 // integrity-re-checked. The budget regression test pins peak cached bytes
 // at or under the budget across a mixed-size admission churn.
@@ -97,19 +97,6 @@ TEST(BlockCache, LruAccessOrderDecidesTheVictim) {
   EXPECT_TRUE(cache.get(4).has_value());
 }
 
-TEST(BlockCache, FifoIgnoresAccessesWhenPickingTheVictim) {
-  obs::MetricsRegistry registry;
-  BlockCache cache(3 * chargeOf(0, 1), registry,
-                   BlockCache::makePolicy(BlockCacheEviction::kFifo));
-  cache.admit(1, makeContainer(1, 1));
-  cache.admit(2, makeContainer(2, 1));
-  cache.admit(3, makeContainer(3, 1));
-  EXPECT_TRUE(cache.get(1).has_value());  // does NOT protect 1 under FIFO
-  cache.admit(4, makeContainer(4, 1));
-  EXPECT_FALSE(cache.get(1).has_value()) << "FIFO evicts oldest admission";
-  EXPECT_TRUE(cache.get(2).has_value());
-}
-
 TEST(BlockCache, UnboundedNeverEvicts) {
   BlockCache cache(kUnboundedBlockCacheBytes);
   for (uint32_t id = 0; id < 200; ++id) cache.admit(id, makeContainer(id, 1));
@@ -193,6 +180,67 @@ TEST(BlockCache, PeakCachedBytesNeverExceedBudgetUnderMixedSizes) {
   cache.clear();
   EXPECT_EQ(cache.cachedBytes(), 0u);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(BlockCache, ProbeLookupPromotesWithoutCounting) {
+  BlockCache cache(2 * chargeOf(0, 1));
+  cache.admit(1, makeContainer(1, 1));
+  cache.admit(2, makeContainer(2, 1));
+  // An internal probe still refreshes recency: 2 becomes the LRU entry.
+  EXPECT_TRUE(cache.get(1, /*recordStats=*/false).has_value());
+  cache.admit(3, makeContainer(3, 1));
+  EXPECT_FALSE(cache.get(2, /*recordStats=*/false).has_value());
+  EXPECT_TRUE(cache.get(1, /*recordStats=*/false).has_value());
+  EXPECT_TRUE(cache.get(3, /*recordStats=*/false).has_value());
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.lookups, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+TEST(BlockCache, ReadmittingAResidentIdKeepsTheResidentCopy) {
+  BlockCache cache(1 << 20);
+  const auto first = cache.admit(4, makeContainer(4, 2));
+  const uint64_t charge = cache.cachedBytes();
+  // A racing loader's copy is returned to its caller but not retained.
+  const auto second = cache.admit(4, makeContainer(4, 2));
+  ASSERT_NE(second.container, nullptr);
+  EXPECT_NE(second.container, first.container);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.cachedBytes(), charge) << "re-admission double-charged";
+  const auto resident = cache.get(4);
+  ASSERT_TRUE(resident.has_value());
+  EXPECT_EQ(resident->container, first.container);
+  if (obs::kObsEnabled) EXPECT_EQ(cache.stats().admissions, 1u);
+}
+
+TEST(BlockCache, InvalidateOfAbsentIdIsANoOp) {
+  BlockCache cache(1 << 20);
+  cache.admit(1, makeContainer(1, 2));
+  const uint64_t before = cache.cachedBytes();
+  cache.invalidate(99);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.cachedBytes(), before);
+  EXPECT_TRUE(cache.get(1).has_value());
+  EXPECT_EQ(cache.stats().invalidations, 0u);
+}
+
+TEST(BlockCache, ClearEmptiesTheCacheButKeepsThePeak) {
+  BlockCache cache(1 << 20);
+  cache.admit(1, makeContainer(1, 2));
+  cache.admit(2, makeContainer(2, 3));
+  const uint64_t peak = cache.cachedBytes();
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.cachedBytes(), 0u);
+  EXPECT_FALSE(cache.get(1).has_value());
+  EXPECT_FALSE(cache.get(2).has_value());
+  EXPECT_EQ(cache.stats().peakCachedBytes, peak);
+  // The recency list was cleared with the map: admission and eviction
+  // work as on a fresh cache.
+  cache.admit(3, makeContainer(3, 1));
+  EXPECT_TRUE(cache.get(3).has_value());
+  EXPECT_EQ(cache.cachedBytes(), chargeOf(3, 1));
 }
 
 }  // namespace

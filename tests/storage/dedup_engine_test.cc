@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -231,6 +234,117 @@ TEST(DedupEngine, SufficientCacheEliminatesRepeatLoading) {
   const uint64_t loadingAfterSecond = engine.stats().metadata.loadingBytes;
   engine.ingestBackup(backup);  // third pass: everything cache-resident
   EXPECT_EQ(engine.stats().metadata.loadingBytes, loadingAfterSecond);
+}
+
+/// A multi-backup stream with churn: each backup mutates a slice of the
+/// previous one, like the synthetic dataset generators.
+std::vector<std::vector<ChunkRecord>> churnBackups(uint64_t seed,
+                                                   size_t backups,
+                                                   size_t chunksPerBackup) {
+  Rng rng(seed);
+  std::vector<std::vector<ChunkRecord>> result;
+  std::vector<ChunkRecord> current;
+  for (size_t i = 0; i < chunksPerBackup; ++i)
+    current.push_back(
+        {rng.next(), static_cast<uint32_t>(rng.uniformInt(1024, 8192))});
+  result.push_back(current);
+  for (size_t b = 1; b < backups; ++b) {
+    for (size_t m = 0; m < chunksPerBackup / 10; ++m)
+      current[rng.pickIndex(current.size())] = {
+          rng.next(), static_cast<uint32_t>(rng.uniformInt(1024, 8192))};
+    result.push_back(current);
+  }
+  return result;
+}
+
+void expectSameStats(const DedupEngineStats& a, const DedupEngineStats& b) {
+  EXPECT_EQ(a.logicalChunks, b.logicalChunks);
+  EXPECT_EQ(a.logicalBytes, b.logicalBytes);
+  EXPECT_EQ(a.uniqueChunks, b.uniqueChunks);
+  EXPECT_EQ(a.uniqueBytes, b.uniqueBytes);
+  EXPECT_EQ(a.cacheHits, b.cacheHits);
+  EXPECT_EQ(a.bufferHits, b.bufferHits);
+  EXPECT_EQ(a.bloomNegatives, b.bloomNegatives);
+  EXPECT_EQ(a.bloomFalsePositives, b.bloomFalsePositives);
+  EXPECT_EQ(a.indexHits, b.indexHits);
+  EXPECT_EQ(a.metadata.updateBytes, b.metadata.updateBytes);
+  EXPECT_EQ(a.metadata.indexBytes, b.metadata.indexBytes);
+  EXPECT_EQ(a.metadata.loadingBytes, b.metadata.loadingBytes);
+}
+
+TEST(DedupEngine, BatchedIngestMatchesPerRecordIngest) {
+  const auto backups = churnBackups(3, 4, 5000);
+  DedupEngineParams p = tinyParams();
+  p.containerBytes = 64 * 1024;
+  p.cacheBytes = 1024 * kFpMetadataBytes;
+  DedupEngine batched(p);
+  DedupEngine perRecord(p);
+  for (const auto& backup : backups) {
+    batched.ingestBackup(backup);
+    for (const auto& r : backup) (void)perRecord.ingest(r);
+  }
+  batched.flushOpenContainer();
+  perRecord.flushOpenContainer();
+  // ingestBackup's batched counter tally must account every path exactly
+  // as the per-record entry point does.
+  expectSameStats(batched.stats(), perRecord.stats());
+  if (obs::kObsEnabled) {
+    uint64_t logical = 0;
+    for (const auto& backup : backups) logical += backup.size();
+    EXPECT_EQ(batched.stats().logicalChunks, logical);
+  }
+}
+
+TEST(DedupEngine, RepeatedRunsAreDeterministic) {
+  const auto backups = churnBackups(4, 3, 4000);
+  const auto runOnce = [&] {
+    DedupEngine engine(tinyParams());
+    std::vector<IngestOutcome> outcomes;
+    for (const auto& backup : backups)
+      for (const auto& r : backup) outcomes.push_back(engine.ingest(r));
+    engine.flushOpenContainer();
+    return std::make_pair(outcomes, engine.stats());
+  };
+  const auto [outcomesA, statsA] = runOnce();
+  const auto [outcomesB, statsB] = runOnce();
+  ASSERT_EQ(outcomesA.size(), outcomesB.size());
+  for (size_t i = 0; i < outcomesA.size(); ++i) {
+    EXPECT_EQ(outcomesA[i].duplicate, outcomesB[i].duplicate) << "record " << i;
+    EXPECT_EQ(outcomesA[i].containerId, outcomesB[i].containerId)
+        << "record " << i;
+  }
+  expectSameStats(statsA, statsB);
+}
+
+TEST(DedupEngine, EmptyBackupChangesNothing) {
+  DedupEngine engine(tinyParams());
+  engine.ingestBackup({});
+  engine.flushOpenContainer();
+  const DedupEngineStats s = engine.stats();
+  EXPECT_EQ(s.logicalChunks, 0u);
+  EXPECT_EQ(s.uniqueChunks, 0u);
+  EXPECT_EQ(s.metadata.totalBytes(), 0u);
+  EXPECT_EQ(s.dedupRatio(), 0.0);
+  // The first real chunk after it is unique and lands in container 0.
+  EXPECT_FALSE(engine.ingest({42, 4096}).duplicate);
+  engine.flushOpenContainer();
+  const IngestOutcome again = engine.ingest({42, 4096});
+  EXPECT_TRUE(again.duplicate);
+  EXPECT_EQ(again.containerId, std::optional<uint32_t>(0));
+}
+
+TEST(DedupEngine, FlushingAnEmptyBufferSealsNoContainer) {
+  DedupEngine engine(tinyParams());
+  engine.ingestBackup(makeRecords({1, 2, 3}));  // fits one open container
+  engine.flushOpenContainer();                  // seals container 0
+  engine.flushOpenContainer();                  // nothing buffered: no-op
+  if (obs::kObsEnabled)
+    EXPECT_EQ(engine.stats().metadata.updateBytes, 3u * kFpMetadataBytes);
+  (void)engine.ingest({10, 4096});
+  engine.flushOpenContainer();  // container 1, not 2
+  EXPECT_EQ(engine.ingest({10, 4096}).containerId,
+            std::optional<uint32_t>(1));
+  EXPECT_EQ(engine.ingest({1, 4096}).containerId, std::optional<uint32_t>(0));
 }
 
 }  // namespace

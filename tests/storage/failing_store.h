@@ -1,12 +1,15 @@
 // Fault-injection BackupStore decorator for restore-path tests.
 //
 // Wraps any BackupStore and forwards every operation; the read path
-// (getChunk / getChunks) can be made to fail, corrupt or delay the Nth
-// chunk read, counted 1-based across both entry points. All injection state
-// is atomic, so the wrapper is as thread-safe as the store it decorates —
-// concurrent restore sessions can run through it, and the concurrency
-// high-water mark records how many chunk-fetching calls overlapped (the
-// lock-scope regression tests assert it exceeds 1).
+// (getChunk / getChunks) can be made to fail or corrupt every read of one
+// chunk, named by its ciphertext fingerprint, or to delay every read. Keying
+// faults to a chunk rather than to global read order keeps them
+// deterministic under restore prefetch, which may fetch later batches before
+// earlier ones are emitted. All injection state is atomic, so the wrapper is
+// as thread-safe as the store it decorates — concurrent restore sessions can
+// run through it, and the concurrency high-water mark records how many
+// chunk-fetching calls overlapped (the lock-scope regression tests assert it
+// exceeds 1).
 #pragma once
 
 #include <atomic>
@@ -22,25 +25,23 @@ class FailingStore : public BackupStore {
  public:
   explicit FailingStore(BackupStore& inner) : inner_(&inner) {}
 
-  // --- Injection knobs (0 disarms; reads are counted 1-based) ---
+  // --- Injection knobs (resetInjection disarms them all) ---
 
-  /// The Nth chunk read throws std::runtime_error("injected read failure").
-  void failReadAt(uint64_t n) { failAt_.store(n); }
+  /// Every read of `cipherFp` throws std::runtime_error("injected read
+  /// failure").
+  void failReadOf(Fp cipherFp) { failFp_.arm(cipherFp); }
 
-  /// The Nth chunk read returns its bytes with one bit flipped.
-  void corruptReadAt(uint64_t n) { corruptAt_.store(n); }
+  /// Every read of `cipherFp` returns its bytes with one bit flipped.
+  void corruptReadOf(Fp cipherFp) { corruptFp_.arm(cipherFp); }
 
   /// Every getChunk/getChunks call sleeps this long (simulated I/O latency).
   void delayReads(std::chrono::milliseconds d) { delayMs_.store(d.count()); }
 
   void resetInjection() {
-    failAt_.store(0);
-    corruptAt_.store(0);
+    failFp_.disarm();
+    corruptFp_.disarm();
     delayMs_.store(0);
   }
-
-  /// Chunk reads served (or attempted) so far.
-  [[nodiscard]] uint64_t chunkReadCount() const { return reads_.load(); }
 
   /// Highest number of simultaneously in-flight getChunk/getChunks calls.
   [[nodiscard]] uint64_t maxConcurrentReads() const {
@@ -53,7 +54,7 @@ class FailingStore : public BackupStore {
     const ReadScope scope(*this);
     maybeDelay();
     ByteVec bytes = inner_->getChunk(cipherFp);
-    injectInto(bytes);
+    injectInto(cipherFp, bytes);
     return bytes;
   }
 
@@ -61,7 +62,8 @@ class FailingStore : public BackupStore {
     const ReadScope scope(*this);
     maybeDelay();
     std::vector<ByteVec> batch = inner_->getChunks(cipherFps);
-    for (ByteVec& bytes : batch) injectInto(bytes);
+    for (size_t i = 0; i < batch.size(); ++i)
+      injectInto(cipherFps[i], batch[i]);
     return batch;
   }
 
@@ -122,6 +124,23 @@ class FailingStore : public BackupStore {
   }
 
  private:
+  /// One armable fingerprint target.
+  class FpTarget {
+   public:
+    void arm(Fp fp) {
+      fp_.store(fp);
+      armed_.store(true);
+    }
+    void disarm() { armed_.store(false); }
+    [[nodiscard]] bool matches(Fp fp) const {
+      return armed_.load() && fp_.load() == fp;
+    }
+
+   private:
+    std::atomic<Fp> fp_{0};
+    std::atomic<bool> armed_{false};
+  };
+
   /// RAII in-flight counter feeding the concurrency high-water mark.
   struct ReadScope {
     explicit ReadScope(const FailingStore& store) : store_(store) {
@@ -140,18 +159,17 @@ class FailingStore : public BackupStore {
     if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
 
-  /// Applies the per-chunk injection counter to one served chunk.
-  void injectInto(ByteVec& bytes) {
-    const uint64_t n = ++reads_;
-    if (n == failAt_.load())
+  /// Applies the armed faults to one served chunk.
+  void injectInto(Fp cipherFp, ByteVec& bytes) const {
+    if (failFp_.matches(cipherFp))
       throw std::runtime_error("injected read failure");
-    if (n == corruptAt_.load() && !bytes.empty()) bytes[bytes.size() / 2] ^= 1;
+    if (corruptFp_.matches(cipherFp) && !bytes.empty())
+      bytes[bytes.size() / 2] ^= 1;
   }
 
   BackupStore* inner_;
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> failAt_{0};
-  std::atomic<uint64_t> corruptAt_{0};
+  FpTarget failFp_;
+  FpTarget corruptFp_;
   std::atomic<int64_t> delayMs_{0};
   mutable std::atomic<uint64_t> concurrent_{0};
   mutable std::atomic<uint64_t> maxConcurrent_{0};

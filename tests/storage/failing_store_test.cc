@@ -2,8 +2,14 @@
 // surface as a clean exception with no partial-sink silent success — the
 // sink observes a strict prefix of the object, never wrong or reordered
 // bytes — at restore parallelism 1 (serial engine) and 4 (prefetch +
-// parallel decrypt), and the session must stay usable afterwards.
+// parallel decrypt), and the session must stay usable afterwards. Faults
+// are keyed to a recipe entry's ciphertext fingerprint, so where the restore
+// fails does not depend on the order in which prefetch workers read. The
+// FailingStoreFaults cases pin down the decorator's own fault targeting.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <vector>
 
 #include "chunking/cdc_chunker.h"
 #include "client/dedup_client.h"
@@ -77,8 +83,9 @@ TEST_P(FailingStoreRestore, ReadErrorSurfacesCleanlyWithoutSilentSuccess) {
       client.beginRestore(outcome.fileRecipe, outcome.keyRecipe);
   ASSERT_GT(restore.chunkCount(), 8u) << "need several chunks to fail midway";
 
-  // Fail roughly mid-object (relative to the running read counter).
-  failing_.failReadAt(failing_.chunkReadCount() + restore.chunkCount() / 2);
+  // Fail on the chunk in the middle of the object.
+  const auto& entries = outcome.fileRecipe.entries;
+  failing_.failReadOf(entries[restore.chunkCount() / 2].cipherFp);
   ByteVec collected;
   EXPECT_THROW(
       restore.streamTo([&](ByteView b) { appendBytes(collected, b); }),
@@ -98,7 +105,8 @@ TEST_P(FailingStoreRestore, BitFlipSurfacesAsFingerprintMismatch) {
 
   RestoreSession restore =
       client.beginRestore(outcome.fileRecipe, outcome.keyRecipe);
-  failing_.corruptReadAt(failing_.chunkReadCount() + restore.chunkCount() / 2);
+  const auto& entries = outcome.fileRecipe.entries;
+  failing_.corruptReadOf(entries[restore.chunkCount() / 2].cipherFp);
 
   ByteVec collected;
   try {
@@ -123,7 +131,8 @@ TEST_P(FailingStoreRestore, FailureOnVeryFirstReadDeliversNothing) {
 
   RestoreSession restore =
       client.beginRestore(outcome.fileRecipe, outcome.keyRecipe);
-  failing_.failReadAt(failing_.chunkReadCount() + 1);
+  // Nothing can be emitted before the object's first chunk.
+  failing_.failReadOf(outcome.fileRecipe.entries[0].cipherFp);
   ByteVec collected;
   EXPECT_THROW(
       restore.streamTo([&](ByteView b) { appendBytes(collected, b); }),
@@ -136,6 +145,71 @@ INSTANTIATE_TEST_SUITE_P(Parallelism, FailingStoreRestore,
                          [](const ::testing::TestParamInfo<uint32_t>& info) {
                            return "p" + std::to_string(info.param);
                          });
+
+// The decorator itself: faults hit exactly the armed fingerprint, on both
+// read entry points, and resetInjection disarms them.
+class FailingStoreFaults : public ::testing::Test {
+ protected:
+  FailingStoreFaults() : failing_(store_) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      chunks_.push_back(randomContent(seed, 512));
+      fps_.push_back(fpOfContent(chunks_.back()));
+      store_.putChunk(fps_.back(), chunks_.back());
+    }
+    store_.flush();
+  }
+
+  MemBackupStore store_;
+  FailingStore failing_;
+  std::vector<ByteVec> chunks_;
+  std::vector<Fp> fps_;
+};
+
+TEST_F(FailingStoreFaults, FailReadOfTargetsOnlyThatFingerprint) {
+  failing_.failReadOf(fps_[1]);
+  EXPECT_EQ(failing_.getChunk(fps_[0]), chunks_[0]);
+  EXPECT_EQ(failing_.getChunk(fps_[2]), chunks_[2]);
+  EXPECT_THROW((void)failing_.getChunk(fps_[1]), std::runtime_error);
+  // Every read of the target fails, not just the first.
+  EXPECT_THROW((void)failing_.getChunk(fps_[1]), std::runtime_error);
+  EXPECT_THROW((void)failing_.getChunks(fps_), std::runtime_error);
+  const std::vector<Fp> others = {fps_[2], fps_[0]};
+  const std::vector<ByteVec> batch = failing_.getChunks(others);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0], chunks_[2]);
+  EXPECT_EQ(batch[1], chunks_[0]);
+}
+
+TEST_F(FailingStoreFaults, CorruptReadOfFlipsOneBitOfThatChunkOnly) {
+  failing_.corruptReadOf(fps_[2]);
+  const std::vector<ByteVec> batch = failing_.getChunks(fps_);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[0], chunks_[0]);
+  EXPECT_EQ(batch[1], chunks_[1]);
+  const ByteVec single = failing_.getChunk(fps_[2]);
+  for (const ByteVec& corrupted : {batch[2], single}) {
+    ASSERT_EQ(corrupted.size(), chunks_[2].size());
+    size_t flippedBits = 0;
+    for (size_t i = 0; i < corrupted.size(); ++i)
+      flippedBits += static_cast<size_t>(
+          std::popcount(static_cast<uint8_t>(corrupted[i] ^ chunks_[2][i])));
+    EXPECT_EQ(flippedBits, 1u);
+  }
+  // The stored bytes themselves are untouched.
+  EXPECT_EQ(store_.getChunk(fps_[2]), chunks_[2]);
+}
+
+TEST_F(FailingStoreFaults, ResetInjectionDisarmsEveryFault) {
+  failing_.failReadOf(fps_[0]);
+  failing_.corruptReadOf(fps_[1]);
+  failing_.delayReads(std::chrono::milliseconds(1));
+  failing_.resetInjection();
+  const std::vector<ByteVec> batch = failing_.getChunks(fps_);
+  ASSERT_EQ(batch.size(), 3u);
+  for (size_t i = 0; i < batch.size(); ++i) EXPECT_EQ(batch[i], chunks_[i]);
+  EXPECT_EQ(failing_.getChunk(fps_[0]), chunks_[0]);
+  EXPECT_EQ(failing_.getChunk(fps_[1]), chunks_[1]);
+}
 
 }  // namespace
 }  // namespace freqdedup

@@ -14,7 +14,7 @@ JSON metrics snapshot (or a bare .json file). Checks, per file:
     (the budget gauge is only emitted for bounded caches);
   - tiering: tier.promotions <= tier.cold_reads (every promotion is
     driven by a cold read) and the placement gauges are non-negative;
-  - settled gauges: restore.prefetch_window and queue depths read 0;
+  - settled gauges: restore.prefetch_window reads 0;
   - every histogram's count/sum/bucket totals are internally consistent.
 
 When the snapshot carries freqdedupd counters (any "server." counter), it is
@@ -39,8 +39,6 @@ WORK_COUNTERS = (
 )
 SETTLED_GAUGES = (
     "restore.prefetch_window",
-    "pipeline.raw_queue_depth",
-    "pipeline.shard_queue_depth",
 )
 
 
