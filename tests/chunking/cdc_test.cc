@@ -140,6 +140,78 @@ TEST(Cdc, RejectsMinBelowWindow) {
   EXPECT_THROW(CdcChunker{p}, std::logic_error);
 }
 
+// Golden boundaries: a digest of split()'s spans over fixed seeded inputs,
+// per parameter set. Any change to where cuts land — a kernel rewrite, a
+// table or window bug — changes the digest, so optimisations of the scan
+// must leave these constants alone.
+uint64_t fnv1a(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+std::vector<ByteVec> goldenInputs(const CdcParams& p) {
+  std::vector<ByteVec> inputs;
+  inputs.push_back(randomData(1001, 1 << 20));  // random bytes
+  Rng rng(1002);
+  ByteVec lowEntropy(512 * 1024);  // 2 bits of entropy per byte
+  for (auto& b : lowEntropy) b = static_cast<uint8_t>(rng.next() & 3);
+  inputs.push_back(std::move(lowEntropy));
+  inputs.emplace_back(100 * 1024, uint8_t{0x55});  // constant buffer
+  inputs.push_back(randomData(1003, p.minSize - 1));  // shorter than minSize
+  inputs.push_back(randomData(1004, 1));
+  inputs.push_back(randomData(1005, p.minSize));  // exactly minSize
+  return inputs;
+}
+
+uint64_t spanDigest(const CdcParams& p) {
+  const CdcChunker chunker(p);
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (const ByteVec& input : goldenInputs(p)) {
+    const auto spans = chunker.split(input);
+    h = fnv1a(h, spans.size());
+    for (const ChunkSpan& s : spans) h = fnv1a(fnv1a(h, s.offset), s.size);
+  }
+  return h;
+}
+
+CdcParams cdcParams(uint32_t minSize, uint32_t avgSize, uint32_t maxSize,
+                    uint32_t windowSize) {
+  CdcParams p;
+  p.minSize = minSize;
+  p.avgSize = avgSize;
+  p.maxSize = maxSize;
+  p.windowSize = windowSize;
+  return p;
+}
+
+TEST(Cdc, GoldenBoundariesDefaultParams) {
+  EXPECT_EQ(spanDigest(CdcParams{}),
+            0x03F32329F131E070ULL);
+}
+
+TEST(Cdc, GoldenBoundariesSmallParams) {
+  EXPECT_EQ(spanDigest(smallParams()),
+            0x67F7C7C4FA7C65B1ULL);
+}
+
+TEST(Cdc, GoldenBoundariesMinEqualsWindow) {
+  EXPECT_EQ(spanDigest(cdcParams(64, 512, 2048, 64)),
+            0xB3C7464543012D0AULL);
+}
+
+TEST(Cdc, GoldenBoundariesMinEqualsAvgEqualsMax) {
+  EXPECT_EQ(spanDigest(cdcParams(1024, 1024, 1024, 48)),
+            0x1B4CAAE27A578E15ULL);
+}
+
+TEST(Cdc, GoldenBoundariesWindowWiderThan256) {
+  EXPECT_EQ(spanDigest(cdcParams(512, 2048, 8192, 300)),
+            0xFFBF47F19486488BULL);
+}
+
 TEST(Cdc, ChunkBytesExtractsCorrectSlice) {
   const ByteVec data = toBytes("abcdefgh");
   const ChunkSpan span{2, 3};
