@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the building blocks: hashing, Rabin
-// rolling hash, content-defined chunking, AES-CTR / MLE encryption, the
-// persistent key-value store, the DDFS dedup engine, and the attack-analysis
-// engine's index builds.
+// rolling hash, content-defined chunking (one-shot and streamed), AES-CTR /
+// MLE encryption, the persistent key-value store, the DDFS dedup engine, and
+// the attack-analysis engine's index builds.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -35,6 +35,8 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(8192)->Arg(65536);
 
+// The byte-at-a-time RabinWindow reference; no chunking path runs it, its
+// cost is the baseline for the CDC scan kernel below.
 void BM_RabinSlide(benchmark::State& state) {
   const ByteVec data = randomBytes(2, 1 << 16);
   RabinWindow window;
@@ -54,6 +56,25 @@ void BM_CdcChunking(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
 }
 BENCHMARK(BM_CdcChunking);
+
+// The streaming form of BM_CdcChunking: the same 4 MiB in 1 MiB pushes, so
+// chunks straddling a push resume from the carried partial chunk.
+void BM_CdcStream(benchmark::State& state) {
+  const ByteVec data = randomBytes(3, 4 << 20);
+  const CdcChunker chunker;
+  size_t chunks = 0;
+  const auto stream = chunker.makeStream([&chunks](ByteView) { ++chunks; });
+  const ByteView view(data);
+  for (auto _ : state) {
+    for (size_t off = 0; off < view.size(); off += 1 << 20)
+      stream->push(view.subspan(off, 1 << 20));
+    stream->flush();
+  }
+  benchmark::DoNotOptimize(chunks);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_CdcStream);
 
 void BM_MleEncrypt(benchmark::State& state) {
   const ByteVec chunk = randomBytes(4, static_cast<size_t>(state.range(0)));

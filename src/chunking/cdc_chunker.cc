@@ -1,73 +1,140 @@
 #include "chunking/cdc_chunker.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <utility>
 
 namespace freqdedup {
 
-namespace {
-
-/// Incremental CDC: the rolling window and the current chunk's bytes carry
-/// across push() calls, so boundaries land exactly where split() puts them
-/// regardless of append granularity.
-class CdcChunkStream final : public ChunkStream {
+/// Rabin CDC over one chunk's contiguous bytes, resumable when the chunk
+/// arrives in pieces. Hashing starts at chunk offset minSize - windowSize
+/// from fingerprint 0 (see cdc_chunker.h for why that is exact); the first
+/// windowSize bytes only append, after that each roll expires the byte
+/// windowSize back, read straight from the chunk.
+class CdcKernel {
  public:
-  CdcChunkStream(const CdcParams& params, uint64_t mask, ChunkSink sink)
-      : params_(params),
-        mask_(mask),
-        sink_(std::move(sink)),
-        window_(params.windowSize, params.poly) {
-    pending_.reserve(params_.maxSize);
-  }
+  /// Where to resume the scan of the chunk under construction.
+  struct State {
+    size_t pos;   // next chunk offset to hash
+    uint64_t fp;  // fingerprint of the bytes hashed so far
+  };
 
-  void push(ByteView data) override {
-    // Boundary detection scans the caller's buffer directly; only the
-    // carry-over partial chunk at the end of the push is copied. A chunk
-    // that completes within one push and has no carried prefix is emitted
-    // as a view straight into `data` (zero-copy).
-    size_t start = 0;  // begin of the not-yet-emitted run within `data`
-    for (size_t pos = 0; pos < data.size(); ++pos) {
-      const uint64_t fp = window_.slide(data[pos]);
-      const size_t len = pending_.size() + (pos + 1 - start);
-      const bool atPattern = len >= params_.minSize && (fp & mask_) == mask_;
-      if (atPattern || len >= params_.maxSize) {
-        if (pending_.empty()) {
-          sink_(data.subspan(start, pos + 1 - start));
-        } else {
-          appendBytes(pending_, data.subspan(start, pos + 1 - start));
-          sink_(ByteView(pending_.data(), pending_.size()));
-          pending_.clear();
-        }
-        start = pos + 1;
-        window_.reset();
+  explicit CdcKernel(const CdcParams& p)
+      : minSize_(p.minSize),
+        maxSize_(p.maxSize),
+        window_(p.windowSize),
+        mask_(p.avgSize - 1),
+        tables_(p.windowSize, p.poly) {}
+
+  /// The state of a chunk with no bytes scanned.
+  [[nodiscard]] State begin() const { return {minSize_ - window_, 0}; }
+
+  /// Continues scanning the chunk whose first `avail` bytes start at `p`
+  /// (bytes before `s.pos` must be the ones scanned before). Returns the
+  /// chunk's length if its cut falls within those bytes; otherwise returns
+  /// 0 and updates `s` to resume once more of the chunk is available.
+  size_t scan(const uint8_t* p, size_t avail, State& s) const {
+    const size_t limit = std::min(avail, maxSize_);
+    size_t i = s.pos;
+    uint64_t fp = s.fp;
+    if (i < minSize_) {
+      // Warm-up: fill the window. The first eligible cut is right after it.
+      const size_t warmEnd = std::min(limit, minSize_);
+      for (; i < warmEnd; ++i) fp = tables_.append(fp, p[i]);
+      if (i < minSize_) {
+        s = {i, fp};
+        return 0;
       }
+      if ((fp & mask_) == mask_) return i;
     }
-    if (start < data.size()) appendBytes(pending_, data.subspan(start));
-  }
-
-  void flush() override {
-    if (!pending_.empty()) {
-      sink_(ByteView(pending_.data(), pending_.size()));
-      pending_.clear();
+    for (; i < limit; ++i) {
+      fp = tables_.roll(fp, p[i - window_], p[i]);
+      if ((fp & mask_) == mask_) return i + 1;
     }
-    window_.reset();  // a fresh object starts from a clean window
+    if (i == maxSize_) return i;
+    s = {i, fp};
+    return 0;
   }
 
  private:
-
-  CdcParams params_;
+  size_t minSize_;
+  size_t maxSize_;
+  size_t window_;
   uint64_t mask_;
+  RabinTables tables_;
+};
+
+namespace {
+
+/// Incremental CDC. A chunk that straddles push() calls is kept contiguous
+/// in `pending_` and its scan resumes where the previous push stopped, so
+/// boundaries land exactly where split() puts them at any append
+/// granularity and no byte is hashed twice.
+class CdcChunkStream final : public ChunkStream {
+ public:
+  CdcChunkStream(std::shared_ptr<const CdcKernel> kernel, uint32_t maxSize,
+                 ChunkSink sink)
+      : kernel_(std::move(kernel)),
+        maxSize_(maxSize),
+        sink_(std::move(sink)),
+        state_(kernel_->begin()) {
+    pending_.reserve(maxSize_);
+  }
+
+  void push(ByteView data) override {
+    size_t start = 0;  // begin of the not-yet-chunked bytes of `data`
+    if (!pending_.empty()) {
+      // Extend the carried chunk (never past maxSize) and resume its scan.
+      // If no cut falls in it, all of `data` has gone into `pending_`.
+      const size_t carried = pending_.size();
+      appendBytes(pending_,
+                  data.first(std::min(data.size(), maxSize_ - carried)));
+      const size_t len = kernel_->scan(pending_.data(), pending_.size(),
+                                       state_);
+      if (len == 0) return;
+      emitPending(len);
+      start = len - carried;
+    }
+    // Chunks that complete within `data` are emitted as views into it
+    // (zero-copy); only the trailing partial chunk is copied.
+    while (start < data.size()) {
+      const size_t len =
+          kernel_->scan(data.data() + start, data.size() - start, state_);
+      if (len == 0) {
+        appendBytes(pending_, data.subspan(start));
+        return;
+      }
+      sink_(data.subspan(start, len));
+      state_ = kernel_->begin();
+      start += len;
+    }
+  }
+
+  void flush() override {
+    if (!pending_.empty()) emitPending(pending_.size());
+    state_ = kernel_->begin();  // a fresh object starts from a clean window
+  }
+
+ private:
+  void emitPending(size_t len) {
+    sink_(ByteView(pending_.data(), len));
+    pending_.clear();
+    state_ = kernel_->begin();
+  }
+
+  std::shared_ptr<const CdcKernel> kernel_;
+  size_t maxSize_;
   ChunkSink sink_;
-  RabinWindow window_;
+  CdcKernel::State state_;  // scan position within `pending_`
   ByteVec pending_;  // bytes of the chunk under construction (<= maxSize)
 };
 
 }  // namespace
 
 CdcChunker::CdcChunker(const CdcParams& params) : params_(params) {
-  if (params_.windowSize == 0)
-    throw std::invalid_argument("CdcParams: windowSize must be > 0");
+  if (params_.windowSize < 2)
+    throw std::invalid_argument("CdcParams: windowSize must be >= 2");
   if (params_.avgSize == 0 || !std::has_single_bit(params_.avgSize))
     throw std::invalid_argument(
         "CdcParams: avgSize must be a non-zero power of two");
@@ -77,38 +144,29 @@ CdcChunker::CdcChunker(const CdcParams& params) : params_(params) {
   if (params_.minSize > params_.avgSize || params_.avgSize > params_.maxSize)
     throw std::invalid_argument(
         "CdcParams: require minSize <= avgSize <= maxSize");
-  mask_ = params_.avgSize - 1;
+  const int degree = std::bit_width(params_.poly) - 1;
+  if (degree < 9 || degree > 56)
+    throw std::invalid_argument("CdcParams: poly must have degree 9..56");
+  kernel_ = std::make_shared<const CdcKernel>(params_);
 }
 
 std::vector<ChunkSpan> CdcChunker::split(ByteView data) const {
   std::vector<ChunkSpan> chunks;
   if (data.empty()) return chunks;
   chunks.reserve(data.size() / params_.avgSize + 1);
-
-  RabinWindow window(params_.windowSize, params_.poly);
-  size_t start = 0;
-  size_t pos = 0;
-  while (pos < data.size()) {
-    const uint64_t fp = window.slide(data[pos]);
-    ++pos;
-    const size_t len = pos - start;
-    const bool atPattern =
-        len >= params_.minSize && (fp & mask_) == mask_;
-    const bool atMax = len >= params_.maxSize;
-    if (atPattern || atMax) {
-      chunks.push_back({start, static_cast<uint32_t>(len)});
-      start = pos;
-      window.reset();
-    }
-  }
-  if (start < data.size()) {
-    chunks.push_back({start, static_cast<uint32_t>(data.size() - start)});
+  for (size_t start = 0; start < data.size();) {
+    CdcKernel::State s = kernel_->begin();
+    size_t len = kernel_->scan(data.data() + start, data.size() - start, s);
+    if (len == 0) len = data.size() - start;  // the trailing partial chunk
+    chunks.push_back({start, static_cast<uint32_t>(len)});
+    start += len;
   }
   return chunks;
 }
 
 std::unique_ptr<ChunkStream> CdcChunker::makeStream(ChunkSink sink) const {
-  return std::make_unique<CdcChunkStream>(params_, mask_, std::move(sink));
+  return std::make_unique<CdcChunkStream>(kernel_, params_.maxSize,
+                                          std::move(sink));
 }
 
 }  // namespace freqdedup

@@ -46,38 +46,38 @@ uint64_t polyMulMod(uint64_t x, uint64_t y, uint64_t d) {
   return polyMod(hi, lo, d);
 }
 
-RabinWindow::RabinWindow(uint32_t windowSize, uint64_t poly)
-    : poly_(poly), buf_(windowSize, 0) {
+RabinTables::RabinTables(uint32_t windowSize, uint64_t poly) {
   FDD_CHECK_MSG(windowSize >= 2, "window too small");
-  const int k = polyDegree(poly_);
-  FDD_CHECK_MSG(k > 8, "polynomial degree must exceed 8");
-  shift_ = k - 8;
-  // appendTable_[j] folds the top byte j (about to overflow past degree k)
+  const int k = polyDegree(poly);
+  FDD_CHECK_MSG(k > 8 && k <= 56, "polynomial degree must be in 9..56");
+  shift = k - 8;
+  // appendTable[j] folds the top byte j (about to overflow past degree k)
   // back into the fingerprint: T[j] = (j << k) mod poly, with the raw shifted
-  // bits OR-ed in so append8 can use a single xor.
-  const uint64_t t1 = polyMod(0, 1ULL << k, poly_);
+  // bits OR-ed in so append() can use a single xor.
+  const uint64_t t1 = polyMod(0, 1ULL << k, poly);
   for (uint64_t j = 0; j < 256; ++j) {
-    appendTable_[j] = polyMulMod(j, t1, poly_) | (j << k);
+    appendTable[j] = polyMulMod(j, t1, poly) | (j << k);
   }
-  // expireTable_[b] = b * x^(8*(windowSize-1)) mod poly — the contribution
-  // the oldest byte still has in the fingerprint at the moment it leaves the
-  // window (it entered windowSize-1 appends ago).
+  // expireTable[b] = b * x^(8*windowSize) mod poly — the contribution the
+  // oldest byte would still have after the append that pushes it out of the
+  // window (it entered windowSize appends before). roll() cancels it after
+  // the append, which keeps the lookup off the fingerprint's dependency
+  // chain.
   uint64_t sizeshift = 1;
-  for (uint32_t i = 1; i < windowSize; ++i) sizeshift = append8(sizeshift, 0);
+  for (uint32_t i = 0; i < windowSize; ++i) sizeshift = append(sizeshift, 0);
   for (uint64_t b = 0; b < 256; ++b) {
-    expireTable_[b] = polyMulMod(b, sizeshift, poly_);
+    expireTable[b] = polyMulMod(b, sizeshift, poly);
   }
 }
 
-uint64_t RabinWindow::append8(uint64_t fp, uint8_t b) const {
-  return ((fp << 8) | b) ^ appendTable_[fp >> shift_];
-}
+RabinWindow::RabinWindow(uint32_t windowSize, uint64_t poly)
+    : tables_(windowSize, poly), buf_(windowSize, 0) {}
 
 uint64_t RabinWindow::slide(uint8_t in) {
   const uint8_t out = buf_[pos_];
   buf_[pos_] = in;
   pos_ = (pos_ + 1) % buf_.size();
-  fp_ = append8(fp_ ^ expireTable_[out], in);
+  fp_ = tables_.roll(fp_, out, in);
   return fp_;
 }
 
