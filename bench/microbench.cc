@@ -69,8 +69,8 @@ void BM_CdcStream(benchmark::State& state) {
     for (size_t off = 0; off < view.size(); off += 1 << 20)
       stream->push(view.subspan(off, 1 << 20));
     stream->flush();
+    benchmark::DoNotOptimize(chunks);
   }
-  benchmark::DoNotOptimize(chunks);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.size()));
 }

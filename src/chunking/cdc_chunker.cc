@@ -30,6 +30,8 @@ class CdcKernel {
   /// The state of a chunk with no bytes scanned.
   [[nodiscard]] State begin() const { return {minSize_ - window_, 0}; }
 
+  [[nodiscard]] size_t maxSize() const { return maxSize_; }
+
   /// Continues scanning the chunk whose first `avail` bytes start at `p`
   /// (bytes before `s.pos` must be the ones scanned before). Returns the
   /// chunk's length if its cut falls within those bytes; otherwise returns
@@ -73,13 +75,11 @@ namespace {
 /// granularity and no byte is hashed twice.
 class CdcChunkStream final : public ChunkStream {
  public:
-  CdcChunkStream(std::shared_ptr<const CdcKernel> kernel, uint32_t maxSize,
-                 ChunkSink sink)
+  CdcChunkStream(std::shared_ptr<const CdcKernel> kernel, ChunkSink sink)
       : kernel_(std::move(kernel)),
-        maxSize_(maxSize),
         sink_(std::move(sink)),
         state_(kernel_->begin()) {
-    pending_.reserve(maxSize_);
+    pending_.reserve(kernel_->maxSize());
   }
 
   void push(ByteView data) override {
@@ -88,8 +88,8 @@ class CdcChunkStream final : public ChunkStream {
       // Extend the carried chunk (never past maxSize) and resume its scan.
       // If no cut falls in it, all of `data` has gone into `pending_`.
       const size_t carried = pending_.size();
-      appendBytes(pending_,
-                  data.first(std::min(data.size(), maxSize_ - carried)));
+      appendBytes(pending_, data.first(std::min(
+                                data.size(), kernel_->maxSize() - carried)));
       const size_t len = kernel_->scan(pending_.data(), pending_.size(),
                                        state_);
       if (len == 0) return;
@@ -124,7 +124,6 @@ class CdcChunkStream final : public ChunkStream {
   }
 
   std::shared_ptr<const CdcKernel> kernel_;
-  size_t maxSize_;
   ChunkSink sink_;
   CdcKernel::State state_;  // scan position within `pending_`
   ByteVec pending_;  // bytes of the chunk under construction (<= maxSize)
@@ -165,8 +164,7 @@ std::vector<ChunkSpan> CdcChunker::split(ByteView data) const {
 }
 
 std::unique_ptr<ChunkStream> CdcChunker::makeStream(ChunkSink sink) const {
-  return std::make_unique<CdcChunkStream>(kernel_, params_.maxSize,
-                                          std::move(sink));
+  return std::make_unique<CdcChunkStream>(kernel_, std::move(sink));
 }
 
 }  // namespace freqdedup

@@ -50,9 +50,9 @@ struct RabinTables {
     return append(fp, in) ^ expireTable[out];
   }
 
-  int shift;  // degree - 8: where the byte about to overflow starts
-  uint64_t appendTable[256];
-  uint64_t expireTable[256];
+  int shift = 0;  // degree - 8: where the byte about to overflow starts
+  uint64_t appendTable[256] = {};
+  uint64_t expireTable[256] = {};
 };
 
 /// Rolling Rabin fingerprint over a fixed-size byte window.

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "chunking/cdc_chunker.h"
 #include "chunking/fixed_chunker.h"
@@ -157,8 +158,8 @@ TEST(CdcChunker, SplitAndStreamMatchRabinWindowReferenceOnRandomParams) {
   Rng rng(2024);
   for (int round = 0; round < 40; ++round) {
     const CdcParams p = randomCdcParams(rng);
-    // Random bytes, then a 2-bit low-entropy run, then a constant run (which
-    // only ever cuts at maxSize).
+    // Random bytes, then a 2-bit low-entropy run, then a constant run (its
+    // fingerprint is constant, so it cuts only at minSize or at maxSize).
     ByteVec content = randomContent(round + 500, 24 * 1024);
     for (int i = 0; i < 12 * 1024; ++i)
       content.push_back(static_cast<uint8_t>(rng.next() & 3));
