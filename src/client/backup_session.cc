@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
 #include <utility>
 
 #include "client/dedup_client.h"
@@ -36,20 +35,12 @@ struct BackupMetrics {
   }
 };
 
-/// Ciphertexts in flight on the parallel paths: encryption runs at most this
-/// many chunks ahead of the serial store loop, bounding extra memory to
+/// Chunks per parallel MLE encrypt window: encryption runs at most this many
+/// chunks ahead of the serial store loop, bounding extra memory to
 /// O(window * chunk size) regardless of object size. Matches the historic
 /// one-shot window so parallel grouping is identical (the outcome does not
 /// depend on it — encryption is pure and the store order is fixed).
 constexpr size_t kEncryptWindowChunks = 1024;
-
-/// One chunk after the (parallelizable) encrypt stage.
-struct EncryptedChunk {
-  AesKey key;
-  ByteVec cipher;
-  Fp cipherFp = 0;
-  Fp plainFp = 0;
-};
 
 }  // namespace
 
@@ -108,9 +99,9 @@ BackupOutcome BackupSession::finish() {
   stream_->flush();  // emits the trailing partial chunk, if any
   if (segmenter_) {
     segmenter_->finish();  // closes the open segment
-    FDD_CHECK_MSG(segChunks_.empty(), "segment buffer not drained");
-  } else if (!mleWindow_.empty()) {
-    encryptMleWindow();
+    FDD_CHECK_MSG(pending_.empty(), "segment buffer not drained");
+  } else {
+    encryptAndStorePending(pending_.size(), {}, nullptr);  // last window
   }
   outcome_.fileRecipe.fileName = name_;
   outcome_.fileRecipe.fileSize = bytesAppended_;
@@ -136,6 +127,66 @@ void BackupSession::storeChunk(Fp cipherFp, ByteView cipher) {
   }
 }
 
+void BackupSession::encryptAndStore(std::span<const ByteView> chunks,
+                                    std::span<const size_t> order,
+                                    const SegmentKeying* segment) {
+  const size_t count = chunks.size();
+  const auto chunkAt = [order](size_t k) {
+    return order.empty() ? k : order[k];
+  };
+  sealed_.resize(count);
+  const auto encryptRange = [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      const size_t i = chunkAt(k);
+      SealedChunk& c = sealed_[k];
+      if (segment != nullptr) {
+        // Per-segment key (Algorithm 4), shared by all of the segment's chunks.
+        c.key = segment->key;
+        c.plainFp = segment->records[i].fp;
+      } else {
+        c.plainFp = fpOfContent(chunks[i]);
+        c.key = client_->keyManager_->deriveChunkKey(c.plainFp);
+      }
+      c.cipher = MleScheme::encryptWithKey(c.key, chunks[i]);
+      c.cipherFp = fpOfContent(c.cipher);
+    }
+  };
+  // Gated on the backup options, not on pool existence: the pool is shared
+  // with the restore stages and may exist solely for them.
+  if (client_->options_.parallelism > 1) {
+    parallelFor(*client_->pool_, count, encryptRange);
+  } else {
+    encryptRange(0, count);
+  }
+
+  // Store serially in upload order, so where the step ran never changes
+  // what the server observes; the recipes keep chunk order (scrambling only
+  // permutes uploads, Section 6.2).
+  const size_t base = outcome_.fileRecipe.entries.size();
+  outcome_.fileRecipe.entries.resize(base + count);
+  outcome_.keyRecipe.keys.resize(base + count);
+  for (size_t k = 0; k < count; ++k) {
+    const SealedChunk& c = sealed_[k];
+    storeChunk(c.cipherFp, c.cipher);
+    const size_t i = chunkAt(k);
+    outcome_.fileRecipe.entries[base + i] = {
+        c.cipherFp, static_cast<uint32_t>(c.cipher.size()), c.plainFp};
+    outcome_.keyRecipe.keys[base + i] = c.key;
+  }
+  sealed_.clear();
+}
+
+void BackupSession::encryptAndStorePending(size_t count,
+                                           std::span<const size_t> order,
+                                           const SegmentKeying* segment) {
+  FDD_CHECK_MSG(count <= pending_.size(), "more chunks than buffered");
+  pendingViews_.assign(pending_.begin(),
+                       pending_.begin() + static_cast<ptrdiff_t>(count));
+  encryptAndStore(pendingViews_, order, segment);
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<ptrdiff_t>(count));
+}
+
 void BackupSession::onChunk(ByteView chunk) {
   BackupMetrics& m = BackupMetrics::get();
   m.chunksProduced.add();
@@ -146,120 +197,45 @@ void BackupSession::onChunk(ByteView chunk) {
     // this record closes a segment (possibly before admitting it).
     const ChunkRecord record{fpOfContent(chunk),
                              static_cast<uint32_t>(chunk.size())};
-    segChunks_.emplace_back(chunk.begin(), chunk.end());
+    pending_.emplace_back(chunk.begin(), chunk.end());
     segRecords_.push_back(record);
     segmenter_->push(record);
-    return;
+  } else if (client_->options_.parallelism > 1) {
+    // MLE, parallel: fill the encrypt window.
+    pending_.emplace_back(chunk.begin(), chunk.end());
+    if (pending_.size() == kEncryptWindowChunks)
+      encryptAndStorePending(pending_.size(), {}, nullptr);
+  } else {
+    // MLE, serial: the stream's view goes straight in, no copy, one
+    // ciphertext in flight.
+    encryptAndStore(std::span(&chunk, 1), {}, nullptr);
   }
-
-  // MLE path, parallel: fill the encrypt window. Gated on the backup
-  // options, not on pool existence — the pool is shared with the restore
-  // stages and may exist solely for them, while this backup is configured
-  // serial (one ciphertext in flight, no window buffering).
-  if (client_->options_.parallelism > 1) {
-    mleWindow_.emplace_back(chunk.begin(), chunk.end());
-    if (mleWindow_.size() == kEncryptWindowChunks) encryptMleWindow();
-    return;
-  }
-
-  // MLE path, serial: one ciphertext in flight at a time (bounded memory).
-  const Fp plainFp = fpOfContent(chunk);
-  const AesKey key = client_->keyManager_->deriveChunkKey(plainFp);
-  const ByteVec cipher = MleScheme::encryptWithKey(key, chunk);
-  const Fp cipherFp = fpOfContent(cipher);
-  storeChunk(cipherFp, cipher);
-  outcome_.fileRecipe.entries.push_back(
-      {cipherFp, static_cast<uint32_t>(cipher.size()), plainFp});
-  outcome_.keyRecipe.keys.push_back(key);
-}
-
-void BackupSession::encryptMleWindow() {
-  const size_t count = mleWindow_.size();
-  std::vector<EncryptedChunk> window(count);
-  parallelForShared(*client_->pool_, count, [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      const Fp plainFp = fpOfContent(mleWindow_[k]);
-      const AesKey key = client_->keyManager_->deriveChunkKey(plainFp);
-      ByteVec cipher = MleScheme::encryptWithKey(key, mleWindow_[k]);
-      const Fp cipherFp = fpOfContent(cipher);
-      window[k] = {key, std::move(cipher), cipherFp, plainFp};
-    }
-  });
-  for (const EncryptedChunk& e : window) {
-    storeChunk(e.cipherFp, e.cipher);
-    outcome_.fileRecipe.entries.push_back(
-        {e.cipherFp, static_cast<uint32_t>(e.cipher.size()), e.plainFp});
-    outcome_.keyRecipe.keys.push_back(e.key);
-  }
-  mleWindow_.clear();
 }
 
 void BackupSession::onSegment(const Segment& seg) {
   FDD_CHECK_MSG(seg.begin == segBase_, "segments must close in order");
   BackupMetrics::get().segmentsClosed.add();
   const size_t count = seg.count();
-  FDD_CHECK_MSG(count <= segChunks_.size(), "segment exceeds buffered chunks");
+  FDD_CHECK_MSG(count <= pending_.size(), "segment exceeds buffered chunks");
   const std::span<const ChunkRecord> records(segRecords_.data(), count);
 
   // Per-segment key from the segment's minimum fingerprint (Algorithm 4).
   const Segment local{0, count};
-  const AesKey segKey = client_->keyManager_->deriveSegmentKey(
-      segmentMinFingerprint(records, local));
+  const SegmentKeying keying{client_->keyManager_->deriveSegmentKey(
+                                 segmentMinFingerprint(records, local)),
+                             records};
 
   // Scrambling permutes the upload/storage order within the segment; the
   // recipe keeps the original order so restore is unaffected (Section 6.2).
   // Segments close strictly in order, so the scramble Rng consumes draws in
   // exactly the order the one-shot scrambleOrder over all segments does.
   std::vector<size_t> order;
-  if (client_->options_.scheme == EncryptionScheme::kMinHashScrambled) {
+  if (client_->options_.scheme == EncryptionScheme::kMinHashScrambled)
     order = scrambleOrder(count, std::span(&local, 1), scrambleRng_);
-  } else {
-    order.resize(count);
-    std::iota(order.begin(), order.end(), size_t{0});
-  }
+  encryptAndStorePending(count, order, &keying);
 
-  std::vector<RecipeEntry> entryOf(count);  // indexed by original position
-  // Same gating as the MLE path: a shared pool may exist for restore only.
-  if (client_->options_.parallelism <= 1) {
-    // Serial: encrypt in upload order, one ciphertext in flight.
-    for (const size_t i : order) {
-      const ByteVec cipher = MleScheme::encryptWithKey(segKey, segChunks_[i]);
-      const Fp cipherFp = fpOfContent(cipher);
-      storeChunk(cipherFp, cipher);
-      entryOf[i] = {cipherFp, static_cast<uint32_t>(cipher.size()),
-                    records[i].fp};
-    }
-  } else {
-    // Parallel: encrypt the segment's chunks concurrently, then store them
-    // serially in the (possibly scrambled) upload order, so parallelism
-    // never changes what the server observes.
-    std::vector<EncryptedChunk> window(count);
-    parallelForShared(*client_->pool_, count, [&](size_t begin, size_t end) {
-      for (size_t k = begin; k < end; ++k) {
-        const size_t i = order[k];
-        ByteVec cipher = MleScheme::encryptWithKey(segKey, segChunks_[i]);
-        const Fp cipherFp = fpOfContent(cipher);
-        window[k] = {segKey, std::move(cipher), cipherFp};
-      }
-    });
-    for (size_t k = 0; k < count; ++k) {
-      const size_t i = order[k];
-      storeChunk(window[k].cipherFp, window[k].cipher);
-      entryOf[i] = {window[k].cipherFp,
-                    static_cast<uint32_t>(window[k].cipher.size()),
-                    records[i].fp};
-    }
-  }
-
-  // Recipes stay in original order; all chunks of a segment share its key.
-  outcome_.fileRecipe.entries.insert(outcome_.fileRecipe.entries.end(),
-                                     entryOf.begin(), entryOf.end());
-  outcome_.keyRecipe.keys.insert(outcome_.keyRecipe.keys.end(), count, segKey);
-
-  // Drop the consumed prefix; an overflow-closed segment leaves the record
+  // Drop the consumed records; an overflow-closed segment leaves the record
   // that triggered the close as the start of the next segment.
-  segChunks_.erase(segChunks_.begin(),
-                   segChunks_.begin() + static_cast<ptrdiff_t>(count));
   segRecords_.erase(segRecords_.begin(),
                     segRecords_.begin() + static_cast<ptrdiff_t>(count));
   segBase_ = seg.end;

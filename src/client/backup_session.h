@@ -7,13 +7,20 @@
 // granularity, for every scheme and parallelism level:
 //  - chunk boundaries come from the chunker's incremental ChunkStream, which
 //    is byte-equivalent to Chunker::split();
-//  - MLE encrypts chunk by chunk (a bounded window of chunks when parallel);
+//  - MLE hands each chunk to the encrypt-and-store step as the stream emits
+//    it (a bounded window of chunks when parallel);
 //  - MinHash(+scrambling) buffers exactly one open segment of plaintext
 //    chunks, closing segments with the same Sparse-Indexing rule as the
 //    batch segmenter (StreamSegmenter) and consuming the scramble Rng in the
 //    same per-segment order as Algorithm 5.
-// Peak client-side memory is therefore O(segment bytes + encrypt window),
-// independent of object size: arbitrarily large objects stream through.
+// Every scheme then runs the same encrypt-and-store step (Fig. 2): derive
+// the chunk's MLE key or take the segment key, encrypt, and store the
+// ciphertexts in (possibly scrambled) upload order. That step holds the
+// ciphertexts of one call before storing them: one chunk for serial MLE, one
+// encrypt window for parallel MLE, one segment (<= SegmentParams::maxBytes,
+// 2 MiB by default) for MinHash at any parallelism. Peak client-side memory
+// is therefore O(segment bytes + encrypt window), independent of object
+// size: arbitrarily large objects stream through.
 //
 // Sessions are vended by DedupClient (see dedup_client.h) and are not
 // thread-safe individually, but distinct sessions of one client may run
@@ -46,14 +53,14 @@ struct BackupOptions {
   EncryptionScheme scheme = EncryptionScheme::kMle;
   SegmentParams segmentParams;
   uint64_t scrambleSeed = 1;
-  /// Worker threads for the per-chunk key-derivation + encryption stage.
-  /// 1 keeps the fully serial path (one ciphertext in flight); any larger
-  /// value selects the windowed parallel path, which fans out over the
-  /// client's worker pool — shared with the restore stages and sized to the
-  /// larger of the two parallelism settings, so this is a floor on pool
-  /// width, not a per-stage cap. Any value produces bit-identical recipes
-  /// and store contents: chunks are encrypted in parallel but stored in the
-  /// same order as the serial path.
+  /// Where the per-chunk key-derivation + encryption step runs. 1 runs it
+  /// inline on the appending thread (serial MLE keeps one ciphertext in
+  /// flight); any larger value runs the same step over the client's worker
+  /// pool — shared with the restore stages and sized to the larger of the
+  /// two parallelism settings, so this is a floor on pool width, not a
+  /// per-stage cap — and makes MLE buffer a bounded window of chunks to fan
+  /// out. Any value produces bit-identical recipes and store contents:
+  /// chunks are stored in the same upload order either way.
   uint32_t parallelism = 1;
 };
 
@@ -100,10 +107,39 @@ class BackupSession {
 
   BackupSession(DedupClient& client, std::string name);
 
+  /// MinHash keying of one encryptAndStore call: the segment's shared key
+  /// and its chunks' plaintext fingerprints (already computed for the
+  /// segmenter).
+  struct SegmentKeying {
+    AesKey key;
+    std::span<const ChunkRecord> records;
+  };
+
+  /// One chunk after the encrypt step, before it is stored.
+  struct SealedChunk {
+    AesKey key;
+    ByteVec cipher;
+    Fp cipherFp = 0;
+    Fp plainFp = 0;
+  };
+
   void onChunk(ByteView chunk);
   void onSegment(const Segment& seg);
+
+  /// The encrypt-and-store step of every scheme. Encrypts chunks[order[k]]
+  /// for k = 0.. (an empty `order` means chunk order), each under its own
+  /// MLE key when `segment` is null, else under the segment key — on the
+  /// client pool when BackupOptions::parallelism > 1, inline otherwise.
+  /// Then stores the ciphertexts in that upload order and appends the recipe
+  /// entries and keys in chunk order.
+  void encryptAndStore(std::span<const ByteView> chunks,
+                       std::span<const size_t> order,
+                       const SegmentKeying* segment);
+  /// encryptAndStore over the first `count` buffered chunks, which are then
+  /// dropped from the buffer.
+  void encryptAndStorePending(size_t count, std::span<const size_t> order,
+                              const SegmentKeying* segment);
   void storeChunk(Fp cipherFp, ByteView cipher);
-  void encryptMleWindow();
 
   DedupClient* client_;
   std::string name_;
@@ -113,15 +149,17 @@ class BackupSession {
 
   std::unique_ptr<ChunkStream> stream_;
 
-  // MLE parallel path: plaintext chunks of the current encrypt window.
-  std::vector<ByteVec> mleWindow_;
+  // Buffered plaintext chunks: the current encrypt window (parallel MLE) or
+  // the open segment (MinHash, plus at most one chunk the segmenter has
+  // deferred to the next segment). Serial MLE buffers nothing.
+  std::vector<ByteVec> pending_;
+  std::vector<ByteView> pendingViews_;  // reused view list of pending_
+  std::vector<SealedChunk> sealed_;     // reused encrypt-step output
 
-  // MinHash path: plaintext chunks and records of the open segment (plus at
-  // most one record the segmenter has deferred to the next segment).
+  // MinHash path: records of the buffered chunks and the segmenter.
   std::unique_ptr<StreamSegmenter> segmenter_;
-  std::vector<ByteVec> segChunks_;
   std::vector<ChunkRecord> segRecords_;
-  size_t segBase_ = 0;  // global index of segChunks_[0]
+  size_t segBase_ = 0;  // global index of pending_[0]
   Rng scrambleRng_;
 };
 

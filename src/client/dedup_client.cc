@@ -1,6 +1,7 @@
 #include "client/dedup_client.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <stdexcept>
 #include <utility>
 
@@ -113,37 +114,25 @@ std::string DedupClient::recipeBlobName(const std::string& name) {
 void DedupClient::commitBackup(const std::string& name,
                                const BackupOutcome& outcome,
                                const AesKey& userKey, Rng& rng) {
-  std::vector<Fp> refs;
-  refs.reserve(outcome.fileRecipe.entries.size());
-  for (const RecipeEntry& e : outcome.fileRecipe.entries)
-    refs.push_back(e.cipherFp);
-
-  // The whole three-phase commit holds the store lock so concurrent
-  // sessions never observe a half-swapped recipe/manifest pair.
-  std::lock_guard lock(storeMu_);
-
-  // Phase 1: widen the manifest to old ∪ new, so chunks of both the current
-  // blob and the incoming one stay protected through the swap.
-  const auto oldRefs = store_->backupRefs(name);
-  if (oldRefs) {
-    std::vector<Fp> unionRefs = refs;
-    unionRefs.insert(unionRefs.end(), oldRefs->begin(), oldRefs->end());
-    store_->recordBackup(name, unionRefs);
-  } else {
-    store_->recordBackup(name, refs);
-  }
-
-  // Phase 2: swap the sealed recipe pair in one atomic blob put.
-  store_->putBlob(
-      recipeBlobName(name),
-      packSealedRecipes(
-          sealWithUserKey(userKey, serializeFileRecipe(outcome.fileRecipe),
-                          rng),
-          sealWithUserKey(userKey, serializeKeyRecipe(outcome.keyRecipe),
-                          rng)));
-
-  // Phase 3: shrink the manifest to the new references only.
-  if (oldRefs) store_->recordBackup(name, refs);
+  // The async commit plus a blocking wait for its group sync. The callback
+  // notifies while holding the lock: this frame may otherwise observe `done`,
+  // return and destroy the state before the notify runs on the syncer thread.
+  struct Durable {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    bool ok = false;
+  } durable;
+  commitBackupAsync(name, outcome, userKey, rng, [&durable](bool ok) {
+    std::lock_guard lock(durable.mu);
+    durable.done = true;
+    durable.ok = ok;
+    durable.cv.notify_all();
+  });
+  std::unique_lock lock(durable.mu);
+  durable.cv.wait(lock, [&durable] { return durable.done; });
+  if (!durable.ok)
+    throw std::runtime_error("commitBackup: metadata sync failed for " + name);
 }
 
 void DedupClient::commitBackupAsync(const std::string& name,
@@ -156,13 +145,17 @@ void DedupClient::commitBackupAsync(const std::string& name,
     refs.push_back(e.cipherFp);
 
   {
-    // Same three phases as commitBackup, but staged: the WAL orders the
-    // records and durability is a prefix of that order, so deferring every
-    // sync to one final group commit preserves the crash invariant (at any
-    // durable prefix the stored blob's chunks are covered by the manifest —
-    // losing a suffix only ever loses the blob swap or the shrink, both
-    // safe over-retention).
+    // Three phases, all staged: the WAL orders the records and durability
+    // is a prefix of that order, so deferring every sync to one final group
+    // commit preserves the crash invariant (at any durable prefix the stored
+    // blob's chunks are covered by the manifest — losing a suffix only ever
+    // loses the blob swap or the shrink, both safe over-retention). The
+    // store lock spans all three so concurrent sessions never observe a
+    // half-swapped recipe/manifest pair.
     std::lock_guard lock(storeMu_);
+
+    // Phase 1: widen the manifest to old ∪ new, so chunks of both the
+    // current blob and the incoming one stay protected through the swap.
     const auto oldRefs = store_->backupRefs(name);
     if (oldRefs) {
       std::vector<Fp> unionRefs = refs;
@@ -171,6 +164,8 @@ void DedupClient::commitBackupAsync(const std::string& name,
     } else {
       store_->recordBackupDeferred(name, refs);
     }
+
+    // Phase 2: swap the sealed recipe pair in one atomic blob put.
     store_->putBlob(
         recipeBlobName(name),
         packSealedRecipes(
@@ -178,6 +173,8 @@ void DedupClient::commitBackupAsync(const std::string& name,
                             rng),
             sealWithUserKey(userKey, serializeKeyRecipe(outcome.keyRecipe),
                             rng)));
+
+    // Phase 3: shrink the manifest to the new references only.
     if (oldRefs) store_->recordBackupDeferred(name, refs);
   }
   // One coalesced durability wait for the whole commit, outside the client

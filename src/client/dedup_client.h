@@ -11,10 +11,16 @@
 //   client.commitBackup("vm.img", outcome, userKey, rng);
 //   client.beginRestore("vm.img", userKey).streamTo(sink);
 //
+// Every session encrypts and stores through one loop (see backup_session.h);
+// BackupOptions::parallelism only picks whether that loop's encrypt step
+// runs inline or on the shared worker pool. Every backup commits through one
+// path too: commitBackup is commitBackupAsync plus a wait, and is durable
+// when it returns.
+//
 // Concurrency: sessions are single-threaded objects, but any number of
 // sessions of one client may run concurrently from different threads —
-// store access is serialized internally and the shared encrypt pool tracks
-// completion per session (parallelForShared). Recipes and store contents of
+// store access is serialized internally and the shared worker pool tracks
+// completion per call (parallelFor on a pool). Recipes and store contents of
 // each session are bit-identical to a serial run of the same objects;
 // only the interleaving of chunks from different concurrent sessions into
 // containers is scheduling-dependent.
@@ -89,19 +95,22 @@ class DedupClient {
   /// then the recipe blob is swapped (one atomic put), then the references
   /// shrink to the new set — so at every instant the stored blob's chunks
   /// are covered by the manifest and GC can never reclaim them.
-  void commitBackup(const std::string& name, const BackupOutcome& outcome,
-                    const AesKey& userKey, Rng& rng);
-
-  /// Pipelined commitBackup: performs the same crash-safe three-phase swap,
-  /// visible to readers on return, but defers durability to one coalesced
-  /// group sync — `durable(ok)` runs on the store's log syncer thread once
-  /// the whole commit is on stable storage (ok == false on log failure).
-  /// Concurrent committers share a single fdatasync with zero blocked
-  /// threads, which is how the server daemon pipelines commits. The
-  /// callback must not destroy this client or its store.
+  ///
+  /// Visible to readers on return; durability is deferred to one coalesced
+  /// group sync, whose `durable(ok)` runs on the store's log syncer thread once the whole
+  /// commit is on stable storage (ok == false on log failure). Concurrent
+  /// committers share a single fdatasync with zero blocked threads, which
+  /// is how the server daemon pipelines commits. The callback must not
+  /// destroy this client or its store.
   void commitBackupAsync(const std::string& name, const BackupOutcome& outcome,
                          const AesKey& userKey, Rng& rng,
                          std::function<void(bool ok)> durable);
+
+  /// commitBackupAsync plus a blocking wait for its callback: the whole
+  /// commit — manifest and recipe blob, new name or re-commit — is durable
+  /// when this returns. Throws std::runtime_error if the sync fails.
+  void commitBackup(const std::string& name, const BackupOutcome& outcome,
+                    const AesKey& userKey, Rng& rng);
 
   /// Deletes a committed backup: releases its chunk references and removes
   /// its sealed recipes. Returns false if no such backup exists. Unreferenced

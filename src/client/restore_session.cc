@@ -265,7 +265,7 @@ uint64_t RestoreSession::streamEntries(size_t entryBegin, size_t entryEnd,
           }
         };
         if (pool != nullptr && options.parallelism > 1) {
-          parallelForShared(*pool, count, decryptRange);
+          parallelFor(*pool, count, decryptRange);
         } else {
           decryptRange(0, count);
         }

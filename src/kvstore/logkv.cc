@@ -272,28 +272,6 @@ void LogKv::put(ByteView key, ByteView value) {
   }
 }
 
-Lsn LogKv::putAsync(ByteView key, ByteView value) {
-  std::lock_guard lock(mu_);
-  try {
-    size_t valueOffsetInPayload = 0;
-    const ByteVec payload = encodePutPayload(key, value,
-                                             valueOffsetInPayload);
-    const Lsn payloadLsn = wal_->append(payload);
-    auto [it, inserted] = index_.try_emplace(keyString(key));
-    if (!inserted) ++deadRecords_;
-    it->second = ValueLocation{payloadLsn + valueOffsetInPayload,
-                               static_cast<uint32_t>(value.size()),
-                               ValueFile::kWal};
-    // Deliberately no maybeCheckpointLocked(): a checkpoint inside a
-    // pipelined commit would sync the whole store and defeat the point;
-    // the caller's eventual sync/put drives checkpointing instead.
-    return wal_->appendedLsn();
-  } catch (const kvcrash::CrashInjected&) {
-    markCrashedLocked();
-    throw;
-  }
-}
-
 void LogKv::syncAsync(Lsn lsn, std::function<void(bool ok)> done) {
   bool isCrashed = false;
   {

@@ -70,12 +70,6 @@ class LogKv final : public KvStore {
 
   void put(ByteView key, ByteView value) override;
 
-  /// Pipelined commit: appends the put and returns the LSN a durability wait
-  /// must cover, without forcing it to stable storage. Pair with syncAsync
-  /// (or sync) — until then the record has WAL-buffer durability only, i.e.
-  /// a crash may drop it exactly like a put() before flush().
-  Lsn putAsync(ByteView key, ByteView value);
-
   /// Registers `done(ok)` to run once every record below `lsn` is durable
   /// (see Wal::syncAsync): callbacks run on the WAL's syncer thread, outside
   /// the store mutex, and concurrent requests coalesce into one group

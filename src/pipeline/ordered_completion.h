@@ -19,8 +19,8 @@
 //
 // produce must be safe to invoke concurrently for distinct indices. With a
 // null pool or lookahead == 0 everything runs inline on the calling thread.
-// consume may itself submit work to the same pool (e.g. parallelForShared):
-// producers never block on consumers, so the pool always drains.
+// consume may itself submit work to the same pool (e.g. parallelFor on the
+// pool): producers never block on consumers, so the pool always drains.
 #pragma once
 
 #include <condition_variable>
@@ -81,7 +81,7 @@ void orderedProduceConsume(ThreadPool* pool, size_t lookahead, size_t n,
         // Notify while holding the lock: the calling thread may otherwise
         // observe completion through another producer, return, and destroy
         // the stack-scoped state before this notify runs (the same
-        // discipline as parallelForShared's completion latch).
+        // discipline as parallelFor's per-call completion latch).
         state.ready.notify_all();
       }
     });

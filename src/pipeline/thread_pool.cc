@@ -76,23 +76,11 @@ void parallelFor(size_t threads, size_t n,
 void parallelFor(ThreadPool& pool, size_t n,
                  const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
-  // 4 blocks per worker smooths out uneven per-item cost.
-  const size_t blocks = std::min(n, pool.threadCount() * 4);
-  const size_t blockSize = (n + blocks - 1) / blocks;
-  for (size_t begin = 0; begin < n; begin += blockSize) {
-    const size_t end = std::min(n, begin + blockSize);
-    pool.submit([&body, begin, end] { body(begin, end); });
-  }
-  pool.wait();
-}
-
-void parallelForShared(ThreadPool& pool, size_t n,
-                       const std::function<void(size_t, size_t)>& body) {
-  if (n == 0) return;
   if (n == 1) {
     body(0, 1);
     return;
   }
+  // 4 blocks per worker smooths out uneven per-item cost.
   const size_t blocks = std::min(n, pool.threadCount() * 4);
   const size_t blockSize = (n + blocks - 1) / blocks;
 
@@ -119,7 +107,7 @@ void parallelForShared(ThreadPool& pool, size_t n,
       if (error && !sync.error) sync.error = error;
       if (--sync.remaining == 0) sync.done.notify_all();
     });
-    FDD_CHECK_MSG(accepted, "parallelForShared on a shut-down pool");
+    FDD_CHECK_MSG(accepted, "parallelFor on a shut-down pool");
   }
 
   std::unique_lock lock(sync.mu);

@@ -59,20 +59,15 @@ class ThreadPool {
 void parallelFor(size_t threads, size_t n,
                  const std::function<void(size_t, size_t)>& body);
 
-/// Same, but reuses an existing pool (no per-call thread spawn). Blocks the
-/// caller until the range is done; do not interleave with other work on the
-/// same pool from other threads, since this uses ThreadPool::wait().
-void parallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t, size_t)>& body);
-
-/// Like parallelFor(pool, ...) but safe for concurrent callers sharing one
-/// pool: each call tracks the completion of its own blocks (instead of
-/// waiting for the whole pool to go idle), so independent client sessions can
+/// Same, but reuses an existing pool (no per-call thread spawn) and blocks
+/// the caller until the range is done. Safe for concurrent callers sharing
+/// one pool: each call tracks the completion of its own blocks instead of
+/// waiting for the whole pool to go idle, so independent client sessions can
 /// drive parallel work through a shared worker pool simultaneously. Rethrows
 /// the first exception this call's body threw. The pool must not be shut
 /// down while calls are in flight.
-void parallelForShared(ThreadPool& pool, size_t n,
-                       const std::function<void(size_t, size_t)>& body);
+void parallelFor(ThreadPool& pool, size_t n,
+                 const std::function<void(size_t, size_t)>& body);
 
 /// Pool-or-spawn dispatch: reuses `pool` when one is provided, otherwise
 /// spawns `threads` workers for this call. Lets components accept an

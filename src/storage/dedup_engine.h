@@ -50,12 +50,6 @@ struct MetadataAccessStats {
   [[nodiscard]] uint64_t totalBytes() const {
     return updateBytes + indexBytes + loadingBytes;
   }
-  MetadataAccessStats& operator+=(const MetadataAccessStats& o) {
-    updateBytes += o.updateBytes;
-    indexBytes += o.indexBytes;
-    loadingBytes += o.loadingBytes;
-    return *this;
-  }
   /// Differences saturate at zero: callers diff cumulative counters taken at
   /// two points in time, and a reordered snapshot must not underflow into a
   /// huge unsigned value.
@@ -89,21 +83,6 @@ struct DedupEngineStats {
                ? 0.0
                : static_cast<double>(logicalBytes) /
                      static_cast<double>(uniqueBytes);
-  }
-
-  /// Merges counters from another engine.
-  DedupEngineStats& operator+=(const DedupEngineStats& o) {
-    logicalChunks += o.logicalChunks;
-    logicalBytes += o.logicalBytes;
-    uniqueChunks += o.uniqueChunks;
-    uniqueBytes += o.uniqueBytes;
-    cacheHits += o.cacheHits;
-    bufferHits += o.bufferHits;
-    bloomNegatives += o.bloomNegatives;
-    bloomFalsePositives += o.bloomFalsePositives;
-    indexHits += o.indexHits;
-    metadata += o.metadata;
-    return *this;
   }
 
   /// Interval view of two cumulative stats, saturating at zero per field.

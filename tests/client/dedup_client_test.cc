@@ -1,10 +1,12 @@
 // DedupClient session lifecycle: large objects in bounded memory, concurrent
 // sessions sharing one store, commit/restore/delete through the client,
-// restore-only clients, and construction-time validation.
+// restore-only clients, durability of commitBackup on return, and
+// construction-time validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
+#include <filesystem>
 #include <thread>
 
 #include "chunking/cdc_chunker.h"
@@ -13,6 +15,7 @@
 #include "common/rng.h"
 #include "legacy_backup_reference.h"
 #include "storage/container_backup_store.h"
+#include "storage/file_backup_store.h"
 
 namespace freqdedup {
 namespace {
@@ -174,6 +177,69 @@ TEST(DedupClient, CommitRestoreDeleteLifecycle) {
   EXPECT_TRUE(client.deleteBackup("doc"));
   EXPECT_FALSE(client.deleteBackup("doc"));
   EXPECT_THROW((void)reader.beginRestore("doc", userKey), std::runtime_error);
+}
+
+// commitBackup is durable when it returns. The store directory is copied
+// while the store is still open — what a process crash leaves on disk — and
+// the copy must restore the committed bytes, for a new name and for a
+// re-commit of an existing one.
+class DedupClientDurability : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    const auto tmp = std::filesystem::temp_directory_path();
+    dir_ = (tmp / ("dedup_client_durability_" + test)).string();
+    copy_ = dir_ + "_copy";
+    std::filesystem::remove_all(dir_);
+    std::filesystem::remove_all(copy_);
+  }
+  void TearDown() override {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::remove_all(copy_);
+  }
+
+  void backupAndCommit(DedupClient& client, const std::string& name,
+                       const ByteVec& content) {
+    BackupSession session = client.beginBackup(name);
+    session.append(content);
+    client.commitBackup(name, session.finish(), userKey_, rng_);
+  }
+
+  /// Copies the (still open) store directory and restores `name` from the
+  /// copy.
+  ByteVec restoreFromCopy(const std::string& name) {
+    std::filesystem::copy(dir_, copy_,
+                          std::filesystem::copy_options::recursive);
+    FileBackupStore copied(copy_);
+    DedupClient reader(copied);
+    EXPECT_EQ(reader.listBackups(), std::vector<std::string>{name});
+    return reader.beginRestore(name, userKey_).readAll();
+  }
+
+  std::string dir_;
+  std::string copy_;
+  KeyManager km_{toBytes("durability-secret")};
+  CdcChunker chunker_{smallCdc()};
+  const AesKey userKey_ = userKeyFromPassphrase("durable");
+  Rng rng_{5};
+};
+
+TEST_F(DedupClientDurability, NewNameIsDurableWhenCommitReturns) {
+  FileBackupStore store(dir_);
+  DedupClient client(store, km_, chunker_);
+  const ByteVec content = randomContent(41, 96 * 1024);
+  backupAndCommit(client, "doc", content);
+  EXPECT_EQ(restoreFromCopy("doc"), content);
+}
+
+TEST_F(DedupClientDurability, RecommitIsDurableWhenCommitReturns) {
+  FileBackupStore store(dir_);
+  DedupClient client(store, km_, chunker_);
+  backupAndCommit(client, "doc", randomContent(42, 96 * 1024));
+  const ByteVec content = randomContent(43, 80 * 1024);
+  backupAndCommit(client, "doc", content);
+  EXPECT_EQ(restoreFromCopy("doc"), content);
 }
 
 TEST(DedupClient, EmptyObjectRoundTrips) {

@@ -1,4 +1,4 @@
-// Async (pipelined) commit API: Wal::syncAsync and LogKv::putAsync/syncAsync.
+// Async (pipelined) commit API: Wal::syncAsync and LogKv::syncAsync.
 // Contracts under test: callbacks fire exactly once with ok=true after the
 // covered LSN is durable; requests coalesce with concurrent committers;
 // callbacks run off the caller's thread and may issue further WAL work;
@@ -136,13 +136,14 @@ TEST_F(AsyncCommit, WalDestructorDrainsPending) {
   c.wait(1);
 }
 
-TEST_F(AsyncCommit, LogKvPutAsyncVisibleImmediatelyDurableAfterCallback) {
+TEST_F(AsyncCommit, LogKvPutVisibleImmediatelyDurableAfterSyncAsync) {
   const std::string path = dir_ + "/kv";
   Completions c;
   {
     LogKv kv(path);
-    const Lsn lsn = kv.putAsync(toBytes("key"), toBytes("value"));
-    // Visible to readers before durability, like put().
+    kv.put(toBytes("key"), toBytes("value"));
+    const Lsn lsn = kv.appendedLsn();
+    // Visible to readers before durability.
     EXPECT_EQ(kv.get(toBytes("key")), toBytes("value"));
     kv.syncAsync(lsn, [&](bool ok) { c.complete(ok); });
     c.wait(1);
@@ -168,7 +169,10 @@ TEST_F(AsyncCommit, LogKvConcurrentAsyncCommitsCoalesceAndPersist) {
         for (int i = 0; i < kPerThread; ++i) {
           const std::string k =
               "k" + std::to_string(t) + ":" + std::to_string(i);
-          const Lsn lsn = kv.putAsync(toBytes(k), toBytes("v" + k));
+          kv.put(toBytes(k), toBytes("v" + k));
+          // Another thread's put may land in between: the LSN then covers
+          // more than this record, never less.
+          const Lsn lsn = kv.appendedLsn();
           kv.syncAsync(lsn, [&](bool ok) { c.complete(ok); });
         }
       });

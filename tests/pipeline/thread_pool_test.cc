@@ -136,16 +136,16 @@ TEST(ParallelForShared, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   constexpr size_t kN = 10'000;
   std::vector<std::atomic<int>> hits(kN);
-  parallelForShared(pool, kN, [&](size_t begin, size_t end) {
+  parallelFor(pool, kN, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) ++hits[i];
   });
   for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
 }
 
 TEST(ParallelForShared, ConcurrentCallersShareOnePool) {
-  // The whole point of parallelForShared: several threads drive independent
-  // ranges through one pool simultaneously, each waiting only for its own
-  // blocks (parallelFor's pool.wait() would be racy here).
+  // Several threads drive independent ranges through one pool
+  // simultaneously, each waiting only for its own blocks (a pool.wait()
+  // based join would be racy here).
   ThreadPool pool(4);
   constexpr size_t kCallers = 4;
   constexpr size_t kN = 5'000;
@@ -155,7 +155,7 @@ TEST(ParallelForShared, ConcurrentCallersShareOnePool) {
   std::vector<std::thread> callers;
   for (size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
-      parallelForShared(pool, kN, [&, c](size_t begin, size_t end) {
+      parallelFor(pool, kN, [&, c](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) ++hits[c][i];
       });
     });
@@ -168,18 +168,18 @@ TEST(ParallelForShared, ConcurrentCallersShareOnePool) {
 
 TEST(ParallelForShared, PropagatesBodyExceptionsToItsOwnCaller) {
   ThreadPool pool(4);
-  EXPECT_THROW(parallelForShared(pool, 1000,
-                                 [](size_t begin, size_t end) {
-                                   for (size_t i = begin; i < end; ++i)
-                                     if (i == 577)
-                                       throw std::runtime_error("boom");
-                                 }),
+  EXPECT_THROW(parallelFor(pool, 1000,
+                           [](size_t begin, size_t end) {
+                             for (size_t i = begin; i < end; ++i)
+                               if (i == 577)
+                                 throw std::runtime_error("boom");
+                           }),
                std::runtime_error);
   // The error does not leak into the pool's own error slot: a later wait()
   // (or another caller) must not see it.
   pool.wait();
   std::atomic<int> ran{0};
-  parallelForShared(pool, 16, [&](size_t begin, size_t end) {
+  parallelFor(pool, 16, [&](size_t begin, size_t end) {
     ran += static_cast<int>(end - begin);
   });
   EXPECT_EQ(ran, 16);
@@ -188,9 +188,9 @@ TEST(ParallelForShared, PropagatesBodyExceptionsToItsOwnCaller) {
 TEST(ParallelForShared, HandlesEmptyAndTinyRanges) {
   ThreadPool pool(2);
   int calls = 0;
-  parallelForShared(pool, 0, [&](size_t, size_t) { ++calls; });
+  parallelFor(pool, 0, [&](size_t, size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallelForShared(pool, 1, [&](size_t begin, size_t end) {
+  parallelFor(pool, 1, [&](size_t begin, size_t end) {
     EXPECT_EQ(begin, 0u);
     EXPECT_EQ(end, 1u);
     ++calls;

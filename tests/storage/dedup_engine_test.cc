@@ -145,25 +145,6 @@ TEST(MetadataAccessStats, DifferenceSaturatesInsteadOfUnderflowing) {
   EXPECT_EQ(diff.totalBytes(), 50u);
 }
 
-TEST(DedupEngineStats, MergeAddsEveryCounter) {
-  DedupEngineStats a;
-  a.logicalChunks = 1;
-  a.logicalBytes = 10;
-  a.uniqueChunks = 1;
-  a.uniqueBytes = 10;
-  a.cacheHits = 2;
-  a.metadata.indexBytes = 32;
-  DedupEngineStats b = a;
-  b.bufferHits = 3;
-  a += b;
-  EXPECT_EQ(a.logicalChunks, 2u);
-  EXPECT_EQ(a.logicalBytes, 20u);
-  EXPECT_EQ(a.uniqueChunks, 2u);
-  EXPECT_EQ(a.cacheHits, 4u);
-  EXPECT_EQ(a.bufferHits, 3u);
-  EXPECT_EQ(a.metadata.indexBytes, 64u);
-}
-
 class DedupEngineProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DedupEngineProperty, MatchesNaiveDeduplication) {

@@ -1,8 +1,9 @@
-// Fault-injection BackupStore decorator for restore-path tests.
+// Fault-injection BackupStore decorator for restore- and commit-path tests.
 //
 // Wraps any BackupStore and forwards every operation; the read path
 // (getChunk / getChunks) can be made to fail or corrupt every read of one
-// chunk, named by its ciphertext fingerprint, or to delay every read. Keying
+// chunk, named by its ciphertext fingerprint, or to delay every read, and
+// the metadata group sync (syncMetadataAsync) can be made to fail. Keying
 // faults to a chunk rather than to global read order keeps them
 // deterministic under restore prefetch, which may fetch later batches before
 // earlier ones are emitted. All injection state is atomic, so the wrapper is
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "storage/backup_store.h"
 
@@ -37,10 +39,15 @@ class FailingStore : public BackupStore {
   /// Every getChunk/getChunks call sleeps this long (simulated I/O latency).
   void delayReads(std::chrono::milliseconds d) { delayMs_.store(d.count()); }
 
+  /// Every syncMetadataAsync reports ok == false, as when the metadata log's
+  /// group sync fails.
+  void failMetadataSync() { failSync_.store(true); }
+
   void resetInjection() {
     failFp_.disarm();
     corruptFp_.disarm();
     delayMs_.store(0);
+    failSync_.store(false);
   }
 
   /// Highest number of simultaneously in-flight getChunk/getChunks calls.
@@ -67,7 +74,7 @@ class FailingStore : public BackupStore {
     return batch;
   }
 
-  // --- BackupStore: everything else forwards verbatim ---
+  // --- BackupStore: everything else forwards (the group sync may fail) ---
 
   [[nodiscard]] bool hasChunk(Fp cipherFp) const override {
     return inner_->hasChunk(cipherFp);
@@ -97,6 +104,17 @@ class FailingStore : public BackupStore {
   void recordBackup(const std::string& name,
                     std::span<const Fp> chunkRefs) override {
     inner_->recordBackup(name, chunkRefs);
+  }
+  void recordBackupDeferred(const std::string& name,
+                            std::span<const Fp> chunkRefs) override {
+    inner_->recordBackupDeferred(name, chunkRefs);
+  }
+  void syncMetadataAsync(std::function<void(bool ok)> done) override {
+    if (failSync_.load()) {
+      done(false);
+      return;
+    }
+    inner_->syncMetadataAsync(std::move(done));
   }
   bool releaseBackup(const std::string& name) override {
     return inner_->releaseBackup(name);
@@ -171,6 +189,7 @@ class FailingStore : public BackupStore {
   FpTarget failFp_;
   FpTarget corruptFp_;
   std::atomic<int64_t> delayMs_{0};
+  std::atomic<bool> failSync_{false};
   mutable std::atomic<uint64_t> concurrent_{0};
   mutable std::atomic<uint64_t> maxConcurrent_{0};
 };

@@ -5,10 +5,12 @@
 // parallel decrypt), and the session must stay usable afterwards. Faults
 // are keyed to a recipe entry's ciphertext fingerprint, so where the restore
 // fails does not depend on the order in which prefetch workers read. The
-// FailingStoreFaults cases pin down the decorator's own fault targeting.
+// FailingStoreFaults cases pin down the decorator's own fault targeting;
+// FailingStoreCommit and FailingStoreForwarding cover the commit path.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <filesystem>
 #include <vector>
 
 #include "chunking/cdc_chunker.h"
@@ -16,6 +18,7 @@
 #include "common/rng.h"
 #include "failing_store.h"
 #include "storage/container_backup_store.h"
+#include "storage/file_backup_store.h"
 
 namespace freqdedup {
 namespace {
@@ -209,6 +212,85 @@ TEST_F(FailingStoreFaults, ResetInjectionDisarmsEveryFault) {
   for (size_t i = 0; i < batch.size(); ++i) EXPECT_EQ(batch[i], chunks_[i]);
   EXPECT_EQ(failing_.getChunk(fps_[0]), chunks_[0]);
   EXPECT_EQ(failing_.getChunk(fps_[1]), chunks_[1]);
+}
+
+// A failed metadata group sync surfaces on both commit entry points:
+// commitBackup throws, commitBackupAsync hands ok == false to its callback.
+class FailingStoreCommit : public ::testing::Test {
+ protected:
+  FailingStoreCommit()
+      : failing_(store_),
+        km_(toBytes("commit-secret")),
+        chunker_(smallCdc()),
+        client_(failing_, km_, chunker_) {
+    BackupSession session = client_.beginBackup("doc");
+    session.append(randomContent(51, 32 * 1024));
+    outcome_ = session.finish();
+  }
+
+  MemBackupStore store_;
+  FailingStore failing_;
+  KeyManager km_;
+  CdcChunker chunker_;
+  DedupClient client_;
+  BackupOutcome outcome_;
+  const AesKey userKey_ = userKeyFromPassphrase("commit");
+  Rng rng_{9};
+};
+
+TEST_F(FailingStoreCommit, CommitBackupThrowsWhenTheSyncFails) {
+  failing_.failMetadataSync();
+  EXPECT_THROW(client_.commitBackup("doc", outcome_, userKey_, rng_),
+               std::runtime_error);
+  // Without the fault the same commit succeeds.
+  failing_.resetInjection();
+  client_.commitBackup("doc", outcome_, userKey_, rng_);
+  EXPECT_EQ(client_.listBackups(), std::vector<std::string>{"doc"});
+}
+
+TEST_F(FailingStoreCommit, CommitBackupAsyncReportsTheFailedSync) {
+  failing_.failMetadataSync();
+  std::vector<bool> reported;
+  client_.commitBackupAsync("doc", outcome_, userKey_, rng_,
+                            [&reported](bool ok) { reported.push_back(ok); });
+  EXPECT_EQ(reported, std::vector<bool>{false});
+  failing_.resetInjection();
+  client_.commitBackupAsync("doc", outcome_, userKey_, rng_,
+                            [&reported](bool ok) { reported.push_back(ok); });
+  EXPECT_EQ(reported, (std::vector<bool>{false, true}));
+}
+
+// The decorator forwards the deferred commit and its group sync, so a commit
+// through it is durable when commitBackup returns: a copy of the inner
+// store's directory, taken while it is still open, restores the object.
+TEST(FailingStoreForwarding, CommitThroughTheDecoratorIsDurable) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "failing_store_commit")
+          .string();
+  const std::string copy = dir + "_copy";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(copy);
+  const ByteVec content = randomContent(52, 48 * 1024);
+  const AesKey userKey = userKeyFromPassphrase("forward");
+  {
+    FileBackupStore inner(dir);
+    FailingStore failing(inner);
+    KeyManager km(toBytes("forward-secret"));
+    CdcChunker chunker(smallCdc());
+    DedupClient client(failing, km, chunker);
+    BackupSession session = client.beginBackup("doc");
+    session.append(content);
+    Rng rng(10);
+    client.commitBackup("doc", session.finish(), userKey, rng);
+    std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  }
+  {
+    FileBackupStore copied(copy);
+    DedupClient reader(copied);
+    EXPECT_EQ(reader.beginRestore("doc", userKey).readAll(), content);
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(copy);
 }
 
 }  // namespace
