@@ -1,7 +1,7 @@
-// google-benchmark microbenchmarks for the building blocks: hashing, Rabin
-// rolling hash, content-defined chunking (one-shot and streamed), AES-CTR /
-// MLE encryption, the persistent key-value store, the DDFS dedup engine, and
-// the attack-analysis engine's index builds.
+// google-benchmark microbenchmarks for the building blocks: hashing, CRC-32C,
+// Rabin rolling hash, content-defined chunking (one-shot and streamed),
+// AES-CTR / MLE encryption, the persistent key-value store, the DDFS dedup
+// engine, and the attack-analysis engine's index builds.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -9,6 +9,7 @@
 #include "analysis/attack_engine.h"
 #include "chunking/cdc_chunker.h"
 #include "chunking/rabin.h"
+#include "common/crc32.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "core/attacks.h"
@@ -34,6 +35,16 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(8192)->Arg(65536);
+
+// The checksum on every container frame, cached chunk, WAL record and wire
+// frame (SSE4.2 where the CPU has it).
+void BM_Crc32c(benchmark::State& state) {
+  const ByteVec data = randomBytes(6, static_cast<size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(crc32c(data));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(64 << 10)->Arg(4 << 20);
 
 // The byte-at-a-time RabinWindow reference; no chunking path runs it, its
 // cost is the baseline for the CDC scan kernel below.

