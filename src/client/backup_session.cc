@@ -22,6 +22,8 @@ struct BackupMetrics {
   obs::Counter& bytesAppended = reg.counter("backup.bytes_appended");
   obs::Counter& chunksNew = reg.counter("backup.chunks_new");
   obs::Counter& chunksDuplicate = reg.counter("backup.chunks_duplicate");
+  // Duplicates stored from the seal memo, without encrypting them again.
+  obs::Counter& sealMemoHits = reg.counter("backup.seal_memo_hits");
   obs::Histogram& appendUs = reg.histogram("backup.append_us");
   obs::Histogram& finishUs = reg.histogram("backup.finish_us");
   obs::Counter& chunksProduced = reg.counter("chunk.chunks_produced");
@@ -109,20 +111,44 @@ BackupOutcome BackupSession::finish() {
   return std::move(outcome_);
 }
 
-void BackupSession::storeChunk(Fp cipherFp, ByteView cipher) {
-  bool isNew = false;
-  {
-    std::lock_guard lock(client_->storeMu_);
-    isNew = client_->store_->putChunk(cipherFp, cipher);
-  }
+void BackupSession::SealedChunk::seal(ByteView plain) {
+  cipher = MleScheme::encryptWithKey(key, plain);
+  cipherFp = fpOfContent(cipher);
+  size = static_cast<uint32_t>(cipher.size());
+}
+
+void BackupSession::storeChunk(SealedChunk& c, ByteView plain) {
   BackupMetrics& m = BackupMetrics::get();
+  bool known = false;
+  if (c.fromMemo) {
+    {
+      std::lock_guard lock(client_->storeMu_);
+      known = client_->store_->putKnownChunk(c.cipherFp, c.size);
+    }
+    // Stale entry (the chunk was collected) or a chunk another session has
+    // yet to store: seal it now. Encryption is deterministic, so this is the
+    // ciphertext the memo named.
+    if (!known) c.seal(plain);
+  }
+  bool isNew = false;
+  if (known) {
+    m.sealMemoHits.add();
+  } else {
+    {
+      std::lock_guard lock(client_->storeMu_);
+      isNew = client_->store_->putChunk(c.cipherFp, c.cipher);
+    }
+    // Only after the put returned: every entry names a chunk that reached
+    // the store.
+    client_->rememberSeal(c.plainFp, {c.key, c.cipherFp, c.size});
+  }
   if (isNew) {
     ++outcome_.newChunks;
-    outcome_.newChunkFps.push_back(cipherFp);
+    outcome_.newChunkFps.push_back(c.cipherFp);
     m.chunksNew.add();
   } else {
     ++outcome_.duplicateChunks;
-    outcome_.duplicateChunkFps.push_back(cipherFp);
+    outcome_.duplicateChunkFps.push_back(c.cipherFp);
     m.chunksDuplicate.add();
   }
 }
@@ -139,16 +165,25 @@ void BackupSession::encryptAndStore(std::span<const ByteView> chunks,
     for (size_t k = begin; k < end; ++k) {
       const size_t i = chunkAt(k);
       SealedChunk& c = sealed_[k];
-      if (segment != nullptr) {
-        // Per-segment key (Algorithm 4), shared by all of the segment's chunks.
-        c.key = segment->key;
-        c.plainFp = segment->records[i].fp;
-      } else {
-        c.plainFp = fpOfContent(chunks[i]);
-        c.key = client_->keyManager_->deriveChunkKey(c.plainFp);
+      // MinHash chunks reuse the plaintext fps computed for the segmenter.
+      c.plainFp = segment != nullptr ? segment->records[i].fp
+                                     : fpOfContent(chunks[i]);
+      // An MLE chunk's key is a function of its plaintext fp, so any memo
+      // entry fits; a MinHash chunk's seal fits only under the same segment
+      // key (Algorithm 4).
+      if (const auto ref = client_->findSeal(c.plainFp);
+          ref && ref->size == chunks[i].size() &&
+          (segment == nullptr || ref->key == segment->key)) {
+        c.fromMemo = true;
+        c.key = ref->key;
+        c.cipherFp = ref->cipherFp;
+        c.size = ref->size;
+        continue;
       }
-      c.cipher = MleScheme::encryptWithKey(c.key, chunks[i]);
-      c.cipherFp = fpOfContent(c.cipher);
+      c.key = segment != nullptr
+                  ? segment->key  // per-segment key, shared by its chunks
+                  : client_->keyManager_->deriveChunkKey(c.plainFp);
+      c.seal(chunks[i]);
     }
   };
   // Gated on the backup options, not on pool existence: the pool is shared
@@ -166,11 +201,10 @@ void BackupSession::encryptAndStore(std::span<const ByteView> chunks,
   outcome_.fileRecipe.entries.resize(base + count);
   outcome_.keyRecipe.keys.resize(base + count);
   for (size_t k = 0; k < count; ++k) {
-    const SealedChunk& c = sealed_[k];
-    storeChunk(c.cipherFp, c.cipher);
+    SealedChunk& c = sealed_[k];
     const size_t i = chunkAt(k);
-    outcome_.fileRecipe.entries[base + i] = {
-        c.cipherFp, static_cast<uint32_t>(c.cipher.size()), c.plainFp};
+    storeChunk(c, chunks[i]);
+    outcome_.fileRecipe.entries[base + i] = {c.cipherFp, c.size, c.plainFp};
     outcome_.keyRecipe.keys[base + i] = c.key;
   }
   sealed_.clear();

@@ -15,12 +15,17 @@
 //    same per-segment order as Algorithm 5.
 // Every scheme then runs the same encrypt-and-store step (Fig. 2): derive
 // the chunk's MLE key or take the segment key, encrypt, and store the
-// ciphertexts in (possibly scrambled) upload order. That step holds the
-// ciphertexts of one call before storing them: one chunk for serial MLE, one
-// encrypt window for parallel MLE, one segment (<= SegmentParams::maxBytes,
-// 2 MiB by default) for MinHash at any parallelism. Peak client-side memory
-// is therefore O(segment bytes + encrypt window), independent of object
-// size: arbitrarily large objects stream through.
+// ciphertexts in (possibly scrambled) upload order. A chunk the client's
+// seal memo already knows (see dedup_client.h) skips the key, the
+// encryption and the ciphertext fingerprint, and is stored by fingerprint
+// alone; if the store no longer holds it, the step seals it there and then
+// and puts its bytes, so the outcome never depends on the memo. That step
+// holds the ciphertexts of one call before storing them: one chunk for
+// serial MLE, one encrypt window for parallel MLE, one segment
+// (<= SegmentParams::maxBytes, 2 MiB by default) for MinHash at any
+// parallelism. Peak client-side memory is therefore O(segment bytes +
+// encrypt window), independent of object size: arbitrarily large objects
+// stream through. The memo adds a fixed bound on top (kSealMemoEntries).
 //
 // Sessions are vended by DedupClient (see dedup_client.h) and are not
 // thread-safe individually, but distinct sessions of one client may run
@@ -115,12 +120,19 @@ class BackupSession {
     std::span<const ChunkRecord> records;
   };
 
-  /// One chunk after the encrypt step, before it is stored.
+  /// One chunk after the encrypt step, before it is stored. On a seal-memo
+  /// hit (`fromMemo`) the key, fingerprint and size come from the memo and
+  /// `cipher` stays empty unless the store turns out not to hold the chunk.
   struct SealedChunk {
     AesKey key;
     ByteVec cipher;
     Fp cipherFp = 0;
     Fp plainFp = 0;
+    uint32_t size = 0;
+    bool fromMemo = false;
+
+    /// Encrypts `plain` under `key` and fingerprints the ciphertext.
+    void seal(ByteView plain);
   };
 
   void onChunk(ByteView chunk);
@@ -129,9 +141,10 @@ class BackupSession {
   /// The encrypt-and-store step of every scheme. Encrypts chunks[order[k]]
   /// for k = 0.. (an empty `order` means chunk order), each under its own
   /// MLE key when `segment` is null, else under the segment key — on the
-  /// client pool when BackupOptions::parallelism > 1, inline otherwise.
-  /// Then stores the ciphertexts in that upload order and appends the recipe
-  /// entries and keys in chunk order.
+  /// client pool when BackupOptions::parallelism > 1, inline otherwise —
+  /// unless the seal memo already holds the chunk under that key. Then
+  /// stores the chunks in that upload order and appends the recipe entries
+  /// and keys in chunk order.
   void encryptAndStore(std::span<const ByteView> chunks,
                        std::span<const size_t> order,
                        const SegmentKeying* segment);
@@ -139,7 +152,9 @@ class BackupSession {
   /// dropped from the buffer.
   void encryptAndStorePending(size_t count, std::span<const size_t> order,
                               const SegmentKeying* segment);
-  void storeChunk(Fp cipherFp, ByteView cipher);
+  /// Stores one sealed chunk: a memo hit as a known duplicate, falling back
+  /// to sealing `plain` and a full put when the store no longer holds it.
+  void storeChunk(SealedChunk& c, ByteView plain);
 
   DedupClient* client_;
   std::string name_;

@@ -182,6 +182,16 @@ void DedupClient::commitBackupAsync(const std::string& name,
   store_->syncMetadataAsync(std::move(durable));
 }
 
+std::optional<DedupClient::SealRef> DedupClient::findSeal(Fp plainFp) {
+  std::lock_guard lock(memoMu_);
+  return sealMemo_.get(plainFp);
+}
+
+void DedupClient::rememberSeal(Fp plainFp, const SealRef& ref) {
+  std::lock_guard lock(memoMu_);
+  sealMemo_.put(plainFp, ref);
+}
+
 bool DedupClient::deleteBackup(const std::string& name) {
   // Blob first: a crash in between leaves the manifest (safe over-retention
   // that a re-run or re-commit clears), never recipes whose chunks GC could

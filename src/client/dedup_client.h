@@ -17,6 +17,17 @@
 // path too: commitBackup is commitBackupAsync plus a wait, and is durable
 // when it returns.
 //
+// Seal memo: the client remembers, for the 65,536 chunks it sealed most
+// recently, each chunk's key, ciphertext fingerprint and size, keyed on the
+// plaintext fingerprint. A chunk the memo knows (under the same key, for
+// MinHash) skips key derivation, encryption and the ciphertext fingerprint,
+// and is offered to the store as a known duplicate (putKnownChunk). The
+// store still decides: when it no longer holds the chunk (a stale entry after
+// deleteBackup plus collectGarbage, or another session that has not stored it
+// yet) the session seals the chunk and puts it as before. Encryption is
+// deterministic, so recipes, ciphertexts and the store's input are the same
+// with or without the memo.
+//
 // Concurrency: sessions are single-threaded objects, but any number of
 // sessions of one client may run concurrently from different threads —
 // store access is serialized internally and the shared worker pool tracks
@@ -29,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +48,7 @@
 #include "chunking/chunker.h"
 #include "client/backup_session.h"
 #include "client/restore_session.h"
+#include "common/lru_cache.h"
 #include "common/rng.h"
 #include "crypto/key_manager.h"
 #include "storage/backup_store.h"
@@ -46,6 +59,12 @@ class ThreadPool;
 
 class DedupClient {
  public:
+  /// Seal memo capacity in entries. An entry costs ~140 bytes with the LRU's
+  /// list and map nodes, so the memo stays under ~9 MB, and 65,536 chunks of
+  /// 8 KiB cover the last 512 MiB of distinct data sealed — more than one
+  /// snapshot of a typical backup chain.
+  static constexpr size_t kSealMemoEntries = 65536;
+
   /// Full client. All referenced collaborators must outlive the client;
   /// sessions must not outlive it either. Throws std::invalid_argument on
   /// invalid options (zero parallelism, invalid segment params, invalid
@@ -144,6 +163,18 @@ class DedupClient {
   friend class BackupSession;
   friend class RestoreSession;
 
+  /// What the seal memo keeps of one chunk this client sealed and stored.
+  struct SealRef {
+    AesKey key;
+    Fp cipherFp = 0;
+    uint32_t size = 0;
+  };
+
+  /// The memo entry of a plaintext fingerprint, promoted to most recent.
+  std::optional<SealRef> findSeal(Fp plainFp);
+  /// Records a chunk that reached the store.
+  void rememberSeal(Fp plainFp, const SealRef& ref);
+
   BackupStore* store_;
   const KeyManager* keyManager_;  // null in restore-only clients
   const Chunker* chunker_;        // null in restore-only clients
@@ -154,6 +185,10 @@ class DedupClient {
   // (getChunks/chunkLocator) deliberately bypass it — the store's read path
   // is internally synchronized — so concurrent restores overlap their I/O.
   std::mutex storeMu_;
+  // Guards sealMemo_ (a lookup promotes its entry, so reads write too).
+  // Never held together with storeMu_.
+  std::mutex memoMu_;
+  LruCache<Fp, SealRef, FpHash> sealMemo_{kSealMemoEntries};
 };
 
 /// Derives a user (recipe-sealing) key from a passphrase:

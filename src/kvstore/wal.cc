@@ -470,12 +470,8 @@ Lsn Wal::scan(Lsn from, const std::function<bool(const Record&)>& fn) {
     if (::ftruncate(fd_, static_cast<off_t>(fileOffsetOf(lsn))) != 0)
       throwErrno("ftruncate failed");
   }
-  std::lock_guard lock(bufMu_);
-  writtenLsn_ = nextLsn_ = lsn;
-  {
-    std::lock_guard syncLock(syncMu_);
-    durableLsn_ = lsn;
-  }
+  std::scoped_lock lock(syncMu_, bufMu_);  // the order writeLeaderGroup uses
+  writtenLsn_ = nextLsn_ = durableLsn_ = lsn;
   return lsn;
 }
 

@@ -138,6 +138,15 @@ class BackupStore {
   /// references are added when a backup that uses them is recorded.
   virtual bool putChunk(Fp cipherFp, ByteView bytes) = 0;
 
+  /// The put of a chunk the caller knows by fingerprint and size alone (the
+  /// client's seal memo): returns true, accounting it exactly as a duplicate
+  /// putChunk, if the store holds the chunk, and false — changing nothing —
+  /// if it does not, in which case the caller must putChunk the bytes. The
+  /// base implementation is hasChunk.
+  virtual bool putKnownChunk(Fp cipherFp, uint32_t /*size*/) {
+    return hasChunk(cipherFp);
+  }
+
   /// Retrieves a chunk's bytes; throws std::runtime_error if absent.
   virtual ByteVec getChunk(Fp cipherFp) = 0;
 

@@ -212,6 +212,14 @@ bool ContainerBackupStore::putChunk(Fp cipherFp, ByteView bytes) {
   return true;
 }
 
+bool ContainerBackupStore::putKnownChunk(Fp cipherFp, uint32_t size) {
+  std::lock_guard lock(mu_);
+  if (!hasChunkLocked(cipherFp)) return false;
+  putChunks_.add();
+  putBytes_.add(size);
+  return true;
+}
+
 void ContainerBackupStore::stageChunkLocked(Fp fp, ByteView bytes,
                                             uint32_t refs) {
   if (builder_.wouldOverflow(static_cast<uint32_t>(bytes.size())))

@@ -53,6 +53,7 @@ class ContainerBackupStore : public BackupStore {
 
   [[nodiscard]] bool hasChunk(Fp cipherFp) const override;
   bool putChunk(Fp cipherFp, ByteView bytes) override;
+  bool putKnownChunk(Fp cipherFp, uint32_t size) override;
   ByteVec getChunk(Fp cipherFp) override;
   std::vector<ByteVec> getChunks(std::span<const Fp> cipherFps) override;
   [[nodiscard]] std::vector<std::optional<ChunkPlacement>> chunkLocator(

@@ -1,19 +1,24 @@
 // DedupClient session lifecycle: large objects in bounded memory, concurrent
 // sessions sharing one store, commit/restore/delete through the client,
-// restore-only clients, durability of commitBackup on return, and
-// construction-time validation.
+// restore-only clients, durability of commitBackup on return,
+// construction-time validation, and the seal memo (stale entries after GC,
+// MinHash segment-key changes, concurrent sessions, more chunks than it
+// holds).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
 #include <filesystem>
 #include <thread>
+#include <unordered_map>
 
 #include "chunking/cdc_chunker.h"
+#include "chunking/fixed_chunker.h"
 #include "client/dedup_client.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "legacy_backup_reference.h"
+#include "obs/metrics.h"
 #include "storage/container_backup_store.h"
 #include "storage/file_backup_store.h"
 
@@ -45,6 +50,23 @@ BackupOptions smallSegmentOptions(EncryptionScheme scheme,
   o.segmentParams.maxBytes = 32 * 1024;
   o.segmentParams.avgChunkBytes = 1024;
   return o;
+}
+
+/// Backs `content` up as `name` in 8 KiB appends; returns the outcome.
+BackupOutcome backupObject(DedupClient& client, const std::string& name,
+                           const ByteVec& content) {
+  BackupSession session = client.beginBackup(name);
+  constexpr size_t kStep = 8 * 1024;
+  for (size_t off = 0; off < content.size(); off += kStep)
+    session.append(ByteView(content.data() + off,
+                            std::min(kStep, content.size() - off)));
+  return session.finish();
+}
+
+/// backup.seal_memo_hits counted since `before`.
+uint64_t sealMemoHitsSince(const obs::MetricsSnapshot& before) {
+  return obs::MetricsRegistry::global().snapshot().delta(before).counter(
+      "backup.seal_memo_hits");
 }
 
 // The acceptance-criteria test: a >= 64 MiB object flows through a backup
@@ -300,6 +322,176 @@ TEST(DedupClient, SessionMisuseIsRejected) {
   KeyRecipe keys;  // empty: disagrees with the file recipe
   EXPECT_THROW((void)client.beginRestore(std::move(file), std::move(keys)),
                std::invalid_argument);
+}
+
+// A memo entry outlives its chunk when the only backup using the chunk is
+// deleted and collected. Backing the object up again on the same client must
+// store every chunk anew (the store, not the memo, decides), with the same
+// recipes, and leave a store that restores the object and verifies clean.
+TEST(DedupClientSealMemo, StaleEntryAfterDeleteAndGcStoresTheChunksAgain) {
+  MemBackupStore store;
+  KeyManager km(toBytes("stale-secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker);
+  const AesKey userKey = userKeyFromPassphrase("stale");
+  Rng rng(11);
+  const ByteVec content = randomContent(601, 96 * 1024);
+
+  const BackupOutcome first = backupObject(client, "x", content);
+  ASSERT_GT(first.newChunks, 0u);
+  client.commitBackup("x", first, userKey, rng);
+  ASSERT_TRUE(client.deleteBackup("x"));
+  EXPECT_EQ(store.collectGarbage().chunksReclaimed, first.newChunks);
+  for (const RecipeEntry& e : first.fileRecipe.entries)
+    ASSERT_FALSE(store.hasChunk(e.cipherFp));
+
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+  const BackupOutcome second = backupObject(client, "x", content);
+  EXPECT_EQ(second.newChunks, first.newChunks);
+  EXPECT_EQ(second.newChunkFps, first.newChunkFps);
+  EXPECT_EQ(second.fileRecipe, first.fileRecipe);
+  EXPECT_EQ(second.keyRecipe, first.keyRecipe);
+  if (obs::kObsEnabled) EXPECT_EQ(sealMemoHitsSince(before), 0u);
+  for (const RecipeEntry& e : second.fileRecipe.entries)
+    EXPECT_TRUE(store.hasChunk(e.cipherFp));
+
+  client.commitBackup("x", second, userKey, rng);
+  EXPECT_EQ(client.beginRestore("x", userKey).readAll(), content);
+  const StoreCheckReport report = store.verify();
+  EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
+}
+
+// MinHash chunks seen before under another segment key must miss the memo:
+// an object whose shared chunks fall into differently keyed segments gets
+// exactly the recipes a fresh client computes, and only chunks whose segment
+// key matches the memo's count as hits.
+TEST(DedupClientSealMemo, MinHashSegmentKeyChangeMissesTheMemo) {
+  KeyManager km(toBytes("segment-secret"));
+  CdcChunker chunker(smallCdc());
+  const BackupOptions options = smallSegmentOptions(EncryptionScheme::kMinHash);
+  const ByteVec shared = randomContent(611, 96 * 1024);
+  ByteVec shifted = randomContent(612, 20 * 1024);
+  shifted.insert(shifted.end(), shared.begin(), shared.end());
+
+  MemBackupStore store;
+  DedupClient client(store, km, chunker, options);
+  const BackupOutcome a = backupObject(client, "a", shared);
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+  const BackupOutcome b = backupObject(client, "b", shifted);
+  const uint64_t hits = sealMemoHitsSince(before);
+
+  MemBackupStore freshStore;
+  DedupClient fresh(freshStore, km, chunker, options);
+  const BackupOutcome expected = backupObject(fresh, "b", shifted);
+  EXPECT_EQ(b.fileRecipe, expected.fileRecipe);
+  EXPECT_EQ(b.keyRecipe, expected.keyRecipe);
+
+  // The case under test occurs: some chunk of b is a chunk of a sealed
+  // under another segment key.
+  std::unordered_map<Fp, AesKey, FpHash> keyInA;
+  for (size_t i = 0; i < a.fileRecipe.entries.size(); ++i)
+    keyInA[a.fileRecipe.entries[i].plainFp] = a.keyRecipe.keys[i];
+  size_t rekeyed = 0;
+  size_t sameKey = 0;
+  for (size_t i = 0; i < b.fileRecipe.entries.size(); ++i) {
+    const auto it = keyInA.find(b.fileRecipe.entries[i].plainFp);
+    if (it == keyInA.end()) continue;
+    ++(it->second == b.keyRecipe.keys[i] ? sameKey : rekeyed);
+  }
+  EXPECT_GT(rekeyed, 0u);
+  if (obs::kObsEnabled) EXPECT_EQ(hits, sameKey);
+}
+
+// Four sessions of one client back the same object up at once, so each
+// chunk is looked up, sealed and stored by sessions racing one another. Each
+// session's recipes must equal a serial run on a fresh client, the store
+// must hold each chunk once, and every copy must restore.
+TEST(DedupClientSealMemo, ConcurrentSessionsOfOneObjectMatchASerialRun) {
+  constexpr size_t kSessions = 4;
+  KeyManager km(toBytes("same-object-secret"));
+  CdcChunker chunker(smallCdc());
+  // Repeated blocks, so chunks also recur within each session.
+  const ByteVec block = randomContent(621, 48 * 1024);
+  ByteVec content = randomContent(622, 16 * 1024);
+  for (int i = 0; i < 3; ++i)
+    content.insert(content.end(), block.begin(), block.end());
+
+  for (const BackupOptions& options :
+       {smallSegmentOptions(EncryptionScheme::kMle),
+        smallSegmentOptions(EncryptionScheme::kMinHashScrambled,
+                            /*parallelism=*/2)}) {
+    MemBackupStore serialStore;
+    DedupClient serial(serialStore, km, chunker, options);
+    const BackupOutcome expected = backupObject(serial, "obj", content);
+
+    MemBackupStore store;
+    DedupClient client(store, km, chunker, options);
+    std::vector<BackupOutcome> outcomes(kSessions);
+    std::barrier sync(kSessions);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kSessions; ++i) {
+      threads.emplace_back([&, i] {
+        sync.arrive_and_wait();
+        outcomes[i] = backupObject(client, "obj" + std::to_string(i), content);
+      });
+    }
+    for (auto& t : threads) t.join();
+
+    size_t stored = 0;
+    for (size_t i = 0; i < kSessions; ++i) {
+      EXPECT_EQ(outcomes[i].fileRecipe.entries, expected.fileRecipe.entries)
+          << i;
+      EXPECT_EQ(outcomes[i].keyRecipe, expected.keyRecipe) << i;
+      EXPECT_EQ(client.beginRestore(outcomes[i].fileRecipe,
+                                    outcomes[i].keyRecipe)
+                    .readAll(),
+                content)
+          << i;
+      stored += outcomes[i].newChunks;
+    }
+    EXPECT_EQ(stored, expected.newChunks);
+    EXPECT_EQ(store.stats().uniqueChunks, serialStore.stats().uniqueChunks);
+    EXPECT_TRUE(store.verify().ok());
+  }
+}
+
+// More distinct chunks than the memo holds: entries are evicted, evicted
+// chunks are sealed again, and everything still restores. The most recently
+// sealed chunks are still remembered.
+TEST(DedupClientSealMemo, MoreChunksThanTheMemoHoldsStillRestore) {
+  constexpr uint32_t kChunkBytes = 64;
+  constexpr size_t kChunks = DedupClient::kSealMemoEntries + 4096;
+  constexpr size_t kTailChunks = 1000;
+  MemBackupStore store;
+  KeyManager km(toBytes("capacity-secret"));
+  FixedChunker chunker(kChunkBytes);
+  DedupClient client(store, km, chunker);
+  const AesKey userKey = userKeyFromPassphrase("capacity");
+  Rng rng(13);
+  const ByteVec content = randomContent(631, kChunks * kChunkBytes);
+  const ByteVec tail(content.end() - kTailChunks * kChunkBytes, content.end());
+
+  const BackupOutcome first = backupObject(client, "first", content);
+  ASSERT_EQ(first.chunkCount, kChunks);
+  EXPECT_EQ(first.newChunks, kChunks);
+  const BackupOutcome again = backupObject(client, "again", content);
+  EXPECT_EQ(again.newChunks, 0u);
+  EXPECT_EQ(again.fileRecipe.entries, first.fileRecipe.entries);
+  EXPECT_EQ(again.keyRecipe, first.keyRecipe);
+
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+  const BackupOutcome recent = backupObject(client, "tail", tail);
+  EXPECT_EQ(recent.newChunks, 0u);
+  if (obs::kObsEnabled) EXPECT_EQ(sealMemoHitsSince(before), kTailChunks);
+
+  for (const auto& [name, outcome] :
+       {std::pair{"first", &first}, std::pair{"again", &again},
+        std::pair{"tail", &recent}})
+    client.commitBackup(name, *outcome, userKey, rng);
+  EXPECT_EQ(client.beginRestore("first", userKey).readAll(), content);
+  EXPECT_EQ(client.beginRestore("again", userKey).readAll(), content);
+  EXPECT_EQ(client.beginRestore("tail", userKey).readAll(), tail);
+  EXPECT_TRUE(store.verify().ok());
 }
 
 }  // namespace

@@ -119,6 +119,27 @@ TEST(ObsEndToEnd, BackupRestoreDeleteGcCounters) {
   RestoreSession session = client.beginRestore("b.bin", userKey);
   EXPECT_EQ(session.readAll(), objectB);
 
+  // A second backup of the same object is served by the seal memo: its
+  // chunks are stored as duplicates without being encrypted again, and the
+  // store still sees one put per chunk.
+  const obs::MetricsSnapshot beforeAgain =
+      obs::MetricsRegistry::global().snapshot();
+  const uint64_t putsBeforeAgain =
+      store.metricsSnapshot().counter("store.put_chunks");
+  {
+    BackupSession again = client.beginBackup("b-again.bin");
+    again.append(objectB);
+    EXPECT_EQ(again.finish().newChunks, 0u);
+  }
+  const obs::MetricsSnapshot afterAgain =
+      obs::MetricsRegistry::global().snapshot().delta(beforeAgain);
+  EXPECT_GT(afterAgain.counter("backup.seal_memo_hits"), 0u);
+  EXPECT_LE(afterAgain.counter("backup.seal_memo_hits"),
+            afterAgain.counter("backup.chunks_duplicate"));
+  EXPECT_EQ(store.metricsSnapshot().counter("store.put_chunks") -
+                putsBeforeAgain,
+            afterAgain.counter("chunk.chunks_produced"));
+
   std::filesystem::remove_all(dir);
 }
 

@@ -3,7 +3,8 @@
 // Wraps any BackupStore and forwards every operation; the read path
 // (getChunk / getChunks) can be made to fail or corrupt every read of one
 // chunk, named by its ciphertext fingerprint, or to delay every read, and
-// the metadata group sync (syncMetadataAsync) can be made to fail. Keying
+// the metadata group sync (syncMetadataAsync) can be made to fail, and so
+// can the write path's chunk puts (putChunk, putKnownChunk). Keying
 // faults to a chunk rather than to global read order keeps them
 // deterministic under restore prefetch, which may fetch later batches before
 // earlier ones are emitted. All injection state is atomic, so the wrapper is
@@ -43,11 +44,19 @@ class FailingStore : public BackupStore {
   /// group sync fails.
   void failMetadataSync() { failSync_.store(true); }
 
+  /// Every putChunk throws std::runtime_error("injected put failure").
+  void failPuts() { failPuts_.store(true); }
+
+  /// Every putKnownChunk (a seal-memo put) throws the same error.
+  void failKnownPuts() { failKnownPuts_.store(true); }
+
   void resetInjection() {
     failFp_.disarm();
     corruptFp_.disarm();
     delayMs_.store(0);
     failSync_.store(false);
+    failPuts_.store(false);
+    failKnownPuts_.store(false);
   }
 
   /// Highest number of simultaneously in-flight getChunk/getChunks calls.
@@ -74,13 +83,20 @@ class FailingStore : public BackupStore {
     return batch;
   }
 
-  // --- BackupStore: everything else forwards (the group sync may fail) ---
+  // --- BackupStore: everything else forwards (puts and the group sync may
+  // fail) ---
 
   [[nodiscard]] bool hasChunk(Fp cipherFp) const override {
     return inner_->hasChunk(cipherFp);
   }
   bool putChunk(Fp cipherFp, ByteView bytes) override {
+    if (failPuts_.load()) throw std::runtime_error("injected put failure");
     return inner_->putChunk(cipherFp, bytes);
+  }
+  bool putKnownChunk(Fp cipherFp, uint32_t size) override {
+    if (failKnownPuts_.load())
+      throw std::runtime_error("injected put failure");
+    return inner_->putKnownChunk(cipherFp, size);
   }
   [[nodiscard]] std::vector<std::optional<ChunkPlacement>> chunkLocator(
       std::span<const Fp> cipherFps) const override {
@@ -190,6 +206,8 @@ class FailingStore : public BackupStore {
   FpTarget corruptFp_;
   std::atomic<int64_t> delayMs_{0};
   std::atomic<bool> failSync_{false};
+  std::atomic<bool> failPuts_{false};
+  std::atomic<bool> failKnownPuts_{false};
   mutable std::atomic<uint64_t> concurrent_{0};
   mutable std::atomic<uint64_t> maxConcurrent_{0};
 };

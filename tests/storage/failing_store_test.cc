@@ -6,11 +6,13 @@
 // are keyed to a recipe entry's ciphertext fingerprint, so where the restore
 // fails does not depend on the order in which prefetch workers read. The
 // FailingStoreFaults cases pin down the decorator's own fault targeting;
-// FailingStoreCommit and FailingStoreForwarding cover the commit path.
+// FailingStoreCommit and FailingStoreForwarding cover the commit path, and
+// FailingStorePuts the chunk puts of a backup session.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "chunking/cdc_chunker.h"
@@ -258,6 +260,44 @@ TEST_F(FailingStoreCommit, CommitBackupAsyncReportsTheFailedSync) {
   client_.commitBackupAsync("doc", outcome_, userKey_, rng_,
                             [&reported](bool ok) { reported.push_back(ok); });
   EXPECT_EQ(reported, (std::vector<bool>{false, true}));
+}
+
+/// Backs `content` up through a fresh session; returns the error message
+/// the session threw, or "" when the backup succeeded.
+std::string backupError(DedupClient& client, const ByteVec& content) {
+  try {
+    BackupSession session = client.beginBackup("doc");
+    session.append(content);
+    (void)session.finish();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A failing put reaches the session caller whether the chunk is put with its
+// bytes (putChunk) or, once the client's seal memo knows it, by fingerprint
+// (putKnownChunk): append throws the store's error, and the same backup
+// succeeds once the fault is cleared.
+TEST(FailingStorePuts, KnownPutFailureSurfacesLikeAPutFailure) {
+  MemBackupStore store;
+  FailingStore failing(store);
+  KeyManager km(toBytes("put-secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(failing, km, chunker);
+  const ByteVec content = randomContent(53, 32 * 1024);
+
+  failing.failPuts();
+  EXPECT_EQ(backupError(client, content), "injected put failure");
+  failing.resetInjection();
+  EXPECT_EQ(backupError(client, content), "");  // fills the memo
+
+  // putChunk is not armed: only the memo path can throw here.
+  failing.failKnownPuts();
+  EXPECT_EQ(backupError(client, content), "injected put failure");
+  failing.resetInjection();
+  EXPECT_EQ(backupError(client, content), "");
+  EXPECT_TRUE(store.verify().ok());
 }
 
 // The decorator forwards the deferred commit and its group sync, so a commit

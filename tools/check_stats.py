@@ -14,6 +14,8 @@ JSON metrics snapshot (or a bare .json file). Checks, per file:
     (the budget gauge is only emitted for bounded caches);
   - tiering: tier.promotions <= tier.cold_reads (every promotion is
     driven by a cold read) and the placement gauges are non-negative;
+  - backup.seal_memo_hits <= backup.chunks_duplicate (a chunk stored from
+    the client's seal memo, without encrypting it again, is a duplicate);
   - settled gauges: restore.prefetch_window reads 0;
   - every histogram's count/sum/bucket totals are internally consistent.
 
@@ -192,6 +194,16 @@ def check(path):
         v = gauges.get(name, 0)
         if v < 0:
             errors.append(f"gauge {name} negative: {v}")
+
+    # A seal-memo hit is a chunk stored without encrypting it again, which
+    # only a duplicate can be.
+    memo_hits = counters.get("backup.seal_memo_hits", 0)
+    duplicates = counters.get("backup.chunks_duplicate", 0)
+    if memo_hits > duplicates:
+        errors.append(
+            f"backup.seal_memo_hits {memo_hits} > "
+            f"backup.chunks_duplicate {duplicates}"
+        )
 
     for name in SETTLED_GAUGES:
         if gauges.get(name, 0) != 0:
