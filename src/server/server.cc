@@ -573,10 +573,10 @@ bool FreqDedupServer::handleBackupFinish(const std::shared_ptr<Conn>& conn,
         } catch (...) {
           markDead(conn);
         }
-        {
-          std::lock_guard lock(deferredMu_);
-          --pendingDeferred_;
-        }
+        // Notify under the lock: once stop() sees the count reach zero the
+        // server may be destroyed, condition variable included.
+        std::lock_guard lock(deferredMu_);
+        --pendingDeferred_;
         deferredCv_.notify_all();
       });
   return true;
