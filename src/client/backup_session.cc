@@ -169,8 +169,8 @@ void BackupSession::encryptAndStore(std::span<const ByteView> chunks,
       c.plainFp = segment != nullptr ? segment->records[i].fp
                                      : fpOfContent(chunks[i]);
       // An MLE chunk's key is a function of its plaintext fp, so any memo
-      // entry fits; a MinHash chunk's seal fits only under the same segment
-      // key (Algorithm 4).
+      // entry of the same size fits; a MinHash chunk's seal fits only under
+      // the same segment key (Algorithm 4).
       if (const auto ref = client_->findSeal(c.plainFp);
           ref && ref->size == chunks[i].size() &&
           (segment == nullptr || ref->key == segment->key)) {
