@@ -1,13 +1,17 @@
 // google-benchmark microbenchmarks for the building blocks: hashing, CRC-32C,
 // Rabin rolling hash, content-defined chunking (one-shot and streamed),
 // AES-CTR / MLE encryption, the persistent key-value store, the DDFS dedup
-// engine, and the attack-analysis engine's index builds.
+// engine, the attack-analysis engine's index builds, and the client's
+// backup path with and without seal memo hits.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "analysis/attack_engine.h"
 #include "chunking/cdc_chunker.h"
+#include "chunking/fixed_chunker.h"
+#include "client/dedup_client.h"
 #include "chunking/rabin.h"
 #include "common/crc32.h"
 #include "common/hash.h"
@@ -16,6 +20,7 @@
 #include "core/defense.h"
 #include "crypto/mle.h"
 #include "kvstore/logkv.h"
+#include "storage/container_backup_store.h"
 #include "storage/dedup_engine.h"
 
 namespace freqdedup {
@@ -198,6 +203,67 @@ void BM_MinHashEncryptTrace(benchmark::State& state) {
                           static_cast<int64_t>(records.size()));
 }
 BENCHMARK(BM_MinHashEncryptTrace)->Unit(benchmark::kMillisecond);
+
+/// Backs `data` up as one object through `client`, in 1 MiB appends.
+BackupOutcome backupObject(DedupClient& client, ByteView data) {
+  BackupSession session = client.beginBackup("object");
+  for (size_t off = 0; off < data.size(); off += 1 << 20)
+    session.append(data.subspan(off, std::min<size_t>(1 << 20,
+                                                      data.size() - off)));
+  return session.finish();
+}
+
+// The client's serial MLE backup path into a memory store, at the two ends
+// of the seal memo (8 MiB, default CDC). Repeat: a warm client backs the same
+// object up again, so every chunk is a duplicate the memo knows. Unique: a
+// new store and client each iteration, so every chunk is new, misses the
+// memo and adds an entry (the memo does not fill).
+void BM_ClientBackupRepeat(benchmark::State& state) {
+  const ByteVec data = randomBytes(10, 8 << 20);
+  const KeyManager keys(toBytes("bench-secret"));
+  const CdcChunker chunker;
+  MemBackupStore store;
+  DedupClient client(store, keys, chunker);
+  backupObject(client, data);
+  for (auto _ : state) benchmark::DoNotOptimize(backupObject(client, data));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_ClientBackupRepeat)->Unit(benchmark::kMillisecond);
+
+void BM_ClientBackupUnique(benchmark::State& state) {
+  const ByteVec data = randomBytes(10, 8 << 20);
+  const KeyManager keys(toBytes("bench-secret"));
+  const CdcChunker chunker;
+  for (auto _ : state) {
+    MemBackupStore store;
+    DedupClient client(store, keys, chunker);
+    benchmark::DoNotOptimize(backupObject(client, data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_ClientBackupUnique)->Unit(benchmark::kMillisecond);
+
+// The seal memo's worst case: an object of 1.25x as many distinct chunks as
+// the memo holds (fixed 512-byte chunks), backed up again in the same order.
+// Every chunk is a store duplicate, but its entry was evicted before it
+// recurs, so every chunk misses the memo and its insert evicts the entry
+// due next. Small chunks make the memo's per-chunk cost a larger share of
+// the work than at the default chunk size.
+void BM_ClientBackupOverMemo(benchmark::State& state) {
+  const ByteVec data = randomBytes(
+      11, DedupClient::kSealMemoEntries / 4 * 5 * 512);
+  const KeyManager keys(toBytes("bench-secret"));
+  const FixedChunker chunker(512);
+  MemBackupStore store;
+  DedupClient client(store, keys, chunker);
+  backupObject(client, data);
+  for (auto _ : state) benchmark::DoNotOptimize(backupObject(client, data));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_ClientBackupOverMemo)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace freqdedup

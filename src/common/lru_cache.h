@@ -29,17 +29,20 @@ class LruCache {
       order_.splice(order_.begin(), order_, it->second);
       return false;
     }
-    bool evicted = false;
     if (map_.size() >= capacity_) {
-      const auto& victim = order_.back();
-      map_.erase(victim.first);
-      order_.pop_back();
-      evicted = true;
+      // Evict by reusing the victim's list and map nodes, so a full cache
+      // inserts without allocating.
+      auto node = map_.extract(order_.back().first);
+      order_.splice(order_.begin(), order_, node.mapped());
+      order_.front() = {key, std::move(value)};
+      node.key() = key;
+      map_.insert(std::move(node));
       ++evictions_;
+      return true;
     }
     order_.emplace_front(key, std::move(value));
     map_.emplace(key, order_.begin());
-    return evicted;
+    return false;
   }
 
   /// Looks a key up and promotes it to most-recently-used.

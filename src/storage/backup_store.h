@@ -139,10 +139,12 @@ class BackupStore {
   virtual bool putChunk(Fp cipherFp, ByteView bytes) = 0;
 
   /// The put of a chunk the caller knows by fingerprint and size alone (the
-  /// client's seal memo): returns true, accounting it exactly as a duplicate
-  /// putChunk, if the store holds the chunk, and false — changing nothing —
-  /// if it does not, in which case the caller must putChunk the bytes. The
-  /// base implementation is hasChunk.
+  /// client's seal memo): returns true if the store holds the chunk, and
+  /// false — changing nothing — if it does not, in which case the caller
+  /// must putChunk the bytes. The base implementation only answers
+  /// membership (hasChunk) and counts nothing; a store or decorator that
+  /// counts puts must override it to account a true return as a duplicate
+  /// putChunk (ContainerBackupStore and the tests' FailingStore do).
   virtual bool putKnownChunk(Fp cipherFp, uint32_t /*size*/) {
     return hasChunk(cipherFp);
   }

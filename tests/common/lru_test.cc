@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/fingerprint.h"
+#include "common/rng.h"
 
 namespace freqdedup {
 namespace {
@@ -113,6 +117,55 @@ TEST(Lru, HeavyChurnRespectsCapacity) {
   for (int i = 0; i < 1000; ++i) cache.put(i, i);
   EXPECT_EQ(cache.size(), 16u);
   for (int i = 1000 - 16; i < 1000; ++i) EXPECT_TRUE(cache.contains(i));
+}
+
+// A full cache reuses the victim's nodes for the new entry; random puts,
+// gets and erases over a small key space must still match a plain
+// most-recent-first list, value for value.
+TEST(Lru, MatchesAReferenceModelUnderRandomOps) {
+  constexpr size_t kCapacity = 8;
+  LruCache<int, int> cache(kCapacity);
+  std::vector<std::pair<int, int>> model;  // front = most recently used
+  uint64_t evictions = 0;
+  Rng rng(17);
+  for (int step = 0; step < 20000; ++step) {
+    const int key = static_cast<int>(rng.uniformInt(0, 23));
+    const auto it = std::find_if(model.begin(), model.end(),
+                                 [key](const auto& e) { return e.first == key; });
+    switch (rng.uniformInt(0, 2)) {
+      case 0: {  // put
+        bool evicted = false;
+        if (it != model.end()) {
+          model.erase(it);
+        } else if (model.size() == kCapacity) {
+          model.pop_back();
+          evicted = true;
+          ++evictions;
+        }
+        model.insert(model.begin(), {key, step});
+        ASSERT_EQ(cache.put(key, step), evicted) << "step " << step;
+        break;
+      }
+      case 1: {  // get
+        const std::optional<int> got = cache.get(key);
+        if (it == model.end()) {
+          ASSERT_EQ(got, std::nullopt) << "step " << step;
+        } else {
+          ASSERT_EQ(got, it->second) << "step " << step;
+          const auto entry = *it;
+          model.erase(it);
+          model.insert(model.begin(), entry);
+        }
+        break;
+      }
+      default:  // erase
+        ASSERT_EQ(cache.erase(key), it != model.end()) << "step " << step;
+        if (it != model.end()) model.erase(it);
+    }
+    ASSERT_EQ(cache.size(), model.size());
+  }
+  EXPECT_EQ(cache.evictions(), evictions);
+  for (const auto& [key, value] : model) EXPECT_EQ(cache.get(key), value);
 }
 
 }  // namespace
