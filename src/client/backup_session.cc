@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "crypto/mle.h"
 #include "obs/trace.h"
-#include "pipeline/thread_pool.h"
 
 namespace freqdedup {
 
@@ -36,13 +35,6 @@ struct BackupMetrics {
     return m;
   }
 };
-
-/// Chunks per parallel MLE encrypt window: encryption runs at most this many
-/// chunks ahead of the serial store loop, bounding extra memory to
-/// O(window * chunk size) regardless of object size. Matches the historic
-/// one-shot window so parallel grouping is identical (the outcome does not
-/// depend on it — encryption is pure and the store order is fixed).
-constexpr size_t kEncryptWindowChunks = 1024;
 
 }  // namespace
 
@@ -102,8 +94,6 @@ BackupOutcome BackupSession::finish() {
   if (segmenter_) {
     segmenter_->finish();  // closes the open segment
     FDD_CHECK_MSG(pending_.empty(), "segment buffer not drained");
-  } else {
-    encryptAndStorePending(pending_.size(), {}, nullptr);  // last window
   }
   outcome_.fileRecipe.fileName = name_;
   outcome_.fileRecipe.fileSize = bytesAppended_;
@@ -156,69 +146,39 @@ void BackupSession::storeChunk(SealedChunk& c, ByteView plain) {
 void BackupSession::encryptAndStore(std::span<const ByteView> chunks,
                                     std::span<const size_t> order,
                                     const SegmentKeying* segment) {
+  // One chunk at a time, in upload order: seal it (or take it from the
+  // memo), store it, then record it. The recipes keep chunk order
+  // (scrambling only permutes uploads, Section 6.2).
   const size_t count = chunks.size();
-  const auto chunkAt = [order](size_t k) {
-    return order.empty() ? k : order[k];
-  };
-  sealed_.resize(count);
-  const auto encryptRange = [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      const size_t i = chunkAt(k);
-      SealedChunk& c = sealed_[k];
-      // MinHash chunks reuse the plaintext fps computed for the segmenter.
-      c.plainFp = segment != nullptr ? segment->records[i].fp
-                                     : fpOfContent(chunks[i]);
-      // An MLE chunk's key is a function of its plaintext fp, so any memo
-      // entry of the same size fits; a MinHash chunk's seal fits only under
-      // the same segment key (Algorithm 4).
-      if (const auto ref = client_->findSeal(c.plainFp);
-          ref && ref->size == chunks[i].size() &&
-          (segment == nullptr || ref->key == segment->key)) {
-        c.fromMemo = true;
-        c.key = ref->key;
-        c.cipherFp = ref->cipherFp;
-        c.size = ref->size;
-        continue;
-      }
+  const size_t base = outcome_.fileRecipe.entries.size();
+  outcome_.fileRecipe.entries.resize(base + count);
+  outcome_.keyRecipe.keys.resize(base + count);
+  for (size_t k = 0; k < count; ++k) {
+    const size_t i = order.empty() ? k : order[k];
+    SealedChunk c;
+    // MinHash chunks reuse the plaintext fps computed for the segmenter.
+    c.plainFp =
+        segment != nullptr ? segment->records[i].fp : fpOfContent(chunks[i]);
+    // An MLE chunk's key is a function of its plaintext fp, so any memo
+    // entry of the same size fits; a MinHash chunk's seal fits only under
+    // the same segment key (Algorithm 4).
+    if (const auto ref = client_->findSeal(c.plainFp);
+        ref && ref->size == chunks[i].size() &&
+        (segment == nullptr || ref->key == segment->key)) {
+      c.fromMemo = true;
+      c.key = ref->key;
+      c.cipherFp = ref->cipherFp;
+      c.size = ref->size;
+    } else {
       c.key = segment != nullptr
                   ? segment->key  // per-segment key, shared by its chunks
                   : client_->keyManager_->deriveChunkKey(c.plainFp);
       c.seal(chunks[i]);
     }
-  };
-  // Gated on the backup options, not on pool existence: the pool is shared
-  // with the restore stages and may exist solely for them.
-  if (client_->options_.parallelism > 1) {
-    parallelFor(*client_->pool_, count, encryptRange);
-  } else {
-    encryptRange(0, count);
-  }
-
-  // Store serially in upload order, so where the step ran never changes
-  // what the server observes; the recipes keep chunk order (scrambling only
-  // permutes uploads, Section 6.2).
-  const size_t base = outcome_.fileRecipe.entries.size();
-  outcome_.fileRecipe.entries.resize(base + count);
-  outcome_.keyRecipe.keys.resize(base + count);
-  for (size_t k = 0; k < count; ++k) {
-    SealedChunk& c = sealed_[k];
-    const size_t i = chunkAt(k);
     storeChunk(c, chunks[i]);
     outcome_.fileRecipe.entries[base + i] = {c.cipherFp, c.size, c.plainFp};
     outcome_.keyRecipe.keys[base + i] = c.key;
   }
-  sealed_.clear();
-}
-
-void BackupSession::encryptAndStorePending(size_t count,
-                                           std::span<const size_t> order,
-                                           const SegmentKeying* segment) {
-  FDD_CHECK_MSG(count <= pending_.size(), "more chunks than buffered");
-  pendingViews_.assign(pending_.begin(),
-                       pending_.begin() + static_cast<ptrdiff_t>(count));
-  encryptAndStore(pendingViews_, order, segment);
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<ptrdiff_t>(count));
 }
 
 void BackupSession::onChunk(ByteView chunk) {
@@ -234,14 +194,8 @@ void BackupSession::onChunk(ByteView chunk) {
     pending_.emplace_back(chunk.begin(), chunk.end());
     segRecords_.push_back(record);
     segmenter_->push(record);
-  } else if (client_->options_.parallelism > 1) {
-    // MLE, parallel: fill the encrypt window.
-    pending_.emplace_back(chunk.begin(), chunk.end());
-    if (pending_.size() == kEncryptWindowChunks)
-      encryptAndStorePending(pending_.size(), {}, nullptr);
   } else {
-    // MLE, serial: the stream's view goes straight in, no copy, one
-    // ciphertext in flight.
+    // MLE: the stream's view goes straight in, no copy.
     encryptAndStore(std::span(&chunk, 1), {}, nullptr);
   }
 }
@@ -266,10 +220,14 @@ void BackupSession::onSegment(const Segment& seg) {
   std::vector<size_t> order;
   if (client_->options_.scheme == EncryptionScheme::kMinHashScrambled)
     order = scrambleOrder(count, std::span(&local, 1), scrambleRng_);
-  encryptAndStorePending(count, order, &keying);
+  pendingViews_.assign(pending_.begin(),
+                       pending_.begin() + static_cast<ptrdiff_t>(count));
+  encryptAndStore(pendingViews_, order, &keying);
 
-  // Drop the consumed records; an overflow-closed segment leaves the record
-  // that triggered the close as the start of the next segment.
+  // Drop the consumed chunks and records; an overflow-closed segment leaves
+  // the chunk that triggered the close as the start of the next segment.
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<ptrdiff_t>(count));
   segRecords_.erase(segRecords_.begin(),
                     segRecords_.begin() + static_cast<ptrdiff_t>(count));
   segBase_ = seg.end;

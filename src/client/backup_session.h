@@ -4,28 +4,27 @@
 // number of times, then finish() — and produces exactly the recipes and
 // store contents of a one-shot backup of the whole object (the frozen
 // reference in tests/client/legacy_backup_reference.h), at every append
-// granularity, for every scheme and parallelism level:
+// granularity, for every scheme:
 //  - chunk boundaries come from the chunker's incremental ChunkStream, which
 //    is byte-equivalent to Chunker::split();
 //  - MLE hands each chunk to the encrypt-and-store step as the stream emits
-//    it (a bounded window of chunks when parallel);
+//    it;
 //  - MinHash(+scrambling) buffers exactly one open segment of plaintext
 //    chunks, closing segments with the same Sparse-Indexing rule as the
 //    batch segmenter (StreamSegmenter) and consuming the scramble Rng in the
 //    same per-segment order as Algorithm 5.
-// Every scheme then runs the same encrypt-and-store step (Fig. 2): derive
-// the chunk's MLE key or take the segment key, encrypt, and store the
-// ciphertexts in (possibly scrambled) upload order. A chunk the client's
-// seal memo already knows (see dedup_client.h) skips the key, the
+// Every scheme then runs the same encrypt-and-store loop (Fig. 2), one
+// chunk at a time in (possibly scrambled) upload order: derive the chunk's
+// MLE key or take the segment key, encrypt, store, record. A chunk the
+// client's seal memo already knows (see dedup_client.h) skips the key, the
 // encryption and the ciphertext fingerprint, and is stored by fingerprint
-// alone; if the store no longer holds it, the step seals it there and then
-// and puts its bytes, so the outcome never depends on the memo. That step
-// holds the ciphertexts of one call before storing them: one chunk for
-// serial MLE, one encrypt window for parallel MLE, one segment
-// (<= SegmentParams::maxBytes, 2 MiB by default) for MinHash at any
-// parallelism. Peak client-side memory is therefore O(segment bytes +
-// encrypt window), independent of object size: arbitrarily large objects
-// stream through. The memo adds a fixed bound on top (kSealMemoEntries).
+// alone; if the store no longer holds it, the loop seals it there and then
+// and puts its bytes, so the outcome never depends on the memo. The loop
+// holds one ciphertext at a time. MinHash buffers the plaintext of one open
+// segment (<= SegmentParams::maxBytes, 2 MiB by default), so peak
+// client-side memory is O(segment bytes), independent of object size:
+// arbitrarily large objects stream through. The memo adds a fixed bound on
+// top (kSealMemoEntries).
 //
 // Sessions are vended by DedupClient (see dedup_client.h) and are not
 // thread-safe individually, but distinct sessions of one client may run
@@ -58,15 +57,6 @@ struct BackupOptions {
   EncryptionScheme scheme = EncryptionScheme::kMle;
   SegmentParams segmentParams;
   uint64_t scrambleSeed = 1;
-  /// Where the per-chunk key-derivation + encryption step runs. 1 runs it
-  /// inline on the appending thread (serial MLE keeps one ciphertext in
-  /// flight); any larger value runs the same step over the client's worker
-  /// pool — shared with the restore stages and sized to the larger of the
-  /// two parallelism settings, so this is a floor on pool width, not a
-  /// per-stage cap — and makes MLE buffer a bounded window of chunks to fan
-  /// out. Any value produces bit-identical recipes and store contents:
-  /// chunks are stored in the same upload order either way.
-  uint32_t parallelism = 1;
 };
 
 struct BackupOutcome {
@@ -138,20 +128,14 @@ class BackupSession {
   void onChunk(ByteView chunk);
   void onSegment(const Segment& seg);
 
-  /// The encrypt-and-store step of every scheme. Encrypts chunks[order[k]]
-  /// for k = 0.. (an empty `order` means chunk order), each under its own
-  /// MLE key when `segment` is null, else under the segment key — on the
-  /// client pool when BackupOptions::parallelism > 1, inline otherwise —
-  /// unless the seal memo already holds the chunk under that key. Then
-  /// stores the chunks in that upload order and appends the recipe entries
-  /// and keys in chunk order.
+  /// The encrypt-and-store loop of every scheme. For k = 0.. (an empty
+  /// `order` means chunk order) it takes chunks[order[k]], encrypts it under
+  /// its own MLE key when `segment` is null, else under the segment key —
+  /// unless the seal memo already holds the chunk under that key — stores
+  /// it, and writes its recipe entry and key at its chunk-order position.
   void encryptAndStore(std::span<const ByteView> chunks,
                        std::span<const size_t> order,
                        const SegmentKeying* segment);
-  /// encryptAndStore over the first `count` buffered chunks, which are then
-  /// dropped from the buffer.
-  void encryptAndStorePending(size_t count, std::span<const size_t> order,
-                              const SegmentKeying* segment);
   /// Stores one sealed chunk: a memo hit as a known duplicate, falling back
   /// to sealing `plain` and a full put when the store no longer holds it.
   void storeChunk(SealedChunk& c, ByteView plain);
@@ -164,12 +148,11 @@ class BackupSession {
 
   std::unique_ptr<ChunkStream> stream_;
 
-  // Buffered plaintext chunks: the current encrypt window (parallel MLE) or
-  // the open segment (MinHash, plus at most one chunk the segmenter has
-  // deferred to the next segment). Serial MLE buffers nothing.
+  // MinHash path: the open segment's plaintext chunks, plus at most one
+  // chunk the segmenter has deferred to the next segment. MLE buffers
+  // nothing.
   std::vector<ByteVec> pending_;
   std::vector<ByteView> pendingViews_;  // reused view list of pending_
-  std::vector<SealedChunk> sealed_;     // reused encrypt-step output
 
   // MinHash path: records of the buffered chunks and the segmenter.
   std::unique_ptr<StreamSegmenter> segmenter_;

@@ -1,6 +1,5 @@
 #include "client/dedup_client.h"
 
-#include <algorithm>
 #include <condition_variable>
 #include <stdexcept>
 #include <utility>
@@ -12,23 +11,6 @@
 
 namespace freqdedup {
 
-DedupClient::DedupClient(BackupStore& store, const KeyManager& keyManager,
-                         const Chunker& chunker, BackupOptions options,
-                         RestoreOptions restoreOptions)
-    : store_(&store),
-      keyManager_(&keyManager),
-      chunker_(&chunker),
-      options_(options),
-      restoreOptions_(restoreOptions) {
-  if (options_.parallelism == 0)
-    throw std::invalid_argument("BackupOptions: parallelism must be >= 1");
-  options_.segmentParams.validate();
-  restoreOptions_.validate();
-  const uint32_t poolThreads =
-      std::max(options_.parallelism, restoreOptions_.parallelism);
-  if (poolThreads > 1) pool_ = std::make_unique<ThreadPool>(poolThreads);
-}
-
 DedupClient::DedupClient(BackupStore& store, RestoreOptions restoreOptions)
     : store_(&store),
       keyManager_(nullptr),
@@ -37,6 +19,16 @@ DedupClient::DedupClient(BackupStore& store, RestoreOptions restoreOptions)
   restoreOptions_.validate();
   if (restoreOptions_.parallelism > 1)
     pool_ = std::make_unique<ThreadPool>(restoreOptions_.parallelism);
+}
+
+DedupClient::DedupClient(BackupStore& store, const KeyManager& keyManager,
+                         const Chunker& chunker, BackupOptions options,
+                         RestoreOptions restoreOptions)
+    : DedupClient(store, restoreOptions) {
+  options.segmentParams.validate();
+  keyManager_ = &keyManager;
+  chunker_ = &chunker;
+  options_ = options;
 }
 
 DedupClient::~DedupClient() = default;

@@ -2,7 +2,7 @@
 // client of the paper as a connection→session layering (after WiredTiger's
 // connection/session/cursor split): one DedupClient holds the shared,
 // long-lived collaborators (chunk store, key manager, chunker, options, the
-// encrypt worker pool) and vends cheap, independently usable sessions.
+// restore worker pool) and vends cheap, independently usable sessions.
 //
 //   DedupClient client(store, keyManager, chunker, options);
 //   BackupSession s = client.beginBackup("vm.img");
@@ -11,11 +11,10 @@
 //   client.commitBackup("vm.img", outcome, userKey, rng);
 //   client.beginRestore("vm.img", userKey).streamTo(sink);
 //
-// Every session encrypts and stores through one loop (see backup_session.h);
-// BackupOptions::parallelism only picks whether that loop's encrypt step
-// runs inline or on the shared worker pool. Every backup commits through one
-// path too: commitBackup is commitBackupAsync plus a wait, and is durable
-// when it returns.
+// Every session encrypts and stores through one loop, one chunk at a time
+// on the appending thread (see backup_session.h). Every backup commits
+// through one path too: commitBackup is commitBackupAsync plus a wait, and
+// is durable when it returns.
 //
 // Seal memo: the client remembers, for the 65,536 chunks it sealed most
 // recently, each chunk's key, ciphertext fingerprint and size, keyed on the
@@ -30,8 +29,8 @@
 //
 // Concurrency: sessions are single-threaded objects, but any number of
 // sessions of one client may run concurrently from different threads —
-// store access is serialized internally and the shared worker pool tracks
-// completion per call (parallelFor on a pool). Recipes and store contents of
+// store access is serialized internally and the restore worker pool, shared
+// by all sessions, tracks completion per call (parallelFor on a pool). Recipes and store contents of
 // each session are bit-identical to a serial run of the same objects;
 // only the interleaving of chunks from different concurrent sessions into
 // containers is scheduling-dependent.
@@ -75,10 +74,10 @@ class DedupClient {
 
   /// Full client. All referenced collaborators must outlive the client;
   /// sessions must not outlive it either. Throws std::invalid_argument on
-  /// invalid options (zero parallelism, invalid segment params, invalid
-  /// restore options). One worker pool is shared by the backup encrypt
-  /// stage and the restore prefetch/decrypt stages, sized to the larger of
-  /// the two parallelism settings.
+  /// invalid segment params or restore options. The restore
+  /// prefetch/decrypt stages share one worker pool of
+  /// RestoreOptions::parallelism threads, which exists only when that is
+  /// above 1.
   DedupClient(BackupStore& store, const KeyManager& keyManager,
               const Chunker& chunker, BackupOptions options = {},
               RestoreOptions restoreOptions = {});
@@ -188,7 +187,7 @@ class DedupClient {
   const Chunker* chunker_;        // null in restore-only clients
   BackupOptions options_;
   RestoreOptions restoreOptions_;
-  std::unique_ptr<ThreadPool> pool_;  // shared workers; null if fully serial
+  std::unique_ptr<ThreadPool> pool_;  // restore workers; null if serial
   // Serializes writer/admin store access across sessions. Restore reads
   // (getChunks/chunkLocator) deliberately bypass it — the store's read path
   // is internally synchronized — so concurrent restores overlap their I/O.

@@ -264,7 +264,7 @@ uint64_t RestoreSession::streamEntries(size_t entryBegin, size_t entryEnd,
                   fpToHex(entry.cipherFp));
           }
         };
-        if (pool != nullptr && options.parallelism > 1) {
+        if (pool != nullptr) {
           parallelFor(*pool, count, decryptRange);
         } else {
           decryptRange(0, count);

@@ -44,16 +44,15 @@ class DedupClient;
 /// produces byte-identical output; the knobs trade memory for overlap.
 struct RestoreOptions {
   /// Worker threads for the decrypt + fingerprint-verify stage. 1 keeps the
-  /// fully serial path (no pool needed); any larger value selects the
-  /// parallel path, which fans out over the client's worker pool — shared
-  /// with the backup encrypt stage and sized to the larger of the two
-  /// parallelism settings, so this is a floor on pool width, not a per-stage
-  /// cap. Output is byte-identical at every setting.
+  /// fully serial path (the client starts no pool); any larger value starts
+  /// a client worker pool of this many threads, which the decrypt stage fans
+  /// out over and the prefetcher runs on. Output is byte-identical at every
+  /// setting.
   uint32_t parallelism = 1;
   /// How many locality batches the prefetcher may fetch beyond the batch
   /// currently being decrypted and emitted. 0 disables read-ahead (fetch,
   /// then decrypt, strictly alternating). Read-ahead needs a worker pool,
-  /// i.e. parallelism > 1 on this or the backup side.
+  /// i.e. parallelism > 1.
   uint32_t readAheadBatches = 2;
   /// Target ciphertext bytes per locality batch — the unit of restore
   /// memory and of store read amplification.

@@ -107,7 +107,7 @@ void LogKv::open() {
   loadCheckpoint();
   // If the log is missing (first open, or a crash between checkpoint and
   // log creation), it is created already based at the watermark.
-  wal_ = std::make_unique<Wal>(path_, options_.wal, watermark_);
+  wal_ = std::make_unique<Wal>(path_, watermark_);
   replayTail();
 }
 

@@ -53,7 +53,6 @@ struct LogKvOptions {
   /// Auto-checkpoint once the WAL tail exceeds this many bytes, bounding
   /// both replay time and dead-record accumulation.
   uint64_t checkpointBytes = 8ull << 20;
-  WalOptions wal;
 };
 
 class LogKv final : public KvStore {

@@ -98,8 +98,7 @@ void Wal::throwErrno(const std::string& what) const {
                            std::strerror(errno));
 }
 
-Wal::Wal(std::string path, WalOptions options, Lsn createBaseLsn)
-    : path_(std::move(path)), options_(options) {
+Wal::Wal(std::string path, Lsn createBaseLsn) : path_(std::move(path)) {
   openFile(createBaseLsn);
 }
 
@@ -165,12 +164,6 @@ Lsn Wal::append(ByteView payload) {
   putU32(framed, static_cast<uint32_t>(payload.size()));
   appendBytes(framed, payload);
 
-  if (options_.syncMode == WalOptions::SyncMode::kPerOp) {
-    appendPerOp(framed);
-    std::lock_guard lock(bufMu_);
-    return nextLsn_ - payload.size();
-  }
-
   // Slot buffers are bounded: once the open slot exceeds the spill
   // threshold (a put-heavy stretch with no sync in sight), write it to the
   // file WITHOUT a sync — durability is still deferred to the next group
@@ -201,31 +194,7 @@ Lsn Wal::append(ByteView payload) {
   return payloadLsn;
 }
 
-void Wal::appendPerOp(ByteView framed) {
-  // Per-operation baseline: one serialized pwrite + fdatasync per record.
-  std::scoped_lock lock(syncMu_, bufMu_);
-  if (crashed_) throw std::runtime_error("wal: crashed: " + path_);
-  pwriteFully(fd_, framed.data(), framed.size(), fileOffsetOf(nextLsn_),
-              path_);
-  kvcrash::crashPoint("wal.after_write");
-  obs::ObsSpan span(syncUsMetric_, "wal.sync", "wal");
-  fdatasyncOrThrow(fd_, path_);
-  span.finish();
-  kvcrash::crashPoint("wal.after_sync");
-  nextLsn_ += framed.size();
-  writtenLsn_ = nextLsn_;
-  durableLsn_ = nextLsn_;
-  if (appendsMetric_ != nullptr) {
-    appendsMetric_->add();
-    appendBytesMetric_->add(framed.size());
-    syncsMetric_->add();
-    groupRecordsMetric_->record(1);
-    groupBytesMetric_->record(framed.size());
-  }
-}
-
 void Wal::sync(Lsn lsn) {
-  if (options_.syncMode == WalOptions::SyncMode::kPerOp) return;  // durable
   std::unique_lock lock(syncMu_);
   for (;;) {
     if (crashed_) throw std::runtime_error("wal: crashed: " + path_);
@@ -304,8 +273,8 @@ void Wal::writeLeaderGroup(std::unique_lock<std::mutex>& syncLock) {
 }
 
 void Wal::syncAsync(Lsn lsn, std::function<void(bool ok)> done) {
-  // Already durable (including the kPerOp mode, where every append is):
-  // nothing to wait for, run the callback on the caller's thread.
+  // Already durable: nothing to wait for, run the callback on the caller's
+  // thread.
   if (durableLsn() >= lsn) {
     done(true);
     return;

@@ -50,14 +50,6 @@ class Histogram;
 /// Logical log sequence number: a byte offset in the unrotated log stream.
 using Lsn = uint64_t;
 
-struct WalOptions {
-  enum class SyncMode {
-    kGroup,  // slot-based group commit: one fdatasync per group
-    kPerOp   // every append writes + fdatasyncs immediately (bench baseline)
-  };
-  SyncMode syncMode = SyncMode::kGroup;
-};
-
 /// fsyncs a directory so a rename inside it is durable. Throws on failure.
 void fsyncDir(const std::string& dir);
 
@@ -69,8 +61,7 @@ class Wal {
   /// Opens (creating if needed) the log at `path`. A created file gets a
   /// header with base LSN `createBaseLsn` and is made durable (file +
   /// parent directory synced). Throws std::runtime_error on I/O failure.
-  explicit Wal(std::string path, WalOptions options = {},
-               Lsn createBaseLsn = 0);
+  explicit Wal(std::string path, Lsn createBaseLsn = 0);
   ~Wal();
 
   Wal(const Wal&) = delete;
@@ -153,14 +144,12 @@ class Wal {
   void asyncSyncerLoop();
   void stopAsyncSyncer();
   void writeLeaderGroup(std::unique_lock<std::mutex>& syncLock);
-  void appendPerOp(ByteView framed);
   [[nodiscard]] uint64_t fileOffsetOf(Lsn lsn) const {
     return headerBytes_ + (lsn - baseLsn_);
   }
   void throwErrno(const std::string& what) const;
 
   std::string path_;
-  WalOptions options_;
   int fd_ = -1;
   uint64_t headerBytes_ = 0;  // 0 for legacy (headerless) files
 

@@ -75,8 +75,9 @@ void orderedProduceConsume(ThreadPool* pool, size_t lookahead, size_t n,
         if (result) state.results.emplace(i, std::move(*result));
         if (error && i < state.failedIndex) {
           state.failedIndex = i;
-          state.error = error;
+          state.error = std::move(error);
         }
+        error = nullptr;  // under the lock, as in parallelFor
         --state.outstanding;
         // Notify while holding the lock: the calling thread may otherwise
         // observe completion through another producer, return, and destroy

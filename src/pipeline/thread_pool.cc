@@ -104,7 +104,10 @@ void parallelFor(ThreadPool& pool, size_t n,
         error = std::current_exception();
       }
       std::lock_guard lock(sync.mu);
-      if (error && !sync.error) sync.error = error;
+      if (error && !sync.error) sync.error = std::move(error);
+      // Drop this task's reference under the lock, not after it: once the
+      // count reaches zero the caller may rethrow and free the exception.
+      error = nullptr;
       if (--sync.remaining == 0) sync.done.notify_all();
     });
     FDD_CHECK_MSG(accepted, "parallelFor on a shut-down pool");

@@ -1,8 +1,8 @@
 // Whole-object round trips through DedupClient: backup -> restore across
 // every EncryptionScheme, commit/restore by name with sealed recipes,
 // tamper detection (substituted ciphertext, wrong key), delete + GC safety,
-// parallel-vs-serial bit-identity for single objects and whole backup
-// chains, and the scrambleOrder properties.
+// pooled-vs-serial client bit-identity for single objects and whole backup
+// chains, tiny objects, and the scrambleOrder properties.
 #include "client/dedup_client.h"
 
 #include <gtest/gtest.h>
@@ -227,33 +227,42 @@ TEST(ScrambleOrder, RejectsNonCoveringSegments) {
   EXPECT_THROW(scrambleOrder(5, segments, rng), std::logic_error);
 }
 
+/// A client with `restoreThreads` restore workers (1: no pool).
+RestoreOptions restoreThreads(uint32_t threads) {
+  RestoreOptions options;
+  options.parallelism = threads;
+  return options;
+}
+
 class ClientRoundtripParallelism
     : public ::testing::TestWithParam<EncryptionScheme> {};
 
-TEST_P(ClientRoundtripParallelism, ParallelEncryptionIsBitIdenticalToSerial) {
+// The client's worker pool serves restores only: a client that owns one
+// must back up exactly as a client without one, and its pooled restore
+// must return the bytes a serial restore returns.
+TEST_P(ClientRoundtripParallelism, PooledClientMatchesSerialClient) {
   const ByteVec content = randomContent(9, 400 * 1024);
 
-  const auto runBackup = [&](uint32_t parallelism) {
+  const auto runBackup = [&](uint32_t threads) {
     MemBackupStore store;
     KeyManager km(toBytes("secret"));
     CdcChunker chunker(smallCdc());
-    BackupOptions options = minhashOptions(GetParam());
-    options.parallelism = parallelism;
-    DedupClient client(store, km, chunker, options);
+    DedupClient client(store, km, chunker, minhashOptions(GetParam()),
+                       restoreThreads(threads));
     BackupOutcome outcome = backupAll(client, "file.bin", content);
     EXPECT_EQ(restoreAll(client, outcome), content);
+    DedupClient serialReader(store, restoreThreads(1));
+    EXPECT_EQ(restoreAll(serialReader, outcome), content);
     return outcome;
   };
 
   const BackupOutcome serial = runBackup(1);
-  const BackupOutcome parallel = runBackup(4);
-  EXPECT_EQ(parallel.newChunks, serial.newChunks);
-  EXPECT_EQ(parallel.duplicateChunks, serial.duplicateChunks);
-  // Recipes must match byte for byte: parallel encryption only reorders the
-  // computation, never the upload/storage order.
-  EXPECT_EQ(serializeFileRecipe(parallel.fileRecipe),
+  const BackupOutcome pooled = runBackup(4);
+  EXPECT_EQ(pooled.newChunks, serial.newChunks);
+  EXPECT_EQ(pooled.duplicateChunks, serial.duplicateChunks);
+  EXPECT_EQ(serializeFileRecipe(pooled.fileRecipe),
             serializeFileRecipe(serial.fileRecipe));
-  EXPECT_EQ(serializeKeyRecipe(parallel.keyRecipe),
+  EXPECT_EQ(serializeKeyRecipe(pooled.keyRecipe),
             serializeKeyRecipe(serial.keyRecipe));
 }
 
@@ -283,7 +292,8 @@ class ClientChainParallelism : public ::testing::TestWithParam<uint32_t> {};
 
 // The whole chain through one store: every backup's dedup counters and
 // recipes, and the store's final unique-chunk accounting, are exact for
-// any session parallelism.
+// any client restore parallelism, and every version restores bit-identically
+// through the pool.
 TEST_P(ClientChainParallelism, ChainMatchesSerialDedupResults) {
   const std::vector<ByteVec> chain = churnChain(5, 4, 256 * 1024);
 
@@ -291,28 +301,30 @@ TEST_P(ClientChainParallelism, ChainMatchesSerialDedupResults) {
     std::vector<BackupOutcome> outcomes;
     BackupStoreStats stats;
   };
-  const auto runChain = [&](uint32_t parallelism) {
+  const auto runChain = [&](uint32_t threads) {
     MemBackupStore store(/*containerBytes=*/64 * 1024);
     KeyManager km(toBytes("secret"));
     CdcChunker chunker(smallCdc());
-    BackupOptions options = minhashOptions(EncryptionScheme::kMinHash);
-    options.parallelism = parallelism;
-    DedupClient client(store, km, chunker, options);
+    DedupClient client(store, km, chunker,
+                       minhashOptions(EncryptionScheme::kMinHash),
+                       restoreThreads(threads));
     ChainRun run;
     for (size_t v = 0; v < chain.size(); ++v)
       run.outcomes.push_back(
           backupAll(client, "v" + std::to_string(v), chain[v]));
-    EXPECT_EQ(restoreAll(client, run.outcomes.back()), chain.back());
+    for (size_t v = 0; v < chain.size(); ++v)
+      EXPECT_EQ(restoreAll(client, run.outcomes[v]), chain[v])
+          << "version " << v;
     store.flush();
     run.stats = store.stats();
     return run;
   };
 
   const ChainRun serial = runChain(1);
-  const ChainRun parallel = runChain(GetParam());
-  ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+  const ChainRun pooled = runChain(GetParam());
+  ASSERT_EQ(pooled.outcomes.size(), serial.outcomes.size());
   for (size_t v = 0; v < serial.outcomes.size(); ++v) {
-    const BackupOutcome& p = parallel.outcomes[v];
+    const BackupOutcome& p = pooled.outcomes[v];
     const BackupOutcome& s = serial.outcomes[v];
     EXPECT_EQ(p.chunkCount, s.chunkCount) << "version " << v;
     EXPECT_EQ(p.newChunks, s.newChunks) << "version " << v;
@@ -324,23 +336,22 @@ TEST_P(ClientChainParallelism, ChainMatchesSerialDedupResults) {
         << "version " << v;
   }
   EXPECT_GT(serial.outcomes.back().duplicateChunks, 0u);
-  EXPECT_EQ(parallel.stats.uniqueChunks, serial.stats.uniqueChunks);
-  EXPECT_EQ(parallel.stats.storedBytes, serial.stats.storedBytes);
-  EXPECT_EQ(parallel.stats.logicalBytes, serial.stats.logicalBytes);
+  EXPECT_EQ(pooled.stats.uniqueChunks, serial.stats.uniqueChunks);
+  EXPECT_EQ(pooled.stats.storedBytes, serial.stats.storedBytes);
+  EXPECT_EQ(pooled.stats.logicalBytes, serial.stats.logicalBytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ClientChainParallelism,
                          ::testing::Values(2u, 4u, 8u));
 
-TEST(ClientRoundtrip, TinyObjectsRoundTripUnderParallelism) {
+TEST(ClientRoundtrip, TinyObjectsRoundTrip) {
   MemBackupStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
-  BackupOptions options = minhashOptions(EncryptionScheme::kMinHashScrambled);
-  options.parallelism = 4;
-  DedupClient client(store, km, chunker, options);
-  // Empty, one byte, and sizes around the chunker's minimum chunk: fewer
-  // chunks than workers must neither hang nor drop bytes.
+  DedupClient client(store, km, chunker,
+                     minhashOptions(EncryptionScheme::kMinHashScrambled));
+  // Empty, one byte, and sizes around the chunker's minimum chunk: a
+  // segment of zero or one chunk must not drop bytes.
   for (const size_t size : {size_t{0}, size_t{1}, size_t{255}, size_t{256},
                             size_t{257}, size_t{4096}}) {
     const ByteVec content = randomContent(100 + size, size);

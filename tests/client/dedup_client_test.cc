@@ -2,8 +2,8 @@
 // sessions sharing one store, commit/restore/delete through the client,
 // restore-only clients, durability of commitBackup on return,
 // construction-time validation, and the seal memo (stale entries after GC,
-// MinHash segment-key changes, concurrent sessions, more chunks than it
-// holds).
+// MinHash segment-key changes, a repeat inside one segment, concurrent
+// sessions, more chunks than it holds).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,11 +40,9 @@ CdcParams smallCdc() {
   return p;
 }
 
-BackupOptions smallSegmentOptions(EncryptionScheme scheme,
-                                  uint32_t parallelism = 1) {
+BackupOptions smallSegmentOptions(EncryptionScheme scheme) {
   BackupOptions o;
   o.scheme = scheme;
-  o.parallelism = parallelism;
   o.segmentParams.minBytes = 8 * 1024;
   o.segmentParams.avgBytes = 16 * 1024;
   o.segmentParams.maxBytes = 32 * 1024;
@@ -73,7 +71,7 @@ uint64_t sealMemoHitsSince(const obs::MetricsSnapshot& before) {
 // session in 1 MiB appends and back out through a restore session's sink —
 // the full object never exists in client memory on either path (the test
 // itself only ever holds one 1 MiB generation block; the session buffers at
-// most one segment plus the encrypt window).
+// most one segment of plaintext and one ciphertext).
 TEST(DedupClientLarge, SixtyFourMiBObjectStreamsThroughSessions) {
   constexpr size_t kBlock = 1 << 20;
   constexpr size_t kBlocks = 64;
@@ -83,7 +81,6 @@ TEST(DedupClientLarge, SixtyFourMiBObjectStreamsThroughSessions) {
   CdcChunker chunker;  // default 8 KiB average chunks
   BackupOptions options;
   options.scheme = EncryptionScheme::kMinHashScrambled;  // hardest path
-  options.parallelism = 2;
   DedupClient client(store, km, chunker, options);
 
   // Deterministic per-block generator, so backup and verify can regenerate
@@ -127,8 +124,7 @@ TEST(DedupClient, ConcurrentSessionsShareOneStore) {
   KeyManager km(toBytes("concurrent-secret"));
   CdcChunker chunker(smallCdc());
   const BackupOptions options =
-      smallSegmentOptions(EncryptionScheme::kMinHashScrambled,
-                          /*parallelism=*/2);
+      smallSegmentOptions(EncryptionScheme::kMinHashScrambled);
 
   // Oracle recipes from the frozen one-shot path, one isolated store each.
   std::vector<ByteVec> contents;
@@ -284,11 +280,6 @@ TEST(DedupClient, ValidatesOptionsAtConstruction) {
   KeyManager km(toBytes("validate-secret"));
   CdcChunker chunker(smallCdc());
 
-  BackupOptions zeroParallelism;
-  zeroParallelism.parallelism = 0;
-  EXPECT_THROW(DedupClient(store, km, chunker, zeroParallelism),
-               std::invalid_argument);
-
   BackupOptions badSegments;
   badSegments.segmentParams.minBytes = 0;
   EXPECT_THROW(DedupClient(store, km, chunker, badSegments),
@@ -402,6 +393,46 @@ TEST(DedupClientSealMemo, MinHashSegmentKeyChangeMissesTheMemo) {
   if (obs::kObsEnabled) EXPECT_EQ(hits, sameKey);
 }
 
+// The loop seals, stores and remembers each chunk before it reaches the
+// next, so a chunk that repeats inside one MinHash segment is served from
+// the memo on its second occurrence even on a fresh client. Recipes stay
+// those of the one-shot reference and the object restores byte-identically.
+TEST(DedupClientSealMemo, RepeatInsideOneSegmentHitsTheMemo) {
+  KeyManager km(toBytes("one-segment-secret"));
+  FixedChunker chunker(1024);
+  const BackupOptions options =
+      smallSegmentOptions(EncryptionScheme::kMinHashScrambled);
+  // Chunks 0 and 1 are equal; a segment holds at least 8 chunks.
+  const ByteVec repeated = randomContent(641, 1024);
+  ByteVec content = repeated;
+  content.insert(content.end(), repeated.begin(), repeated.end());
+  const ByteVec rest = randomContent(642, 62 * 1024);
+  content.insert(content.end(), rest.begin(), rest.end());
+
+  MemBackupStore store;
+  DedupClient client(store, km, chunker, options);
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+  const BackupOutcome outcome = backupObject(client, "obj", content);
+  const uint64_t hits = sealMemoHitsSince(before);
+
+  ASSERT_GE(outcome.fileRecipe.entries.size(), 2u);
+  EXPECT_EQ(outcome.keyRecipe.keys[0], outcome.keyRecipe.keys[1])
+      << "both copies must fall into the first segment";
+  EXPECT_EQ(outcome.fileRecipe.entries[0], outcome.fileRecipe.entries[1]);
+  EXPECT_EQ(outcome.duplicateChunks, 1u);
+  if (obs::kObsEnabled) EXPECT_EQ(hits, 1u);
+
+  MemBackupStore oracle;
+  const BackupOutcome expected =
+      legacy::oneShotBackup(oracle, km, chunker, options, "obj", content);
+  EXPECT_EQ(outcome.fileRecipe, expected.fileRecipe);
+  EXPECT_EQ(outcome.keyRecipe, expected.keyRecipe);
+  EXPECT_EQ(outcome.newChunks, expected.newChunks);
+  EXPECT_EQ(outcome.duplicateChunks, expected.duplicateChunks);
+  EXPECT_EQ(client.beginRestore(outcome.fileRecipe, outcome.keyRecipe).readAll(),
+            content);
+}
+
 // Four sessions of one client back the same object up at once, so each
 // chunk is looked up, sealed and stored by sessions racing one another. Each
 // session's recipes must equal a serial run on a fresh client, the store
@@ -418,8 +449,7 @@ TEST(DedupClientSealMemo, ConcurrentSessionsOfOneObjectMatchASerialRun) {
 
   for (const BackupOptions& options :
        {smallSegmentOptions(EncryptionScheme::kMle),
-        smallSegmentOptions(EncryptionScheme::kMinHashScrambled,
-                            /*parallelism=*/2)}) {
+        smallSegmentOptions(EncryptionScheme::kMinHashScrambled)}) {
     MemBackupStore serialStore;
     DedupClient serial(serialStore, km, chunker, options);
     const BackupOutcome expected = backupObject(serial, "obj", content);

@@ -2,12 +2,12 @@
 // of commit b0fd2f3), kept verbatim as the equivalence oracle for the
 // session-based streaming client: recipes and store contents produced by
 // BackupSession must be bit-identical to this implementation for every
-// scheme, chunker, append granularity and parallelism level. Do not "fix" or
-// modernize this file — it is a reference, same discipline as
+// scheme, chunker and append granularity. Only its serial branches are kept
+// (the client has no parallel backup mode to compare against). Do not "fix"
+// or modernize this file — it is a reference, same discipline as
 // tests/analysis/legacy_reference.h.
 #pragma once
 
-#include <algorithm>
 #include <vector>
 
 #include "chunking/chunker.h"
@@ -16,81 +16,39 @@
 #include "common/rng.h"
 #include "crypto/key_manager.h"
 #include "crypto/mle.h"
-#include "pipeline/thread_pool.h"
 #include "storage/backup_store.h"
 
 namespace freqdedup::legacy {
 
 namespace detail {
 
-struct EncryptedChunk {
-  AesKey key;
-  ByteVec cipher;
-  Fp cipherFp = 0;
-  Fp plainFp = 0;
-};
-
-constexpr size_t kEncryptWindowChunks = 1024;
-
 inline BackupOutcome backupMle(BackupStore& store, const KeyManager& km,
-                               ThreadPool* pool, const std::string& name,
-                               ByteView content,
+                               const std::string& name, ByteView content,
                                const std::vector<ChunkSpan>& spans) {
   BackupOutcome outcome;
   outcome.fileRecipe.fileName = name;
   outcome.fileRecipe.fileSize = content.size();
   outcome.chunkCount = spans.size();
 
-  if (!pool) {
-    for (const ChunkSpan& span : spans) {
-      const ByteView plain = chunkBytes(content, span);
-      const Fp plainFp = fpOfContent(plain);
-      const AesKey key = km.deriveChunkKey(plainFp);
-      const ByteVec cipher = MleScheme::encryptWithKey(key, plain);
-      const Fp cipherFp = fpOfContent(cipher);
-      if (store.putChunk(cipherFp, cipher)) {
-        ++outcome.newChunks;
-      } else {
-        ++outcome.duplicateChunks;
-      }
-      outcome.fileRecipe.entries.push_back(
-          {cipherFp, static_cast<uint32_t>(cipher.size()), plainFp});
-      outcome.keyRecipe.keys.push_back(key);
+  for (const ChunkSpan& span : spans) {
+    const ByteView plain = chunkBytes(content, span);
+    const Fp plainFp = fpOfContent(plain);
+    const AesKey key = km.deriveChunkKey(plainFp);
+    const ByteVec cipher = MleScheme::encryptWithKey(key, plain);
+    const Fp cipherFp = fpOfContent(cipher);
+    if (store.putChunk(cipherFp, cipher)) {
+      ++outcome.newChunks;
+    } else {
+      ++outcome.duplicateChunks;
     }
-    return outcome;
-  }
-
-  std::vector<EncryptedChunk> window;
-  for (size_t base = 0; base < spans.size(); base += kEncryptWindowChunks) {
-    const size_t count =
-        std::min(kEncryptWindowChunks, spans.size() - base);
-    window.assign(count, {});
-    parallelFor(*pool, count, [&](size_t begin, size_t end) {
-      for (size_t k = begin; k < end; ++k) {
-        const ByteView plain = chunkBytes(content, spans[base + k]);
-        const Fp plainFp = fpOfContent(plain);
-        const AesKey key = km.deriveChunkKey(plainFp);
-        ByteVec cipher = MleScheme::encryptWithKey(key, plain);
-        const Fp cipherFp = fpOfContent(cipher);
-        window[k] = {key, std::move(cipher), cipherFp, plainFp};
-      }
-    });
-    for (const EncryptedChunk& e : window) {
-      if (store.putChunk(e.cipherFp, e.cipher)) {
-        ++outcome.newChunks;
-      } else {
-        ++outcome.duplicateChunks;
-      }
-      outcome.fileRecipe.entries.push_back(
-          {e.cipherFp, static_cast<uint32_t>(e.cipher.size()), e.plainFp});
-      outcome.keyRecipe.keys.push_back(e.key);
-    }
+    outcome.fileRecipe.entries.push_back(
+        {cipherFp, static_cast<uint32_t>(cipher.size()), plainFp});
+    outcome.keyRecipe.keys.push_back(key);
   }
   return outcome;
 }
 
 inline BackupOutcome backupMinHash(BackupStore& store, const KeyManager& km,
-                                   ThreadPool* pool,
                                    const BackupOptions& options,
                                    const std::string& name, ByteView content,
                                    const std::vector<ChunkSpan>& spans,
@@ -133,72 +91,38 @@ inline BackupOutcome backupMinHash(BackupStore& store, const KeyManager& km,
   outcome.keyRecipe.keys.resize(plainChunks.size());
   outcome.chunkCount = plainChunks.size();
 
-  if (!pool) {
-    for (const size_t i : order) {
-      const ByteVec cipher =
-          MleScheme::encryptWithKey(keyOf[i], plainChunks[i]);
-      const Fp cipherFp = fpOfContent(cipher);
-      if (store.putChunk(cipherFp, cipher)) {
-        ++outcome.newChunks;
-      } else {
-        ++outcome.duplicateChunks;
-      }
-      outcome.fileRecipe.entries[i] = {
-          cipherFp, static_cast<uint32_t>(cipher.size()), records[i].fp};
-      outcome.keyRecipe.keys[i] = keyOf[i];
+  for (const size_t i : order) {
+    const ByteVec cipher = MleScheme::encryptWithKey(keyOf[i], plainChunks[i]);
+    const Fp cipherFp = fpOfContent(cipher);
+    if (store.putChunk(cipherFp, cipher)) {
+      ++outcome.newChunks;
+    } else {
+      ++outcome.duplicateChunks;
     }
-    return outcome;
-  }
-
-  std::vector<EncryptedChunk> window;
-  for (size_t base = 0; base < order.size(); base += kEncryptWindowChunks) {
-    const size_t count = std::min(kEncryptWindowChunks, order.size() - base);
-    window.assign(count, {});
-    parallelFor(*pool, count, [&](size_t begin, size_t end) {
-      for (size_t k = begin; k < end; ++k) {
-        const size_t i = order[base + k];
-        ByteVec cipher = MleScheme::encryptWithKey(keyOf[i], plainChunks[i]);
-        const Fp cipherFp = fpOfContent(cipher);
-        window[k] = {keyOf[i], std::move(cipher), cipherFp};
-      }
-    });
-    for (size_t k = 0; k < count; ++k) {
-      const size_t i = order[base + k];
-      const EncryptedChunk& e = window[k];
-      if (store.putChunk(e.cipherFp, e.cipher)) {
-        ++outcome.newChunks;
-      } else {
-        ++outcome.duplicateChunks;
-      }
-      outcome.fileRecipe.entries[i] = {
-          e.cipherFp, static_cast<uint32_t>(e.cipher.size()), records[i].fp};
-      outcome.keyRecipe.keys[i] = e.key;
-    }
+    outcome.fileRecipe.entries[i] = {
+        cipherFp, static_cast<uint32_t>(cipher.size()), records[i].fp};
+    outcome.keyRecipe.keys[i] = keyOf[i];
   }
   return outcome;
 }
 
 }  // namespace detail
 
-/// The pre-PR4 one-shot whole-buffer backup path. Uses a fresh throwaway
-/// pool when options.parallelism > 1 (the legacy manager owned one).
+/// The pre-PR4 one-shot whole-buffer backup path.
 inline BackupOutcome oneShotBackup(BackupStore& store, const KeyManager& km,
                                    const Chunker& chunker,
                                    const BackupOptions& options,
                                    const std::string& name, ByteView content) {
-  std::unique_ptr<ThreadPool> pool;
-  if (options.parallelism > 1)
-    pool = std::make_unique<ThreadPool>(options.parallelism);
   const std::vector<ChunkSpan> spans = chunker.split(content);
   switch (options.scheme) {
     case EncryptionScheme::kMle:
-      return detail::backupMle(store, km, pool.get(), name, content, spans);
+      return detail::backupMle(store, km, name, content, spans);
     case EncryptionScheme::kMinHash:
-      return detail::backupMinHash(store, km, pool.get(), options, name,
-                                   content, spans, /*scramble=*/false);
+      return detail::backupMinHash(store, km, options, name, content, spans,
+                                   /*scramble=*/false);
     case EncryptionScheme::kMinHashScrambled:
-      return detail::backupMinHash(store, km, pool.get(), options, name,
-                                   content, spans, /*scramble=*/true);
+      return detail::backupMinHash(store, km, options, name, content, spans,
+                                   /*scramble=*/true);
   }
   return {};
 }

@@ -59,7 +59,6 @@ CdcParams smallCdc() {
 BackupOptions backupOptionsFor(EncryptionScheme scheme) {
   BackupOptions o;
   o.scheme = scheme;
-  o.parallelism = 2;
   o.segmentParams.minBytes = 8 * 1024;
   o.segmentParams.avgBytes = 16 * 1024;
   o.segmentParams.maxBytes = 32 * 1024;

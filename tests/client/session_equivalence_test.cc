@@ -1,10 +1,11 @@
 // Streaming-vs-one-shot equivalence matrix: append granularities
 // {1 B, 1 KiB, whole} x schemes {MLE, MinHash, MinHashScrambled} x chunkers
-// {CDC, fixed} x parallelism {1, 4} — the session path must reproduce the
-// frozen pre-PR4 one-shot path bit-identically: same file recipe, same key
-// recipe, same dedup counters, and byte-identical container files on disk
-// (chunk contents AND store order, which is what the paper's adversary
-// observes).
+// {CDC, fixed} x client restore parallelism {1, 4} — the session path must
+// reproduce the frozen pre-PR4 one-shot path bit-identically: same file
+// recipe, same key recipe, same dedup counters, and byte-identical container
+// files on disk (chunk contents AND store order, which is what the paper's
+// adversary observes). A client whose restore pool exists must back up
+// exactly as one without it, and restore the object byte for byte.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -23,7 +24,8 @@ namespace {
 
 enum class ChunkerKind { kCdc, kFixed };
 
-// (append granularity in bytes; 0 = whole buffer, scheme, chunker, threads)
+// (append granularity in bytes; 0 = whole buffer, scheme, chunker,
+//  restore threads)
 using MatrixParam =
     std::tuple<size_t, EncryptionScheme, ChunkerKind, uint32_t>;
 
@@ -45,10 +47,9 @@ CdcParams smallCdc() {
   return p;
 }
 
-BackupOptions optionsFor(EncryptionScheme scheme, uint32_t parallelism) {
+BackupOptions optionsFor(EncryptionScheme scheme) {
   BackupOptions o;
   o.scheme = scheme;
-  o.parallelism = parallelism;
   o.segmentParams.minBytes = 8 * 1024;
   o.segmentParams.avgBytes = 16 * 1024;
   o.segmentParams.maxBytes = 32 * 1024;
@@ -97,7 +98,7 @@ class SessionEquivalence : public ::testing::TestWithParam<MatrixParam> {
 
 TEST_P(SessionEquivalence, StreamingMatchesOneShotBitIdentically) {
   const ByteVec content = testContent();
-  const BackupOptions options = optionsFor(scheme(), parallelism());
+  const BackupOptions options = optionsFor(scheme());
   const std::unique_ptr<Chunker> chunker = makeChunker();
   KeyManager km(toBytes("equivalence-secret"));
 
@@ -120,7 +121,9 @@ TEST_P(SessionEquivalence, StreamingMatchesOneShotBitIdentically) {
     const auto store =
         makeBackupStore(StoreBackend::kFile, sessionDir,
                         {.containerBytes = 64 * 1024});
-    DedupClient client(*store, km, *chunker, options);
+    RestoreOptions restoreOptions;
+    restoreOptions.parallelism = parallelism();
+    DedupClient client(*store, km, *chunker, options, restoreOptions);
     BackupSession session = client.beginBackup("obj");
     const size_t step = granularity() == 0 ? content.size() : granularity();
     for (size_t off = 0; off < content.size(); off += step) {
@@ -130,6 +133,11 @@ TEST_P(SessionEquivalence, StreamingMatchesOneShotBitIdentically) {
     EXPECT_EQ(session.bytesAppended(), content.size());
     sessionOutcome = session.finish();
     store->flush();
+    EXPECT_EQ(client
+                  .beginRestore(sessionOutcome.fileRecipe,
+                                sessionOutcome.keyRecipe)
+                  .readAll(),
+              content);
   }
 
   // Recipes, keys and dedup accounting must match exactly.

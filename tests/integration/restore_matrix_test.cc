@@ -1,7 +1,7 @@
 // End-to-end round-trip matrix: backup -> commit -> (close -> reopen for the
 // file backend) -> restore -> byte-compare, across every EncryptionScheme x
-// parallelism {1, 4} x StoreBackend {memory, file}; plus delete + GC followed
-// by restoring the surviving backup.
+// restore parallelism {1, 4} x StoreBackend {memory, file}; plus delete + GC
+// followed by restoring the surviving backup.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -72,7 +72,6 @@ class RestoreMatrix : public ::testing::TestWithParam<MatrixParam> {
   [[nodiscard]] BackupOptions options() const {
     BackupOptions o;
     o.scheme = scheme();
-    o.parallelism = parallelism();
     o.segmentParams.minBytes = 8 * 1024;
     o.segmentParams.avgBytes = 16 * 1024;
     o.segmentParams.maxBytes = 32 * 1024;
@@ -81,7 +80,9 @@ class RestoreMatrix : public ::testing::TestWithParam<MatrixParam> {
   }
 
   [[nodiscard]] DedupClient makeClient(BackupStore& store) const {
-    return DedupClient(store, km_, chunker_, options());
+    RestoreOptions restore;
+    restore.parallelism = parallelism();
+    return DedupClient(store, km_, chunker_, options(), restore);
   }
 
   std::string dir_;
@@ -169,7 +170,7 @@ TEST_P(RestoreMatrix, DeleteAndGcThenRestoreSurvivor) {
 // opened with compression enabled and GC-driven demotion to the cold tier
 // must restore every backup bit-identical to BOTH the original content and
 // an uncompressed single-tier twin — first from cold (reads promote), then
-// warm (promoted copies) — for every scheme x parallelism combination. The
+// warm (promoted copies) — for every scheme x restore parallelism. The
 // shared block cache must honor its byte budget throughout. (Chunk payloads
 // are ciphertext, so per-container compression falls back to the legacy
 // frame — the codec path is exercised end to end without assuming the

@@ -136,13 +136,18 @@ TEST_F(WalTest, RotatePreservesLsnSpaceAcrossReopen) {
   EXPECT_EQ(records, 1u);
 }
 
-TEST_F(WalTest, PerOpModeIsDurableImmediately) {
-  WalOptions options;
-  options.syncMode = WalOptions::SyncMode::kPerOp;
-  Wal wal(path_, options);
-  wal.append(toBytes("one"));
-  EXPECT_EQ(wal.durableLsn(), wal.appendedLsn());
+// The one sync path's contract: append() only buffers, and a record is
+// durable once a sync() covering its end LSN returns.
+TEST_F(WalTest, AppendIsDurableOnlyOnceASyncCoversIt) {
+  Wal wal(path_);
+  const Lsn first = wal.append(toBytes("one"));
+  const Lsn firstEnd = first + 3;
+  EXPECT_LT(wal.durableLsn(), firstEnd);
   wal.append(toBytes("two"));
+  EXPECT_LT(wal.durableLsn(), firstEnd);
+  wal.sync(firstEnd);
+  EXPECT_GE(wal.durableLsn(), firstEnd);
+  wal.syncAll();
   EXPECT_EQ(wal.durableLsn(), wal.appendedLsn());
 }
 
@@ -198,7 +203,7 @@ TEST_F(WalTest, ConcurrentCommittersAllDurableWithGroupedSyncs) {
 }
 
 TEST_F(WalTest, CreateWithBaseLsnStartsThere) {
-  Wal wal(path_, WalOptions{}, /*createBaseLsn=*/12345);
+  Wal wal(path_, /*createBaseLsn=*/12345);
   EXPECT_EQ(wal.baseLsn(), 12345u);
   EXPECT_EQ(wal.appendedLsn(), 12345u);
   const Lsn payload = wal.append(toBytes("x"));

@@ -52,14 +52,12 @@ class FailingStoreRestore : public ::testing::TestWithParam<uint32_t> {
   [[nodiscard]] uint32_t parallelism() const { return GetParam(); }
 
   [[nodiscard]] DedupClient makeClient() {
-    BackupOptions backup;
-    backup.parallelism = parallelism();
     RestoreOptions restore;
     restore.parallelism = parallelism();
     restore.readAheadBatches = 2;
     restore.batchBytes = 8 * 1024;  // several batches across containers
     restore.maxBatchContainers = 2;
-    return DedupClient(failing_, km_, chunker_, backup, restore);
+    return DedupClient(failing_, km_, chunker_, {}, restore);
   }
 
   /// Collects sink output; asserts afterwards that it is a strict prefix.
