@@ -73,6 +73,17 @@ void BM_CdcChunking(benchmark::State& state) {
 }
 BENCHMARK(BM_CdcChunking);
 
+// BM_CdcChunking on the portable search (the serial Rabin roll), which
+// CdcChunker runs on CPUs without AVX-512BW and GFNI.
+void BM_CdcChunkingPortable(benchmark::State& state) {
+  const ByteVec data = randomBytes(3, 4 << 20);
+  const CdcChunker chunker = detail::portableCdcChunker(CdcParams{});
+  for (auto _ : state) benchmark::DoNotOptimize(chunker.split(data));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_CdcChunkingPortable);
+
 // The streaming form of BM_CdcChunking: the same 4 MiB in 1 MiB pushes, so
 // chunks straddling a push resume from the carried partial chunk.
 void BM_CdcStream(benchmark::State& state) {

@@ -6,10 +6,15 @@
 // irreducible polynomial; appending a byte and expiring the oldest byte are
 // both O(1) via precomputed tables (RabinTables).
 //
-// CdcChunker rolls the fingerprint with RabinTables directly over the
-// chunk's contiguous bytes, reading the expiring byte back from the input.
-// RabinWindow, which keeps its own ring-buffer copy of the window, is the
-// byte-at-a-time reference that the chunking tests compare against.
+// A fingerprint is fully reduced, so it is a GF(2)-linear function of the
+// window alone: the window b[0..W) (b[W-1] newest) hashes to
+// XOR_k (b[W-1-k] * x^(8k) mod poly), each term a fixed linear map of one
+// byte. CdcChunker's vector search evaluates those maps for many windows at
+// once (cdc_chunker.h); its portable search rolls the fingerprint with
+// RabinTables over the chunk's contiguous bytes, reading the expiring byte
+// back from the input. RabinWindow, which keeps its own ring-buffer copy of
+// the window, is the byte-at-a-time reference that the chunking tests
+// compare against.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,9 @@
 // construction-time parameter validation for both chunkers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -183,6 +185,160 @@ TEST(CdcChunker, SplitAndStreamMatchRabinWindowReferenceOnRandomParams) {
     }
   }
 }
+
+// Kernel equivalence: the search CdcChunker dispatches to on this CPU and
+// the portable search (detail::portableCdcChunker) each cut exactly where
+// the byte-at-a-time reference does. The dispatched leg is skipped, naming
+// the missing CPU features, where it would only run the portable search
+// again; it prints the kernel it ran ("cdc kernel: ...") for the CI log.
+enum class CdcLeg { kPortable, kDispatched };
+
+std::string missingVectorFeatures() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  std::string missing;
+  if (!__builtin_cpu_supports("avx512bw")) missing += " avx512bw";
+  if (!__builtin_cpu_supports("gfni")) missing += " gfni";
+  return missing;
+#else
+  return " x86-64 (avx512bw, gfni)";
+#endif
+}
+
+class CdcKernelEquivalence : public ::testing::TestWithParam<CdcLeg> {
+ protected:
+  void SetUp() override {
+    if (GetParam() != CdcLeg::kDispatched) return;
+    std::printf("cdc kernel: %s\n", detail::cdcKernelName());
+    if (std::string(detail::cdcKernelName()) == "portable")
+      GTEST_SKIP() << "cdc kernel: portable; the CPU lacks"
+                   << missingVectorFeatures();
+  }
+
+  [[nodiscard]] CdcChunker chunker(const CdcParams& p) const {
+    return GetParam() == CdcLeg::kPortable ? detail::portableCdcChunker(p)
+                                           : CdcChunker(p);
+  }
+};
+
+std::string describe(const CdcParams& p) {
+  return "window " + std::to_string(p.windowSize) + " min " +
+         std::to_string(p.minSize) + " avg " + std::to_string(p.avgSize) +
+         " max " + std::to_string(p.maxSize) + " poly " +
+         std::to_string(p.poly);
+}
+
+/// Random bytes, then a 2-bit low-entropy run, then a constant run.
+ByteVec mixedContent(Rng& rng, uint64_t seed, size_t randomBytes) {
+  ByteVec content = randomContent(seed, randomBytes);
+  for (size_t i = 0; i < randomBytes / 2; ++i)
+    content.push_back(static_cast<uint8_t>(rng.next() & 3));
+  content.insert(content.end(), randomBytes / 4, uint8_t{0xA7});
+  return content;
+}
+
+/// A polynomial of degree 9..15: fingerprints have at most 15 bits, so a
+/// mask wider than the degree never matches.
+uint64_t lowDegreePoly(Rng& rng) {
+  const uint64_t degree = rng.uniformInt(9, 15);
+  return (uint64_t{1} << degree) | (rng.next() & ((uint64_t{1} << degree) - 1)) |
+         1;
+}
+
+TEST_P(CdcKernelEquivalence, SplitMatchesReferenceAcrossMaskWidths) {
+  Rng rng(GetParam() == CdcLeg::kPortable ? 77 : 78);
+  for (int round = 0; round < 36; ++round) {
+    CdcParams p;
+    p.windowSize = static_cast<uint32_t>(rng.uniformInt(2, 512));
+    // Cycle the mask through below 8 bits, 9..16 bits and over 16 bits
+    // (avgSize >= windowSize keeps the narrowest class to small windows).
+    const int minExp = std::bit_width(p.windowSize - 1);
+    const int classLo[] = {minExp, 9, 17};
+    const int classHi[] = {8, 16, 18};
+    const int cls = round % 3;
+    const int lo = std::max(minExp, classLo[cls]);
+    const int hi = std::max(lo, classHi[cls]);
+    p.avgSize = 1u << rng.uniformInt(lo, hi);
+    p.minSize = static_cast<uint32_t>(rng.uniformInt(p.windowSize, p.avgSize));
+    p.maxSize = static_cast<uint32_t>(rng.uniformInt(p.avgSize, 2 * p.avgSize));
+    if (round % 4 == 3) p.poly = lowDegreePoly(rng);
+    const ByteVec content = mixedContent(
+        rng, 900 + round, std::min<size_t>(4 * size_t{p.maxSize}, 1 << 20));
+    ASSERT_EQ(splitChunks(chunker(p), content), referenceCdcChunks(p, content))
+        << describe(p);
+  }
+}
+
+TEST_P(CdcKernelEquivalence, SplitMatchesReferenceAtBlockTailsAndMaxSize) {
+  CdcParams wideMask;
+  wideMask.minSize = 4096;
+  wideMask.avgSize = 1u << 17;
+  wideMask.maxSize = 1u << 17;
+  CdcParams lowDegree = smallCdc();
+  lowDegree.poly = 0x8C1;  // degree 11: the 9-bit mask can match
+  CdcParams lowDegreeWide = lowDegree;
+  lowDegreeWide.avgSize = 1u << 12;  // 12-bit mask: bit 11 never matches
+  lowDegreeWide.maxSize = 1u << 13;
+  const CdcParams cases[] = {
+      smallCdc(),
+      CdcParams{64, 512, 2048, 64, kDefaultRabinPoly},     // min == window
+      CdcParams{1024, 1024, 1024, 48, kDefaultRabinPoly},  // min == avg == max
+      CdcParams{512, 2048, 8192, 300, kDefaultRabinPoly},  // wide window
+      CdcParams{2, 2, 64, 2, kDefaultRabinPoly},           // 1-bit mask
+      CdcParams{4096, 1u << 16, 1u << 17, 48, kDefaultRabinPoly},  // 16 bits
+      wideMask,
+      lowDegree,
+      lowDegreeWide,
+  };
+  for (const CdcParams& p : cases) {
+    const CdcChunker c = chunker(p);
+    for (uint64_t seed = 0; seed < 6; ++seed) {
+      const ByteVec data = randomContent(3000 + seed, p.maxSize + 200);
+      // A one-chunk buffer checks the windows ending at minSize..length,
+      // in 64-window blocks from minSize: end it 0..63 windows past a
+      // block, at the reference's first cut and either side of it, and at
+      // maxSize and either side of it.
+      std::vector<size_t> lengths;
+      for (size_t r = 0; r < 64; ++r)
+        lengths.push_back(p.minSize - 1 + 64 * (1 + seed % 2) + r);
+      const size_t cut = referenceCdcChunks(p, data).front().size();
+      for (const size_t len : {cut - 1, cut, cut + 1, size_t{p.maxSize} - 1,
+                               size_t{p.maxSize}, size_t{p.maxSize} + 1})
+        lengths.push_back(len);
+      for (const size_t len : lengths) {
+        const ByteView buf = ByteView(data).first(std::min(len, data.size()));
+        ASSERT_EQ(splitChunks(c, buf), referenceCdcChunks(p, buf))
+            << describe(p) << ", length " << buf.size();
+      }
+    }
+  }
+}
+
+TEST_P(CdcKernelEquivalence, StreamMatchesReferenceAtPushSizes1To129) {
+  Rng rng(GetParam() == CdcLeg::kPortable ? 4242 : 4243);
+  for (size_t step = 1; step <= 129; ++step) {
+    CdcParams p;
+    p.windowSize = static_cast<uint32_t>(rng.uniformInt(2, 128));
+    const int minExp = std::bit_width(p.windowSize - 1);
+    p.avgSize = 1u << rng.uniformInt(std::max(minExp, 4), 11);
+    p.minSize = static_cast<uint32_t>(rng.uniformInt(p.windowSize, p.avgSize));
+    p.maxSize = static_cast<uint32_t>(rng.uniformInt(p.avgSize, 2 * p.avgSize));
+    if (step % 8 == 0) p.poly = lowDegreePoly(rng);
+    const ByteVec content = mixedContent(rng, 5000 + step, 4 * p.maxSize);
+    ASSERT_EQ(streamChunks(chunker(p), content, step),
+              referenceCdcChunks(p, content))
+        << describe(p) << ", step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Legs, CdcKernelEquivalence,
+                         ::testing::Values(CdcLeg::kPortable,
+                                           CdcLeg::kDispatched),
+                         [](const ::testing::TestParamInfo<CdcLeg>& info) {
+                           return info.param == CdcLeg::kPortable
+                                      ? "Portable"
+                                      : "Dispatched";
+                         });
 
 TEST(CdcChunker, RejectsInvalidParamsWithClearErrors) {
   {
