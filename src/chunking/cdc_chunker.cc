@@ -52,7 +52,7 @@ class CdcKernel {
     }
   }
 
-  /// The state of a chunk with no bytes scanned.
+  /// The state of a chunk with no end checked.
   [[nodiscard]] State begin() const { return {minSize_}; }
 
   [[nodiscard]] size_t maxSize() const { return maxSize_; }
@@ -75,9 +75,10 @@ class CdcKernel {
   }
 
   /// Continues searching the chunk whose first `avail` bytes start at `p`
-  /// (bytes before `avail` must be the ones seen before). Returns the
-  /// chunk's length if its cut falls within those bytes; otherwise returns
-  /// 0 and updates `s` to resume once more of the chunk is available.
+  /// (the ends before `s.next` were checked over these same leading bytes).
+  /// Returns the chunk's length if its cut falls within those bytes;
+  /// otherwise returns 0 and updates `s` to resume once more of the chunk
+  /// is available.
   size_t scan(const uint8_t* p, size_t avail, State& s) const {
     const size_t to = std::min(avail, maxSize_);
     if (s.next > to) return 0;

@@ -1,7 +1,8 @@
 // ChunkStream equivalence: for CDC and fixed chunkers, pushing a buffer in
 // any append granularity (1 byte, odd sizes, whole) must emit exactly the
 // chunk sequence split() produces; CDC's split() and stream must both match
-// a byte-at-a-time RabinWindow reference over random parameters; plus
+// a byte-at-a-time RabinWindow reference over random parameters, on the
+// cut search dispatched for this CPU and on the portable one; plus
 // construction-time parameter validation for both chunkers.
 #include <gtest/gtest.h>
 

@@ -16,6 +16,10 @@ JSON metrics snapshot (or a bare .json file). Checks, per file:
     driven by a cold read) and the placement gauges are non-negative;
   - backup.seal_memo_hits <= backup.chunks_duplicate (a chunk stored from
     the client's seal memo, without encrypting it again, is a duplicate);
+  - byte conservation through the chunker: the chunk.size_bytes histogram
+    counts chunk.chunks_produced chunks summing to chunk.bytes_total, and
+    chunk.bytes_total <= backup.bytes_appended (a chunker that drops or
+    duplicates bytes breaks one of the three);
   - settled gauges: restore.prefetch_window reads 0;
   - every histogram's count/sum/bucket totals are internally consistent.
 
@@ -203,6 +207,27 @@ def check(path):
         errors.append(
             f"backup.seal_memo_hits {memo_hits} > "
             f"backup.chunks_duplicate {duplicates}"
+        )
+
+    # Every appended byte lands in exactly one chunk; an object still open
+    # (or aborted) has bytes appended but not yet chunked.
+    sizes = snap.get("histograms", {}).get("chunk.size_bytes", {})
+    produced = counters.get("chunk.chunks_produced", 0)
+    chunked = counters.get("chunk.bytes_total", 0)
+    appended = counters.get("backup.bytes_appended", 0)
+    if sizes.get("count", 0) != produced:
+        errors.append(
+            f"chunk.size_bytes count {sizes.get('count', 0)} != "
+            f"chunk.chunks_produced {produced}"
+        )
+    if sizes.get("sum", 0) != chunked:
+        errors.append(
+            f"chunk.size_bytes sum {sizes.get('sum', 0)} != "
+            f"chunk.bytes_total {chunked}"
+        )
+    if chunked > appended:
+        errors.append(
+            f"chunk.bytes_total {chunked} > backup.bytes_appended {appended}"
         )
 
     for name in SETTLED_GAUGES:
