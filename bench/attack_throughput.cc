@@ -241,10 +241,7 @@ int main(int argc, char** argv) {
   printPhase("neighbor-build", neighbor);
 
   // End-to-end locality attack, unbudgeted.
-  AttackConfig config = exp::ciphertextOnlyConfig(/*sizeAware=*/false);
-  config.threads = threads;
-  config.memBudgetBytes = 0;
-  config.spillDir.clear();
+  const AttackConfig config = exp::ciphertextOnlyConfig(/*sizeAware=*/false);
   analysis::AnalysisOptions serialOpts;
   analysis::AnalysisOptions parallelOpts;
   parallelOpts.threads = threads;

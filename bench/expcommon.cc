@@ -1,18 +1,19 @@
 #include "expcommon.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "chunking/cdc_chunker.h"
 #include "datagen/fsl_gen.h"
 #include "datagen/snapshot_gen.h"
 #include "datagen/vm_gen.h"
-#include "trace/trace_io.h"
 
 namespace freqdedup::exp {
 
@@ -32,31 +33,24 @@ double benchScale() {
   return scale;
 }
 
-uint32_t attackThreads() {
-  static const uint32_t threads = [] {
-    const char* env = std::getenv("FDD_ATTACK_THREADS");
-    if (env != nullptr) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 1 && parsed <= 1024)
-        return static_cast<uint32_t>(parsed);
-      fprintf(stderr, "warning: invalid FDD_ATTACK_THREADS '%s'\n", env);
-    }
-    return std::max(1u, std::thread::hardware_concurrency());
-  }();
-  return threads;
-}
-
 namespace {
+
+uint32_t hardwareThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 size_t scaleCount(size_t base) {
   return static_cast<size_t>(std::llround(base * benchScale()));
 }
 
-/// Parses "BYTES" with an optional K/M/G suffix; returns false on garbage.
+/// Parses "BYTES" with an optional K/M/G suffix; returns false on garbage,
+/// on a sign (strtoull would negate "-1") and on values past 2^64 - 1.
 bool parseBytes(const char* text, uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (end == text) return false;
+  if (errno == ERANGE) return false;
   uint64_t mult = 1;
   switch (*end) {
     case '\0':
@@ -67,66 +61,9 @@ bool parseBytes(const char* text, uint64_t& out) {
     default: return false;
   }
   if (*end != '\0') return false;
+  if (parsed > std::numeric_limits<uint64_t>::max() / mult) return false;
   out = parsed * mult;
   return true;
-}
-
-}  // namespace
-
-uint64_t memBudgetBytes() {
-  static const uint64_t budget = [] {
-    const char* env = std::getenv("FDD_MEM_BUDGET");
-    uint64_t parsed = 0;
-    if (env == nullptr) return parsed;
-    if (!parseBytes(env, parsed)) {
-      fprintf(stderr, "warning: invalid FDD_MEM_BUDGET '%s'; unlimited\n",
-              env);
-      parsed = 0;
-    }
-    return parsed;
-  }();
-  return budget;
-}
-
-std::string spillDir() {
-  const char* env = std::getenv("FDD_SPILL_DIR");
-  return env == nullptr ? std::string() : std::string(env);
-}
-
-size_t scaledW() { return scaleCount(2000); }
-size_t scaledWKnownPlaintext() { return scaleCount(5000); }
-
-namespace {
-
-// Bump when generator parameters change so stale caches are not reused.
-constexpr const char* kCacheVersion = "v4";
-
-std::string cachePath(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / "fdd_bench_cache";
-  std::filesystem::create_directories(dir);
-  char scaleTag[32];
-  snprintf(scaleTag, sizeof(scaleTag), "s%.2f", benchScale());
-  return (dir / (name + "-" + scaleTag + "-" + kCacheVersion + ".fdtr"))
-      .string();
-}
-
-Dataset loadOrGenerate(const std::string& name,
-                       Dataset (*generate)()) {
-  const std::string path = cachePath(name);
-  if (std::filesystem::exists(path)) {
-    try {
-      return loadDataset(path);
-    } catch (const std::exception&) {
-      // Corrupt/stale cache: fall through and regenerate.
-    }
-  }
-  Dataset dataset = generate();
-  try {
-    saveDataset(dataset, path);
-  } catch (const std::exception&) {
-    // Caching is best-effort.
-  }
-  return dataset;
 }
 
 Dataset makeFsl() {
@@ -155,18 +92,21 @@ Dataset makeSyn() {
 
 }  // namespace
 
+size_t scaledW() { return scaleCount(2000); }
+size_t scaledWKnownPlaintext() { return scaleCount(5000); }
+
 const Dataset& fslDataset() {
-  static const Dataset dataset = loadOrGenerate("fsl", makeFsl);
+  static const Dataset dataset = makeFsl();
   return dataset;
 }
 
 const Dataset& vmDataset() {
-  static const Dataset dataset = loadOrGenerate("vm", makeVm);
+  static const Dataset dataset = makeVm();
   return dataset;
 }
 
 const Dataset& synDataset() {
-  static const Dataset dataset = loadOrGenerate("syn", makeSyn);
+  static const Dataset dataset = makeSyn();
   return dataset;
 }
 
@@ -180,22 +120,17 @@ uint64_t avgChunkBytesFor(const Dataset& dataset) {
 
 EncryptedTrace encryptTarget(const Dataset& dataset, size_t backupIndex) {
   return mleEncryptTrace(dataset.backups.at(backupIndex).records,
-                         fpBitsFor(dataset), attackThreads());
+                         fpBitsFor(dataset), hardwareThreads());
 }
 
-double basicRatePct(const EncryptedTrace& target,
-                    const std::vector<ChunkRecord>& aux) {
-  return 100.0 *
-         inferenceRate(basicAttack(target.records, aux, /*sizeAware=*/false,
-                                   attackThreads()),
-                       target);
+analysis::AttackEngine attackEngine(const EncryptedTrace& target,
+                                    const std::vector<ChunkRecord>& aux) {
+  return analysis::AttackEngine::fromRecords(target.records, aux,
+                                             {.threads = hardwareThreads()});
 }
 
-double localityRatePct(const EncryptedTrace& target,
-                       const std::vector<ChunkRecord>& aux,
-                       const AttackConfig& config) {
-  return 100.0 *
-         inferenceRate(localityAttack(target.records, aux, config), target);
+double ratePct(const AttackResult& result, const EncryptedTrace& target) {
+  return 100.0 * inferenceRate(result, target);
 }
 
 AttackConfig ciphertextOnlyConfig(bool sizeAware) {
@@ -204,9 +139,6 @@ AttackConfig ciphertextOnlyConfig(bool sizeAware) {
   config.v = 15;
   config.w = scaledW();
   config.sizeAware = sizeAware;
-  config.threads = attackThreads();
-  config.memBudgetBytes = memBudgetBytes();
-  config.spillDir = spillDir();
   return config;
 }
 
@@ -217,9 +149,6 @@ AttackConfig knownPlaintextConfig(bool sizeAware, const EncryptedTrace& target,
   config.v = 15;
   config.w = scaledWKnownPlaintext();
   config.sizeAware = sizeAware;
-  config.threads = attackThreads();
-  config.memBudgetBytes = memBudgetBytes();
-  config.spillDir = spillDir();
   Rng rng(seed);
   config.leakedPairs = sampleLeakedPairs(target, leakagePct / 100.0, rng);
   return config;
@@ -261,7 +190,7 @@ uint32_t threadsFlag(int argc, char** argv, uint32_t fallback) {
     char* end = nullptr;
     const long parsed = std::strtol(argv[i + 1], &end, 10);
     if (end == argv[i + 1] || *end != '\0' || parsed < 1 ||
-        parsed > 1'000'000) {
+        parsed > kMaxThreadsFlag) {
       fprintf(stderr, "warning: invalid --threads '%s'; using %u\n",
               argv[i + 1], fallback);
       return fallback;

@@ -1,24 +1,23 @@
-// Shared setup for the figure-reproduction benches: standard datasets with
-// fixed seeds (cached on disk so the suite does not regenerate them per
-// binary), attack wrappers, and aligned table printing.
+// Shared setup for paperrepro and the measurement benches: standard datasets
+// with fixed seeds (built once per process), the scaled attack parameters,
+// an attack engine per (target, auxiliary) pair, and aligned table printing.
 //
-// Scaling note (see EXPERIMENTS.md): the seed datasets were sized to ~10^5
-// unique chunks per backup. Now that the COUNT and neighbor-analysis phases
-// run on the parallel analysis engine, the default bench scale is
-// kDefaultBenchScale x that; override with the FDD_BENCH_SCALE environment
-// variable (e.g. FDD_BENCH_SCALE=1 for the historical size, =20 to approach
-// the paper's 10^7-unique-chunk backups on a big machine). The locality
-// attack's w parameter scales by the same factor relative to the paper's
-// parameters, as do the DDFS fingerprint-cache sizes. Attack index builds
-// use FDD_ATTACK_THREADS workers (default: all hardware threads); results
-// are bit-identical at every thread count.
+// Scaling note (see REPRODUCE.md): the seed datasets were sized to ~10^5
+// unique chunks per backup. The default bench scale is kDefaultBenchScale x
+// that; override with the FDD_BENCH_SCALE environment variable (e.g.
+// FDD_BENCH_SCALE=0.5 for the scale ctest runs paperrepro at, =20 to
+// approach the paper's 10^7-unique-chunk backups on a big machine). The
+// locality attack's w parameter scales by the same factor relative to the
+// paper's parameters; the DDFS fingerprint-cache sizes of paperrepro's
+// fig13/fig14 rows do not. Attack engines use every hardware thread;
+// results are bit-identical at every thread count.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "analysis/attack_engine.h"
 #include "core/attack_eval.h"
-#include "core/attacks.h"
 #include "core/defense.h"
 #include "trace/backup_trace.h"
 
@@ -30,31 +29,20 @@ inline constexpr double kDefaultBenchScale = 2.0;
 /// Dataset scale factor: FDD_BENCH_SCALE or kDefaultBenchScale.
 double benchScale();
 
-/// Worker threads for attack index builds: FDD_ATTACK_THREADS or all
-/// hardware threads.
-uint32_t attackThreads();
-
-/// Memory budget (bytes, K/M/G suffixes accepted) for attack index builds:
-/// FDD_MEM_BUDGET or 0 (unlimited). Budget-exceeding builds spill to disk.
-uint64_t memBudgetBytes();
-
-/// Spill directory for budgeted attack index builds: FDD_SPILL_DIR or empty
-/// (the system temp directory).
-std::string spillDir();
-
 /// The paper's default attack parameters (Section 5.3), with w scaled by the
 /// dataset-size ratio (paper: 200k of ~30M unique chunks; here ~100k unique
 /// at scale 1, times benchScale()).
 size_t scaledW();
 size_t scaledWKnownPlaintext();  // paper: 500k
 
-/// FSL-like dataset (6 users, 5 monthly backups). Cached after first call.
+/// FSL-like dataset (6 users, 5 monthly backups). Built on first call.
 const Dataset& fslDataset();
 
-/// VM-like dataset (8 students, 13 weekly backups). Cached after first call.
+/// VM-like dataset (8 students, 13 weekly backups). Built on first call.
 const Dataset& vmDataset();
 
-/// Synthetic content dataset (initial snapshot + 10 derived). Cached.
+/// Synthetic content dataset (initial snapshot + 10 derived). Built on
+/// first call.
 const Dataset& synDataset();
 
 /// Fingerprint width used when encrypting a dataset's traces.
@@ -66,15 +54,16 @@ uint64_t avgChunkBytesFor(const Dataset& dataset);
 /// MLE-encrypts one backup of a dataset (deterministic baseline encryption).
 EncryptedTrace encryptTarget(const Dataset& dataset, size_t backupIndex);
 
-/// Runs the basic / locality / advanced attack and returns the inference
-/// rate in percent.
-double basicRatePct(const EncryptedTrace& target,
-                    const std::vector<ChunkRecord>& aux);
-double localityRatePct(const EncryptedTrace& target,
-                       const std::vector<ChunkRecord>& aux,
-                       const AttackConfig& config);
+/// An attack engine over a target and an auxiliary backup, using every
+/// hardware thread. Run every attack on one pair through one engine: it
+/// indexes both streams once.
+analysis::AttackEngine attackEngine(const EncryptedTrace& target,
+                                    const std::vector<ChunkRecord>& aux);
 
-/// Standard ciphertext-only config (u=1, v=15, scaled w, parallel builds).
+/// Inference rate of an attack result against its target, in percent.
+double ratePct(const AttackResult& result, const EncryptedTrace& target);
+
+/// Standard ciphertext-only config (u=1, v=15, scaled w).
 AttackConfig ciphertextOnlyConfig(bool sizeAware);
 
 /// Standard known-plaintext config with freshly sampled leaked pairs.
@@ -89,8 +78,12 @@ std::string fmtDouble(double v, int precision = 2);
 
 // --- Command-line and timing helpers for the measurement benches ---
 
-/// Parses `--threads N` from argv; returns `fallback` when absent. Ignores
-/// unrelated arguments so benches can layer their own flags.
+/// Largest `--threads` value a bench accepts.
+inline constexpr uint32_t kMaxThreadsFlag = 1024;
+
+/// Parses `--threads N` (1..kMaxThreadsFlag) from argv; returns `fallback`
+/// when absent, and warns and returns it when invalid. Ignores unrelated
+/// arguments so benches can layer their own flags.
 uint32_t threadsFlag(int argc, char** argv, uint32_t fallback = 1);
 
 /// Parses `--<name> VALUE` from argv; returns `fallback` when absent.
@@ -98,7 +91,8 @@ std::string stringFlag(int argc, char** argv, const std::string& name,
                        const std::string& fallback);
 
 /// Parses `--<name> BYTES` from argv (K/M/G suffixes accepted, e.g. "64M");
-/// returns `fallback` when absent or invalid.
+/// returns `fallback` when absent, and warns and returns it when the value
+/// is not a non-negative byte count that fits in 64 bits.
 uint64_t bytesFlag(int argc, char** argv, const std::string& name,
                    uint64_t fallback);
 

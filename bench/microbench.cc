@@ -16,7 +16,6 @@
 #include "common/crc32.h"
 #include "common/hash.h"
 #include "common/rng.h"
-#include "core/attacks.h"
 #include "core/defense.h"
 #include "crypto/mle.h"
 #include "kvstore/logkv.h"
@@ -194,7 +193,9 @@ void BM_LocalityAttack(benchmark::State& state) {
   const EncryptedTrace target = mleEncryptTrace(targetPlain);
   AttackConfig config;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(localityAttack(target.records, aux, config));
+    benchmark::DoNotOptimize(
+        analysis::AttackEngine::fromRecords(target.records, aux)
+            .localityAttack(config));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(targetPlain.size()));

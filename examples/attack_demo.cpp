@@ -8,8 +8,8 @@
 // Build and run:  ./build/examples/attack_demo
 #include <cstdio>
 
+#include "analysis/attack_engine.h"
 #include "core/attack_eval.h"
-#include "core/attacks.h"
 #include "core/defense.h"
 #include "datagen/fsl_gen.h"
 
@@ -36,15 +36,20 @@ int main() {
   printf("auxiliary backup '%s': %zu logical chunks\n\n",
          dataset.backups[auxIndex].label.c_str(), aux.size());
 
+  // One engine serves every attack on this (target, auxiliary) pair: it
+  // indexes both streams once and reuses the indexes across runs.
+  analysis::AttackEngine engine =
+      analysis::AttackEngine::fromRecords(target.records, aux);
+
   // Attack 1: classical frequency analysis (Algorithm 1).
-  const AttackResult basic = basicAttack(target.records, aux);
+  const AttackResult basic = engine.basicAttack(/*sizeAware=*/false);
   printf("basic attack:    %7.4f%% of unique chunks inferred\n",
          100.0 * inferenceRate(basic, target));
 
   // Attack 2: the locality-based attack (Algorithm 2, u=1 v=15).
   AttackConfig config;
-  config.w = 2000;  // scaled from the paper's 200k (see EXPERIMENTS.md)
-  const AttackResult locality = localityAttack(target.records, aux, config);
+  config.w = 2000;  // scaled from the paper's 200k (see bench/expcommon.h)
+  const AttackResult locality = engine.localityAttack(config);
   printf("locality attack: %7.4f%% inferred (%llu pairs processed)\n",
          100.0 * inferenceRate(locality, target),
          static_cast<unsigned long long>(locality.processedPairs));
@@ -52,7 +57,7 @@ int main() {
   // Attack 3: the advanced locality-based attack (Algorithm 3) adds the
   // chunk-size channel — block ciphers preserve the block count.
   config.sizeAware = true;
-  const AttackResult advanced = localityAttack(target.records, aux, config);
+  const AttackResult advanced = engine.localityAttack(config);
   printf("advanced attack: %7.4f%% inferred\n",
          100.0 * inferenceRate(advanced, target));
 
@@ -61,7 +66,7 @@ int main() {
   config.mode = AttackMode::kKnownPlaintext;
   config.w = 5000;
   config.leakedPairs = sampleLeakedPairs(target, 0.001, rng);
-  const AttackResult kp = localityAttack(target.records, aux, config);
+  const AttackResult kp = engine.localityAttack(config);
   printf("advanced attack + 0.1%% leakage: %7.4f%% inferred\n",
          100.0 * inferenceRate(kp, target));
 

@@ -5,8 +5,8 @@
 // Build and run:  ./build/examples/defense_demo
 #include <cstdio>
 
+#include "analysis/attack_engine.h"
 #include "core/attack_eval.h"
-#include "core/attacks.h"
 #include "core/defense.h"
 #include "core/storage_saving.h"
 #include "datagen/fsl_gen.h"
@@ -23,8 +23,10 @@ double attackPct(const EncryptedTrace& target,
   config.w = 5000;
   Rng rng(11);
   config.leakedPairs = sampleLeakedPairs(target, 0.002, rng);
-  return 100.0 * inferenceRate(localityAttack(target.records, aux, config),
-                               target);
+  return 100.0 *
+         inferenceRate(analysis::AttackEngine::fromRecords(target.records, aux)
+                           .localityAttack(config),
+                       target);
 }
 
 }  // namespace

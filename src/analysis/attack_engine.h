@@ -1,6 +1,24 @@
-// The attack-analysis engine: the paper's basic, locality-based, and
-// advanced inference attacks (and the MinHash-defense evaluations built on
-// them) over columnar, sharded per-stream indexes.
+// The attack-analysis engine: the paper's three inference attacks
+// (Section 4) over columnar, sharded per-stream indexes.
+//
+// Given the ciphertext chunk stream C of the latest backup and the plaintext
+// chunk stream M of a prior backup (the auxiliary information), each attack
+// outputs a set T of inferred ciphertext-plaintext fingerprint pairs.
+//
+//  - Basic attack (Algorithm 1): global rank-pairing frequency analysis.
+//  - Locality-based attack (Algorithm 2): starts from an inferred seed set G
+//    (top-u frequency pairs in ciphertext-only mode, or leaked pairs in
+//    known-plaintext mode) and repeatedly applies frequency analysis to the
+//    left/right neighbor tables of each inferred pair, exploiting chunk
+//    locality; G is a FIFO queue bounded by w, and each neighbor analysis
+//    returns the top-v pairs.
+//  - Advanced locality-based attack (Algorithm 3): same control flow with
+//    every frequency-analysis call replaced by the size-classified variant
+//    (rank pairing within each class of ceil(size/16) AES blocks, since
+//    deterministic block-cipher encryption preserves a chunk's block count).
+//
+// Tie order is arbitrary with respect to the true correspondence, so ties
+// genuinely hurt accuracy (Section 4.1); they break by ascending fingerprint.
 //
 // An engine is constructed from the interned ciphertext and plaintext
 // streams. Frequency columns and CSR neighbor indexes are built lazily (the
@@ -23,15 +41,53 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "analysis/frequency_index.h"
 #include "analysis/neighbor_index.h"
 #include "analysis/stream_index.h"
-#include "core/attacks.h"
 
 namespace freqdedup {
+
 class ThreadPool;
-}
+
+/// An inferred (ciphertext fingerprint, plaintext fingerprint) pair.
+struct InferredPair {
+  Fp cipher = 0;
+  Fp plain = 0;
+
+  friend bool operator==(const InferredPair&, const InferredPair&) = default;
+};
+
+enum class AttackMode {
+  kCiphertextOnly,  // adversary knows C and M only
+  kKnownPlaintext   // adversary additionally knows some leaked (C, M) pairs
+};
+
+struct AttackConfig {
+  size_t u = 1;        // seed pairs from frequency analysis (ciphertext-only)
+  size_t v = 15;       // pairs returned per neighbor analysis
+  size_t w = 200'000;  // maximum size of the inferred FIFO set G
+  AttackMode mode = AttackMode::kCiphertextOnly;
+  bool sizeAware = false;  // true = advanced locality-based attack
+  /// Not read by AttackEngine, which takes its workers from
+  /// AnalysisOptions::threads. The inference result depends on neither.
+  uint32_t threads = 1;
+  /// Known-plaintext mode: leaked pairs about the target backup. Pairs whose
+  /// ciphertext chunk is absent from C or whose plaintext chunk is absent
+  /// from M are ignored (Algorithm 2, line 7).
+  std::vector<InferredPair> leakedPairs;
+};
+
+struct AttackResult {
+  /// T: inferred mapping, ciphertext fingerprint -> plaintext fingerprint.
+  std::unordered_map<Fp, Fp, FpHash> inferred;
+  /// Number of (C, M) pairs dequeued from G during the walk.
+  uint64_t processedPairs = 0;
+};
+
+}  // namespace freqdedup
 
 namespace freqdedup::analysis {
 

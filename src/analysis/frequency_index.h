@@ -81,8 +81,8 @@ std::vector<ChunkId> rankByFrequency(const FrequencyIndex& freq,
 
 /// All IDs of a stream bucketed by size class: classes ascending, with one
 /// ClassRange per distinct size class. This is the columnar form of the
-/// Algorithm-3 CLASSIFY step (class = ceil(size / 16), see
-/// core/freq_analysis.h).
+/// Algorithm-3 CLASSIFY step (class = ceil(size / 16), see sizeClassOf in
+/// common/fingerprint.h).
 struct ClassRange {
   uint32_t sizeClass = 0;
   uint32_t begin = 0;  // index range into SizeClassRanking::ids

@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "core/attacks.h"
+#include "analysis/attack_engine.h"
 #include "core/defense.h"
 
 namespace freqdedup {

@@ -236,21 +236,5 @@ TEST(BudgetEquivalence, AttacksOnFslMiniDataset) {
   checkAttacksAcrossBudgets(target, dataset.backups[0].records, "fsl-mini");
 }
 
-TEST(BudgetEquivalence, WrapperConfigForwardsBudget) {
-  // The core AttackConfig knobs reach the engine: a tiny budget through the
-  // wrapper API must spill and still match the unbudgeted result.
-  const std::vector<ChunkRecord> plainTarget = randomStream(41, 2000);
-  const std::vector<ChunkRecord> aux = perturb(plainTarget, 141);
-  const EncryptedTrace target = mleEncryptTrace(plainTarget);
-  AttackConfig config;
-  config.v = 5;
-  config.w = 300;
-  const AttackResult baseline =
-      localityAttack(target.records, aux, config);
-  config.memBudgetBytes = 4u << 10;
-  expectIdentical(baseline, localityAttack(target.records, aux, config),
-                  "wrapper budget");
-}
-
 }  // namespace
 }  // namespace freqdedup::analysis

@@ -199,27 +199,5 @@ TEST(EngineEquivalence, EmptyAndDegenerateStreams) {
   }
 }
 
-TEST(EngineEquivalence, WrapperApiUsesEngine) {
-  // The core API (basicAttack/localityAttack) is a thin wrapper over the
-  // engine; spot-check it against the legacy reference too, including the
-  // config.threads knob.
-  const std::vector<ChunkRecord> plainTarget = randomStream(4, 1500);
-  const std::vector<ChunkRecord> aux = perturb(plainTarget, 8);
-  const EncryptedTrace target = mleEncryptTrace(plainTarget);
-
-  expectIdentical(legacy::basicAttack(target.records, aux, false),
-                  basicAttack(target.records, aux, false, 8), "wrapper basic");
-
-  AttackConfig config;
-  config.v = 3;
-  config.w = 100;
-  config.sizeAware = true;
-  const AttackResult legacyResult =
-      legacy::localityAttack(target.records, aux, config);
-  config.threads = 8;
-  expectIdentical(legacyResult, localityAttack(target.records, aux, config),
-                  "wrapper locality");
-}
-
 }  // namespace
 }  // namespace freqdedup

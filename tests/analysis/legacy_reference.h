@@ -12,7 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/attacks.h"
+#include "analysis/attack_engine.h"
 
 namespace freqdedup::legacy {
 

@@ -3,10 +3,10 @@
 // MLE -> dedup store -> restore), and the DDFS engine fed by defended traces.
 #include <gtest/gtest.h>
 
+#include "analysis/attack_engine.h"
 #include "chunking/cdc_chunker.h"
 #include "client/dedup_client.h"
 #include "core/attack_eval.h"
-#include "core/attacks.h"
 #include "core/defense.h"
 #include "core/storage_saving.h"
 #include "datagen/fsl_gen.h"
@@ -19,6 +19,8 @@
 
 namespace freqdedup {
 namespace {
+
+using analysis::AttackEngine;
 
 FslGenParams smallFsl() {
   FslGenParams p;
@@ -35,10 +37,11 @@ TEST(TracePipeline, LocalityBeatsBasicAndDefenseBeatsBoth) {
   const auto& plainTarget = fsl.backups[2].records;
 
   const EncryptedTrace mleTarget = mleEncryptTrace(plainTarget);
-  const AttackResult basic = basicAttack(mleTarget.records, aux);
+  AttackEngine mleEngine = AttackEngine::fromRecords(mleTarget.records, aux);
+  const AttackResult basic = mleEngine.basicAttack(false);
   AttackConfig cfg;
   cfg.sizeAware = true;
-  const AttackResult advanced = localityAttack(mleTarget.records, aux, cfg);
+  const AttackResult advanced = mleEngine.localityAttack(cfg);
 
   const double basicRate = inferenceRate(basic, mleTarget);
   const double advancedRate = inferenceRate(advanced, mleTarget);
@@ -51,7 +54,8 @@ TEST(TracePipeline, LocalityBeatsBasicAndDefenseBeatsBoth) {
   const EncryptedTrace defendedTarget =
       minHashEncryptTrace(plainTarget, defense);
   const AttackResult attacked =
-      localityAttack(defendedTarget.records, aux, cfg);
+      AttackEngine::fromRecords(defendedTarget.records, aux)
+          .localityAttack(cfg);
   EXPECT_LT(inferenceRate(attacked, defendedTarget), advancedRate / 3);
 }
 
@@ -59,18 +63,17 @@ TEST(TracePipeline, KnownPlaintextOutperformsCiphertextOnly) {
   const Dataset fsl = generateFslDataset(smallFsl());
   const auto& aux = fsl.backups[1].records;
   const EncryptedTrace target = mleEncryptTrace(fsl.backups[2].records);
+  AttackEngine engine = AttackEngine::fromRecords(target.records, aux);
 
   AttackConfig co;
   co.sizeAware = true;
-  const double coRate =
-      inferenceRate(localityAttack(target.records, aux, co), target);
+  const double coRate = inferenceRate(engine.localityAttack(co), target);
 
   AttackConfig kp = co;
   kp.mode = AttackMode::kKnownPlaintext;
   Rng rng(5);
   kp.leakedPairs = sampleLeakedPairs(target, 0.01, rng);
-  const double kpRate =
-      inferenceRate(localityAttack(target.records, aux, kp), target);
+  const double kpRate = inferenceRate(engine.localityAttack(kp), target);
   EXPECT_GE(kpRate, coRate);
 }
 
@@ -102,10 +105,10 @@ TEST(TracePipeline, VmFixedSizeMakesAdvancedEqualLocality) {
   AttackConfig plainCfg;
   AttackConfig sizedCfg;
   sizedCfg.sizeAware = true;
-  const AttackResult a =
-      localityAttack(target.records, vm.backups[2].records, plainCfg);
-  const AttackResult b =
-      localityAttack(target.records, vm.backups[2].records, sizedCfg);
+  AttackEngine engine =
+      AttackEngine::fromRecords(target.records, vm.backups[2].records);
+  const AttackResult a = engine.localityAttack(plainCfg);
+  const AttackResult b = engine.localityAttack(sizedCfg);
   EXPECT_EQ(a.inferred, b.inferred);
 }
 
@@ -194,9 +197,11 @@ TEST(TracePipeline, SerializationPreservesAttackResults) {
   const EncryptedTrace t1 = mleEncryptTrace(fsl.backups[2].records);
   const EncryptedTrace t2 = mleEncryptTrace(reloaded.backups[2].records);
   const AttackResult r1 =
-      basicAttack(t1.records, fsl.backups[1].records);
+      AttackEngine::fromRecords(t1.records, fsl.backups[1].records)
+          .basicAttack(false);
   const AttackResult r2 =
-      basicAttack(t2.records, reloaded.backups[1].records);
+      AttackEngine::fromRecords(t2.records, reloaded.backups[1].records)
+          .basicAttack(false);
   EXPECT_EQ(inferenceRate(r1, t1), inferenceRate(r2, t2));
 }
 
