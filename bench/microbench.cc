@@ -4,9 +4,11 @@
 // engine, the attack-analysis engine's index builds, and the client's
 // backup path with and without seal memo hits.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <string>
 
 #include "analysis/attack_engine.h"
 #include "chunking/cdc_chunker.h"
@@ -19,7 +21,7 @@
 #include "core/defense.h"
 #include "crypto/mle.h"
 #include "kvstore/logkv.h"
-#include "storage/container_backup_store.h"
+#include "storage/file_backup_store.h"
 #include "storage/dedup_engine.h"
 
 namespace freqdedup {
@@ -225,16 +227,31 @@ BackupOutcome backupObject(DedupClient& client, ByteView data) {
   return session.finish();
 }
 
-// The client's serial MLE backup path into a memory store, at the two ends
-// of the seal memo (8 MiB, default CDC). Repeat: a warm client backs the same
+/// A FileBackupStore directory under the system temp dir, unique to this
+/// process and removed when the benchmark ends.
+struct BenchStoreDir {
+  std::string path;
+  explicit BenchStoreDir(const std::string& name)
+      : path((std::filesystem::temp_directory_path() /
+              ("fdd-" + name + "-" + std::to_string(::getpid())))
+                 .string()) {
+    std::filesystem::remove_all(path);
+  }
+  ~BenchStoreDir() { std::filesystem::remove_all(path); }
+};
+
+// The client's serial MLE backup path into a file store, at the two ends of
+// the seal memo (8 MiB, default CDC). Repeat: a warm client backs the same
 // object up again, so every chunk is a duplicate the memo knows. Unique: a
 // new store and client each iteration, so every chunk is new, misses the
-// memo and adds an entry (the memo does not fill).
+// memo and adds an entry (the memo does not fill); the timing includes
+// writing the containers and the closing flush, not removing the directory.
 void BM_ClientBackupRepeat(benchmark::State& state) {
   const ByteVec data = randomBytes(10, 8 << 20);
   const KeyManager keys(toBytes("bench-secret"));
   const CdcChunker chunker;
-  MemBackupStore store;
+  const BenchStoreDir dir("bm-backup-repeat");
+  FileBackupStore store(dir.path);
   DedupClient client(store, keys, chunker);
   backupObject(client, data);
   for (auto _ : state) benchmark::DoNotOptimize(backupObject(client, data));
@@ -247,8 +264,12 @@ void BM_ClientBackupUnique(benchmark::State& state) {
   const ByteVec data = randomBytes(10, 8 << 20);
   const KeyManager keys(toBytes("bench-secret"));
   const CdcChunker chunker;
+  const BenchStoreDir dir("bm-backup-unique");
   for (auto _ : state) {
-    MemBackupStore store;
+    state.PauseTiming();
+    std::filesystem::remove_all(dir.path);
+    state.ResumeTiming();
+    FileBackupStore store(dir.path);
     DedupClient client(store, keys, chunker);
     benchmark::DoNotOptimize(backupObject(client, data));
   }
@@ -268,7 +289,8 @@ void BM_ClientBackupOverMemo(benchmark::State& state) {
       11, DedupClient::kSealMemoEntries / 4 * 5 * 512);
   const KeyManager keys(toBytes("bench-secret"));
   const FixedChunker chunker(512);
-  MemBackupStore store;
+  const BenchStoreDir dir("bm-backup-over-memo");
+  FileBackupStore store(dir.path);
   DedupClient client(store, keys, chunker);
   backupObject(client, data);
   for (auto _ : state) benchmark::DoNotOptimize(backupObject(client, data));

@@ -94,7 +94,7 @@ RunResult replay(const Dataset& dataset, bool encrypt, uint64_t logicalCap) {
           .string();
   fs::remove_all(dir);
   StoreOptions options;
-  options.codec = ContainerCodec::kZstd;  // falls back to built-in deflate
+  options.codec = ContainerCodec::kDeflate;
   ConvergentEncryption mle;
 
   RunResult result;
@@ -145,8 +145,7 @@ void writeJson(const std::string& path,
             static_cast<unsigned long long>(r.totalContainers));
   };
   fprintf(f, "{\n  \"bench\": \"storage_compression_dedup\",\n");
-  fprintf(f, "  \"codec\": \"%s\",\n",
-          codecName(effectiveCodec(ContainerCodec::kZstd)));
+  fprintf(f, "  \"codec\": \"%s\",\n", codecName(ContainerCodec::kDeflate));
   fprintf(f, "  \"datasets\": {\n");
   for (size_t i = 0; i < plain.size(); ++i) {
     fprintf(f, "    \"%s\": {\"plain\": ", plain[i].first.c_str());
@@ -168,8 +167,7 @@ int run(int argc, char** argv) {
       argc, argv, "mb", kDefaultLogicalCapBytes / 1'000'000) * 1'000'000;
 
   printTitle("storage", "compression x dedup, codec=" +
-                            std::string(codecName(effectiveCodec(
-                                ContainerCodec::kZstd))));
+                            std::string(codecName(ContainerCodec::kDeflate)));
   printRow({"dataset", "payload", "logical MB", "unique MB", "physical MB",
             "dedup", "compress", "combined"});
 

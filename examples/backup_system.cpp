@@ -117,7 +117,7 @@ bool extractFlag(int& argc, char** argv, const std::string& name) {
 }
 
 /// Store configuration shared by every local subcommand, parsed from the
-/// trailing flags: --compress=<none|zstd|deflate>, --cache-bytes=<n[kmg]>,
+/// trailing flags: --compress=<none|deflate>, --cache-bytes=<n[kmg]>,
 /// --demote-on-gc, --hot-bytes=<n[kmg]>, --keep-hot=<n>. Reads always work
 /// regardless of these flags (codecs and tier placement are discovered per
 /// container); they only shape new writes, the block-cache budget, and GC
@@ -130,7 +130,7 @@ void extractStoreOptions(int& argc, char** argv) {
     const auto parsed = codecFromName(codec);
     if (!parsed)
       throw std::invalid_argument("unknown codec '" + codec +
-                                  "' (none|zstd|deflate)");
+                                  "' (none|deflate)");
     g_storeOptions.codec = *parsed;
   }
   if (const std::string bytes = extractOption(argc, argv, "cache-bytes");
@@ -582,7 +582,7 @@ int main(int argc, char** argv) {
           "       any subcommand above\n"
           "       --remote=<addr> [--tenant=<id>]   run backup/restore/\n"
           "       delete/list/stats/shutdown against a freqdedupd daemon\n"
-          "store: --compress=<none|zstd|deflate>  codec for new containers\n"
+          "store: --compress=<none|deflate>  codec for new containers\n"
           "       --cache-bytes=<n[kmg]>  block-cache byte budget\n"
           "       --demote-on-gc          move cold containers to <store>/cold\n"
           "       --hot-bytes=<n[kmg]>    hot-tier target (implies demotion)\n"

@@ -5,13 +5,20 @@
 //   content-defined chunking -> server-aided MLE -> deduplicated chunk store
 //   -> file/key recipes -> commit; then beginRestore() streams it back out.
 //
+// The store lives in a fresh directory under the system temp dir, removed
+// at exit. Exits 0 when the restore is bit-exact (ctest: examples.quickstart).
+//
 // Build and run:  ./build/examples/quickstart
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "chunking/cdc_chunker.h"
 #include "client/dedup_client.h"
 #include "common/rng.h"
-#include "storage/container_backup_store.h"
+#include "storage/file_backup_store.h"
 
 using namespace freqdedup;
 
@@ -24,12 +31,25 @@ ByteVec makeDocument(uint64_t seed, size_t bytes) {
   return data;
 }
 
+/// Removes the quickstart's store directory when main returns.
+struct ScratchDir {
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("fdd-quickstart-" + std::to_string(::getpid())))
+                         .string();
+  ScratchDir() { std::filesystem::remove_all(path); }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
 }  // namespace
 
 int main() {
-  // 1. A chunk store (in-memory here; FileBackupStore for persistence) and
-  //    a DupLESS-style key manager holding the global secret.
-  MemBackupStore store;
+  // 1. A persistent chunk store (containers + index log under one
+  //    directory) and a DupLESS-style key manager holding the global secret.
+  const ScratchDir dir;
+  FileBackupStore store(dir.path);
   KeyManager keyManager(toBytes("quickstart-global-secret"));
 
   // 2. Content-defined chunking with 8 KB average chunks.

@@ -469,4 +469,16 @@ void LogKv::bindMetrics(obs::MetricsRegistry& registry) {
   ckptWriteUsMetric_ = &registry.histogram("ckpt.write_us");
 }
 
+ByteVec kvKeyFromU64(uint64_t v) {
+  ByteVec key;
+  key.reserve(8);
+  putU64(key, v);
+  return key;
+}
+
+uint64_t kvKeyToU64(ByteView key) {
+  FDD_CHECK(key.size() == 8);
+  return getU64(key, 0);
+}
+
 }  // namespace freqdedup

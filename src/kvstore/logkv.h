@@ -35,10 +35,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
-#include "kvstore/kvstore.h"
+#include "common/bytes.h"
 #include "kvstore/wal.h"
 
 namespace freqdedup {
@@ -55,31 +56,37 @@ struct LogKvOptions {
   uint64_t checkpointBytes = 8ull << 20;
 };
 
-class LogKv final : public KvStore {
+class LogKv final {
  public:
   /// Opens (creating if needed) the store at `path` (WAL at `path`,
   /// checkpoint at `path`.ckpt), loads the newest valid checkpoint and
   /// replays the WAL tail. Throws std::runtime_error on unrecoverable I/O
   /// failure.
   explicit LogKv(std::string path, LogKvOptions options = {});
-  ~LogKv() override;
+  ~LogKv();
 
   LogKv(const LogKv&) = delete;
   LogKv& operator=(const LogKv&) = delete;
 
-  void put(ByteView key, ByteView value) override;
+  /// Inserts or overwrites a key.
+  void put(ByteView key, ByteView value);
 
   /// Registers `done(ok)` to run once every record below `lsn` is durable
   /// (see Wal::syncAsync): callbacks run on the WAL's syncer thread, outside
   /// the store mutex, and concurrent requests coalesce into one group
   /// fdatasync — the no-blocked-thread form of sync(lsn).
   void syncAsync(Lsn lsn, std::function<void(bool ok)> done);
-  std::optional<ByteVec> get(ByteView key) override;
-  bool erase(ByteView key) override;
-  [[nodiscard]] bool contains(ByteView key) const override;
-  [[nodiscard]] size_t size() const override;
-  void forEach(const std::function<void(ByteView key, ByteView value)>& fn)
-      override;
+  /// The value for a key, or nullopt if absent.
+  std::optional<ByteVec> get(ByteView key);
+  /// Removes a key. Returns true if it was present.
+  bool erase(ByteView key);
+  /// Presence test without reading the value.
+  [[nodiscard]] bool contains(ByteView key) const;
+  /// Number of live keys.
+  [[nodiscard]] size_t size() const;
+  /// Visits every live entry (order unspecified); see the thread-safety
+  /// note above.
+  void forEach(const std::function<void(ByteView key, ByteView value)>& fn);
 
   /// Blocks until every record appended so far is durable (group commit:
   /// one fdatasync per slot of concurrent flushers). When flush() returns,
@@ -184,5 +191,9 @@ class LogKv final : public KvStore {
   obs::Counter* ckptRecordsMetric_ = nullptr;
   obs::Histogram* ckptWriteUsMetric_ = nullptr;
 };
+
+/// Fixed 8-byte (little-endian) keys for u64-keyed entries.
+ByteVec kvKeyFromU64(uint64_t v);
+uint64_t kvKeyToU64(ByteView key);
 
 }  // namespace freqdedup

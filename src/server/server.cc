@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pipeline/thread_pool.h"
+#include "storage/file_backup_store.h"
 
 namespace freqdedup::server {
 
@@ -117,7 +118,7 @@ FreqDedupServer::FreqDedupServer(const std::string& storeDir,
     : storeDir_(storeDir),
       options_(std::move(options)),
       bound_(parseAddress(options_.address)),
-      store_(makeBackupStore(StoreBackend::kFile, storeDir, options_.store)),
+      store_(std::make_unique<FileBackupStore>(storeDir, options_.store)),
       keyManager_(toBytes(kServerSecret)),
       chunker_(std::make_unique<CdcChunker>()),
       tenants_(options_.quota) {

@@ -67,7 +67,7 @@ struct ServerOptions {
   /// Applied uniformly to every tenant; zero fields mean unlimited.
   TenantQuota quota;
   /// Store geometry, codec, block-cache budget and tiering (passed through
-  /// to the file backend).
+  /// to the FileBackupStore).
   StoreOptions store;
   /// Session behavior for all tenants. Defaults to the full defense
   /// (MinHash + scrambling), matching the backup_system tool.

@@ -1,9 +1,5 @@
 #include "storage/backup_store.h"
 
-#include "common/check.h"
-#include "storage/container_backup_store.h"
-#include "storage/file_backup_store.h"
-
 namespace freqdedup {
 
 std::vector<ByteVec> BackupStore::getChunks(std::span<const Fp> cipherFps) {
@@ -16,19 +12,6 @@ std::vector<ByteVec> BackupStore::getChunks(std::span<const Fp> cipherFps) {
 std::vector<std::optional<ChunkPlacement>> BackupStore::chunkLocator(
     std::span<const Fp> cipherFps) const {
   return std::vector<std::optional<ChunkPlacement>>(cipherFps.size());
-}
-
-std::unique_ptr<BackupStore> makeBackupStore(StoreBackend backend,
-                                             const std::string& dir,
-                                             const StoreOptions& options) {
-  switch (backend) {
-    case StoreBackend::kMemory:
-      return std::make_unique<MemBackupStore>(options.containerBytes);
-    case StoreBackend::kFile:
-      return std::make_unique<FileBackupStore>(dir, options);
-  }
-  FDD_CHECK_MSG(false, "unreachable");
-  return nullptr;
 }
 
 }  // namespace freqdedup

@@ -5,14 +5,13 @@
 // and packed into containers, named metadata blobs (sealed recipes), and
 // per-backup reference manifests that drive deletion and garbage collection.
 //
-// Two backends implement it (pick one with makeBackupStore):
-//  - MemBackupStore: containers and index live in RAM — tests and the
-//    trace-driven experiments that need real bytes;
-//  - FileBackupStore: containers are CRC-framed files under
-//    <dir>/containers and the index, manifests and blobs live in a LogKv at
-//    <dir>/index.log. Reopening the directory recovers all state, removing
-//    orphan containers and dropping index entries whose container failed
-//    trailer validation (crash-safe recovery).
+// FileBackupStore (file_backup_store.h) implements it: containers are
+// CRC-framed files under <dir>/containers and the index, manifests and blobs
+// live in a LogKv at <dir>/index.log. Reopening the directory recovers all
+// state, removing orphan containers and dropping index entries whose
+// container failed trailer validation (crash-safe recovery). Decorators
+// (fault injection in the tests, tracing in the benchmark) wrap it through
+// this interface.
 #pragma once
 
 #include <cstdint>
@@ -30,28 +29,22 @@
 
 namespace freqdedup {
 
-enum class StoreBackend {
-  kMemory,  // volatile, in-process
-  kFile     // persistent, log-structured containers + LogKv index
-};
-
-/// Default byte budget of the file backend's block cache (16 default-sized
+/// Default byte budget of the store's block cache (16 default-sized
 /// containers' payloads).
 inline constexpr uint64_t kDefaultBlockCacheBytes = 64ull * 1024 * 1024;
 
 /// Block-cache budget meaning "never evict".
 inline constexpr uint64_t kUnboundedBlockCacheBytes = UINT64_MAX;
 
-/// Everything that shapes a store instance beyond its directory. The codec
-/// and tiering knobs only affect the file backend; the memory backend keeps
-/// containers resident and uncompressed.
+/// Everything that shapes a store instance beyond its directory. None of it
+/// is persisted: a store reopened with other options reads back everything
+/// the directory holds.
 struct StoreOptions {
   /// Target payload bytes per sealed container.
   uint64_t containerBytes = kDefaultContainerBytes;
-  /// Codec for newly written container frames (kZstd falls back to the
-  /// built-in kDeflate when the build has no system zstd). Existing
-  /// containers are never rewritten: a store may freely mix codecs, and
-  /// reads decode whatever each frame declares.
+  /// Codec for newly written container frames. Existing containers are
+  /// never rewritten: a store may freely mix codecs, and reads decode
+  /// whatever each frame declares.
   ContainerCodec codec = ContainerCodec::kNone;
   /// Byte budget of the block cache shared by restore prefetch, cold-tier
   /// promotion and fsck --deep (0 disables it, kUnboundedBlockCacheBytes
@@ -144,7 +137,7 @@ class BackupStore {
   /// must putChunk the bytes. The base implementation only answers
   /// membership (hasChunk) and counts nothing; a store or decorator that
   /// counts puts must override it to account a true return as a duplicate
-  /// putChunk (ContainerBackupStore and the tests' FailingStore do).
+  /// putChunk (FileBackupStore and the tests' FailingStore do).
   virtual bool putKnownChunk(Fp cipherFp, uint32_t /*size*/) {
     return hasChunk(cipherFp);
   }
@@ -154,12 +147,13 @@ class BackupStore {
 
   /// Batched retrieval: the chunks' bytes, in request order (duplicates
   /// allowed). Throws std::runtime_error if any chunk is absent or fails
-  /// integrity checks. The base implementation loops getChunk; backends
-  /// override it with container-granular reads (every chunk a batch takes
-  /// from one container is served by a single container fetch).
+  /// integrity checks. The base implementation loops getChunk;
+  /// FileBackupStore overrides it with container-granular reads (every
+  /// chunk a batch takes from one container is served by a single container
+  /// fetch).
   ///
   /// Read-path thread safety: getChunks, getChunk, chunkLocator and
-  /// readStats on the built-in backends are safe to call concurrently with
+  /// readStats on FileBackupStore are safe to call concurrently with
   /// each other AND with writer operations (which the caller still
   /// serializes, as DedupClient does) — restore I/O must not hold the
   /// writer lock.
@@ -205,10 +199,10 @@ class BackupStore {
   }
 
   /// Registers `done(ok)` to run once every metadata mutation issued so far
-  /// (manifests, blobs, index entries) is durable. Persistent backends run
-  /// callbacks on their log's syncer thread, outside the store locks, and
-  /// coalesce concurrent requests into one group fdatasync; volatile
-  /// backends complete inline with ok == true. The callback must not
+  /// (manifests, blobs, index entries) is durable. FileBackupStore runs
+  /// callbacks on its log's syncer thread, outside the store locks, and
+  /// coalesces concurrent requests into one group fdatasync; the base
+  /// implementation completes inline with ok == true. The callback must not
   /// destroy the store.
   virtual void syncMetadataAsync(std::function<void(bool ok)> done) {
     done(true);
@@ -237,7 +231,7 @@ class BackupStore {
   /// and reference counts equal the manifest occurrence sums.
   virtual StoreCheckReport verify() = 0;
 
-  /// Seals the open container and persists all state (persistent mode).
+  /// Seals the open container and persists all state.
   virtual void flush() = 0;
 
   /// Write-path accounting, synthesized from the store's metrics registry.
@@ -254,12 +248,5 @@ class BackupStore {
   /// Number of sealed, live containers.
   [[nodiscard]] virtual size_t containerCount() const = 0;
 };
-
-/// Creates a store of the chosen backend. `dir` is required for (and only
-/// used by) StoreBackend::kFile; the memory backend keeps containers
-/// resident and honors only options.containerBytes.
-std::unique_ptr<BackupStore> makeBackupStore(StoreBackend backend,
-                                             const std::string& dir = {},
-                                             const StoreOptions& options = {});
 
 }  // namespace freqdedup

@@ -8,7 +8,7 @@
 // (plus a small per-entry overhead) against a byte budget. An object whose
 // charge alone exceeds the budget is never retained (admission reject).
 //
-// Container ids are never reused (ContainerBackupStore allocates them
+// Container ids are never reused (FileBackupStore allocates them
 // monotonically, and recovery resumes past the on-disk maximum), so a cached
 // container can never alias different bytes under the same id; entries are
 // invalidated when GC compaction deletes their container purely to release
@@ -91,8 +91,8 @@ class BlockCache {
   [[nodiscard]] uint64_t cachedBytes() const;
   [[nodiscard]] size_t size() const;
 
-  /// The per-chunk payload CRC table admit() computes; exposed so the
-  /// memory backend can build identical entries for resident containers.
+  /// The entry admit() builds (container plus per-chunk payload CRCs);
+  /// exposed so a read with the cache disabled serves identical entries.
   static Entry makeEntry(std::shared_ptr<const Container> container);
 
   /// Bytes an entry charges against the budget: payload bytes plus a fixed

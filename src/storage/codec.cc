@@ -3,10 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#if defined(FDD_HAVE_ZSTD)
-#include <zstd.h>
-#endif
-
 namespace freqdedup {
 
 namespace {
@@ -155,33 +151,10 @@ ByteVec lzDecompress(ByteView stored, uint64_t expectedRawSize) {
 
 }  // namespace
 
-bool codecAvailable(ContainerCodec codec) {
-  switch (codec) {
-    case ContainerCodec::kNone:
-    case ContainerCodec::kDeflate:
-      return true;
-    case ContainerCodec::kZstd:
-#if defined(FDD_HAVE_ZSTD)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-ContainerCodec effectiveCodec(ContainerCodec requested) {
-  if (requested == ContainerCodec::kZstd && !codecAvailable(requested))
-    return ContainerCodec::kDeflate;
-  return requested;
-}
-
 const char* codecName(ContainerCodec codec) {
   switch (codec) {
     case ContainerCodec::kNone:
       return "none";
-    case ContainerCodec::kZstd:
-      return "zstd";
     case ContainerCodec::kDeflate:
       return "deflate";
   }
@@ -190,34 +163,13 @@ const char* codecName(ContainerCodec codec) {
 
 std::optional<ContainerCodec> codecFromName(std::string_view name) {
   if (name == "none") return ContainerCodec::kNone;
-  if (name == "zstd") return ContainerCodec::kZstd;
   if (name == "deflate") return ContainerCodec::kDeflate;
   return std::nullopt;
 }
 
 std::optional<ByteVec> compressBytes(ContainerCodec codec, ByteView raw) {
-  if (raw.empty() || codec == ContainerCodec::kNone || !codecAvailable(codec))
-    return std::nullopt;
-  ByteVec compressed;
-  switch (codec) {
-    case ContainerCodec::kZstd: {
-#if defined(FDD_HAVE_ZSTD)
-      compressed.resize(ZSTD_compressBound(raw.size()));
-      const size_t n = ZSTD_compress(compressed.data(), compressed.size(),
-                                     raw.data(), raw.size(), /*level=*/3);
-      if (ZSTD_isError(n)) return std::nullopt;
-      compressed.resize(n);
-      break;
-#else
-      return std::nullopt;
-#endif
-    }
-    case ContainerCodec::kDeflate:
-      compressed = lzCompress(raw);
-      break;
-    case ContainerCodec::kNone:
-      return std::nullopt;
-  }
+  if (raw.empty() || codec != ContainerCodec::kDeflate) return std::nullopt;
+  ByteVec compressed = lzCompress(raw);
   if (compressed.size() >= raw.size()) return std::nullopt;
   return compressed;
 }
@@ -229,18 +181,6 @@ ByteVec decompressBytes(ContainerCodec codec, ByteView stored,
       if (stored.size() != expectedRawSize)
         throw std::runtime_error("codec: stored size mismatch");
       return ByteVec(stored.begin(), stored.end());
-    }
-    case ContainerCodec::kZstd: {
-#if defined(FDD_HAVE_ZSTD)
-      ByteVec out(static_cast<size_t>(expectedRawSize));
-      const size_t n = ZSTD_decompress(out.data(), out.size(), stored.data(),
-                                       stored.size());
-      if (ZSTD_isError(n) || n != expectedRawSize)
-        throw std::runtime_error("codec: zstd decompression failed");
-      return out;
-#else
-      throw std::runtime_error("codec: zstd not supported in this build");
-#endif
     }
     case ContainerCodec::kDeflate:
       return lzDecompress(stored, expectedRawSize);

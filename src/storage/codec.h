@@ -3,10 +3,9 @@
 // The container frame records which codec compressed its data section so a
 // store can mix codecs freely: the write path picks one codec per store
 // (StoreOptions::codec), the read path decodes whatever each frame declares.
-// `kZstd` uses the system libzstd when the build found its headers and
-// otherwise falls back to `kDeflate`, a small self-contained LZ77 codec
-// (LZ4-style token framing: literal/match nibbles, 2-byte offsets,
-// 255-continuation extended lengths) so the build stays dependency-free.
+// `kDeflate` is a small self-contained LZ77 codec (LZ4-style token framing:
+// literal/match nibbles, 2-byte offsets, 255-continuation extended lengths),
+// so the build stays dependency-free.
 //
 // Safety contract: decompressBytes() allocates exactly `expectedRawSize`
 // bytes — the caller validates that size against the frame's declared chunk
@@ -23,34 +22,28 @@
 
 namespace freqdedup {
 
+/// Codec byte 1 is reserved: an optional zstd codec once used it, and
+/// frames declaring it are rejected as an unknown codec.
 enum class ContainerCodec : uint8_t {
   kNone = 0,     // stored bytes are the raw payload
-  kZstd = 1,     // system zstd (when built in; falls back to kDeflate)
-  kDeflate = 2,  // built-in LZ77 codec, always available
+  kDeflate = 2,  // built-in LZ77 codec
 };
 
-/// True when this build can decode frames written with `codec`.
-[[nodiscard]] bool codecAvailable(ContainerCodec codec);
-
-/// The codec the write path actually uses for a requested codec: kZstd maps
-/// to kDeflate when the build has no system zstd.
-[[nodiscard]] ContainerCodec effectiveCodec(ContainerCodec requested);
-
-/// Stable lowercase name ("none", "zstd", "deflate") for CLIs and logs.
+/// Stable lowercase name ("none", "deflate") for CLIs and logs.
 [[nodiscard]] const char* codecName(ContainerCodec codec);
 
 /// Inverse of codecName; nullopt for unknown names.
 [[nodiscard]] std::optional<ContainerCodec> codecFromName(
     std::string_view name);
 
-/// Compresses `raw` with `codec`. Returns nullopt when the codec is
-/// unavailable, the input is empty, or the compressed form would not be
+/// Compresses `raw` with `codec`. Returns nullopt when the codec is kNone,
+/// the input is empty, or the compressed form would not be
 /// strictly smaller than the input (the caller then stores raw bytes).
 [[nodiscard]] std::optional<ByteVec> compressBytes(ContainerCodec codec,
                                                    ByteView raw);
 
 /// Decompresses `stored` into exactly `expectedRawSize` bytes. Throws
-/// std::runtime_error on unknown/unavailable codecs, malformed streams,
+/// std::runtime_error on unknown codecs, malformed streams,
 /// writes past the expected size, or a final size mismatch.
 [[nodiscard]] ByteVec decompressBytes(ContainerCodec codec, ByteView stored,
                                       uint64_t expectedRawSize);

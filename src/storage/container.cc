@@ -66,13 +66,12 @@ void checkEntryExtents(const Container& container, uint64_t dataSize) {
 }  // namespace
 
 ByteVec serializeContainer(const Container& container, ContainerCodec codec) {
-  const ContainerCodec eff = effectiveCodec(codec);
-  if (eff != ContainerCodec::kNone) {
-    if (auto stored = compressBytes(eff, container.data)) {
+  if (codec != ContainerCodec::kNone) {
+    if (auto stored = compressBytes(codec, container.data)) {
       ByteVec out;
       putU32(out, kContainerMagicV2);
       putU32(out, container.id);
-      out.push_back(static_cast<uint8_t>(eff));
+      out.push_back(static_cast<uint8_t>(codec));
       putEntryTable(out, container);
       putVarint(out, container.data.size());  // raw (decompressed) length
       putVarint(out, stored->size());
@@ -127,20 +126,17 @@ Container parseContainer(ByteView bytes) {
     return container;
   }
 
-  // Codec frame. The codec byte is validated first: a frame declaring a
-  // codec this build cannot decode (or no codec at all — the serializer
-  // never writes a kNone codec frame) is rejected, which recovery treats
-  // like any other corrupt container (quarantine, not data loss).
+  // Codec frame. The codec byte is validated first: a frame declaring any
+  // codec but kDeflate (kNone — the serializer never writes a kNone codec
+  // frame — the reserved byte 1, or an unassigned one) is rejected, which
+  // recovery treats like any other corrupt container (quarantine, not data
+  // loss).
   if (offset >= bodySize)
     throw std::runtime_error("container: truncated header");
   const uint8_t codecByte = body[offset++];
-  if (codecByte == static_cast<uint8_t>(ContainerCodec::kNone) ||
-      (codecByte != static_cast<uint8_t>(ContainerCodec::kZstd) &&
-       codecByte != static_cast<uint8_t>(ContainerCodec::kDeflate)))
+  if (codecByte != static_cast<uint8_t>(ContainerCodec::kDeflate))
     throw std::runtime_error("container: unknown codec byte");
   const auto codec = static_cast<ContainerCodec>(codecByte);
-  if (!codecAvailable(codec))
-    throw std::runtime_error("container: codec not supported in this build");
   parseEntryTable(body, offset, bodySize, container);
   const auto rawLen = getVarint(body, offset);
   if (!rawLen) throw std::runtime_error("container: truncated data header");

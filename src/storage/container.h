@@ -54,10 +54,10 @@ struct Container {
   }
 };
 
-/// Serializes a container (header, entry table, data, trailing CRC). With a
-/// codec (after effectiveCodec mapping) the data section is compressed into
-/// a codec frame — unless compression would not shrink it, in which case the
-/// output falls back to the bit-identical legacy kNone frame. Containers
+/// Serializes a container (header, entry table, data, trailing CRC). With
+/// kDeflate the data section is compressed into a codec frame — unless
+/// compression would not shrink it, in which case the output falls back to
+/// the bit-identical legacy kNone frame. Containers
 /// without payload bytes (trace mode) always use the legacy frame.
 ByteVec serializeContainer(const Container& container,
                            ContainerCodec codec = ContainerCodec::kNone);

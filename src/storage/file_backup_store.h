@@ -1,25 +1,61 @@
-// Persistent BackupStore backend.
+// FileBackupStore — the BackupStore implementation: a persistent,
+// content-addressed chunk store.
 //
 // On-disk layout under the store directory:
 //   <dir>/index.log          LogKv: fingerprint index, blobs, manifests
 //   <dir>/containers/NNNNNNNN.fdc   CRC-framed chunk containers (hot tier)
 //   <dir>/cold/NNNNNNNN.fdc         demoted containers (cold tier)
 //
+// Chunks accumulate in a ContainerBuilder; each sealed container is written
+// as a file, and the fingerprint index, blobs and backup manifests all live
+// in the LogKv under one-byte key prefixes:
+//
+//   'C' + fp(u64)   -> containerId u32, entryIndex u32, size u32, refs u32
+//   'B' + name      -> blob bytes (sealed recipes)
+//   'M' + name      -> manifest: varint count, count * fp(u64), crc32c
+//
 // Containers are written atomically (tmp + rename) and *before* their index
 // entries, so the index never references bytes that are not durably on disk.
 // Opening the directory runs crash-safe recovery: the LogKv replays its log
 // (truncating any torn tail), every container trailer is validated (both
-// tiers), orphan containers and stray .tmp files are deleted, and index
-// entries whose container is missing or corrupt are dropped.
+// tiers), orphan containers and stray .tmp files are deleted, index entries
+// whose container is missing or corrupt are dropped, and refcounts are
+// reconciled against the manifests.
+//
+// Locking: a single internal mutex guards all metadata (index, open
+// container, stats). Writer operations are additionally serialized by the
+// caller (DedupClient), as before. The read path (getChunk/getChunks/
+// chunkLocator) holds the mutex only for index lookups — container file
+// reads, parses and payload copies run outside it, so concurrent restores
+// make overlapping I/O progress. Sealed containers are immutable and their
+// ids are never reused; a read that races GC compaction (container file
+// deleted, chunk relocated) re-resolves the fingerprint against the index
+// and retries.
+//
+// GC invariants (see collectGarbage):
+//  (1) a chunk is reclaimed only when its reference count is zero, i.e. no
+//      recorded backup manifest references it;
+//  (2) live chunks are copied forward and their new container is sealed and
+//      indexed *before* any old container file is deleted, so a crash at any
+//      point leaves every live chunk reachable (at worst duplicated in an
+//      orphan container that recovery removes).
 #pragma once
 
-#include <string>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <unordered_set>
 
-#include "storage/container_backup_store.h"
+#include "kvstore/logkv.h"
+#include "obs/metrics.h"
+#include "storage/backup_store.h"
+#include "storage/block_cache.h"
+#include "storage/cold_tier.h"
 
 namespace freqdedup {
 
-class FileBackupStore final : public ContainerBackupStore {
+class FileBackupStore : public BackupStore {
  public:
   /// Opens (creating if missing) the store rooted at `dir` and recovers any
   /// existing state. Throws std::runtime_error on unrecoverable I/O failure.
@@ -29,6 +65,54 @@ class FileBackupStore final : public ContainerBackupStore {
   /// directory already holds.
   explicit FileBackupStore(const std::string& dir,
                            const StoreOptions& options = {});
+  /// Seals the open container and flushes the index (errors are swallowed:
+  /// an unflushed container is the state recovery already handles).
+  ~FileBackupStore() override;
+  FileBackupStore(const FileBackupStore&) = delete;
+  FileBackupStore& operator=(const FileBackupStore&) = delete;
+
+  [[nodiscard]] bool hasChunk(Fp cipherFp) const override;
+  bool putChunk(Fp cipherFp, ByteView bytes) override;
+  bool putKnownChunk(Fp cipherFp, uint32_t size) override;
+  ByteVec getChunk(Fp cipherFp) override;
+  std::vector<ByteVec> getChunks(std::span<const Fp> cipherFps) override;
+  [[nodiscard]] std::vector<std::optional<ChunkPlacement>> chunkLocator(
+      std::span<const Fp> cipherFps) const override;
+  [[nodiscard]] uint32_t chunkRefCount(Fp cipherFp) const override;
+
+  void putBlob(const std::string& name, ByteView bytes) override;
+  std::optional<ByteVec> getBlob(const std::string& name) override;
+  bool eraseBlob(const std::string& name) override;
+  [[nodiscard]] std::vector<std::string> listBlobs() override;
+
+  void recordBackup(const std::string& name,
+                    std::span<const Fp> chunkRefs) override;
+  void recordBackupDeferred(const std::string& name,
+                            std::span<const Fp> chunkRefs) override;
+  void syncMetadataAsync(std::function<void(bool ok)> done) override;
+  bool releaseBackup(const std::string& name) override;
+  [[nodiscard]] std::vector<std::string> listBackups() override;
+  std::optional<std::vector<Fp>> backupRefs(const std::string& name) override;
+
+  GcStats collectGarbage() override;
+  StoreCheckReport verify() override;
+  void flush() override;
+
+  [[nodiscard]] BackupStoreStats stats() const override;
+  [[nodiscard]] StoreReadStats readStats() const override;
+  [[nodiscard]] obs::MetricsSnapshot metricsSnapshot() const override {
+    return registry_.snapshot();
+  }
+  [[nodiscard]] size_t containerCount() const override;
+
+  /// The block cache's own counters (hits/admissions/evictions/
+  /// invalidations/bytes), for tests and diagnostics.
+  [[nodiscard]] BlockCache::Stats readCacheStats() const {
+    return readCache_.stats();
+  }
+
+  /// The store options this instance was opened with.
+  [[nodiscard]] const StoreOptions& storeOptions() const { return options_; }
 
   /// What recovery had to repair while opening this store.
   [[nodiscard]] const StoreRecoveryStats& recoveryStats() const {
@@ -36,7 +120,168 @@ class FileBackupStore final : public ContainerBackupStore {
   }
 
  private:
+  /// Decoded 'C' index entry.
+  struct ChunkEntry {
+    uint32_t containerId = 0;
+    uint32_t entryIndex = 0;
+    uint32_t size = 0;
+    uint32_t refs = 0;
+  };
+
+  struct OpenChunk {
+    ByteVec bytes;
+    uint32_t refs = 0;  // carried refcount (non-zero only during GC)
+  };
+
+  static ByteVec chunkKey(Fp fp);
+  static ByteVec encodeChunkEntry(const ChunkEntry& e);
+  static ChunkEntry decodeChunkEntry(ByteView value);
+
+  /// Open-time recovery, run after the LogKv has replayed its log:
+  /// validates every container file's trailer (full CRC + structure parse),
+  /// deletes orphan containers and stray .tmp files, drops index entries
+  /// whose container is missing or corrupt (renamed to *.corrupt),
+  /// reconciles refcounts and rebuilds stats from the surviving index.
+  StoreRecoveryStats recover();
+
+  /// Shared body of recordBackup / recordBackupDeferred: stages the manifest
+  /// swap + refcount deltas under mu_ and returns the LSN a durability wait
+  /// must cover.
+  uint64_t stageRecordBackup(const std::string& name,
+                             std::span<const Fp> chunkRefs);
+
+  // Metadata helpers; all require mu_ to be held by the caller.
+  [[nodiscard]] bool hasChunkLocked(Fp cipherFp) const;
+  void stageChunkLocked(Fp fp, ByteView bytes, uint32_t refs);
+  void sealOpenContainerLocked();
+  void adjustRefsLocked(Fp fp, int64_t delta);
+  std::optional<std::vector<Fp>> backupRefsLocked(const std::string& name);
+  [[nodiscard]] std::vector<std::string> listNamesLocked(char prefix) const;
+  /// Container for admin paths (GC/verify) that already hold mu_. Serves
+  /// from the cache when present but never admits (single-visit scans).
+  std::shared_ptr<const Container> loadContainerLocked(uint32_t id);
+  void dropContainerLocked(uint32_t id);
+  /// All 'C' entries grouped by container id.
+  [[nodiscard]] std::unordered_map<
+      uint32_t, std::vector<std::pair<Fp, ChunkEntry>>>
+  chunkEntriesByContainerLocked();
+  void flushIndexLocked();
+
+  [[nodiscard]] std::string containerPath(uint32_t id) const;
+  /// Cold-tier object key of a container (same name the hot tier uses).
+  [[nodiscard]] static std::string coldKey(uint32_t id);
+  /// Writes the container's frame to the hot tier (codec per StoreOptions)
+  /// and returns its physical (on-disk) byte size.
+  uint64_t writeContainerFile(const Container& container) const;
+
+  /// A container's raw frame bytes and which tier served them. Tries the
+  /// hot tier, then the cold tier, then the hot tier again — demotion puts
+  /// cold before removing hot and promotion renames hot before removing
+  /// cold, so one complete copy exists at every instant and the re-try
+  /// covers reads racing either transition. Cold reads count tier.*.
+  struct RawContainer {
+    ByteVec bytes;
+    bool fromCold = false;
+  };
+  [[nodiscard]] RawContainer readContainerRaw(uint32_t id) const;
+  /// Reads + parses a container (either tier) and validates its id; throws
+  /// std::runtime_error on any mismatch or I/O/parse failure. `fromCold`
+  /// (optional) reports the serving tier; `rawBytes` (optional) hands back
+  /// the frame bytes for promotion.
+  [[nodiscard]] std::shared_ptr<const Container> parseContainerFile(
+      uint32_t id, bool* fromCold = nullptr, ByteVec* rawBytes = nullptr) const;
+
+  /// Copies a cold container's frame back into the hot tier (verbatim
+  /// bytes) and removes the cold copy. No-op when the container is no
+  /// longer live or already hot. Takes mu_ internally.
+  void promoteContainer(uint32_t id, ByteView frame);
+  /// Moves a hot container's frame to the cold tier; requires mu_.
+  void demoteContainerLocked(uint32_t id);
+  /// Records a read-path touch for demotion ordering (oldest-unread first).
+  void noteContainerRead(uint32_t id);
+
+  // Read path; must NOT be called with mu_ held.
+  BlockCache::Entry fetchContainer(uint32_t id);
+  BlockCache::Entry loadAndAdmit(uint32_t id);
+  ByteVec serveChunk(Fp fp, ChunkEntry e);
+  /// Extracts one chunk's payload after re-checking placement, fingerprint,
+  /// bounds and the admission-time payload CRC. Throws on any mismatch
+  /// (CRC failures also count store.crc_recheck_failures).
+  ByteVec extractPayload(const BlockCache::Entry& cached, Fp fp,
+                         const ChunkEntry& e);
+
+  std::string dir_;
+  /// The index log at <dir>/index.log. Mutable because LogKv::get reads
+  /// the log file, and const lookups (chunkRefCount, chunkLocator) use it.
+  mutable LogKv index_;
+  ContainerBuilder builder_;
+  std::unordered_map<Fp, OpenChunk, FpHash> openChunks_;  // not yet sealed
+  std::unordered_set<uint32_t> liveContainerIds_;
+  uint32_t nextContainerId_ = 0;
+
+  StoreOptions options_;
   StoreRecoveryStats recovery_;
+  /// Cold tier, always at <dir>/cold, so a store reopened with different
+  /// options (or none) still finds every demoted container. Reads always
+  /// consult it; ColdTierOptions only shape demotion.
+  std::unique_ptr<ObjectStore> cold_;
+  /// Containers currently living in the cold tier; guarded by mu_.
+  std::unordered_set<uint32_t> coldContainerIds_;
+  /// Physical (on-disk frame) bytes per live container; guarded by mu_.
+  std::unordered_map<uint32_t, uint64_t> physicalBytes_;
+
+  // Per-instance metrics. The registry lives for the store's lifetime, so a
+  // fresh open (including one that ran recovery) starts every counter from
+  // zero; the references below pre-resolve the hot-path metrics once.
+  // Declared before readCache_, which registers its cache.* counters here.
+  mutable obs::MetricsRegistry registry_;
+  obs::Counter& putChunks_;
+  obs::Counter& putBytes_;
+  obs::Gauge& uniqueChunks_;
+  obs::Gauge& storedBytes_;
+  obs::Counter& chunkReads_;
+  obs::Counter& batchReads_;
+  obs::Counter& containerLoads_;
+  obs::Counter& readCacheHits_;
+  obs::Counter& readRetries_;
+  obs::Counter& containerWrites_;
+  obs::Counter& crcRecheckFailures_;
+  obs::Counter& singleflightCoalesces_;
+  obs::Histogram& containerLoadUs_;
+  obs::Histogram& gcUs_;
+  obs::Counter& compressedContainers_;
+  obs::Counter& containerRawBytes_;
+  obs::Counter& containerPhysicalBytes_;
+  obs::Counter& coldReads_;
+  obs::Counter& coldReadBytes_;
+  obs::Counter& coldWriteBytes_;
+  obs::Counter& demotions_;
+  obs::Counter& promotions_;
+  obs::Gauge& hotContainers_;
+  obs::Gauge& hotBytes_;
+  obs::Gauge& coldContainers_;
+  obs::Gauge& coldBytes_;
+
+  /// Guards the metadata members above (index, open container, ids, tier
+  /// membership). The read cache and registry counters are internally
+  /// synchronized and safe to touch without it.
+  mutable std::mutex mu_;
+  mutable BlockCache readCache_;  // byte-budgeted container block cache
+
+  /// Read-recency for demotion ordering: container id -> last read
+  /// generation. Guarded by tierMu_ (not mu_: the read path must not take
+  /// the metadata mutex to record a touch).
+  mutable std::mutex tierMu_;
+  mutable std::unordered_map<uint32_t, uint64_t> lastReadGen_;
+  mutable uint64_t readGen_ = 0;
+
+  // Single-flight miss handling: concurrent read-path misses for one
+  // container coalesce into a single file read; waiters are served from the
+  // cache the loader admits to (or load themselves when the cache retains
+  // nothing). Guarded by loadMu_, never held across file I/O.
+  std::mutex loadMu_;
+  std::condition_variable loadCv_;
+  std::unordered_set<uint32_t> loading_;
 };
 
 }  // namespace freqdedup

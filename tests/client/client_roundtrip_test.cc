@@ -13,7 +13,8 @@
 
 #include "chunking/cdc_chunker.h"
 #include "common/rng.h"
-#include "storage/container_backup_store.h"
+#include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
@@ -59,7 +60,7 @@ class ClientRoundtripSchemes
     : public ::testing::TestWithParam<EncryptionScheme> {};
 
 TEST_P(ClientRoundtripSchemes, BackupRestoreRoundtrip) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker, minhashOptions(GetParam()));
@@ -72,7 +73,7 @@ TEST_P(ClientRoundtripSchemes, BackupRestoreRoundtrip) {
 }
 
 TEST_P(ClientRoundtripSchemes, SecondIdenticalBackupFullyDeduplicates) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker, minhashOptions(GetParam()));
@@ -87,7 +88,7 @@ TEST_P(ClientRoundtripSchemes, SecondIdenticalBackupFullyDeduplicates) {
 }
 
 TEST_P(ClientRoundtripSchemes, ModifiedBackupMostlyDeduplicates) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker, minhashOptions(GetParam()));
@@ -107,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
                       EncryptionScheme::kMinHashScrambled));
 
 TEST(ClientRoundtrip, RecipePreservesOriginalOrderUnderScrambling) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker,
@@ -125,7 +126,7 @@ TEST(ClientRoundtrip, RecipePreservesOriginalOrderUnderScrambling) {
 }
 
 TEST(ClientRoundtrip, StoreAndRestoreByNameWithSealedRecipes) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);
@@ -141,7 +142,7 @@ TEST(ClientRoundtrip, StoreAndRestoreByNameWithSealedRecipes) {
 }
 
 TEST(ClientRoundtrip, RestoreByNameMissingThrows) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);
@@ -151,7 +152,7 @@ TEST(ClientRoundtrip, RestoreByNameMissingThrows) {
 }
 
 TEST(ClientRoundtrip, WrongUserKeyFailsRecipeParsing) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);
@@ -171,11 +172,11 @@ TEST(ClientRoundtrip, MleAndMinHashProduceDifferentCiphertexts) {
   CdcChunker chunker(smallCdc());
   const ByteVec content = randomContent(9, 100 * 1024);
 
-  MemBackupStore storeA;
+  TempStore storeA;
   DedupClient mleClient(storeA, km, chunker);
   const auto mleOutcome = backupAll(mleClient, "f", content);
 
-  MemBackupStore storeB;
+  TempStore storeB;
   DedupClient mhClient(storeB, km, chunker,
                        minhashOptions(EncryptionScheme::kMinHash));
   const auto mhOutcome = backupAll(mhClient, "f", content);
@@ -244,7 +245,7 @@ TEST_P(ClientRoundtripParallelism, PooledClientMatchesSerialClient) {
   const ByteVec content = randomContent(9, 400 * 1024);
 
   const auto runBackup = [&](uint32_t threads) {
-    MemBackupStore store;
+    TempStore store;
     KeyManager km(toBytes("secret"));
     CdcChunker chunker(smallCdc());
     DedupClient client(store, km, chunker, minhashOptions(GetParam()),
@@ -302,7 +303,7 @@ TEST_P(ClientChainParallelism, ChainMatchesSerialDedupResults) {
     BackupStoreStats stats;
   };
   const auto runChain = [&](uint32_t threads) {
-    MemBackupStore store(/*containerBytes=*/64 * 1024);
+    TempStore store({.containerBytes = 64 * 1024});
     KeyManager km(toBytes("secret"));
     CdcChunker chunker(smallCdc());
     DedupClient client(store, km, chunker,
@@ -345,7 +346,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, ClientChainParallelism,
                          ::testing::Values(2u, 4u, 8u));
 
 TEST(ClientRoundtrip, TinyObjectsRoundTrip) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker,
@@ -364,7 +365,7 @@ TEST(ClientRoundtrip, TinyObjectsRoundTrip) {
 }
 
 TEST(ClientRoundtrip, RecipesCarryPlaintextFingerprints) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);
@@ -379,14 +380,14 @@ TEST(ClientRoundtrip, RestoreDetectsSubstitutedCiphertext) {
   CdcChunker chunker(smallCdc());
   const ByteVec content = randomContent(12, 60 * 1024);
 
-  MemBackupStore honest;
+  TempStore honest;
   DedupClient client(honest, km, chunker);
   const BackupOutcome outcome = backupAll(client, "f", content);
 
   // A tampering store that hands back garbage under the recipe's first
   // ciphertext fingerprint.
   const Fp victim = outcome.fileRecipe.entries[0].cipherFp;
-  MemBackupStore swapped;
+  TempStore swapped;
   DedupClient swappedClient(swapped, km, chunker);
   for (const RecipeEntry& e : outcome.fileRecipe.entries) {
     if (e.cipherFp == victim) {
@@ -399,7 +400,7 @@ TEST(ClientRoundtrip, RestoreDetectsSubstitutedCiphertext) {
 }
 
 TEST(ClientRoundtrip, RestoreDetectsWrongDecryptionKey) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);
@@ -416,7 +417,7 @@ TEST(ClientRoundtrip, RestoreDetectsWrongDecryptionKey) {
 }
 
 TEST(ClientRoundtrip, DeleteBackupReleasesReferencesAndRecipes) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);
@@ -442,7 +443,7 @@ TEST(ClientRoundtrip, DeleteBackupReleasesReferencesAndRecipes) {
 }
 
 TEST(ClientRoundtrip, RecommittingANameStaysRestorableAndGcSafe) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);
@@ -463,7 +464,7 @@ TEST(ClientRoundtrip, RecommittingANameStaysRestorableAndGcSafe) {
 }
 
 TEST(ClientRoundtrip, DeleteOneOfTwoSharingBackupsKeepsSharedChunks) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);

@@ -19,8 +19,8 @@
 #include "common/rng.h"
 #include "legacy_backup_reference.h"
 #include "obs/metrics.h"
-#include "storage/container_backup_store.h"
 #include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
@@ -76,7 +76,7 @@ TEST(DedupClientLarge, SixtyFourMiBObjectStreamsThroughSessions) {
   constexpr size_t kBlock = 1 << 20;
   constexpr size_t kBlocks = 64;
 
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("large-secret"));
   CdcChunker chunker;  // default 8 KiB average chunks
   BackupOptions options;
@@ -131,13 +131,13 @@ TEST(DedupClient, ConcurrentSessionsShareOneStore) {
   std::vector<BackupOutcome> expected;
   for (size_t i = 0; i < kSessions; ++i) {
     contents.push_back(randomContent(500 + i, kObjectBytes));
-    MemBackupStore oracle;
+    TempStore oracle;
     expected.push_back(legacy::oneShotBackup(
         oracle, km, chunker, options, "obj" + std::to_string(i),
         contents.back()));
   }
 
-  MemBackupStore store;
+  TempStore store;
   DedupClient client(store, km, chunker, options);
   std::vector<BackupOutcome> outcomes(kSessions);
   std::barrier sync(kSessions);  // force the sessions to overlap
@@ -169,7 +169,7 @@ TEST(DedupClient, ConcurrentSessionsShareOneStore) {
 }
 
 TEST(DedupClient, CommitRestoreDeleteLifecycle) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("lifecycle-secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker,
@@ -203,20 +203,6 @@ TEST(DedupClient, CommitRestoreDeleteLifecycle) {
 // re-commit of an existing one.
 class DedupClientDurability : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const std::string test =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    const auto tmp = std::filesystem::temp_directory_path();
-    dir_ = (tmp / ("dedup_client_durability_" + test)).string();
-    copy_ = dir_ + "_copy";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::remove_all(copy_);
-  }
-  void TearDown() override {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::remove_all(copy_);
-  }
-
   void backupAndCommit(DedupClient& client, const std::string& name,
                        const ByteVec& content) {
     BackupSession session = client.beginBackup(name);
@@ -235,8 +221,9 @@ class DedupClientDurability : public ::testing::Test {
     return reader.beginRestore(name, userKey_).readAll();
   }
 
-  std::string dir_;
-  std::string copy_;
+  const TempDir tmp_;
+  const std::string dir_ = tmp_.path() + "/store";
+  const std::string copy_ = tmp_.path() + "/copy";
   KeyManager km_{toBytes("durability-secret")};
   CdcChunker chunker_{smallCdc()};
   const AesKey userKey_ = userKeyFromPassphrase("durable");
@@ -261,7 +248,7 @@ TEST_F(DedupClientDurability, RecommitIsDurableWhenCommitReturns) {
 }
 
 TEST(DedupClient, EmptyObjectRoundTrips) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("empty-secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker, {});
@@ -276,7 +263,7 @@ TEST(DedupClient, EmptyObjectRoundTrips) {
 }
 
 TEST(DedupClient, ValidatesOptionsAtConstruction) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("validate-secret"));
   CdcChunker chunker(smallCdc());
 
@@ -292,7 +279,7 @@ TEST(DedupClient, ValidatesOptionsAtConstruction) {
 }
 
 TEST(DedupClient, SessionMisuseIsRejected) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("misuse-secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker, {});
@@ -320,7 +307,7 @@ TEST(DedupClient, SessionMisuseIsRejected) {
 // store every chunk anew (the store, not the memo, decides), with the same
 // recipes, and leave a store that restores the object and verifies clean.
 TEST(DedupClientSealMemo, StaleEntryAfterDeleteAndGcStoresTheChunksAgain) {
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("stale-secret"));
   CdcChunker chunker(smallCdc());
   DedupClient client(store, km, chunker);
@@ -364,14 +351,14 @@ TEST(DedupClientSealMemo, MinHashSegmentKeyChangeMissesTheMemo) {
   ByteVec shifted = randomContent(612, 20 * 1024);
   shifted.insert(shifted.end(), shared.begin(), shared.end());
 
-  MemBackupStore store;
+  TempStore store;
   DedupClient client(store, km, chunker, options);
   const BackupOutcome a = backupObject(client, "a", shared);
   const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
   const BackupOutcome b = backupObject(client, "b", shifted);
   const uint64_t hits = sealMemoHitsSince(before);
 
-  MemBackupStore freshStore;
+  TempStore freshStore;
   DedupClient fresh(freshStore, km, chunker, options);
   const BackupOutcome expected = backupObject(fresh, "b", shifted);
   EXPECT_EQ(b.fileRecipe, expected.fileRecipe);
@@ -409,7 +396,7 @@ TEST(DedupClientSealMemo, RepeatInsideOneSegmentHitsTheMemo) {
   const ByteVec rest = randomContent(642, 62 * 1024);
   content.insert(content.end(), rest.begin(), rest.end());
 
-  MemBackupStore store;
+  TempStore store;
   DedupClient client(store, km, chunker, options);
   const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
   const BackupOutcome outcome = backupObject(client, "obj", content);
@@ -422,7 +409,7 @@ TEST(DedupClientSealMemo, RepeatInsideOneSegmentHitsTheMemo) {
   EXPECT_EQ(outcome.duplicateChunks, 1u);
   if (obs::kObsEnabled) EXPECT_EQ(hits, 1u);
 
-  MemBackupStore oracle;
+  TempStore oracle;
   const BackupOutcome expected =
       legacy::oneShotBackup(oracle, km, chunker, options, "obj", content);
   EXPECT_EQ(outcome.fileRecipe, expected.fileRecipe);
@@ -450,11 +437,11 @@ TEST(DedupClientSealMemo, ConcurrentSessionsOfOneObjectMatchASerialRun) {
   for (const BackupOptions& options :
        {smallSegmentOptions(EncryptionScheme::kMle),
         smallSegmentOptions(EncryptionScheme::kMinHashScrambled)}) {
-    MemBackupStore serialStore;
+    TempStore serialStore;
     DedupClient serial(serialStore, km, chunker, options);
     const BackupOutcome expected = backupObject(serial, "obj", content);
 
-    MemBackupStore store;
+    TempStore store;
     DedupClient client(store, km, chunker, options);
     std::vector<BackupOutcome> outcomes(kSessions);
     std::barrier sync(kSessions);
@@ -492,7 +479,7 @@ TEST(DedupClientSealMemo, MoreChunksThanTheMemoHoldsStillRestore) {
   constexpr uint32_t kChunkBytes = 64;
   constexpr size_t kChunks = DedupClient::kSealMemoEntries + 4096;
   constexpr size_t kTailChunks = 1000;
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("capacity-secret"));
   FixedChunker chunker(kChunkBytes);
   DedupClient client(store, km, chunker);

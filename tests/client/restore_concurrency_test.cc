@@ -10,15 +10,14 @@
 
 #include <atomic>
 #include <barrier>
-#include <filesystem>
 #include <thread>
 
 #include "chunking/cdc_chunker.h"
 #include "client/dedup_client.h"
 #include "common/rng.h"
 #include "../storage/failing_store.h"
-#include "storage/container_backup_store.h"
 #include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
@@ -47,7 +46,7 @@ RestoreOptions concurrentRestoreOptions() {
 }
 
 TEST(RestoreConcurrency, TwoConcurrentRestoresMakeOverlappingIoProgress) {
-  MemBackupStore inner(/*containerBytes=*/16 * 1024);
+  TempStore inner({.containerBytes = 16 * 1024});
   FailingStore store(inner);  // injection disarmed; used as an I/O probe
   KeyManager km(toBytes("overlap-secret"));
   CdcChunker chunker(smallCdc());
@@ -82,82 +81,75 @@ TEST(RestoreConcurrency, TwoConcurrentRestoresMakeOverlappingIoProgress) {
 }
 
 TEST(RestoreConcurrency, RestoresRacingDeleteAndGcNeverServeWrongBytes) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "restore_concurrency_gc")
-          .string();
-  std::filesystem::remove_all(dir);
-  {
-    // Small containers + tiny read cache: restores constantly reload
-    // containers while GC compacts them underneath.
-    FileBackupStore store(
-        dir, {.containerBytes = 16 * 1024, .blockCacheBytes = 2 * 16 * 1024});
-    KeyManager km(toBytes("gc-race-secret"));
-    CdcChunker chunker(smallCdc());
-    DedupClient client(store, km, chunker, {}, concurrentRestoreOptions());
-    const AesKey userKey = userKeyFromPassphrase("gc-race");
-    Rng rng(5);
+  // Small containers + tiny read cache: restores constantly reload
+  // containers while GC compacts them underneath.
+  TempStore store({.containerBytes = 16 * 1024,
+                   .blockCacheBytes = 2 * 16 * 1024});
+  KeyManager km(toBytes("gc-race-secret"));
+  CdcChunker chunker(smallCdc());
+  DedupClient client(store, km, chunker, {}, concurrentRestoreOptions());
+  const AesKey userKey = userKeyFromPassphrase("gc-race");
+  Rng rng(5);
 
-    // "churn" goes first, so the chunks "keep" shares with it live in
-    // churn's containers: deleting churn + GC then relocates live,
-    // keep-referenced chunks and deletes the containers they came from.
-    const ByteVec churnContent = randomContent(90, 96 * 1024);
-    ByteVec keepContent = churnContent;
-    for (size_t off = 4'000; off + 512 < keepContent.size(); off += 24'000)
-      for (size_t i = off; i < off + 512; ++i) keepContent[i] ^= 0x3C;
+  // "churn" goes first, so the chunks "keep" shares with it live in
+  // churn's containers: deleting churn + GC then relocates live,
+  // keep-referenced chunks and deletes the containers they came from.
+  const ByteVec churnContent = randomContent(90, 96 * 1024);
+  ByteVec keepContent = churnContent;
+  for (size_t off = 4'000; off + 512 < keepContent.size(); off += 24'000)
+    for (size_t i = off; i < off + 512; ++i) keepContent[i] ^= 0x3C;
 
-    const auto backupObject = [&](const std::string& name,
-                                  const ByteVec& content) {
-      BackupSession session = client.beginBackup(name);
-      session.append(content);
-      client.commitBackup(name, session.finish(), userKey, rng);
-    };
-    backupObject("churn", churnContent);
-    backupObject("keep", keepContent);
+  const auto backupObject = [&](const std::string& name,
+                                const ByteVec& content) {
+    BackupSession session = client.beginBackup(name);
+    session.append(content);
+    client.commitBackup(name, session.finish(), userKey, rng);
+  };
+  backupObject("churn", churnContent);
+  backupObject("keep", keepContent);
 
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> restores{0};
-    std::atomic<uint64_t> failures{0};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 2; ++t) {
-      readers.emplace_back([&] {
-        while (!stop.load()) {
-          // "keep" is never deleted, so every pass must succeed AND be
-          // byte-exact, even while its chunks are being relocated.
-          try {
-            RestoreSession session = client.beginRestore("keep", userKey);
-            if (session.readAll() != keepContent) {
-              ++failures;
-              return;
-            }
-            ++restores;
-          } catch (const std::exception&) {
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> restores{0};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        // "keep" is never deleted, so every pass must succeed AND be
+        // byte-exact, even while its chunks are being relocated.
+        try {
+          RestoreSession session = client.beginRestore("keep", userKey);
+          if (session.readAll() != keepContent) {
             ++failures;
             return;
           }
+          ++restores;
+        } catch (const std::exception&) {
+          ++failures;
+          return;
         }
-      });
-    }
-
-    // Churn: repeatedly delete + GC (relocating keep's shared chunks into
-    // fresh containers), then re-create churn so the next cycle has dead
-    // chunks again.
-    for (int cycle = 0; cycle < 4; ++cycle) {
-      ASSERT_TRUE(client.deleteBackup("churn"));
-      const GcStats gc = store.collectGarbage();
-      if (cycle == 0)
-        EXPECT_GT(gc.chunksRelocated, 0u)
-            << "shared chunks must be copied forward for the race to bite";
-      backupObject("churn", churnContent);
-    }
-    stop.store(true);
-    for (auto& reader : readers) reader.join();
-
-    EXPECT_EQ(failures.load(), 0u)
-        << "a restore of a live backup must never fail or see wrong bytes";
-    EXPECT_GT(restores.load(), 0u);
-    EXPECT_TRUE(store.verify().ok());
+      }
+    });
   }
-  std::filesystem::remove_all(dir);
+
+  // Churn: repeatedly delete + GC (relocating keep's shared chunks into
+  // fresh containers), then re-create churn so the next cycle has dead
+  // chunks again.
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    ASSERT_TRUE(client.deleteBackup("churn"));
+    const GcStats gc = store.collectGarbage();
+    if (cycle == 0)
+      EXPECT_GT(gc.chunksRelocated, 0u)
+          << "shared chunks must be copied forward for the race to bite";
+    backupObject("churn", churnContent);
+  }
+  stop.store(true);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(failures.load(), 0u)
+      << "a restore of a live backup must never fail or see wrong bytes";
+  EXPECT_GT(restores.load(), 0u);
+  EXPECT_TRUE(store.verify().ok());
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <tuple>
 
 #include "chunking/cdc_chunker.h"
@@ -20,8 +19,8 @@
 #include "common/rng.h"
 #include "legacy_restore_reference.h"
 #include "obs/metrics.h"
-#include "storage/container_backup_store.h"
 #include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
@@ -78,16 +77,6 @@ RestoreOptions restoreOptionsFor(uint32_t threads) {
 
 class RestoreEquivalence : public ::testing::TestWithParam<MatrixParam> {
  protected:
-  void SetUp() override {
-    const auto& info = *::testing::UnitTest::GetInstance()->current_test_info();
-    std::string name = "restore_equiv_" + std::string(info.name());
-    for (char& c : name)
-      if (c == '/') c = '_';
-    dir_ = (std::filesystem::temp_directory_path() / name).string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   [[nodiscard]] EncryptionScheme scheme() const {
     return std::get<0>(GetParam());
   }
@@ -100,7 +89,8 @@ class RestoreEquivalence : public ::testing::TestWithParam<MatrixParam> {
     return std::make_unique<FixedChunker>(1024);
   }
 
-  std::string dir_;
+  const TempDir tmp_;
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_P(RestoreEquivalence, BatchedPathMatchesChunkAtATimeBitIdentically) {
@@ -213,7 +203,7 @@ INSTANTIATE_TEST_SUITE_P(
 class RestoreVerificationBehavior : public ::testing::Test {
  protected:
   RestoreVerificationBehavior()
-      : store_(/*containerBytes=*/kContainerBytes),
+      : store_({.containerBytes = kContainerBytes}),
         km_(toBytes("behavior-secret")),
         chunker_(smallCdc()),
         content_(testContent()) {
@@ -254,7 +244,7 @@ class RestoreVerificationBehavior : public ::testing::Test {
     EXPECT_EQ(batchedError(file, keys, 4), expected);
   }
 
-  MemBackupStore store_;
+  TempStore store_;
   KeyManager km_;
   CdcChunker chunker_;
   ByteVec content_;

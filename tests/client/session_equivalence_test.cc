@@ -17,7 +17,8 @@
 #include "client/dedup_client.h"
 #include "common/rng.h"
 #include "legacy_backup_reference.h"
-#include "storage/backup_store.h"
+#include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
@@ -71,16 +72,6 @@ std::map<std::string, ByteVec> containerFiles(const std::string& dir) {
 
 class SessionEquivalence : public ::testing::TestWithParam<MatrixParam> {
  protected:
-  void SetUp() override {
-    const auto& info = *::testing::UnitTest::GetInstance()->current_test_info();
-    std::string name = "session_equiv_" + std::string(info.name());
-    for (char& c : name)
-      if (c == '/') c = '_';
-    base_ = (std::filesystem::temp_directory_path() / name).string();
-    std::filesystem::remove_all(base_);
-  }
-  void TearDown() override { std::filesystem::remove_all(base_); }
-
   [[nodiscard]] size_t granularity() const { return std::get<0>(GetParam()); }
   [[nodiscard]] EncryptionScheme scheme() const {
     return std::get<1>(GetParam());
@@ -93,7 +84,8 @@ class SessionEquivalence : public ::testing::TestWithParam<MatrixParam> {
     return std::make_unique<FixedChunker>(1024);
   }
 
-  std::string base_;
+  const TempDir tmp_;
+  const std::string base_ = tmp_.path();
 };
 
 TEST_P(SessionEquivalence, StreamingMatchesOneShotBitIdentically) {
@@ -107,23 +99,19 @@ TEST_P(SessionEquivalence, StreamingMatchesOneShotBitIdentically) {
   const std::string sessionDir = base_ + "/session";
   BackupOutcome legacyOutcome;
   {
-    const auto store =
-        makeBackupStore(StoreBackend::kFile, legacyDir,
-                        {.containerBytes = 64 * 1024});
-    legacyOutcome = legacy::oneShotBackup(*store, km, *chunker, options,
+    FileBackupStore store(legacyDir, {.containerBytes = 64 * 1024});
+    legacyOutcome = legacy::oneShotBackup(store, km, *chunker, options,
                                           "obj", content);
-    store->flush();
+    store.flush();
   }
 
   // Under test: a streaming session fed `granularity()`-byte appends.
   BackupOutcome sessionOutcome;
   {
-    const auto store =
-        makeBackupStore(StoreBackend::kFile, sessionDir,
-                        {.containerBytes = 64 * 1024});
+    FileBackupStore store(sessionDir, {.containerBytes = 64 * 1024});
     RestoreOptions restoreOptions;
     restoreOptions.parallelism = parallelism();
-    DedupClient client(*store, km, *chunker, options, restoreOptions);
+    DedupClient client(store, km, *chunker, options, restoreOptions);
     BackupSession session = client.beginBackup("obj");
     const size_t step = granularity() == 0 ? content.size() : granularity();
     for (size_t off = 0; off < content.size(); off += step) {
@@ -132,7 +120,7 @@ TEST_P(SessionEquivalence, StreamingMatchesOneShotBitIdentically) {
     }
     EXPECT_EQ(session.bytesAppended(), content.size());
     sessionOutcome = session.finish();
-    store->flush();
+    store.flush();
     EXPECT_EQ(client
                   .beginRestore(sessionOutcome.fileRecipe,
                                 sessionOutcome.keyRecipe)

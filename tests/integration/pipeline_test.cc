@@ -13,8 +13,8 @@
 #include "datagen/snapshot_gen.h"
 #include "datagen/vm_gen.h"
 #include "obs/metrics.h"
-#include "storage/container_backup_store.h"
 #include "storage/dedup_engine.h"
+#include "temp_store.h"
 #include "trace/trace_io.h"
 
 namespace freqdedup {
@@ -134,7 +134,7 @@ TEST(ContentPipeline, SnapshotChainBacksUpAndRestores) {
 
   // Back the final snapshot's files up through the real encrypted-dedup
   // pipeline and restore them.
-  MemBackupStore store;
+  TempStore store;
   KeyManager km(toBytes("integration-secret"));
   BackupOptions options;
   options.scheme = EncryptionScheme::kMinHashScrambled;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -174,6 +175,47 @@ TEST_F(LogKvTest, EraseMissingReturnsFalse) {
   EXPECT_FALSE(kv.erase(toBytes("ghost")));
 }
 
+TEST_F(LogKvTest, EraseReportsWhetherTheKeyWasLiveAndSurvivesReopen) {
+  {
+    LogKv kv(path_);
+    kv.put(toBytes("k"), toBytes("v"));
+    EXPECT_TRUE(kv.contains(toBytes("k")));
+    EXPECT_TRUE(kv.erase(toBytes("k")));
+    EXPECT_FALSE(kv.erase(toBytes("k")));
+    EXPECT_FALSE(kv.contains(toBytes("k")));
+    kv.flush();
+  }
+  LogKv reopened(path_);
+  EXPECT_FALSE(reopened.contains(toBytes("k")));
+  EXPECT_FALSE(reopened.erase(toBytes("k")));
+  EXPECT_EQ(reopened.size(), 0u);
+}
+
+TEST_F(LogKvTest, ForEachAfterReopenVisitsEveryLiveEntryWithItsValue) {
+  std::map<std::string, std::string> expected;
+  {
+    LogKv kv(path_);
+    for (int i = 0; i < 50; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      kv.put(toBytes(key), toBytes("old"));
+      kv.put(toBytes(key), toBytes("value" + std::to_string(i)));
+      expected[key] = "value" + std::to_string(i);
+    }
+    for (int i = 0; i < 50; i += 5) {
+      kv.erase(toBytes("key" + std::to_string(i)));
+      expected.erase("key" + std::to_string(i));
+    }
+    kv.flush();
+  }
+  LogKv reopened(path_);
+  std::map<std::string, std::string> seen;
+  reopened.forEach([&seen](ByteView key, ByteView value) {
+    EXPECT_TRUE(seen.emplace(toString(key), toString(value)).second)
+        << "visited twice: " << toString(key);
+  });
+  EXPECT_EQ(seen, expected);
+}
+
 TEST_F(LogKvTest, ForEachVisitsLiveEntriesOnly) {
   LogKv kv(path_);
   kv.put(toBytes("keep"), toBytes("1"));
@@ -193,6 +235,24 @@ TEST_F(LogKvTest, EmptyValue) {
   const auto value = kv.get(toBytes("k"));
   ASSERT_TRUE(value.has_value());
   EXPECT_TRUE(value->empty());
+}
+
+TEST_F(LogKvTest, BinaryKeysWithEmbeddedNullsSurviveReopen) {
+  const ByteVec key{0x00, 0x01, 0x00, 0x02};
+  {
+    LogKv kv(path_);
+    kv.put(key, toBytes("binary"));
+    kv.flush();
+  }
+  LogKv reopened(path_);
+  EXPECT_EQ(reopened.get(key), toBytes("binary"));
+  EXPECT_FALSE(reopened.contains(ByteVec{0x00, 0x01}));
+}
+
+TEST(LogKvKeys, U64KeyHelpersRoundTrip) {
+  const ByteVec key = kvKeyFromU64(0x1122334455667788ULL);
+  EXPECT_EQ(key.size(), 8u);
+  EXPECT_EQ(kvKeyToU64(key), 0x1122334455667788ULL);
 }
 
 TEST_F(LogKvTest, SyncAdvancesDurableLsn) {

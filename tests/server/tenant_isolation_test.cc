@@ -19,7 +19,7 @@
 #include "server/client_conn.h"
 #include "server/server.h"
 #include "server/tenant.h"
-#include "storage/backup_store.h"
+#include "storage/file_backup_store.h"
 
 namespace freqdedup::server {
 namespace {
@@ -239,9 +239,8 @@ TEST_F(TenantIsolation, ConcurrentTenantsRestoreBitIdentical) {
   // socket path adds no transformation. The daemon stores recipes sealed
   // under userKeyFromPassphrase(hello.passphrase) at the scoped name.
   server_.reset();
-  auto store = makeBackupStore(StoreBackend::kFile, base_ + "/store",
-                               {.containerBytes = 256 * 1024});
-  DedupClient local(*store);
+  FileBackupStore store(base_ + "/store", {.containerBytes = 256 * 1024});
+  DedupClient local(store);
   for (int t = 0; t < kTenants; ++t) {
     const std::string tenant = "tenant" + std::to_string(t);
     const AesKey key = userKeyFromPassphrase("pass-" + tenant);

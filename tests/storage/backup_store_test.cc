@@ -5,8 +5,8 @@
 #include <filesystem>
 
 #include "obs/metrics.h"
-#include "storage/container_backup_store.h"
 #include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
@@ -15,17 +15,6 @@ ByteVec chunkOfByte(uint8_t b, size_t n) { return ByteVec(n, b); }
 
 class BackupStoreDirTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("backup_store_test_" + std::string(::testing::UnitTest::
-                                                    GetInstance()
-                                                        ->current_test_info()
-                                                        ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   size_t containerFilesOnDisk() const {
     size_t files = 0;
     for (const auto& entry :
@@ -34,11 +23,12 @@ class BackupStoreDirTest : public ::testing::Test {
     return files;
   }
 
-  std::string dir_;
+  const TempDir tmp_;
+  const std::string dir_ = tmp_.path();
 };
 
-TEST(BackupStoreMem, PutGetChunk) {
-  MemBackupStore store;
+TEST(BackupStore, PutGetChunk) {
+  TempStore store;
   const ByteVec bytes = toBytes("ciphertext chunk");
   const Fp fp = fpOfContent(bytes);
   EXPECT_TRUE(store.putChunk(fp, bytes));
@@ -46,8 +36,8 @@ TEST(BackupStoreMem, PutGetChunk) {
   EXPECT_EQ(store.getChunk(fp), bytes);
 }
 
-TEST(BackupStoreMem, DuplicatePutIsDeduplicated) {
-  MemBackupStore store;
+TEST(BackupStore, DuplicatePutIsDeduplicated) {
+  TempStore store;
   const ByteVec bytes = toBytes("dup chunk");
   const Fp fp = fpOfContent(bytes);
   EXPECT_TRUE(store.putChunk(fp, bytes));
@@ -60,13 +50,13 @@ TEST(BackupStoreMem, DuplicatePutIsDeduplicated) {
   }
 }
 
-TEST(BackupStoreMem, MissingChunkThrows) {
-  MemBackupStore store;
+TEST(BackupStore, MissingChunkThrows) {
+  TempStore store;
   EXPECT_THROW(store.getChunk(0x1234), std::runtime_error);
 }
 
-TEST(BackupStoreMem, ChunksRetrievableAfterContainerSeal) {
-  MemBackupStore store;  // 4 MB containers by default
+TEST(BackupStore, ChunksRetrievableAfterContainerSeal) {
+  TempStore store;  // 4 MB containers by default
   std::vector<std::pair<Fp, ByteVec>> chunks;
   for (int i = 0; i < 200; ++i) {
     ByteVec bytes(64 * 1024, static_cast<uint8_t>(i));  // 200 x 64 KB > 4 MB
@@ -78,8 +68,8 @@ TEST(BackupStoreMem, ChunksRetrievableAfterContainerSeal) {
   for (const auto& [fp, bytes] : chunks) EXPECT_EQ(store.getChunk(fp), bytes);
 }
 
-TEST(BackupStoreMem, Blobs) {
-  MemBackupStore store;
+TEST(BackupStore, Blobs) {
+  TempStore store;
   store.putBlob("file:a", toBytes("recipe-a"));
   store.putBlob("key:a", toBytes("keys-a"));
   EXPECT_EQ(store.getBlob("file:a"), toBytes("recipe-a"));
@@ -91,16 +81,16 @@ TEST(BackupStoreMem, Blobs) {
   EXPECT_EQ(store.getBlob("file:a"), std::nullopt);
 }
 
-TEST(BackupStoreMem, DedupRatioTracksDuplication) {
-  MemBackupStore store;
+TEST(BackupStore, DedupRatioTracksDuplication) {
+  TempStore store;
   const ByteVec bytes(1000, 0x33);
   const Fp fp = fpOfContent(bytes);
   for (int i = 0; i < 4; ++i) store.putChunk(fp, bytes);
   if (obs::kObsEnabled) EXPECT_DOUBLE_EQ(store.stats().dedupRatio(), 4.0);
 }
 
-TEST(BackupStoreMem, RecordBackupCountsReferences) {
-  MemBackupStore store;
+TEST(BackupStore, RecordBackupCountsReferences) {
+  TempStore store;
   const ByteVec a = chunkOfByte(1, 100), b = chunkOfByte(2, 100);
   const Fp fpA = fpOfContent(a), fpB = fpOfContent(b);
   store.putChunk(fpA, a);
@@ -114,8 +104,8 @@ TEST(BackupStoreMem, RecordBackupCountsReferences) {
   EXPECT_TRUE(store.verify().ok());
 }
 
-TEST(BackupStoreMem, ReRecordingANameReplacesItsReferences) {
-  MemBackupStore store;
+TEST(BackupStore, ReRecordingANameReplacesItsReferences) {
+  TempStore store;
   const ByteVec a = chunkOfByte(1, 100), b = chunkOfByte(2, 100);
   const Fp fpA = fpOfContent(a), fpB = fpOfContent(b);
   store.putChunk(fpA, a);
@@ -128,14 +118,14 @@ TEST(BackupStoreMem, ReRecordingANameReplacesItsReferences) {
   EXPECT_TRUE(store.verify().ok());
 }
 
-TEST(BackupStoreMem, RecordBackupRejectsUnknownChunk) {
-  MemBackupStore store;
+TEST(BackupStore, RecordBackupRejectsUnknownChunk) {
+  TempStore store;
   EXPECT_THROW(store.recordBackup("b", std::vector<Fp>{0xDEAD}),
                std::runtime_error);
 }
 
-TEST(BackupStoreMem, ReleaseBackupDropsReferences) {
-  MemBackupStore store;
+TEST(BackupStore, ReleaseBackupDropsReferences) {
+  TempStore store;
   const ByteVec a = chunkOfByte(1, 100);
   const Fp fpA = fpOfContent(a);
   store.putChunk(fpA, a);
@@ -147,8 +137,8 @@ TEST(BackupStoreMem, ReleaseBackupDropsReferences) {
   EXPECT_TRUE(store.verify().ok());
 }
 
-TEST(BackupStoreMem, GcReclaimsOnlyUnreferencedChunks) {
-  MemBackupStore store(/*containerBytes=*/256);
+TEST(BackupStore, GcReclaimsOnlyUnreferencedChunks) {
+  TempStore store({.containerBytes = 256});
   const ByteVec live = chunkOfByte(1, 100), dead = chunkOfByte(2, 100);
   const Fp fpLive = fpOfContent(live), fpDead = fpOfContent(dead);
   store.putChunk(fpLive, live);
@@ -169,9 +159,9 @@ TEST(BackupStoreMem, GcReclaimsOnlyUnreferencedChunks) {
   EXPECT_TRUE(store.verify().ok());
 }
 
-TEST(BackupStoreMem, GcRelocatesLiveChunksOutOfMixedContainers) {
+TEST(BackupStore, GcRelocatesLiveChunksOutOfMixedContainers) {
   // Small containers so live and dead chunks share one container.
-  MemBackupStore store(/*containerBytes=*/1024);
+  TempStore store({.containerBytes = 1024});
   const ByteVec live = chunkOfByte(1, 300), dead = chunkOfByte(2, 300);
   const Fp fpLive = fpOfContent(live), fpDead = fpOfContent(dead);
   store.putChunk(fpLive, live);
@@ -188,8 +178,8 @@ TEST(BackupStoreMem, GcRelocatesLiveChunksOutOfMixedContainers) {
   EXPECT_TRUE(store.verify().ok());
 }
 
-TEST(BackupStoreMem, GcOnCleanStoreIsANoop) {
-  MemBackupStore store;
+TEST(BackupStore, GcOnCleanStoreIsANoop) {
+  TempStore store;
   const ByteVec a = chunkOfByte(1, 64);
   store.putChunk(fpOfContent(a), a);
   store.recordBackup("b", std::vector<Fp>{fpOfContent(a)});
@@ -198,8 +188,8 @@ TEST(BackupStoreMem, GcOnCleanStoreIsANoop) {
   EXPECT_EQ(gc.containersCompacted, 0u);
 }
 
-TEST(BackupStoreMem, VerifyFlagsRefcountMismatch) {
-  MemBackupStore store;
+TEST(BackupStore, VerifyFlagsRefcountMismatch) {
+  TempStore store;
   const ByteVec a = chunkOfByte(1, 64);
   const Fp fp = fpOfContent(a);
   store.putChunk(fp, a);
@@ -207,24 +197,6 @@ TEST(BackupStoreMem, VerifyFlagsRefcountMismatch) {
   store.releaseBackup("b");
   store.releaseBackup("b");  // double release is a no-op
   EXPECT_TRUE(store.verify().ok());
-}
-
-TEST(MakeBackupStore, FactoryProducesWorkingBackends) {
-  const auto mem = makeBackupStore(StoreBackend::kMemory);
-  const ByteVec bytes = toBytes("x");
-  EXPECT_TRUE(mem->putChunk(fpOfContent(bytes), bytes));
-
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "fdd_factory_test").string();
-  std::filesystem::remove_all(dir);
-  {
-    const auto file = makeBackupStore(StoreBackend::kFile, dir);
-    EXPECT_TRUE(file->putChunk(fpOfContent(bytes), bytes));
-    file->flush();
-  }
-  const auto reopened = makeBackupStore(StoreBackend::kFile, dir);
-  EXPECT_TRUE(reopened->hasChunk(fpOfContent(bytes)));
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(BackupStoreDirTest, PersistsAcrossReopen) {

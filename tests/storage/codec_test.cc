@@ -27,15 +27,9 @@ ByteVec randomBytes(size_t n, uint64_t seed) {
   return data;
 }
 
-/// The codec a build's "compress please" request actually runs.
-ContainerCodec builtinCodec() {
-  return effectiveCodec(ContainerCodec::kZstd);
-}
-
 TEST(Codec, NamesRoundTrip) {
   for (const ContainerCodec c :
-       {ContainerCodec::kNone, ContainerCodec::kZstd,
-        ContainerCodec::kDeflate}) {
+       {ContainerCodec::kNone, ContainerCodec::kDeflate}) {
     const auto back = codecFromName(codecName(c));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, c);
@@ -44,20 +38,17 @@ TEST(Codec, NamesRoundTrip) {
   EXPECT_FALSE(codecFromName("").has_value());
 }
 
-TEST(Codec, EffectiveCodecFallsBackOnlyWhenZstdUnavailable) {
-  EXPECT_EQ(effectiveCodec(ContainerCodec::kNone), ContainerCodec::kNone);
-  EXPECT_EQ(effectiveCodec(ContainerCodec::kDeflate),
-            ContainerCodec::kDeflate);
-  const ContainerCodec z = effectiveCodec(ContainerCodec::kZstd);
-  if (codecAvailable(ContainerCodec::kZstd))
-    EXPECT_EQ(z, ContainerCodec::kZstd);
-  else
-    EXPECT_EQ(z, ContainerCodec::kDeflate);
-  EXPECT_TRUE(codecAvailable(z)) << "effective codec must always decode";
+TEST(Codec, ReservedZstdByteAndNameAreUnknown) {
+  // Byte 1 once named an optional zstd codec; it is reserved and unknown.
+  const auto reserved = static_cast<ContainerCodec>(1);
+  EXPECT_FALSE(codecFromName("zstd").has_value());
+  EXPECT_FALSE(compressBytes(reserved, repetitive(4096)).has_value());
+  EXPECT_THROW((void)decompressBytes(reserved, repetitive(16), 64),
+               std::runtime_error);
 }
 
 TEST(Codec, RoundTripsAcrossContentShapes) {
-  const ContainerCodec codec = builtinCodec();
+  const ContainerCodec codec = ContainerCodec::kDeflate;
   const std::vector<ByteVec> inputs = {
       repetitive(10),          repetitive(1000),
       repetitive(100 * 1024),  ByteVec(64 * 1024, 0x00),
@@ -74,16 +65,17 @@ TEST(Codec, RoundTripsAcrossContentShapes) {
 
 TEST(Codec, HighlyRepetitiveContentCompressesWell) {
   const ByteVec raw = repetitive(256 * 1024);
-  const auto compressed = compressBytes(builtinCodec(), raw);
+  const auto compressed = compressBytes(ContainerCodec::kDeflate, raw);
   ASSERT_TRUE(compressed.has_value());
   EXPECT_LT(compressed->size(), raw.size() / 4);
 }
 
 TEST(Codec, IncompressibleAndEmptyInputsReturnNullopt) {
   // Random bytes (ciphertext-like) must not "compress" to something larger.
-  EXPECT_FALSE(
-      compressBytes(builtinCodec(), randomBytes(64 * 1024, 3)).has_value());
-  EXPECT_FALSE(compressBytes(builtinCodec(), ByteVec{}).has_value());
+  EXPECT_FALSE(compressBytes(ContainerCodec::kDeflate,
+                             randomBytes(64 * 1024, 3))
+                   .has_value());
+  EXPECT_FALSE(compressBytes(ContainerCodec::kDeflate, ByteVec{}).has_value());
   EXPECT_FALSE(compressBytes(ContainerCodec::kNone, repetitive(1024))
                    .has_value());
 }
@@ -98,7 +90,7 @@ TEST(Codec, NoneDecodeDemandsExactSize) {
 }
 
 TEST(Codec, WrongExpectedSizeClaimsThrowInsteadOfMisallocating) {
-  const ContainerCodec codec = builtinCodec();
+  const ContainerCodec codec = ContainerCodec::kDeflate;
   const ByteVec raw = repetitive(32 * 1024);
   const auto compressed = compressBytes(codec, raw);
   ASSERT_TRUE(compressed.has_value());
@@ -120,7 +112,7 @@ TEST(Codec, TruncatedStreamsThrowOrStayExact) {
   // redundant trailing empty-literal token can leave a stream that still
   // decodes identically — the container-frame CRC rejects the physical
   // truncation — so "decodes to exactly the original" is also acceptable.)
-  const ContainerCodec codec = builtinCodec();
+  const ContainerCodec codec = ContainerCodec::kDeflate;
   const ByteVec raw = repetitive(32 * 1024);
   const auto compressed = compressBytes(codec, raw);
   ASSERT_TRUE(compressed.has_value());

@@ -12,6 +12,8 @@
 
 #include <bit>
 #include <filesystem>
+#include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,8 +21,8 @@
 #include "client/dedup_client.h"
 #include "common/rng.h"
 #include "failing_store.h"
-#include "storage/container_backup_store.h"
 #include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
@@ -43,7 +45,7 @@ CdcParams smallCdc() {
 class FailingStoreRestore : public ::testing::TestWithParam<uint32_t> {
  protected:
   FailingStoreRestore()
-      : store_(/*containerBytes=*/16 * 1024),
+      : store_({.containerBytes = 16 * 1024}),
         failing_(store_),
         km_(toBytes("failing-secret")),
         chunker_(smallCdc()),
@@ -69,7 +71,7 @@ class FailingStoreRestore : public ::testing::TestWithParam<uint32_t> {
         << "sink bytes must be a prefix of the object, in order";
   }
 
-  MemBackupStore store_;
+  TempStore store_;
   FailingStore failing_;
   KeyManager km_;
   CdcChunker chunker_;
@@ -162,7 +164,7 @@ class FailingStoreFaults : public ::testing::Test {
     store_.flush();
   }
 
-  MemBackupStore store_;
+  TempStore store_;
   FailingStore failing_;
   std::vector<ByteVec> chunks_;
   std::vector<Fp> fps_;
@@ -228,7 +230,7 @@ class FailingStoreCommit : public ::testing::Test {
     outcome_ = session.finish();
   }
 
-  MemBackupStore store_;
+  TempStore store_;
   FailingStore failing_;
   KeyManager km_;
   CdcChunker chunker_;
@@ -249,15 +251,20 @@ TEST_F(FailingStoreCommit, CommitBackupThrowsWhenTheSyncFails) {
 }
 
 TEST_F(FailingStoreCommit, CommitBackupAsyncReportsTheFailedSync) {
+  // The injected failure reports inline; a real sync reports from the
+  // store's log syncer thread. Either way each commit reports exactly once
+  // (a second set_value would throw).
+  const auto commitAndWait = [this] {
+    auto reported = std::make_shared<std::promise<bool>>();
+    std::future<bool> result = reported->get_future();
+    client_.commitBackupAsync("doc", outcome_, userKey_, rng_,
+                              [reported](bool ok) { reported->set_value(ok); });
+    return result.get();
+  };
   failing_.failMetadataSync();
-  std::vector<bool> reported;
-  client_.commitBackupAsync("doc", outcome_, userKey_, rng_,
-                            [&reported](bool ok) { reported.push_back(ok); });
-  EXPECT_EQ(reported, std::vector<bool>{false});
+  EXPECT_FALSE(commitAndWait());
   failing_.resetInjection();
-  client_.commitBackupAsync("doc", outcome_, userKey_, rng_,
-                            [&reported](bool ok) { reported.push_back(ok); });
-  EXPECT_EQ(reported, (std::vector<bool>{false, true}));
+  EXPECT_TRUE(commitAndWait());
 }
 
 /// Backs `content` up through a fresh session; returns the error message
@@ -278,7 +285,7 @@ std::string backupError(DedupClient& client, const ByteVec& content) {
 // (putKnownChunk): append throws the store's error, and the same backup
 // succeeds once the fault is cleared.
 TEST(FailingStorePuts, KnownPutFailureSurfacesLikeAPutFailure) {
-  MemBackupStore store;
+  TempStore store;
   FailingStore failing(store);
   KeyManager km(toBytes("put-secret"));
   CdcChunker chunker(smallCdc());
@@ -302,12 +309,9 @@ TEST(FailingStorePuts, KnownPutFailureSurfacesLikeAPutFailure) {
 // through it is durable when commitBackup returns: a copy of the inner
 // store's directory, taken while it is still open, restores the object.
 TEST(FailingStoreForwarding, CommitThroughTheDecoratorIsDurable) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "failing_store_commit")
-          .string();
-  const std::string copy = dir + "_copy";
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(copy);
+  const TempDir tmp;
+  const std::string dir = tmp.path() + "/store";
+  const std::string copy = tmp.path() + "/copy";
   const ByteVec content = randomContent(52, 48 * 1024);
   const AesKey userKey = userKeyFromPassphrase("forward");
   {
@@ -327,8 +331,6 @@ TEST(FailingStoreForwarding, CommitThroughTheDecoratorIsDurable) {
     DedupClient reader(copied);
     EXPECT_EQ(reader.beginRestore("doc", userKey).readAll(), content);
   }
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(copy);
 }
 
 }  // namespace

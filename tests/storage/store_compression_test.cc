@@ -64,7 +64,7 @@ class StoreCompressionTest : public ::testing::Test {
 TEST_F(StoreCompressionTest, CompressedChunksRoundTripAcrossReopen) {
   std::vector<std::pair<Fp, ByteVec>> chunks;
   {
-    FileBackupStore store(dir_, withCodec(ContainerCodec::kZstd));
+    FileBackupStore store(dir_, withCodec(ContainerCodec::kDeflate));
     for (int i = 0; i < 24; ++i) {
       ByteVec bytes = compressibleChunk(static_cast<uint8_t>(i));
       const Fp fp = fpOfContent(bytes);
@@ -85,7 +85,7 @@ TEST_F(StoreCompressionTest, CompressedChunksRoundTripAcrossReopen) {
   EXPECT_GT(codecFrames, 0u);
   EXPECT_LT(physical, uint64_t{24} * 16 * 1024);
 
-  FileBackupStore reopened(dir_, withCodec(ContainerCodec::kZstd));
+  FileBackupStore reopened(dir_, withCodec(ContainerCodec::kDeflate));
   EXPECT_EQ(reopened.recoveryStats().corruptContainers, 0u);
   EXPECT_EQ(reopened.recoveryStats().entriesDropped, 0u);
   for (const auto& [fp, bytes] : chunks)
@@ -161,8 +161,8 @@ TEST_P(StoreCodecReopenMatrix, ReopenWithDifferentCodecLeavesOldFramesAlone) {
 INSTANTIATE_TEST_SUITE_P(
     Directions, StoreCodecReopenMatrix,
     ::testing::Values(
-        std::make_pair(ContainerCodec::kNone, ContainerCodec::kZstd),
-        std::make_pair(ContainerCodec::kZstd, ContainerCodec::kNone)),
+        std::make_pair(ContainerCodec::kNone, ContainerCodec::kDeflate),
+        std::make_pair(ContainerCodec::kDeflate, ContainerCodec::kNone)),
     [](const auto& info) {
       return std::string(codecName(info.param.first)) + "_to_" +
              codecName(info.param.second);
@@ -173,7 +173,7 @@ TEST_F(StoreCompressionTest, RecoveryQuarantinesCraftedCodecByte) {
   const Fp fp = fpOfContent(bytes);
   std::string containerFile;
   {
-    FileBackupStore store(dir_, withCodec(ContainerCodec::kZstd));
+    FileBackupStore store(dir_, withCodec(ContainerCodec::kDeflate));
     store.putChunk(fp, bytes);
     store.recordBackup("b", std::vector<Fp>{fp});
   }
@@ -193,7 +193,7 @@ TEST_F(StoreCompressionTest, RecoveryQuarantinesCraftedCodecByte) {
   raw[raw.size() - 1] = static_cast<uint8_t>(crc >> 24);
   writeFile(containerFile, raw);
 
-  FileBackupStore reopened(dir_, withCodec(ContainerCodec::kZstd));
+  FileBackupStore reopened(dir_, withCodec(ContainerCodec::kDeflate));
   EXPECT_EQ(reopened.recoveryStats().corruptContainers, 1u);
   EXPECT_EQ(reopened.recoveryStats().entriesDropped, 1u);
   EXPECT_FALSE(reopened.hasChunk(fp));
@@ -204,7 +204,7 @@ TEST_F(StoreCompressionTest, RecoveryQuarantinesCraftedCodecByte) {
 
 TEST_F(StoreCompressionTest, CompressionMetricsCountFrames) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "metrics disabled in this build";
-  FileBackupStore store(dir_, withCodec(ContainerCodec::kZstd));
+  FileBackupStore store(dir_, withCodec(ContainerCodec::kDeflate));
   for (int i = 0; i < 24; ++i) {
     const ByteVec bytes = compressibleChunk(static_cast<uint8_t>(i));
     store.putChunk(fpOfContent(bytes), bytes);

@@ -127,7 +127,7 @@ ByteVec sampleCompressedContainerBytes() {
   builder.add(0xAAAA, static_cast<uint32_t>(chunk.size()), chunk);
   builder.add(0xBBBB, static_cast<uint32_t>(chunk.size()), chunk);
   const ByteVec frame = serializeContainer(
-      builder.seal(9), effectiveCodec(ContainerCodec::kZstd));
+      builder.seal(9), ContainerCodec::kDeflate);
   // Repetitive payload must have taken the codec frame, or the sweeps below
   // would silently exercise the legacy path instead.
   EXPECT_EQ(getU32(frame, 0), kContainerMagicV2);
@@ -167,13 +167,14 @@ TEST(CompressedContainerCorruption, EveryBitFlipRejected) {
 }
 
 TEST(CompressedContainerCorruption, CraftedCodecByteRejected) {
-  // Flip the codec byte to kNone (the serializer never writes it) and to
-  // values no build understands — each with a freshly valid CRC, so the
-  // rejection comes from codec validation, not the checksum.
+  // Flip the codec byte to kNone (the serializer never writes it), to the
+  // reserved byte 1 and to values no build understands — each with a
+  // freshly valid CRC, so the rejection comes from codec validation, not
+  // the checksum.
   const ByteVec frame = sampleCompressedContainerBytes();
   constexpr size_t kCodecByteOffset = 8;  // after magic + id
-  for (const uint8_t crafted : {uint8_t{0}, uint8_t{3}, uint8_t{0x7F},
-                                uint8_t{0xFF}}) {
+  for (const uint8_t crafted : {uint8_t{0}, uint8_t{1}, uint8_t{3},
+                                uint8_t{0x7F}, uint8_t{0xFF}}) {
     ByteVec body = bodyOf(frame);
     body[kCodecByteOffset] = crafted;
     EXPECT_THROW(parseContainer(withCrc(body)), std::runtime_error)
@@ -250,7 +251,7 @@ TEST(CompressedContainerCorruption, IncompressiblePayloadFallsBackToLegacy) {
   const Container container = builder.seal(4);
   const ByteVec plain = serializeContainer(container);
   const ByteVec viaCodec =
-      serializeContainer(container, effectiveCodec(ContainerCodec::kZstd));
+      serializeContainer(container, ContainerCodec::kDeflate);
   EXPECT_EQ(viaCodec, plain) << "fallback frame must be bit-identical";
 }
 

@@ -4,31 +4,21 @@
 // the records committed since it.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
 
 class StoreWalTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("store_wal_test_" + std::string(::testing::UnitTest::
-                                                 GetInstance()
-                                                     ->current_test_info()
-                                                     ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string dir_;
+  const TempDir tmp_;
+  const std::string dir_ = tmp_.path();
 };
 
 // Acceptance: after GC checkpoints the index, a reopen loads the checkpoint

@@ -12,7 +12,7 @@
 //     --threads=<n>           request worker threads (default 4)
 //     --quota-bytes=<n[kmg]>  per-tenant logical-byte quota (default: none)
 //     --quota-backups=<n>     per-tenant backup-count quota (default: none)
-//     --compress=<codec>      codec for new containers: none|zstd|deflate
+//     --compress=<codec>      codec for new containers: none|deflate
 //     --cache-bytes=<n[kmg]>  block-cache byte budget (default 64m)
 //     --demote-on-gc          demote cold containers during GC
 //     --hot-bytes=<n[kmg]>    hot-tier byte target (implies --demote-on-gc)
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       const std::string name = arg.substr(strlen("--compress="));
       const auto codec = codecFromName(name);
       if (!codec) {
-        fprintf(stderr, "unknown codec '%s' (none|zstd|deflate)\n",
+        fprintf(stderr, "unknown codec '%s' (none|deflate)\n",
                 name.c_str());
         return 2;
       }
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     fprintf(stderr,
             "usage: freqdedupd <store-dir> <address> [--threads=N]\n"
             "                  [--quota-bytes=N[kmg]] [--quota-backups=N]\n"
-            "                  [--compress=none|zstd|deflate]\n"
+            "                  [--compress=none|deflate]\n"
             "                  [--cache-bytes=N[kmg]] [--demote-on-gc]\n"
             "                  [--hot-bytes=N[kmg]] [--keep-hot=N]\n"
             "                  [--no-shutdown] [--stats=json]\n"
