@@ -9,7 +9,7 @@
 //
 // N defaults to 8 (the figure the acceptance tracking uses); --json writes a
 // machine-readable summary (default BENCH_attack.json in the working
-// directory). --mem-budget (default 4M, K/M/G suffixes accepted) bounds the
+// directory). --mem-budget (default 1M, K/M/G suffixes accepted) bounds the
 // budgeted phases' intermediate memory; at the default bench scale it is
 // small enough to force the spill pipeline. Interning is done once up front
 // — the phases measure the engine's index builds and the attack itself,
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   const std::string jsonPath =
       exp::stringFlag(argc, argv, "json", "BENCH_attack.json");
   const uint64_t memBudget =
-      exp::bytesFlag(argc, argv, "mem-budget", 4ull << 20);
+      exp::bytesFlag(argc, argv, "mem-budget", 1ull << 20);
   const std::string spillDir = exp::stringFlag(argc, argv, "spill-dir", "");
 
   const Dataset& fsl = exp::fslDataset();

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "core/defense.h"
 #include "crypto/mle.h"
+#include "datagen/fsl_gen.h"
 #include "kvstore/logkv.h"
 #include "storage/file_backup_store.h"
 #include "storage/dedup_engine.h"
@@ -183,6 +184,24 @@ void BM_NeighborIndexBuild(benchmark::State& state) {
                           static_cast<int64_t>(records.size()));
 }
 BENCHMARK(BM_NeighborIndexBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_RankBySizeClass(benchmark::State& state) {
+  // attack-sweep's target at scale 1: the last of five FSL-like backups,
+  // ranked for the top u = 1 of each size class, as the locality attack's
+  // ciphertext-only initialization does.
+  FslGenParams params;
+  params.backups = 5;
+  const Dataset dataset = generateFslDataset(params);
+  const auto stream =
+      analysis::ChunkStreamIndex::build(dataset.backups.back().records);
+  const auto freq = analysis::FrequencyIndex::build(stream, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::rankBySizeClass(freq, stream, 1));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(stream.uniqueCount()));
+}
+BENCHMARK(BM_RankBySizeClass)->Unit(benchmark::kMillisecond);
 
 void BM_LocalityAttack(benchmark::State& state) {
   // Two synthetic backups with realistic churn for a small attack kernel.

@@ -78,13 +78,12 @@ FrequencyPlanChoice chooseFrequencyPlan(size_t records, size_t unique,
 }
 
 uint64_t neighborInMemoryEstimate(size_t pairs, size_t unique) {
-  // Phase 1 holds every packed pair in partition buckets (8 B each); phase 2
-  // concatenates each shard's pairs into a second copy before sorting; the
-  // degree column adds 4 B per unique ID. The CSR entries array is the
-  // build's output, not an intermediate, and is excluded (as is the input
-  // stream).
-  return 16u * static_cast<uint64_t>(pairs) +
-         8u * static_cast<uint64_t>(unique);
+  // The counting-sort build holds one value column with a slot per pair
+  // (4 B each) and one row-position column with a slot per unique ID plus
+  // one (4 B each). The CSR offsets and entries are the build's output, not
+  // intermediates, and are excluded (as is the input stream).
+  return 4u * static_cast<uint64_t>(pairs) +
+         4u * (static_cast<uint64_t>(unique) + 1);
 }
 
 NeighborPlanChoice chooseNeighborPlan(size_t pairs, size_t unique,

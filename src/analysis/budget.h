@@ -94,9 +94,9 @@ NeighborPlanChoice chooseNeighborPlan(size_t pairs, size_t unique,
                                       const AnalysisBudget& budget,
                                       ComputePlan plan, SpillPlan spill);
 
-/// Estimated intermediate footprint of the in-memory NeighborIndex build
-/// (partition buckets + merged shard copy + degree column). Exposed so the
-/// cost-model tests pin the spill decision.
+/// Intermediate footprint of the in-memory NeighborIndex build: its value
+/// column (one slot per pair) and row-position column (one slot per unique
+/// ID, plus one). Exposed so the cost-model tests pin the spill decision.
 uint64_t neighborInMemoryEstimate(size_t pairs, size_t unique);
 
 /// Tracks the build's live intermediate bytes and their high-water mark.

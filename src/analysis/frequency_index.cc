@@ -88,38 +88,51 @@ SizeClassRanking rankBySizeClass(const FrequencyIndex& freq,
                                  size_t perClassK) {
   const size_t unique = stream.uniqueCount();
   SizeClassRanking ranking;
-  ranking.ids.resize(unique);
-  for (ChunkId id = 0; id < unique; ++id) ranking.ids[id] = id;
 
-  // Bucket by class with one cheap sort on a precomputed class column —
-  // (class asc, id asc) is a deterministic total order, so the run layout
-  // never depends on sort implementation details.
-  std::vector<uint32_t> classOf(unique);
+  // Number the classes that occur in first-appearance order (the interner
+  // maps any 64-bit key to dense slots), then rank those slots by class.
+  // Every table below is sized by the classes that occur, never by a class
+  // value (a uint32 size spans classes up to 2^28).
+  FpInterner slots;
+  std::vector<uint32_t> rankOf(unique);
   for (ChunkId id = 0; id < unique; ++id)
-    classOf[id] = sizeClassOf(stream.sizeOf(id));
-  std::sort(ranking.ids.begin(), ranking.ids.end(),
-            [&](ChunkId a, ChunkId b) {
-              if (classOf[a] != classOf[b]) return classOf[a] < classOf[b];
-              return a < b;
-            });
+    rankOf[id] = slots.intern(sizeClassOf(stream.sizeOf(id)));
+  const std::vector<Fp>& slotClass = slots.fps();
+  std::vector<uint32_t> bySlot(slotClass.size());
+  for (uint32_t s = 0; s < bySlot.size(); ++s) bySlot[s] = s;
+  std::sort(bySlot.begin(), bySlot.end(), [&](uint32_t a, uint32_t b) {
+    return slotClass[a] < slotClass[b];
+  });
+  std::vector<uint32_t> slotRank(slotClass.size());
+  for (uint32_t r = 0; r < bySlot.size(); ++r) slotRank[bySlot[r]] = r;
+
+  // Counting sort by class rank. IDs scatter in ascending order, so each
+  // class run starts out in id order: the (class asc, id asc) layout.
+  std::vector<uint32_t> next(slotClass.size() + 1, 0);
+  for (ChunkId id = 0; id < unique; ++id) {
+    rankOf[id] = slotRank[rankOf[id]];
+    ++next[rankOf[id] + 1];
+  }
+  for (uint32_t r = 0; r < bySlot.size(); ++r) {
+    next[r + 1] += next[r];
+    ranking.classes.push_back(
+        {static_cast<uint32_t>(slotClass[bySlot[r]]), next[r], next[r + 1]});
+  }
+  ranking.ids.resize(unique);
+  for (ChunkId id = 0; id < unique; ++id) ranking.ids[next[rankOf[id]]++] = id;
 
   // Rank each class run by the shared frequency order; a partial sort when
   // the caller only consumes the top perClassK of each class.
   const FrequencyOrder cmp{&freq, &stream};
-  for (uint32_t i = 0; i < unique;) {
-    const uint32_t sizeClass = classOf[ranking.ids[i]];
-    uint32_t j = i + 1;
-    while (j < unique && classOf[ranking.ids[j]] == sizeClass) ++j;
-    const auto begin = ranking.ids.begin() + i;
-    const auto end = ranking.ids.begin() + j;
-    if (perClassK < static_cast<size_t>(j - i)) {
+  for (const ClassRange& c : ranking.classes) {
+    const auto begin = ranking.ids.begin() + c.begin;
+    const auto end = ranking.ids.begin() + c.end;
+    if (perClassK < static_cast<size_t>(c.end - c.begin)) {
       std::partial_sort(begin, begin + static_cast<ptrdiff_t>(perClassK),
                         end, cmp);
     } else {
       std::sort(begin, end, cmp);
     }
-    ranking.classes.push_back({sizeClass, i, j});
-    i = j;
   }
   return ranking;
 }

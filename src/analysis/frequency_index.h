@@ -98,9 +98,9 @@ struct SizeClassRanking {
 /// first min(perClassK, class size) IDs of each class run are ranked; the
 /// remainder of a run is present but unordered (callers consume the ranked
 /// prefix — Algorithm 3 pairs at most top-x per class). The default ranks
-/// every class fully. Bucketing by class costs one cheap (class, id) sort
-/// instead of the old full three-way sort that recomputed size classes
-/// O(n log n) times.
+/// every class fully. Bucketing is a counting sort, stable in id, over the
+/// classes that occur, so it is linear in the unique count and allocates
+/// by the number of classes, never by a class value.
 SizeClassRanking rankBySizeClass(
     const FrequencyIndex& freq, const ChunkStreamIndex& stream,
     size_t perClassK = std::numeric_limits<size_t>::max());

@@ -274,126 +274,90 @@ NeighborIndex NeighborIndex::build(const ChunkStreamIndex& stream, Side side,
     return index;
   }
 
-  if (plan.workers <= 1) {
-    // --- Serial in-memory fast path: one pair column, sort, RLE, scatter.
-    // No bucket nesting, no merged copy.
-    std::vector<uint64_t> all;
-    all.reserve(pairs);
-    tracker.add(pairs * sizeof(uint64_t));
-    for (size_t j = 0; j < pairs; ++j) all.push_back(pack(keyOf(j), valOf(j)));
-    std::sort(all.begin(), all.end());
-    std::vector<uint32_t> degree(unique, 0);
-    tracker.add(4u * unique);
-    for (size_t i = 0; i < all.size();) {
-      size_t j = i + 1;
-      while (j < all.size() && all[j] == all[i]) ++j;
-      ++degree[packedKey(all[i])];
-      i = j;
+  // --- In-memory pipeline: a counting-sort CSR build. Worker r owns the
+  // key range [lo_r, hi_r), as in FrequencyIndex::build, and scans the
+  // whole pair stream for it twice: once to count each key's pairs, once to
+  // scatter their values into the key's row. Each row is then sorted,
+  // run-length encoded and ranked. Ranges split keys, never rows, so the
+  // CSR is the same at every worker count.
+  const auto run = [&](size_t n,
+                       const std::function<void(size_t, size_t)>& body) {
+    if (plan.workers <= 1) {
+      body(0, n);
+    } else {
+      parallelFor(options.pool, options.threads, n, body);
     }
-    for (size_t id = 0; id < unique; ++id) {
-      index.offsets_[id + 1] = index.offsets_[id] + degree[id];
+  };
+  const size_t rangeSize = (unique + plan.workers - 1) / plan.workers;
+  const auto forEachRange =
+      [&](const std::function<void(ChunkId, ChunkId)>& scan) {
+        run(plan.workers, [&](size_t begin, size_t end) {
+          for (size_t r = begin; r < end; ++r) {
+            scan(static_cast<ChunkId>(std::min(unique, r * rangeSize)),
+                 static_cast<ChunkId>(std::min(unique, (r + 1) * rangeSize)));
+          }
+        });
+      };
+
+  // rowPos[id] ends as the start of id's row in `vals`, and rowPos[unique]
+  // as the pair count. Counting plus an inclusive prefix sum leaves each
+  // row's end there; the backward scatter decrements it to the row's start
+  // and keeps each row's values in stream order.
+  std::vector<uint32_t> rowPos(unique + 1, 0);
+  std::vector<ChunkId> vals(pairs);
+  tracker.add(sizeof(uint32_t) * rowPos.size() +
+              sizeof(ChunkId) * vals.size());
+  forEachRange([&](ChunkId lo, ChunkId hi) {
+    for (size_t j = 0; j < pairs; ++j) {
+      const ChunkId key = keyOf(j);
+      if (key >= lo && key < hi) ++rowPos[key];
     }
-    index.entries_.resize(index.offsets_[unique]);
-    const RowRank rank{&stream};
-    for (size_t i = 0; i < all.size();) {
-      const ChunkId key = packedKey(all[i]);
-      Entry* out = index.entries_.data() + index.offsets_[key];
-      size_t written = 0;
-      while (i < all.size() && packedKey(all[i]) == key) {
-        size_t j = i + 1;
-        while (j < all.size() && all[j] == all[i]) ++j;
-        out[written++] = {packedVal(all[i]), static_cast<uint32_t>(j - i)};
-        i = j;
+  });
+  for (size_t id = 1; id < unique; ++id) rowPos[id] += rowPos[id - 1];
+  rowPos[unique] = static_cast<uint32_t>(pairs);
+  forEachRange([&](ChunkId lo, ChunkId hi) {
+    for (size_t j = pairs; j-- > 0;) {
+      const ChunkId key = keyOf(j);
+      if (key >= lo && key < hi) vals[--rowPos[key]] = valOf(j);
+    }
+  });
+
+  // Sort each row and count its distinct neighbors into offsets_[id + 1];
+  // the prefix sum then sizes the entries array exactly.
+  run(unique, [&](size_t begin, size_t end) {
+    for (size_t id = begin; id < end; ++id) {
+      ChunkId* row = vals.data() + rowPos[id];
+      ChunkId* rowEnd = vals.data() + rowPos[id + 1];
+      std::sort(row, rowEnd);
+      uint32_t distinct = 0;
+      for (const ChunkId* v = row; v != rowEnd; ++v) {
+        distinct += v == row || *v != v[-1];
       }
-      std::sort(out, out + written, rank);
+      index.offsets_[id + 1] = distinct;
     }
-    index.stats_.plan = "serial";
-    index.stats_.peakTrackedBytes = tracker.peak();
-    reportBuildStats(index.stats_);
-    return index;
-  }
-
-  // --- Parallel in-memory pipeline (shard = key % N, the PR 1 sharding
-  // precedent). Phase 1: route packed pairs to their key's shard.
-  const size_t shards = plan.shards;
-  const size_t tasks = plan.workers;
-  const size_t taskSize = (pairs + tasks - 1) / tasks;
-  std::vector<std::vector<std::vector<uint64_t>>> buckets(
-      tasks, std::vector<std::vector<uint64_t>>(shards));
-  tracker.add(pairs * sizeof(uint64_t));  // buckets hold every pair
-  parallelFor(options.pool, options.threads, tasks,
-              [&](size_t begin, size_t end) {
-                for (size_t t = begin; t < end; ++t) {
-                  const size_t lo = t * taskSize;
-                  const size_t hi = std::min(pairs, lo + taskSize);
-                  std::vector<std::vector<uint64_t>>& mine = buckets[t];
-                  for (std::vector<uint64_t>& b : mine)
-                    b.reserve((hi - lo) / shards + 1);
-                  for (size_t j = lo; j < hi; ++j) {
-                    mine[keyOf(j) % shards].push_back(
-                        pack(keyOf(j), valOf(j)));
-                  }
-                }
-              });
-
-  // Phase 2: per shard, concatenate, canonicalize (sort) and run-length
-  // encode to find per-ID degrees. Shards own disjoint ID sets, so the
-  // degree writes are race-free.
-  std::vector<std::vector<uint64_t>> shardPairs(shards);
-  std::vector<uint32_t> degree(unique, 0);
-  tracker.add(pairs * sizeof(uint64_t) + 4u * unique);  // merged copy
-  parallelFor(options.pool, options.threads, shards,
-              [&](size_t begin, size_t end) {
-                for (size_t s = begin; s < end; ++s) {
-                  std::vector<uint64_t>& mine = shardPairs[s];
-                  size_t total = 0;
-                  for (const auto& task : buckets) total += task[s].size();
-                  mine.reserve(total);
-                  for (auto& task : buckets) {
-                    mine.insert(mine.end(), task[s].begin(), task[s].end());
-                  }
-                  std::sort(mine.begin(), mine.end());
-                  for (size_t i = 0; i < mine.size();) {
-                    size_t j = i + 1;
-                    while (j < mine.size() && mine[j] == mine[i]) ++j;
-                    ++degree[packedKey(mine[i])];
-                    i = j;
-                  }
-                }
-              });
-  buckets.clear();
-  buckets.shrink_to_fit();
-  tracker.sub(pairs * sizeof(uint64_t));  // buckets freed
-
-  // Phase 3: serial prefix sum fixes the CSR offsets ...
+  });
   for (size_t id = 0; id < unique; ++id) {
-    index.offsets_[id + 1] = index.offsets_[id] + degree[id];
+    index.offsets_[id + 1] += index.offsets_[id];
   }
   index.entries_.resize(index.offsets_[unique]);
 
-  // ... then each shard scatters its IDs' entries and ranks each slice.
+  // Run-length encode each sorted row into its CSR slice and rank it.
   const RowRank rank{&stream};
-  parallelFor(options.pool, options.threads, shards,
-              [&](size_t begin, size_t end) {
-                for (size_t s = begin; s < end; ++s) {
-                  const std::vector<uint64_t>& mine = shardPairs[s];
-                  for (size_t i = 0; i < mine.size();) {
-                    const ChunkId key = packedKey(mine[i]);
-                    Entry* out = index.entries_.data() + index.offsets_[key];
-                    size_t written = 0;
-                    while (i < mine.size() && packedKey(mine[i]) == key) {
-                      size_t j = i + 1;
-                      while (j < mine.size() && mine[j] == mine[i]) ++j;
-                      out[written++] = {packedVal(mine[i]),
-                                        static_cast<uint32_t>(j - i)};
-                      i = j;
-                    }
-                    std::sort(out, out + written, rank);
-                  }
-                }
-              });
-  index.stats_.plan = "parallel";
-  index.stats_.shards = shards;
+  run(unique, [&](size_t begin, size_t end) {
+    for (size_t id = begin; id < end; ++id) {
+      Entry* out = index.entries_.data() + index.offsets_[id];
+      Entry* written = out;
+      for (uint32_t i = rowPos[id]; i < rowPos[id + 1];) {
+        uint32_t j = i + 1;
+        while (j < rowPos[id + 1] && vals[j] == vals[i]) ++j;
+        *written++ = {vals[i], j - i};
+        i = j;
+      }
+      std::sort(out, written, rank);
+    }
+  });
+  index.stats_.plan = plan.workers <= 1 ? "serial" : "parallel";
+  index.stats_.shards = plan.workers;
   index.stats_.peakTrackedBytes = tracker.peak();
   reportBuildStats(index.stats_);
   return index;

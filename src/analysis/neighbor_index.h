@@ -10,12 +10,15 @@
 // the parallel build.
 //
 // Two build pipelines, chosen by the budget.h cost model and bit-identical
-// to each other at every thread count and budget (sorting canonicalizes
-// every intermediate order; shard ownership is a pure function of the ID):
+// to each other at every thread count and budget (every row is sorted
+// before it is encoded, so no intermediate order reaches the result):
 //
-//  In-memory (fits the budget): partition packed (id, neighbor) pairs to
-//  per-shard buckets (shard = id % N), concatenate + sort + run-length
-//  encode each shard, prefix-sum the degrees into CSR offsets, scatter.
+//  In-memory (fits the budget): a counting-sort CSR build. Each worker owns
+//  a key range, counts its keys' pairs, then scatters their neighbor IDs in
+//  stream order into one value column (4 bytes per pair). Each row is then
+//  sorted, run-length encoded and ranked, and the entries array is sized
+//  exactly from the rows' distinct counts. One worker is the "serial" plan,
+//  several the "parallel" one.
 //
 //  External-memory (budget exceeded, or SpillPlan::kForce): partition
 //  streams each shard's packed pairs into a per-shard spill file under

@@ -59,7 +59,7 @@ using SizeMap = std::unordered_map<Fp, uint32_t, FpHash>;
 /// Deterministic block-cipher encryption preserves a chunk's block count, so
 /// the advanced attack rank-pairs within these classes.
 [[nodiscard]] constexpr uint32_t sizeClassOf(uint32_t sizeBytes) {
-  return (sizeBytes + 15) / 16;
+  return sizeBytes / 16 + (sizeBytes % 16 != 0);
 }
 
 /// One logical chunk occurrence as seen in a backup stream: its fingerprint

@@ -1,0 +1,228 @@
+// Reference checks for the counting-sort builds: rankBySizeClass against a
+// brute-force per-class ranking, and the in-memory NeighborIndex against a
+// map-of-maps neighbor table and the forced-spill build, at every thread
+// count. The streams carry the shapes that stress a counting sort: a hub
+// chunk whose row holds more than 10k entries, self-adjacent runs, size
+// classes spread over the whole uint32 range, and a two-record stream.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "analysis/budget.h"
+#include "analysis/frequency_index.h"
+#include "analysis/neighbor_index.h"
+#include "analysis/stream_index.h"
+#include "common/rng.h"
+
+namespace freqdedup::analysis {
+namespace {
+
+constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
+
+/// Chunk size per fingerprint: spread over many size classes, with one
+/// UINT32_MAX-sized chunk (the largest class, 2^28).
+uint32_t sizeFor(Fp fp) {
+  if (fp == 7) return std::numeric_limits<uint32_t>::max();
+  return static_cast<uint32_t>(1 + mix64(fp) % 70'000);
+}
+
+/// A skewed random stream with a hub chunk (fp 1) between fresh chunks, so
+/// the hub's rows hold more than 10k distinct neighbors, and runs of
+/// self-adjacent repeats.
+std::vector<ChunkRecord> hubStream(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ChunkRecord> records;
+  const auto push = [&](Fp fp) { records.push_back({fp, sizeFor(fp)}); };
+  Fp fresh = 1'000'000;
+  for (size_t i = 0; i < 12'000; ++i) {
+    push(1);
+    push(fresh++);
+  }
+  for (size_t i = 0; i < 20'000; ++i) {
+    const Fp fp = rng.bernoulli(0.7) ? rng.uniformInt(2, 300)
+                                     : rng.uniformInt(2, 5'000);
+    const size_t repeats = rng.bernoulli(0.1) ? 2 + rng.uniformInt(0, 4) : 1;
+    for (size_t r = 0; r < repeats; ++r) push(fp);
+  }
+  push(7);
+  push(1);
+  push(7);
+  return records;
+}
+
+// --- rankBySizeClass ------------------------------------------------------
+
+TEST(LinearBuild, RankBySizeClassMatchesBruteForce) {
+  const std::vector<ChunkRecord> records = hubStream(41);
+  const auto stream = ChunkStreamIndex::build(records);
+  const auto freq = FrequencyIndex::build(stream, 1);
+
+  // Reference: class -> fingerprints ranked by (count desc, fp asc).
+  std::map<Fp, uint64_t> counts;
+  for (const ChunkRecord& r : records) ++counts[r.fp];
+  std::map<uint32_t, std::vector<Fp>> byClass;
+  for (const auto& [fp, count] : counts)
+    byClass[sizeClassOf(sizeFor(fp))].push_back(fp);
+  for (auto& [sizeClass, fps] : byClass) {
+    std::sort(fps.begin(), fps.end(), [&](Fp a, Fp b) {
+      if (counts[a] != counts[b]) return counts[a] > counts[b];
+      return a < b;
+    });
+  }
+  ASSERT_GT(byClass.size(), 1'000u);
+  ASSERT_EQ(byClass.rbegin()->first, 1u << 28);
+
+  for (const size_t k : {size_t{1}, size_t{3}, kUnbounded}) {
+    const std::string label = "perClassK=" + std::to_string(k);
+    const SizeClassRanking ranking = rankBySizeClass(freq, stream, k);
+    ASSERT_EQ(ranking.ids.size(), counts.size()) << label;
+    ASSERT_EQ(ranking.classes.size(), byClass.size()) << label;
+    uint32_t at = 0;
+    auto ref = byClass.begin();
+    for (const ClassRange& c : ranking.classes) {
+      ASSERT_EQ(c.sizeClass, ref->first) << label;
+      ASSERT_EQ(c.begin, at) << label;
+      ASSERT_EQ(c.end - c.begin, ref->second.size()) << label;
+      const size_t ranked = std::min(k, ref->second.size());
+      for (size_t i = 0; i < ranked; ++i) {
+        EXPECT_EQ(stream.fpOf(ranking.ids[c.begin + i]), ref->second[i])
+            << label << " class=" << c.sizeClass << " rank=" << i;
+      }
+      // The unranked rest of a run holds exactly the class's other chunks.
+      std::set<Fp> rest(ref->second.begin() + ranked, ref->second.end());
+      std::set<Fp> got;
+      for (uint32_t i = c.begin + ranked; i < c.end; ++i)
+        got.insert(stream.fpOf(ranking.ids[i]));
+      EXPECT_EQ(got, rest) << label << " class=" << c.sizeClass;
+      at = c.end;
+      ++ref;
+    }
+  }
+}
+
+// --- NeighborIndex --------------------------------------------------------
+
+using Side = NeighborIndex::Side;
+using RankedRow = std::vector<std::pair<Fp, uint32_t>>;
+
+/// Reference neighbor table: fp -> neighbor fp -> count, each row then
+/// ranked by (count desc, neighbor fp asc).
+std::map<Fp, RankedRow> naiveTable(const std::vector<ChunkRecord>& records,
+                                   Side side) {
+  std::map<Fp, std::map<Fp, uint32_t>> table;
+  for (size_t j = 0; j + 1 < records.size(); ++j) {
+    const Fp earlier = records[j].fp;
+    const Fp later = records[j + 1].fp;
+    if (side == Side::kLeft) {
+      ++table[later][earlier];
+    } else {
+      ++table[earlier][later];
+    }
+  }
+  std::map<Fp, RankedRow> ranked;
+  for (const auto& [fp, row] : table) {
+    RankedRow& out = ranked[fp];
+    out.assign(row.begin(), row.end());
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      if (a.second != b.second) return a.second > b.second;
+      return a.first < b.first;
+    });
+  }
+  return ranked;
+}
+
+void expectMatchesReference(const NeighborIndex& index,
+                            const ChunkStreamIndex& stream,
+                            const std::map<Fp, RankedRow>& reference,
+                            const std::string& label) {
+  size_t entries = 0;
+  for (ChunkId id = 0; id < stream.uniqueCount(); ++id) {
+    const auto it = reference.find(stream.fpOf(id));
+    const auto row = index.neighbors(id);
+    if (it == reference.end()) {
+      EXPECT_TRUE(row.empty()) << label << " id=" << id;
+      continue;
+    }
+    ASSERT_EQ(row.size(), it->second.size()) << label << " id=" << id;
+    for (size_t i = 0; i < row.size(); ++i) {
+      ASSERT_EQ(stream.fpOf(row[i].id), it->second[i].first)
+          << label << " id=" << id << " i=" << i;
+      ASSERT_EQ(row[i].count, it->second[i].second)
+          << label << " id=" << id << " i=" << i;
+    }
+    entries += row.size();
+  }
+  EXPECT_EQ(index.entryCount(), entries) << label;
+}
+
+void checkAgainstReferences(const std::vector<ChunkRecord>& records,
+                            const std::string& name) {
+  const auto stream = ChunkStreamIndex::build(records);
+  for (const Side side : {Side::kLeft, Side::kRight}) {
+    const std::string sideName = side == Side::kLeft ? " left" : " right";
+    const auto reference = naiveTable(records, side);
+    for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+      const std::string label =
+          name + sideName + " threads=" + std::to_string(threads);
+      NeighborBuildOptions options;
+      options.threads = threads;
+      options.plan =
+          threads > 1 ? ComputePlan::kParallel : ComputePlan::kSerial;
+      const NeighborIndex inMemory = NeighborIndex::build(stream, side, options);
+      EXPECT_STREQ(inMemory.buildStats().plan,
+                   threads > 1 ? "parallel" : "serial")
+          << label;
+      expectMatchesReference(inMemory, stream, reference, label);
+
+      options.spill = SpillPlan::kForce;
+      const NeighborIndex spilled = NeighborIndex::build(stream, side, options);
+      EXPECT_STREQ(spilled.buildStats().plan, "spill") << label;
+      expectMatchesReference(spilled, stream, reference, label + " spill");
+    }
+  }
+}
+
+TEST(LinearBuild, NeighborIndexWithHubMatchesReferences) {
+  const std::vector<ChunkRecord> records = hubStream(43);
+  const auto stream = ChunkStreamIndex::build(records);
+  const auto hub = NeighborIndex::build(stream, Side::kRight, 1);
+  ASSERT_GT(hub.neighbors(*stream.idOf(1)).size(), 10'000u);
+  checkAgainstReferences(records, "hub");
+}
+
+TEST(LinearBuild, NeighborIndexOnSelfAdjacentRuns) {
+  std::vector<ChunkRecord> records;
+  for (const Fp fp : {5, 5, 5, 6, 6, 5, 5, 9, 9, 9, 9, 6})
+    records.push_back({static_cast<Fp>(fp), sizeFor(fp)});
+  checkAgainstReferences(records, "runs");
+}
+
+TEST(LinearBuild, NeighborIndexOnTwoRecords) {
+  checkAgainstReferences({{3, sizeFor(3)}, {4, sizeFor(4)}}, "two distinct");
+  checkAgainstReferences({{3, sizeFor(3)}, {3, sizeFor(3)}}, "two equal");
+}
+
+TEST(LinearBuild, InMemoryPeakWithinEstimate) {
+  const std::vector<ChunkRecord> records = hubStream(47);
+  const auto stream = ChunkStreamIndex::build(records);
+  const uint64_t estimate =
+      neighborInMemoryEstimate(records.size() - 1, stream.uniqueCount());
+  for (const uint32_t threads : {1u, 4u}) {
+    NeighborBuildOptions options;
+    options.threads = threads;
+    options.plan = threads > 1 ? ComputePlan::kParallel : ComputePlan::kSerial;
+    const NeighborIndex index =
+        NeighborIndex::build(stream, Side::kLeft, options);
+    EXPECT_GT(index.buildStats().peakTrackedBytes, 0u);
+    EXPECT_LE(index.buildStats().peakTrackedBytes, estimate)
+        << "threads=" << threads;
+  }
+}
+
+}  // namespace
+}  // namespace freqdedup::analysis

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 #include "analysis/attack_engine.h"
@@ -297,6 +298,14 @@ TEST(SizeClass, SixteenByteBlocks) {
   EXPECT_EQ(sizeClassOf(17), 2u);
   EXPECT_EQ(sizeClassOf(4096), 256u);
   EXPECT_EQ(sizeClassOf(4097), 257u);
+}
+
+TEST(SizeClass, LargestSizesDoNotWrap) {
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(sizeClassOf(0), 0u);
+  EXPECT_EQ(sizeClassOf(kMax - 15), (1u << 28) - 1);  // 16 * (2^28 - 1)
+  EXPECT_EQ(sizeClassOf(kMax - 14), 1u << 28);
+  EXPECT_EQ(sizeClassOf(kMax), 1u << 28);
 }
 
 }  // namespace

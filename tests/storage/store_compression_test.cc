@@ -13,6 +13,7 @@
 #include "storage/backup_store.h"
 #include "storage/container.h"
 #include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup {
 namespace {
@@ -30,17 +31,6 @@ ByteVec compressibleChunk(uint8_t seed, size_t n = 16 * 1024) {
 
 class StoreCompressionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("store_compression_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   StoreOptions withCodec(ContainerCodec codec) const {
     StoreOptions options;
     options.containerBytes = 64 * 1024;
@@ -58,7 +48,8 @@ class StoreCompressionTest : public ::testing::Test {
     return files;
   }
 
-  std::string dir_;
+  TempDir tmp_;
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(StoreCompressionTest, CompressedChunksRoundTripAcrossReopen) {
