@@ -1,15 +1,10 @@
 #include "expcommon.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <thread>
 
+#include "analysis/plan.h"
 #include "chunking/cdc_chunker.h"
 #include "datagen/fsl_gen.h"
 #include "datagen/snapshot_gen.h"
@@ -35,35 +30,8 @@ double benchScale() {
 
 namespace {
 
-uint32_t hardwareThreads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 size_t scaleCount(size_t base) {
   return static_cast<size_t>(std::llround(base * benchScale()));
-}
-
-/// Parses "BYTES" with an optional K/M/G suffix; returns false on garbage,
-/// on a sign (strtoull would negate "-1") and on values past 2^64 - 1.
-bool parseBytes(const char* text, uint64_t& out) {
-  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (errno == ERANGE) return false;
-  uint64_t mult = 1;
-  switch (*end) {
-    case '\0':
-      break;
-    case 'k': case 'K': mult = 1ull << 10; ++end; break;
-    case 'm': case 'M': mult = 1ull << 20; ++end; break;
-    case 'g': case 'G': mult = 1ull << 30; ++end; break;
-    default: return false;
-  }
-  if (*end != '\0') return false;
-  if (parsed > std::numeric_limits<uint64_t>::max() / mult) return false;
-  out = parsed * mult;
-  return true;
 }
 
 Dataset makeFsl() {
@@ -120,13 +88,13 @@ uint64_t avgChunkBytesFor(const Dataset& dataset) {
 
 EncryptedTrace encryptTarget(const Dataset& dataset, size_t backupIndex) {
   return mleEncryptTrace(dataset.backups.at(backupIndex).records,
-                         fpBitsFor(dataset), hardwareThreads());
+                         fpBitsFor(dataset), analysis::hardwareThreads());
 }
 
 analysis::AttackEngine attackEngine(const EncryptedTrace& target,
                                     const std::vector<ChunkRecord>& aux) {
   return analysis::AttackEngine::fromRecords(target.records, aux,
-                                             {.threads = hardwareThreads()});
+                                             {.threads = analysis::hardwareThreads()});
 }
 
 double ratePct(const AttackResult& result, const EncryptedTrace& target) {
@@ -177,65 +145,6 @@ std::string fmtDouble(double v, int precision) {
   char buf[32];
   snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
-}
-
-uint32_t threadsFlag(int argc, char** argv, uint32_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) != "--threads") continue;
-    if (i + 1 >= argc) {
-      fprintf(stderr, "warning: --threads needs a value; using %u\n",
-              fallback);
-      return fallback;
-    }
-    char* end = nullptr;
-    const long parsed = std::strtol(argv[i + 1], &end, 10);
-    if (end == argv[i + 1] || *end != '\0' || parsed < 1 ||
-        parsed > kMaxThreadsFlag) {
-      fprintf(stderr, "warning: invalid --threads '%s'; using %u\n",
-              argv[i + 1], fallback);
-      return fallback;
-    }
-    return static_cast<uint32_t>(parsed);
-  }
-  return fallback;
-}
-
-std::string stringFlag(int argc, char** argv, const std::string& name,
-                       const std::string& fallback) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == flag) return argv[i + 1];
-  }
-  return fallback;
-}
-
-uint64_t bytesFlag(int argc, char** argv, const std::string& name,
-                   uint64_t fallback) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] != flag) continue;
-    uint64_t parsed = 0;
-    if (parseBytes(argv[i + 1], parsed)) return parsed;
-    fprintf(stderr, "warning: invalid %s '%s'; using %llu\n", flag.c_str(),
-            argv[i + 1], static_cast<unsigned long long>(fallback));
-    return fallback;
-  }
-  return fallback;
-}
-
-namespace {
-uint64_t nowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
-
-Stopwatch::Stopwatch() : startNanos_(nowNanos()) {}
-
-double Stopwatch::elapsedSeconds() const {
-  return static_cast<double>(nowNanos() - startNanos_) * 1e-9;
 }
 
 }  // namespace freqdedup::exp

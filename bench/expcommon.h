@@ -1,6 +1,6 @@
-// Shared setup for paperrepro and the measurement benches: standard datasets
-// with fixed seeds (built once per process), the scaled attack parameters,
-// an attack engine per (target, auxiliary) pair, and aligned table printing.
+// Shared setup for paperrepro: standard datasets with fixed seeds (built
+// once per process), the scaled attack parameters, an attack engine per
+// (target, auxiliary) pair, and aligned table printing.
 //
 // Scaling note (see REPRODUCE.md): the seed datasets were sized to ~10^5
 // unique chunks per backup. The default bench scale is kDefaultBenchScale x
@@ -75,35 +75,5 @@ void printTitle(const std::string& figure, const std::string& caption);
 void printRow(const std::vector<std::string>& cells);
 std::string fmtPct(double pct);
 std::string fmtDouble(double v, int precision = 2);
-
-// --- Command-line and timing helpers for the measurement benches ---
-
-/// Largest `--threads` value a bench accepts.
-inline constexpr uint32_t kMaxThreadsFlag = 1024;
-
-/// Parses `--threads N` (1..kMaxThreadsFlag) from argv; returns `fallback`
-/// when absent, and warns and returns it when invalid. Ignores unrelated
-/// arguments so benches can layer their own flags.
-uint32_t threadsFlag(int argc, char** argv, uint32_t fallback = 1);
-
-/// Parses `--<name> VALUE` from argv; returns `fallback` when absent.
-std::string stringFlag(int argc, char** argv, const std::string& name,
-                       const std::string& fallback);
-
-/// Parses `--<name> BYTES` from argv (K/M/G suffixes accepted, e.g. "64M");
-/// returns `fallback` when absent, and warns and returns it when the value
-/// is not a non-negative byte count that fits in 64 bits.
-uint64_t bytesFlag(int argc, char** argv, const std::string& name,
-                   uint64_t fallback);
-
-/// Wall-clock stopwatch (steady clock).
-class Stopwatch {
- public:
-  Stopwatch();
-  [[nodiscard]] double elapsedSeconds() const;
-
- private:
-  uint64_t startNanos_;
-};
 
 }  // namespace freqdedup::exp

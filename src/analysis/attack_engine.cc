@@ -77,7 +77,6 @@ void AttackEngine::buildFrequencies() {
   FrequencyBuildOptions build;
   build.threads = effectiveThreads();
   build.pool = workerPool();
-  build.budget = options_.budget;
   build.plan = options_.plan;
   if (!cipherFreq_) cipherFreq_ = FrequencyIndex::build(cipher_, build);
   if (!plainFreq_) plainFreq_ = FrequencyIndex::build(plain_, build);
@@ -91,9 +90,7 @@ void AttackEngine::buildNeighbors() {
   NeighborBuildOptions build;
   build.threads = effectiveThreads();
   build.pool = workerPool();
-  build.budget = options_.budget;
   build.plan = options_.plan;
-  build.spill = options_.spill;
   if (!cipherLeft_) {
     cipherLeft_ = NeighborIndex::build(cipher_, Side::kLeft, build);
   }

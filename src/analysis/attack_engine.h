@@ -94,12 +94,8 @@ namespace freqdedup::analysis {
 struct AnalysisOptions {
   /// Worker threads for index builds. Results do not depend on this value.
   uint32_t threads = 1;
-  /// Memory budget + spill directory for index builds. Results do not depend
-  /// on the budget either — only the build pipeline chosen does.
-  AnalysisBudget budget{};
-  /// Plan overrides, forwarded to every index build (kAuto = cost model).
+  /// Plan override, forwarded to every index build (kAuto = cost model).
   ComputePlan plan = ComputePlan::kAuto;
-  SpillPlan spill = SpillPlan::kAuto;
 };
 
 class AttackEngine {
@@ -119,7 +115,7 @@ class AttackEngine {
   /// ignored — the engine's own options govern index builds).
   AttackResult localityAttack(const AttackConfig& config);
 
-  /// Phase builders, exposed so bench/attack_throughput can time the COUNT
+  /// Phase builders, exposed so fddbench's attack-sweep can time the COUNT
   /// and neighbor-build phases in isolation. Idempotent.
   void buildFrequencies();
   void buildNeighbors();
@@ -162,7 +158,7 @@ class AttackEngine {
 
   /// Worker threads the engine actually uses: options_.threads clamped to
   /// the plan override (kSerial -> 1) and, under kAuto, to the machine's
-  /// real core count — an oversubscribed thread budget degrades to serial
+  /// real core count — an oversubscribed thread count degrades to serial
   /// instead of paying dispatch cost for nothing.
   [[nodiscard]] uint32_t effectiveThreads() const;
 

@@ -17,7 +17,7 @@ FrequencyIndex FrequencyIndex::build(const ChunkStreamIndex& stream,
     return index;
   }
 
-  const FrequencyPlanChoice plan =
+  const PlanChoice plan =
       chooseFrequencyPlan(ids.size(), unique, options.threads,
                           hardwareThreads(), options.plan);
   if (!plan.parallel()) {

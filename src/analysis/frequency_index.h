@@ -9,7 +9,7 @@
 // Integer addition commutes, so the counts are bit-identical at every
 // thread count and plan.
 //
-// Plan selection is the budget.h cost model (stream size, unique count,
+// Plan selection is the plan.h cost model (stream size, unique count,
 // real core count) instead of a fixed record-count threshold.
 //
 // Rankings order IDs by (count desc, fingerprint asc) — the same tie-break
@@ -21,7 +21,7 @@
 #include <limits>
 #include <vector>
 
-#include "analysis/budget.h"
+#include "analysis/plan.h"
 #include "analysis/stream_index.h"
 
 namespace freqdedup {
@@ -34,9 +34,6 @@ struct FrequencyBuildOptions {
   uint32_t threads = 1;
   /// Optional caller-owned worker pool (instead of spawning per call).
   ThreadPool* pool = nullptr;
-  /// Informs plan selection only — the parallel counting plan is
-  /// allocation-free, so no spill path is needed here.
-  AnalysisBudget budget{};
   /// kAuto: cost model; kSerial/kParallel: forced (tests, benches).
   ComputePlan plan = ComputePlan::kAuto;
 };

@@ -9,32 +9,21 @@
 // analysis degenerates to zipping two prefixes, moving all ranking work into
 // the parallel build.
 //
-// Two build pipelines, chosen by the budget.h cost model and bit-identical
-// to each other at every thread count and budget (every row is sorted
-// before it is encoded, so no intermediate order reaches the result):
-//
-//  In-memory (fits the budget): a counting-sort CSR build. Each worker owns
-//  a key range, counts its keys' pairs, then scatters their neighbor IDs in
-//  stream order into one value column (4 bytes per pair). Each row is then
-//  sorted, run-length encoded and ranked, and the entries array is sized
-//  exactly from the rows' distinct counts. One worker is the "serial" plan,
-//  several the "parallel" one.
-//
-//  External-memory (budget exceeded, or SpillPlan::kForce): partition
-//  streams each shard's packed pairs into a per-shard spill file under
-//  AnalysisBudget{memoryBytes, spillDir}; each shard is then loaded alone,
-//  sorted, run-length encoded back to a compact spill file, and finally
-//  scattered into the CSR arrays — so peak intermediate memory is one
-//  shard's load plus bounded partition buffers, not the whole pair stream.
-//  Spill files live in a per-build directory that is removed when the build
-//  finishes (success or failure); I/O errors surface as std::runtime_error.
+// The build is a counting-sort CSR build, its plan chosen by the plan.h
+// cost model: each worker owns a key range, counts its keys' pairs, then
+// scatters their neighbor IDs in stream order into one value column (4
+// bytes per pair). Each row is then sorted, run-length encoded and ranked,
+// and the entries array is sized exactly from the rows' distinct counts.
+// One worker is the "serial" plan, several the "parallel" one; every row is
+// sorted before it is encoded, so the index is bit-identical at every
+// thread count.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "analysis/budget.h"
+#include "analysis/plan.h"
 #include "analysis/stream_index.h"
 
 namespace freqdedup {
@@ -47,11 +36,8 @@ struct NeighborBuildOptions {
   uint32_t threads = 1;
   /// Optional caller-owned worker pool (instead of spawning per call).
   ThreadPool* pool = nullptr;
-  AnalysisBudget budget{};
   /// kAuto: cost model; kSerial/kParallel: forced (tests, benches).
   ComputePlan plan = ComputePlan::kAuto;
-  /// kAuto: spill only when the budget demands it; kForce: always external.
-  SpillPlan spill = SpillPlan::kAuto;
 };
 
 class NeighborIndex {
@@ -71,7 +57,7 @@ class NeighborIndex {
   static NeighborIndex build(const ChunkStreamIndex& stream, Side side,
                              const NeighborBuildOptions& options);
 
-  /// Compatibility entry point: cost-model plan, unlimited budget.
+  /// Compatibility entry point: cost-model plan.
   static NeighborIndex build(const ChunkStreamIndex& stream, Side side,
                              uint32_t threads, ThreadPool* pool = nullptr);
 
@@ -83,8 +69,7 @@ class NeighborIndex {
 
   [[nodiscard]] size_t entryCount() const { return entries_.size(); }
 
-  /// What the build did: plan ("serial"/"parallel"/"spill"), shard count,
-  /// spill bytes/files, peak tracked intermediate bytes.
+  /// What the build did: plan ("serial"/"parallel") and shard count.
   [[nodiscard]] const AnalysisBuildStats& buildStats() const { return stats_; }
 
  private:

@@ -1,15 +1,13 @@
-// Equivalence pins for the memory-budgeted builds: every index and every
-// attack result must be bit-identical across budgets (tiny budget forcing
-// maximal spill, a mid budget, unlimited) and thread counts, on randomized
+// Equivalence pins for the index builds' plans: every index and every
+// attack result must be bit-identical across thread counts, on randomized
 // traces and an FSL-mini dataset. Thread counts above 1 force the parallel
-// plan so the parallel pipelines stay covered on single-core CI boxes.
+// plan so the parallel builds stay covered on single-core CI boxes.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "analysis/attack_engine.h"
-#include "analysis/budget.h"
 #include "analysis/frequency_index.h"
 #include "analysis/neighbor_index.h"
 #include "analysis/stream_index.h"
@@ -21,16 +19,6 @@ namespace freqdedup::analysis {
 namespace {
 
 constexpr uint32_t kThreadCounts[] = {1, 2, 8};
-
-struct BudgetCase {
-  uint64_t bytes;
-  const char* label;
-};
-
-// 4 KB forces the maximum shard count the stream supports; 256 KB is a mid
-// budget (several shards); 0 is unlimited (in-memory pipeline).
-constexpr BudgetCase kBudgets[] = {
-    {4u << 10, "tiny"}, {256u << 10, "mid"}, {0, "unlimited"}};
 
 uint32_t sizeFor(Fp fp) {
   return static_cast<uint32_t>(100 + 16 * (fp % 7));
@@ -71,12 +59,11 @@ std::vector<ChunkRecord> perturb(std::vector<ChunkRecord> records,
   return records;
 }
 
-NeighborBuildOptions neighborOptions(uint32_t threads, uint64_t budgetBytes) {
+NeighborBuildOptions neighborOptions(uint32_t threads) {
   NeighborBuildOptions options;
   options.threads = threads;
-  options.budget.memoryBytes = budgetBytes;
   // kAuto would serialize on a single-core machine; forcing the parallel
-  // plan keeps the multi-worker partition paths covered everywhere.
+  // plan keeps the multi-worker key-range paths covered everywhere.
   if (threads > 1) options.plan = ComputePlan::kParallel;
   return options;
 }
@@ -97,57 +84,26 @@ void expectSameNeighbors(const NeighborIndex& expected,
   }
 }
 
-TEST(BudgetEquivalence, NeighborIndexAcrossBudgetsAndThreads) {
+TEST(BudgetEquivalence, NeighborIndexAcrossThreads) {
   using Side = NeighborIndex::Side;
   for (const uint64_t seed : {11u, 12u}) {
     const auto records = randomStream(seed, 3000);
     const auto stream = ChunkStreamIndex::build(records);
     for (const Side side : {Side::kLeft, Side::kRight}) {
       const NeighborIndex baseline =
-          NeighborIndex::build(stream, side, neighborOptions(1, 0));
+          NeighborIndex::build(stream, side, neighborOptions(1));
       EXPECT_STREQ(baseline.buildStats().plan, "serial");
-      for (const BudgetCase& budget : kBudgets) {
-        for (const uint32_t threads : kThreadCounts) {
-          const std::string label =
-              "seed=" + std::to_string(seed) + " budget=" + budget.label +
-              " threads=" + std::to_string(threads) +
-              (side == Side::kLeft ? " left" : " right");
-          const NeighborIndex got = NeighborIndex::build(
-              stream, side, neighborOptions(threads, budget.bytes));
-          expectSameNeighbors(baseline, got, stream.uniqueCount(), label);
-          if (budget.bytes != 0 &&
-              neighborInMemoryEstimate(records.size() - 1,
-                                       stream.uniqueCount()) > budget.bytes) {
-            EXPECT_STREQ(got.buildStats().plan, "spill") << label;
-            EXPECT_GT(got.buildStats().spillBytes, 0u) << label;
-            EXPECT_GT(got.buildStats().spillFiles, 0u) << label;
-          }
-        }
+      for (const uint32_t threads : kThreadCounts) {
+        const std::string label =
+            "seed=" + std::to_string(seed) +
+            " threads=" + std::to_string(threads) +
+            (side == Side::kLeft ? " left" : " right");
+        const NeighborIndex got =
+            NeighborIndex::build(stream, side, neighborOptions(threads));
+        expectSameNeighbors(baseline, got, stream.uniqueCount(), label);
       }
-      // SpillPlan::kForce exercises the external pipeline even when the
-      // budget would not demand it.
-      NeighborBuildOptions forced = neighborOptions(2, 0);
-      forced.spill = SpillPlan::kForce;
-      const NeighborIndex spilled = NeighborIndex::build(stream, side, forced);
-      expectSameNeighbors(baseline, spilled, stream.uniqueCount(),
-                          "forced spill");
-      EXPECT_STREQ(spilled.buildStats().plan, "spill");
     }
   }
-}
-
-TEST(BudgetEquivalence, TinyBudgetShardsMoreThanMidBudget) {
-  // The shard count must actually respond to the budget: a tiny budget
-  // splits the same stream into more spill shards than a mid budget.
-  const auto records = randomStream(13, 5000);
-  const auto stream = ChunkStreamIndex::build(records);
-  const auto shardsAt = [&](uint64_t budgetBytes) {
-    const NeighborIndex index = NeighborIndex::build(
-        stream, NeighborIndex::Side::kRight, neighborOptions(1, budgetBytes));
-    EXPECT_STREQ(index.buildStats().plan, "spill");
-    return index.buildStats().shards;
-  };
-  EXPECT_GT(shardsAt(4u << 10), shardsAt(16u << 10));
 }
 
 TEST(BudgetEquivalence, FrequencyIndexAcrossPlans) {
@@ -180,7 +136,7 @@ void expectIdentical(const AttackResult& expected, const AttackResult& got,
   }
 }
 
-void checkAttacksAcrossBudgets(const EncryptedTrace& target,
+void checkAttacksAcrossThreads(const EncryptedTrace& target,
                                const std::vector<ChunkRecord>& aux,
                                const std::string& label) {
   for (const bool sizeAware : {false, true}) {
@@ -197,22 +153,18 @@ void checkAttacksAcrossBudgets(const EncryptedTrace& target,
     const AttackResult baselineLocality =
         serialEngine.localityAttack(config);
 
-    for (const BudgetCase& budget : kBudgets) {
-      for (const uint32_t threads : kThreadCounts) {
-        const std::string tag = label + (sizeAware ? " sized" : " plain") +
-                                " budget=" + budget.label +
-                                " threads=" + std::to_string(threads);
-        AnalysisOptions options;
-        options.threads = threads;
-        options.budget.memoryBytes = budget.bytes;
-        if (threads > 1) options.plan = ComputePlan::kParallel;
-        AttackEngine engine =
-            AttackEngine::fromRecords(target.records, aux, options);
-        expectIdentical(baselineBasic, engine.basicAttack(sizeAware),
-                        tag + " basic");
-        expectIdentical(baselineLocality, engine.localityAttack(config),
-                        tag + " locality");
-      }
+    for (const uint32_t threads : kThreadCounts) {
+      const std::string tag = label + (sizeAware ? " sized" : " plain") +
+                              " threads=" + std::to_string(threads);
+      AnalysisOptions options;
+      options.threads = threads;
+      if (threads > 1) options.plan = ComputePlan::kParallel;
+      AttackEngine engine =
+          AttackEngine::fromRecords(target.records, aux, options);
+      expectIdentical(baselineBasic, engine.basicAttack(sizeAware),
+                      tag + " basic");
+      expectIdentical(baselineLocality, engine.localityAttack(config),
+                      tag + " locality");
     }
   }
 }
@@ -221,7 +173,7 @@ TEST(BudgetEquivalence, AttacksOnRandomizedTraces) {
   const std::vector<ChunkRecord> plainTarget = randomStream(31, 2500);
   const std::vector<ChunkRecord> aux = perturb(plainTarget, 131);
   const EncryptedTrace target = mleEncryptTrace(plainTarget);
-  checkAttacksAcrossBudgets(target, aux, "randomized");
+  checkAttacksAcrossThreads(target, aux, "randomized");
 }
 
 TEST(BudgetEquivalence, AttacksOnFslMiniDataset) {
@@ -233,7 +185,7 @@ TEST(BudgetEquivalence, AttacksOnFslMiniDataset) {
   const Dataset dataset = generateFslDataset(params);
   const EncryptedTrace target =
       mleEncryptTrace(dataset.backups[1].records, kFslFpBits);
-  checkAttacksAcrossBudgets(target, dataset.backups[0].records, "fsl-mini");
+  checkAttacksAcrossThreads(target, dataset.backups[0].records, "fsl-mini");
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Reference checks for the counting-sort builds: rankBySizeClass against a
-// brute-force per-class ranking, and the in-memory NeighborIndex against a
-// map-of-maps neighbor table and the forced-spill build, at every thread
-// count. The streams carry the shapes that stress a counting sort: a hub
+// brute-force per-class ranking, and the NeighborIndex against a
+// map-of-maps neighbor table, at every thread count. The streams carry the shapes that stress a counting sort: a hub
 // chunk whose row holds more than 10k entries, self-adjacent runs, size
 // classes spread over the whole uint32 range, and a two-record stream.
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/budget.h"
 #include "analysis/frequency_index.h"
 #include "analysis/neighbor_index.h"
 #include "analysis/stream_index.h"
@@ -173,16 +171,11 @@ void checkAgainstReferences(const std::vector<ChunkRecord>& records,
       options.threads = threads;
       options.plan =
           threads > 1 ? ComputePlan::kParallel : ComputePlan::kSerial;
-      const NeighborIndex inMemory = NeighborIndex::build(stream, side, options);
-      EXPECT_STREQ(inMemory.buildStats().plan,
+      const NeighborIndex index = NeighborIndex::build(stream, side, options);
+      EXPECT_STREQ(index.buildStats().plan,
                    threads > 1 ? "parallel" : "serial")
           << label;
-      expectMatchesReference(inMemory, stream, reference, label);
-
-      options.spill = SpillPlan::kForce;
-      const NeighborIndex spilled = NeighborIndex::build(stream, side, options);
-      EXPECT_STREQ(spilled.buildStats().plan, "spill") << label;
-      expectMatchesReference(spilled, stream, reference, label + " spill");
+      expectMatchesReference(index, stream, reference, label);
     }
   }
 }
@@ -205,23 +198,6 @@ TEST(LinearBuild, NeighborIndexOnSelfAdjacentRuns) {
 TEST(LinearBuild, NeighborIndexOnTwoRecords) {
   checkAgainstReferences({{3, sizeFor(3)}, {4, sizeFor(4)}}, "two distinct");
   checkAgainstReferences({{3, sizeFor(3)}, {3, sizeFor(3)}}, "two equal");
-}
-
-TEST(LinearBuild, InMemoryPeakWithinEstimate) {
-  const std::vector<ChunkRecord> records = hubStream(47);
-  const auto stream = ChunkStreamIndex::build(records);
-  const uint64_t estimate =
-      neighborInMemoryEstimate(records.size() - 1, stream.uniqueCount());
-  for (const uint32_t threads : {1u, 4u}) {
-    NeighborBuildOptions options;
-    options.threads = threads;
-    options.plan = threads > 1 ? ComputePlan::kParallel : ComputePlan::kSerial;
-    const NeighborIndex index =
-        NeighborIndex::build(stream, Side::kLeft, options);
-    EXPECT_GT(index.buildStats().peakTrackedBytes, 0u);
-    EXPECT_LE(index.buildStats().peakTrackedBytes, estimate)
-        << "threads=" << threads;
-  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Store-level compression: compressed containers round-trip through the
-// file backend, reopening with a *different* codec never rewrites or
-// quarantines valid old containers (codec-mixed stores are first-class), and
-// a crafted unknown codec byte is quarantined like any other corruption.
+// file backend, MLE ciphertext is stored uncompressed (it is
+// incompressible, so compression only ever helps before encryption),
+// reopening with a *different* codec never rewrites or quarantines valid old
+// containers (codec-mixed stores are first-class), and a crafted unknown
+// codec byte is quarantined like any other corruption.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,6 +11,7 @@
 
 #include "common/bytes.h"
 #include "common/crc32.h"
+#include "crypto/mle.h"
 #include "obs/metrics.h"
 #include "storage/backup_store.h"
 #include "storage/container.h"
@@ -82,6 +85,32 @@ TEST_F(StoreCompressionTest, CompressedChunksRoundTripAcrossReopen) {
   for (const auto& [fp, bytes] : chunks)
     EXPECT_EQ(reopened.getChunk(fp), bytes);
   EXPECT_TRUE(reopened.verify().ok());
+}
+
+TEST_F(StoreCompressionTest, MleCiphertextKeepsLegacyFrames) {
+  // The same compressible payloads, convergently encrypted: every frame must
+  // take the incompressible fallback to the legacy (V1) format, so the
+  // store saves nothing over the raw ciphertext.
+  const ConvergentEncryption mle;
+  uint64_t raw = 0;
+  {
+    FileBackupStore store(dir_, withCodec(ContainerCodec::kDeflate));
+    for (int i = 0; i < 24; ++i) {
+      const ByteVec cipher =
+          mle.encrypt(compressibleChunk(static_cast<uint8_t>(i)));
+      ASSERT_TRUE(store.putChunk(fpOfContent(cipher), cipher));
+      raw += cipher.size();
+    }
+    store.flush();
+  }
+  const auto files = containerFiles();
+  ASSERT_FALSE(files.empty());
+  uint64_t physical = 0;
+  for (const auto& [name, bytes] : files) {
+    physical += bytes.size();
+    EXPECT_EQ(getU32(bytes, 0), kContainerMagic) << name;
+  }
+  EXPECT_GE(physical, raw);
 }
 
 // The satellite reopen matrix: a store written under codec A and reopened
