@@ -1,6 +1,7 @@
 #include "chunking/segmenter.h"
 
 #include <algorithm>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -62,6 +63,30 @@ Fp segmentMinFingerprint(std::span<const ChunkRecord> records,
   for (size_t i = seg.begin + 1; i < seg.end; ++i)
     minFp = std::min(minFp, records[i].fp);
   return minFp;
+}
+
+std::vector<size_t> scrambleOrder(size_t recordCount,
+                                  std::span<const Segment> segments,
+                                  Rng& rng) {
+  std::vector<size_t> order;
+  order.reserve(recordCount);
+  std::deque<size_t> scrambled;
+  for (const Segment& seg : segments) {
+    FDD_CHECK(seg.end <= recordCount);
+    scrambled.clear();
+    for (size_t i = seg.begin; i < seg.end; ++i) {
+      // Algorithm 5, lines 7-12: odd random number -> front, else back.
+      if (rng.next() & 1) {
+        scrambled.push_front(i);
+      } else {
+        scrambled.push_back(i);
+      }
+    }
+    order.insert(order.end(), scrambled.begin(), scrambled.end());
+  }
+  FDD_CHECK_MSG(order.size() == recordCount,
+                "segments must cover all records");
+  return order;
 }
 
 }  // namespace freqdedup

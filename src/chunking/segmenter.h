@@ -1,9 +1,11 @@
 // Variable-size segmentation over a chunk stream.
 //
 // Segments group adjacent chunks into ~1 MB units; they are the scope of both
-// MinHash encryption (Algorithm 4) and scrambling (Algorithm 5). The boundary
-// rule follows Sparse Indexing [Lillibridge et al., FAST'09], as prescribed in
-// Section 7.1 of the paper: a boundary is placed after a chunk when
+// MinHash encryption (Algorithm 4) and scrambling (Algorithm 5, scrambleOrder
+// below: the one implementation that the client and the trace-level defence
+// both run). The boundary rule follows Sparse Indexing [Lillibridge et al.,
+// FAST'09], as prescribed in Section 7.1 of the paper: a boundary is placed
+// after a chunk when
 //   (i) the running segment size is at least minBytes AND the chunk's
 //       fingerprint modulo a divisor equals divisor-1, or
 //  (ii) including the next chunk would exceed maxBytes.
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "common/fingerprint.h"
+#include "common/rng.h"
 
 namespace freqdedup {
 
@@ -93,5 +96,15 @@ std::vector<Segment> segmentRecords(std::span<const ChunkRecord> records,
 /// non-empty segment.
 Fp segmentMinFingerprint(std::span<const ChunkRecord> records,
                          const Segment& seg);
+
+/// Algorithm 5's per-segment scramble order: for each record of a segment,
+/// in order, one `rng` draw decides whether it is prepended (odd) or
+/// appended (even) to the scrambled segment. Returns a permutation of
+/// [0, recordCount) as indices into the original order. The segments must
+/// be consecutive from record 0, as segmentRecords() returns them, so each
+/// keeps its own range of output positions. Throws std::logic_error unless
+/// they cover every record.
+std::vector<size_t> scrambleOrder(size_t recordCount,
+                                  std::span<const Segment> segments, Rng& rng);
 
 }  // namespace freqdedup

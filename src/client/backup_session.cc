@@ -1,7 +1,6 @@
 #include "client/backup_session.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 #include "client/dedup_client.h"
@@ -37,29 +36,6 @@ struct BackupMetrics {
 };
 
 }  // namespace
-
-std::vector<size_t> scrambleOrder(size_t recordCount,
-                                  std::span<const Segment> segments,
-                                  Rng& rng) {
-  std::vector<size_t> order;
-  order.reserve(recordCount);
-  for (const Segment& seg : segments) {
-    FDD_CHECK(seg.end <= recordCount);
-    std::deque<size_t> scrambled;
-    for (size_t i = seg.begin; i < seg.end; ++i) {
-      // Algorithm 5, lines 7-12: odd random number -> front, else back.
-      if (rng.next() & 1) {
-        scrambled.push_front(i);
-      } else {
-        scrambled.push_back(i);
-      }
-    }
-    order.insert(order.end(), scrambled.begin(), scrambled.end());
-  }
-  FDD_CHECK_MSG(order.size() == recordCount,
-                "segments must cover all records");
-  return order;
-}
 
 BackupSession::BackupSession(DedupClient& client, std::string name)
     : client_(&client),
@@ -216,7 +192,8 @@ void BackupSession::onSegment(const Segment& seg) {
   // Scrambling permutes the upload/storage order within the segment; the
   // recipe keeps the original order so restore is unaffected (Section 6.2).
   // Segments close strictly in order, so the scramble Rng consumes draws in
-  // exactly the order the one-shot scrambleOrder over all segments does.
+  // exactly the order one scrambleOrder call over all segments does (as the
+  // trace-level minHashEncryptTrace makes it).
   std::vector<size_t> order;
   if (client_->options_.scheme == EncryptionScheme::kMinHashScrambled)
     order = scrambleOrder(count, std::span(&local, 1), scrambleRng_);

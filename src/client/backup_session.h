@@ -11,8 +11,9 @@
 //    it;
 //  - MinHash(+scrambling) buffers exactly one open segment of plaintext
 //    chunks, closing segments with the same Sparse-Indexing rule as the
-//    batch segmenter (StreamSegmenter) and consuming the scramble Rng in the
-//    same per-segment order as Algorithm 5.
+//    batch segmenter (StreamSegmenter) and scrambling each one with
+//    scrambleOrder (chunking/segmenter.h), the same Algorithm 5 the
+//    trace-level defence (core/defense.h) runs.
 // Every scheme then runs the same encrypt-and-store loop (Fig. 2), one
 // chunk at a time in (possibly scrambled) upload order: derive the chunk's
 // MLE key or take the segment key, encrypt, store, record. A chunk the
@@ -160,12 +161,5 @@ class BackupSession {
   size_t segBase_ = 0;  // global index of pending_[0]
   Rng scrambleRng_;
 };
-
-/// Computes the per-segment scrambled visit order of Algorithm 5: for each
-/// chunk a random bit decides whether it is prepended or appended to the
-/// scrambled segment. Returns a permutation of [0, records) (indices into the
-/// original order).
-std::vector<size_t> scrambleOrder(size_t recordCount,
-                                  std::span<const Segment> segments, Rng& rng);
 
 }  // namespace freqdedup

@@ -1,9 +1,8 @@
 // Cryptographic hashing built on OpenSSL's EVP interface.
 //
-// All fingerprinting in the library goes through these wrappers: SHA-1 (the
-// VM dataset's fingerprint function in the paper), SHA-256 (content
-// fingerprints, MinHash re-keying) and HMAC-SHA-256 (server-aided MLE key
-// derivation).
+// All fingerprinting in the library goes through these wrappers: SHA-256
+// (content fingerprints, MinHash re-keying) and HMAC-SHA-256 (server-aided
+// MLE key derivation, tenant authentication).
 #pragma once
 
 #include <array>
@@ -13,7 +12,7 @@
 
 namespace freqdedup {
 
-/// A message digest of up to 32 bytes (SHA-1 uses 20, SHA-256 uses 32).
+/// A message digest of up to 32 bytes (SHA-256 fills all 32).
 struct Digest {
   std::array<uint8_t, 32> bytes{};
   uint8_t size = 0;
@@ -30,10 +29,8 @@ struct Digest {
 /// One-shot SHA-256 of a byte range.
 Digest sha256(ByteView data);
 
-/// One-shot SHA-1 of a byte range.
-Digest sha1(ByteView data);
-
-/// HMAC-SHA-256(key, data).
+/// HMAC-SHA-256(key, data). The HMAC and SHA-256 implementations are fetched
+/// once per process, so concurrent calls never reach OpenSSL's fetch table.
 Digest hmacSha256(ByteView key, ByteView data);
 
 /// Incremental SHA-256, for hashing streams without buffering them.

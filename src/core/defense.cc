@@ -1,10 +1,8 @@
 #include "core/defense.h"
 
-#include <deque>
-#include <limits>
+#include <algorithm>
 
 #include "analysis/stream_index.h"
-#include "common/check.h"
 #include "common/hash.h"
 #include "pipeline/thread_pool.h"
 
@@ -61,65 +59,40 @@ std::vector<ChunkRecord> scrambleTrace(std::span<const ChunkRecord> records,
   const std::vector<Segment> segments = segmentRecords(records, params);
   std::vector<ChunkRecord> out;
   out.reserve(records.size());
-  std::deque<ChunkRecord> scrambled;
-  for (const Segment& seg : segments) {
-    scrambled.clear();
-    for (size_t i = seg.begin; i < seg.end; ++i) {
-      // Algorithm 5, lines 7-12: odd random number -> front, else back.
-      if (rng.next() & 1) {
-        scrambled.push_front(records[i]);
-      } else {
-        scrambled.push_back(records[i]);
-      }
-    }
-    out.insert(out.end(), scrambled.begin(), scrambled.end());
-  }
-  FDD_CHECK(out.size() == records.size());
+  for (const size_t i : scrambleOrder(records.size(), segments, rng))
+    out.push_back(records[i]);
   return out;
 }
 
 EncryptedTrace minHashEncryptTrace(std::span<const ChunkRecord> plain,
                                    const DefenseConfig& config) {
-  // Record indices are stored as uint32 (same bound the stream interner
-  // enforces).
-  FDD_CHECK(plain.size() < std::numeric_limits<uint32_t>::max());
   // Segmentation is computed on the original order; scrambling permutes only
   // within segments, so the segment boundaries and minima are unchanged
   // (Section 6.2: "to be compatible with MinHash encryption, scrambling
-  // works on a per-segment basis").
+  // works on a per-segment basis"), and output position p lies in the
+  // segment whose range holds p.
   const std::vector<Segment> segments = segmentRecords(plain, config.segment);
-  Rng rng(config.scrambleSeed);
-
-  // Serial pass: fix the output order (the scramble RNG stream is strictly
-  // sequential) and each output position's segment minimum.
-  std::vector<uint32_t> source;  // output position -> plain record index
-  std::vector<Fp> minFpAt;       // output position -> segment minimum
-  source.reserve(plain.size());
-  minFpAt.reserve(plain.size());
-  std::deque<size_t> order;
-  for (const Segment& seg : segments) {
-    const Fp minFp = segmentMinFingerprint(plain, seg);
-    order.clear();
-    for (size_t i = seg.begin; i < seg.end; ++i) {
-      if (config.scramble && (rng.next() & 1)) {
-        order.push_front(i);
-      } else {
-        order.push_back(i);
-      }
-    }
-    for (const size_t i : order) {
-      source.push_back(static_cast<uint32_t>(i));
-      minFpAt.push_back(minFp);
-    }
+  std::vector<size_t> source;  // output position -> plain record index
+  if (config.scramble) {
+    Rng rng(config.scrambleSeed);
+    source = scrambleOrder(plain.size(), segments, rng);
   }
-  FDD_CHECK(source.size() == plain.size());
+  const auto sourceOf = [&source](size_t pos) {
+    return source.empty() ? pos : source[pos];
+  };
+  std::vector<Fp> minFpAt(plain.size());  // output position -> segment min
+  for (const Segment& seg : segments) {
+    std::fill(minFpAt.begin() + static_cast<ptrdiff_t>(seg.begin),
+              minFpAt.begin() + static_cast<ptrdiff_t>(seg.end),
+              segmentMinFingerprint(plain, seg));
+  }
 
   // Parallel pass: the per-chunk SHA-256 re-keying, which dominates the
   // cost, is independent per output position.
   std::vector<Fp> cipherFps(plain.size());
   parallelFor(config.threads, plain.size(), [&](size_t begin, size_t end) {
     for (size_t pos = begin; pos < end; ++pos) {
-      cipherFps[pos] = cipherFpMinHash(minFpAt[pos], plain[source[pos]].fp,
+      cipherFps[pos] = cipherFpMinHash(minFpAt[pos], plain[sourceOf(pos)].fp,
                                        config.fpBits);
     }
   });
@@ -128,7 +101,7 @@ EncryptedTrace minHashEncryptTrace(std::span<const ChunkRecord> plain,
   out.records.reserve(plain.size());
   out.truth.reserve(plain.size());
   for (size_t pos = 0; pos < plain.size(); ++pos) {
-    const ChunkRecord& src = plain[source[pos]];
+    const ChunkRecord& src = plain[sourceOf(pos)];
     out.records.push_back({cipherFps[pos], src.size});
     out.truth.emplace(cipherFps[pos], src.fp);
   }

@@ -9,7 +9,9 @@
 //    cipher fp = trunc(SHA-256("mh" || h || plain fp)). Identical plaintext
 //    chunks under the same h deduplicate; under different h they do not.
 //  - Scrambling: Algorithm 5's per-segment front/back shuffle, applied to the
-//    plaintext order before encryption.
+//    plaintext order before encryption. It is scrambleOrder
+//    (chunking/segmenter.h), the same function the backup client runs, so a
+//    trace and a client backup with the same seed upload in the same order.
 //
 // Every encryption records the ground-truth cipher->plain mapping, which the
 // evaluation uses to score attacks (the simulator knows the truth; the
@@ -40,7 +42,7 @@ EncryptedTrace mleEncryptTrace(std::span<const ChunkRecord> plain,
 
 struct DefenseConfig {
   SegmentParams segment;
-  bool scramble = false;  // apply Algorithm 5 within each segment
+  bool scramble = false;  // apply Algorithm 5 (scrambleOrder) per segment
   uint64_t scrambleSeed = 1;
   int fpBits = kFslFpBits;
   /// Worker threads for the per-chunk fingerprint derivations (the
@@ -53,7 +55,8 @@ struct DefenseConfig {
 EncryptedTrace minHashEncryptTrace(std::span<const ChunkRecord> plain,
                                    const DefenseConfig& config);
 
-/// Scrambling alone (Algorithm 5): returns the reordered stream.
+/// Scrambling alone (Algorithm 5, scrambleOrder over the stream's
+/// segments): returns the reordered stream.
 std::vector<ChunkRecord> scrambleTrace(std::span<const ChunkRecord> records,
                                        const SegmentParams& params, Rng& rng);
 

@@ -7,44 +7,8 @@
 
 namespace freqdedup {
 
-RateLimiter::RateLimiter(double ratePerSec, double burst)
-    : ratePerSec_(ratePerSec), burst_(burst), tokens_(burst) {
-  FDD_CHECK(ratePerSec > 0.0);
-  FDD_CHECK(burst >= 1.0);
-}
-
-void RateLimiter::refill(uint64_t nowMicros) {
-  if (nowMicros <= lastMicros_) return;
-  const double elapsedSec =
-      static_cast<double>(nowMicros - lastMicros_) / 1e6;
-  tokens_ = std::min(burst_, tokens_ + elapsedSec * ratePerSec_);
-  lastMicros_ = nowMicros;
-}
-
-bool RateLimiter::tryAcquire(uint64_t nowMicros) {
-  refill(nowMicros);
-  if (tokens_ >= 1.0) {
-    tokens_ -= 1.0;
-    return true;
-  }
-  return false;
-}
-
-double RateLimiter::availableTokens(uint64_t nowMicros) const {
-  if (nowMicros <= lastMicros_) return tokens_;
-  const double elapsedSec =
-      static_cast<double>(nowMicros - lastMicros_) / 1e6;
-  return std::min(burst_, tokens_ + elapsedSec * ratePerSec_);
-}
-
 KeyManager::KeyManager(ByteVec globalSecret)
     : secret_(std::move(globalSecret)) {
-  FDD_CHECK_MSG(!secret_.empty(), "key manager needs a non-empty secret");
-}
-
-KeyManager::KeyManager(ByteVec globalSecret, double ratePerSec, double burst)
-    : secret_(std::move(globalSecret)),
-      limiter_(RateLimiter(ratePerSec, burst)) {
   FDD_CHECK_MSG(!secret_.empty(), "key manager needs a non-empty secret");
 }
 
@@ -63,26 +27,6 @@ AesKey KeyManager::deriveChunkKey(Fp fingerprint) const {
 
 AesKey KeyManager::deriveSegmentKey(Fp minFingerprint) const {
   return derive(toBytes("segment-key"), minFingerprint);
-}
-
-std::optional<AesKey> KeyManager::requestChunkKey(Fp fingerprint,
-                                                  uint64_t nowMicros) {
-  if (limiter_ && !limiter_->tryAcquire(nowMicros)) {
-    ++stats_.throttled;
-    return std::nullopt;
-  }
-  ++stats_.served;
-  return deriveChunkKey(fingerprint);
-}
-
-std::optional<AesKey> KeyManager::requestSegmentKey(Fp minFingerprint,
-                                                    uint64_t nowMicros) {
-  if (limiter_ && !limiter_->tryAcquire(nowMicros)) {
-    ++stats_.throttled;
-    return std::nullopt;
-  }
-  ++stats_.served;
-  return deriveSegmentKey(minFingerprint);
 }
 
 }  // namespace freqdedup

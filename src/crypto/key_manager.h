@@ -2,14 +2,10 @@
 //
 // Derives chunk keys as HMAC-SHA-256(global secret, fingerprint) so that,
 // without the secret, ciphertext chunks look encrypted under random keys —
-// defeating offline brute-force attacks on predictable chunks. A token-bucket
-// rate limiter models DupLESS's throttling of online brute-force attacks.
-// The clock is injected (microsecond timestamps supplied by the caller) so
-// that throttling behaviour is deterministic and unit-testable.
+// defeating offline brute-force attacks on predictable chunks. Segment keys
+// for MinHash encryption are derived the same way from the segment's minimum
+// fingerprint, in a separate domain.
 #pragma once
-
-#include <cstdint>
-#include <optional>
 
 #include "common/bytes.h"
 #include "common/fingerprint.h"
@@ -17,62 +13,22 @@
 
 namespace freqdedup {
 
-/// Token-bucket rate limiter with caller-supplied time.
-class RateLimiter {
- public:
-  /// `ratePerSec` tokens accrue per second up to `burst` capacity.
-  RateLimiter(double ratePerSec, double burst);
-
-  /// Attempts to take one token at time `nowMicros`. Monotonic time expected.
-  bool tryAcquire(uint64_t nowMicros);
-
-  [[nodiscard]] double availableTokens(uint64_t nowMicros) const;
-
- private:
-  void refill(uint64_t nowMicros);
-
-  double ratePerSec_;
-  double burst_;
-  double tokens_;
-  uint64_t lastMicros_ = 0;
-};
-
-struct KeyManagerStats {
-  uint64_t served = 0;
-  uint64_t throttled = 0;
-};
-
 class KeyManager {
  public:
-  /// An unthrottled key manager (rate limiting disabled).
   explicit KeyManager(ByteVec globalSecret);
 
-  /// A throttled key manager.
-  KeyManager(ByteVec globalSecret, double ratePerSec, double burst);
-
-  /// Chunk-key request as an authenticated client would issue it. Returns
-  /// nullopt when throttled.
-  std::optional<AesKey> requestChunkKey(Fp fingerprint, uint64_t nowMicros);
-
-  /// Segment-key request for MinHash encryption: keyed by the segment's
-  /// minimum fingerprint (Algorithm 4, line 6). Subject to the same limiter;
-  /// the paper notes segments are far fewer than chunks, so the load on the
-  /// key manager drops accordingly.
-  std::optional<AesKey> requestSegmentKey(Fp minFingerprint,
-                                          uint64_t nowMicros);
-
-  /// Key derivation without throttling (trusted-path use: tests, recipes).
+  /// Per-chunk MLE key, keyed by the chunk's plaintext fingerprint.
   [[nodiscard]] AesKey deriveChunkKey(Fp fingerprint) const;
-  [[nodiscard]] AesKey deriveSegmentKey(Fp minFingerprint) const;
 
-  [[nodiscard]] const KeyManagerStats& stats() const { return stats_; }
+  /// Segment key for MinHash encryption: keyed by the segment's minimum
+  /// fingerprint (Algorithm 4, line 6). The paper notes segments are far
+  /// fewer than chunks, so the load on the key manager drops accordingly.
+  [[nodiscard]] AesKey deriveSegmentKey(Fp minFingerprint) const;
 
  private:
   [[nodiscard]] AesKey derive(ByteView domain, Fp fp) const;
 
   ByteVec secret_;
-  std::optional<RateLimiter> limiter_;
-  KeyManagerStats stats_;
 };
 
 }  // namespace freqdedup

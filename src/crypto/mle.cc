@@ -1,13 +1,6 @@
 #include "crypto/mle.h"
 
-#include "common/check.h"
-#include "common/hash.h"
-
 namespace freqdedup {
-
-ByteVec MleScheme::encrypt(ByteView plaintext) const {
-  return encryptWithKey(deriveKey(plaintext), plaintext);
-}
 
 ByteVec MleScheme::encryptWithKey(const AesKey& key, ByteView plaintext) {
   return aesCtrEncrypt(key, deterministicIv(key), plaintext);
@@ -15,20 +8,6 @@ ByteVec MleScheme::encryptWithKey(const AesKey& key, ByteView plaintext) {
 
 ByteVec MleScheme::decryptWithKey(const AesKey& key, ByteView ciphertext) {
   return aesCtrDecrypt(key, deterministicIv(key), ciphertext);
-}
-
-AesKey ConvergentEncryption::deriveKey(ByteView plaintext) const {
-  const Digest d = sha256(plaintext);
-  AesKey key{};
-  std::copy(d.bytes.begin(), d.bytes.begin() + kAesKeyBytes, key.begin());
-  return key;
-}
-
-ServerAidedMle::ServerAidedMle(const KeyManager& keyManager)
-    : keyManager_(&keyManager) {}
-
-AesKey ServerAidedMle::deriveKey(ByteView plaintext) const {
-  return keyManager_->deriveChunkKey(fpOfContent(plaintext));
 }
 
 }  // namespace freqdedup

@@ -1,60 +1,28 @@
-// Message-locked encryption schemes (Section 2.2).
+// Message-locked encryption (Section 2.2).
 //
-// An MLE scheme derives the symmetric key from the chunk content itself, so
-// identical plaintext chunks yield identical ciphertext chunks and remain
-// deduplicable. Two instantiations:
-//  - ConvergentEncryption: key = SHA-256(chunk) — the classical MLE [22].
-//  - ServerAidedMle: key = KeyManager HMAC over the chunk fingerprint
-//    (DupLESS [12]); secure even for predictable chunks while the key
-//    manager's secret is safe.
-// Both are deterministic — which is precisely the property the paper's
+// An MLE key is derived from the chunk content itself, so identical plaintext
+// chunks yield identical ciphertext chunks and remain deduplicable. The
+// clients take the key from the KeyManager: per chunk, HMAC over the chunk
+// fingerprint (server-aided MLE, DupLESS [12]); per segment under MinHash
+// encryption, HMAC over the segment's minimum fingerprint. Encryption under
+// the key is deterministic — which is precisely the property the paper's
 // frequency-analysis attacks exploit.
 #pragma once
 
-#include <memory>
-
 #include "common/bytes.h"
-#include "common/fingerprint.h"
 #include "crypto/aes.h"
-#include "crypto/key_manager.h"
 
 namespace freqdedup {
 
 class MleScheme {
  public:
-  virtual ~MleScheme() = default;
-
-  /// Derives the content-locked key for a plaintext chunk.
-  [[nodiscard]] virtual AesKey deriveKey(ByteView plaintext) const = 0;
-
-  /// Deterministic encryption under the content-locked key.
-  [[nodiscard]] ByteVec encrypt(ByteView plaintext) const;
-
-  /// Encryption under an externally supplied key (e.g. a segment key).
+  /// Deterministic encryption under a content-locked (chunk or segment) key.
   [[nodiscard]] static ByteVec encryptWithKey(const AesKey& key,
                                               ByteView plaintext);
 
   /// Decryption under the stored per-chunk key.
   [[nodiscard]] static ByteVec decryptWithKey(const AesKey& key,
                                               ByteView ciphertext);
-};
-
-/// Convergent encryption: key = SHA-256(plaintext).
-class ConvergentEncryption final : public MleScheme {
- public:
-  [[nodiscard]] AesKey deriveKey(ByteView plaintext) const override;
-};
-
-/// Server-aided MLE: key = KeyManager(fingerprint(plaintext)).
-class ServerAidedMle final : public MleScheme {
- public:
-  /// The key manager must outlive this scheme.
-  explicit ServerAidedMle(const KeyManager& keyManager);
-
-  [[nodiscard]] AesKey deriveKey(ByteView plaintext) const override;
-
- private:
-  const KeyManager* keyManager_;
 };
 
 }  // namespace freqdedup

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 
 namespace freqdedup {
@@ -219,6 +221,62 @@ TEST(StreamSegmenter, PatternCloseAfterOverflowCloseInOnePush) {
   EXPECT_EQ(segments[1], (Segment{1, 2}));
   segmenter.finish();
   EXPECT_EQ(segments.size(), 2u);  // nothing left open
+}
+
+class ScrambleOrderProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ScrambleOrderProperty, IsPermutationWithinSegments) {
+  Rng rng(GetParam());
+  const size_t count = 100;
+  const std::vector<Segment> segments = {{0, 30}, {30, 31}, {31, 100}};
+  const std::vector<size_t> order = scrambleOrder(count, segments, rng);
+  ASSERT_EQ(order.size(), count);
+  // Permutation overall.
+  std::vector<size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < count; ++i) EXPECT_EQ(sorted[i], i);
+  // Each segment's indices stay within the segment.
+  size_t pos = 0;
+  for (const Segment& seg : segments) {
+    for (size_t i = seg.begin; i < seg.end; ++i, ++pos) {
+      EXPECT_GE(order[pos], seg.begin);
+      EXPECT_LT(order[pos], seg.end);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScrambleOrderProperty,
+                         ::testing::Values(1, 2, 3, 99));
+
+// Algorithm 5 replayed without a deque: in each segment, the records with
+// odd draws come first in reverse draw order, then the even ones in order.
+TEST(ScrambleOrder, OddDrawsPrependEvenDrawsAppend) {
+  const std::vector<Segment> segments = {{0, 7}, {7, 8}, {8, 20}};
+  Rng rng(5);
+  const std::vector<size_t> order = scrambleOrder(20, segments, rng);
+  Rng replay(5);
+  std::vector<size_t> expected;
+  for (const Segment& seg : segments) {
+    std::vector<size_t> front, back;
+    for (size_t i = seg.begin; i < seg.end; ++i)
+      (replay.next() & 1 ? front : back).push_back(i);
+    expected.insert(expected.end(), front.rbegin(), front.rend());
+    expected.insert(expected.end(), back.begin(), back.end());
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(rng.next(), replay.next()) << "one draw per record";
+}
+
+TEST(ScrambleOrder, SingletonSegmentUnchanged) {
+  Rng rng(1);
+  const std::vector<Segment> segments = {{0, 1}};
+  EXPECT_EQ(scrambleOrder(1, segments, rng), std::vector<size_t>{0});
+}
+
+TEST(ScrambleOrder, RejectsNonCoveringSegments) {
+  Rng rng(1);
+  const std::vector<Segment> segments = {{0, 2}};
+  EXPECT_THROW(scrambleOrder(5, segments, rng), std::logic_error);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // every EncryptionScheme, commit/restore by name with sealed recipes,
 // tamper detection (substituted ciphertext, wrong key), delete + GC safety,
 // pooled-vs-serial client bit-identity for single objects and whole backup
-// chains, tiny objects, and the scrambleOrder properties.
+// chains, tiny objects, and MinHash's per-segment keys (Algorithm 4).
 #include "client/dedup_client.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "chunking/cdc_chunker.h"
+#include "chunking/fixed_chunker.h"
 #include "common/rng.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
@@ -191,41 +192,70 @@ TEST(ClientRoundtrip, MleAndMinHashProduceDifferentCiphertexts) {
   EXPECT_EQ(differing, mleOutcome.fileRecipe.entries.size());
 }
 
-class ScrambleOrderProperty : public ::testing::TestWithParam<uint64_t> {};
+// Algorithm 4 on real bytes: every chunk of a segment is encrypted under
+// the key of the segment's minimum plaintext fingerprint. The client's
+// segments are recomputed from the recipe's (plain fp, size) records.
+TEST(ClientRoundtrip, MinHashKeysEachSegmentByItsMinimumFingerprint) {
+  KeyManager km(toBytes("secret"));
+  CdcChunker chunker(smallCdc());
+  for (const EncryptionScheme scheme :
+       {EncryptionScheme::kMinHash, EncryptionScheme::kMinHashScrambled}) {
+    TempStore store;
+    const BackupOptions options = minhashOptions(scheme);
+    DedupClient client(store, km, chunker, options);
+    const BackupOutcome outcome =
+        backupAll(client, "f", randomContent(12, 200 * 1024));
 
-TEST_P(ScrambleOrderProperty, IsPermutationWithinSegments) {
-  Rng rng(GetParam());
-  const size_t count = 100;
-  const std::vector<Segment> segments = {{0, 30}, {30, 31}, {31, 100}};
-  const std::vector<size_t> order = scrambleOrder(count, segments, rng);
-  ASSERT_EQ(order.size(), count);
-  // Permutation overall.
-  std::vector<size_t> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < count; ++i) EXPECT_EQ(sorted[i], i);
-  // Each segment's indices stay within the segment.
-  size_t pos = 0;
-  for (const Segment& seg : segments) {
-    for (size_t i = seg.begin; i < seg.end; ++i, ++pos) {
-      EXPECT_GE(order[pos], seg.begin);
-      EXPECT_LT(order[pos], seg.end);
+    std::vector<ChunkRecord> records;
+    for (const RecipeEntry& e : outcome.fileRecipe.entries)
+      records.push_back({e.plainFp, e.size});
+    const std::vector<Segment> segments =
+        segmentRecords(records, options.segmentParams);
+    ASSERT_GE(segments.size(), 2u);
+    for (const Segment& seg : segments) {
+      const AesKey expected =
+          km.deriveSegmentKey(segmentMinFingerprint(records, seg));
+      for (size_t i = seg.begin; i < seg.end; ++i)
+        EXPECT_EQ(outcome.keyRecipe.keys[i], expected) << "chunk " << i;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ScrambleOrderProperty,
-                         ::testing::Values(1, 2, 3, 99));
+// The frequency-disturbing effect of Algorithm 4: one plaintext chunk in
+// two single-segment objects with different minima encrypts differently,
+// so the store holds it twice, and both objects still restore.
+TEST(ClientRoundtrip, MinHashStoresAChunkUnderTwoMinimaTwice) {
+  TempStore store;
+  KeyManager km(toBytes("secret"));
+  FixedChunker chunker(1024);
+  DedupClient client(store, km, chunker,
+                     minhashOptions(EncryptionScheme::kMinHash));
+  // Four 1 KiB chunks each, below the 8 KiB minimum segment: one segment
+  // per object. Chunk 2 is shared.
+  const ByteVec shared = randomContent(13, 1024);
+  ByteVec a = randomContent(14, 2 * 1024);
+  ByteVec b = randomContent(15, 2 * 1024);
+  a.insert(a.end(), shared.begin(), shared.end());
+  b.insert(b.end(), shared.begin(), shared.end());
+  const ByteVec tailA = randomContent(16, 1024);
+  const ByteVec tailB = randomContent(17, 1024);
+  a.insert(a.end(), tailA.begin(), tailA.end());
+  b.insert(b.end(), tailB.begin(), tailB.end());
 
-TEST(ScrambleOrder, SingletonSegmentUnchanged) {
-  Rng rng(1);
-  const std::vector<Segment> segments = {{0, 1}};
-  EXPECT_EQ(scrambleOrder(1, segments, rng), std::vector<size_t>{0});
-}
-
-TEST(ScrambleOrder, RejectsNonCoveringSegments) {
-  Rng rng(1);
-  const std::vector<Segment> segments = {{0, 2}};
-  EXPECT_THROW(scrambleOrder(5, segments, rng), std::logic_error);
+  const BackupOutcome first = backupAll(client, "a", a);
+  const BackupOutcome second = backupAll(client, "b", b);
+  ASSERT_EQ(first.chunkCount, 4u);
+  ASSERT_EQ(second.chunkCount, 4u);
+  ASSERT_EQ(first.fileRecipe.entries[2].plainFp,
+            second.fileRecipe.entries[2].plainFp);
+  // Different chunk sets almost surely have different minima.
+  ASSERT_NE(first.keyRecipe.keys[2], second.keyRecipe.keys[2]);
+  EXPECT_NE(first.fileRecipe.entries[2].cipherFp,
+            second.fileRecipe.entries[2].cipherFp);
+  EXPECT_EQ(second.newChunks, 4u);
+  EXPECT_EQ(second.duplicateChunks, 0u);
+  EXPECT_EQ(restoreAll(client, first), a);
+  EXPECT_EQ(restoreAll(client, second), b);
 }
 
 /// A client with `restoreThreads` restore workers (1: no pool).

@@ -5,34 +5,6 @@
 namespace freqdedup {
 namespace {
 
-TEST(RateLimiter, AllowsBurstThenBlocks) {
-  RateLimiter limiter(1.0, 3.0);
-  EXPECT_TRUE(limiter.tryAcquire(0));
-  EXPECT_TRUE(limiter.tryAcquire(0));
-  EXPECT_TRUE(limiter.tryAcquire(0));
-  EXPECT_FALSE(limiter.tryAcquire(0));
-}
-
-TEST(RateLimiter, RefillsOverTime) {
-  RateLimiter limiter(2.0, 1.0);  // 2 tokens/sec, burst 1
-  EXPECT_TRUE(limiter.tryAcquire(0));
-  EXPECT_FALSE(limiter.tryAcquire(100'000));   // 0.1 s: only 0.2 tokens
-  EXPECT_TRUE(limiter.tryAcquire(600'000));    // 0.6 s: 1.2 -> capped 1
-  EXPECT_FALSE(limiter.tryAcquire(600'000));
-}
-
-TEST(RateLimiter, BurstCapsAccumulation) {
-  RateLimiter limiter(1000.0, 2.0);
-  (void)limiter.tryAcquire(0);
-  // After a long idle period only `burst` tokens are available.
-  EXPECT_NEAR(limiter.availableTokens(10'000'000), 2.0, 1e-9);
-}
-
-TEST(RateLimiter, RejectsBadConfig) {
-  EXPECT_THROW(RateLimiter(0.0, 1.0), std::logic_error);
-  EXPECT_THROW(RateLimiter(1.0, 0.5), std::logic_error);
-}
-
 TEST(KeyManager, DerivationIsDeterministic) {
   KeyManager km(toBytes("global-secret"));
   EXPECT_EQ(km.deriveChunkKey(42), km.deriveChunkKey(42));
@@ -52,42 +24,6 @@ TEST(KeyManager, DifferentSecretsGiveDifferentKeys) {
 
 TEST(KeyManager, EmptySecretRejected) {
   EXPECT_THROW(KeyManager(ByteVec{}), std::logic_error);
-}
-
-TEST(KeyManager, UnthrottledServesAllRequests) {
-  KeyManager km(toBytes("secret"));
-  for (int i = 0; i < 100; ++i)
-    EXPECT_TRUE(km.requestChunkKey(static_cast<Fp>(i), 0).has_value());
-  EXPECT_EQ(km.stats().served, 100u);
-  EXPECT_EQ(km.stats().throttled, 0u);
-}
-
-TEST(KeyManager, ThrottledRequestsReturnNullopt) {
-  KeyManager km(toBytes("secret"), /*ratePerSec=*/1.0, /*burst=*/2.0);
-  EXPECT_TRUE(km.requestChunkKey(1, 0).has_value());
-  EXPECT_TRUE(km.requestChunkKey(2, 0).has_value());
-  EXPECT_FALSE(km.requestChunkKey(3, 0).has_value());
-  EXPECT_EQ(km.stats().served, 2u);
-  EXPECT_EQ(km.stats().throttled, 1u);
-}
-
-TEST(KeyManager, ThrottleRecoversWithTime) {
-  KeyManager km(toBytes("secret"), 1.0, 1.0);
-  EXPECT_TRUE(km.requestChunkKey(1, 0).has_value());
-  EXPECT_FALSE(km.requestChunkKey(2, 0).has_value());
-  EXPECT_TRUE(km.requestChunkKey(2, 1'100'000).has_value());
-}
-
-TEST(KeyManager, SegmentRequestsShareLimiter) {
-  KeyManager km(toBytes("secret"), 1.0, 1.0);
-  EXPECT_TRUE(km.requestSegmentKey(1, 0).has_value());
-  EXPECT_FALSE(km.requestChunkKey(2, 0).has_value());
-}
-
-TEST(KeyManager, RequestMatchesDirectDerivation) {
-  KeyManager km(toBytes("secret"));
-  EXPECT_EQ(*km.requestChunkKey(7, 0), km.deriveChunkKey(7));
-  EXPECT_EQ(*km.requestSegmentKey(7, 0), km.deriveSegmentKey(7));
 }
 
 }  // namespace

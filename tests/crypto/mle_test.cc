@@ -2,40 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "crypto/key_manager.h"
+
 namespace freqdedup {
 namespace {
 
-TEST(ConvergentEncryption, IdenticalPlaintextsYieldIdenticalCiphertexts) {
-  ConvergentEncryption ce;
-  const ByteVec plain = toBytes("duplicate chunk content");
-  EXPECT_EQ(ce.encrypt(plain), ce.encrypt(plain));
+AesKey chunkKey(ByteView plain) {
+  return KeyManager(toBytes("secret")).deriveChunkKey(fpOfContent(plain));
 }
 
-TEST(ConvergentEncryption, DifferentPlaintextsDiffer) {
-  ConvergentEncryption ce;
-  EXPECT_NE(ce.encrypt(toBytes("chunk A")), ce.encrypt(toBytes("chunk B")));
-}
-
-TEST(ConvergentEncryption, KeyIsContentHash) {
-  ConvergentEncryption ce;
-  const ByteVec plain = toBytes("content");
-  const AesKey key = ce.deriveKey(plain);
-  const Digest d = sha256(plain);
-  EXPECT_TRUE(std::equal(key.begin(), key.end(), d.bytes.begin()));
-}
-
-TEST(ConvergentEncryption, DecryptRoundtrip) {
-  ConvergentEncryption ce;
-  const ByteVec plain = toBytes("some chunk to protect");
-  const AesKey key = ce.deriveKey(plain);
-  const ByteVec cipher = ce.encrypt(plain);
-  EXPECT_EQ(MleScheme::decryptWithKey(key, cipher), plain);
-}
-
-TEST(ConvergentEncryption, CiphertextHidesPlaintext) {
-  ConvergentEncryption ce;
+TEST(Mle, CiphertextHidesPlaintext) {
   const ByteVec plain(1000, 0x41);
-  const ByteVec cipher = ce.encrypt(plain);
+  const ByteVec cipher = MleScheme::encryptWithKey(chunkKey(plain), plain);
   // No long run of the plaintext byte should survive.
   int run = 0, maxRun = 0;
   for (const uint8_t b : cipher) {
@@ -45,46 +25,12 @@ TEST(ConvergentEncryption, CiphertextHidesPlaintext) {
   EXPECT_LT(maxRun, 8);
 }
 
-TEST(ServerAidedMle, DeterministicUnderOneKeyManager) {
-  KeyManager km(toBytes("secret"));
-  ServerAidedMle mle(km);
-  const ByteVec plain = toBytes("predictable chunk");
-  EXPECT_EQ(mle.encrypt(plain), mle.encrypt(plain));
-}
-
-TEST(ServerAidedMle, DependsOnGlobalSecret) {
-  KeyManager km1(toBytes("secret-1"));
-  KeyManager km2(toBytes("secret-2"));
-  const ByteVec plain = toBytes("predictable chunk");
-  EXPECT_NE(ServerAidedMle(km1).encrypt(plain),
-            ServerAidedMle(km2).encrypt(plain));
-}
-
-TEST(ServerAidedMle, DiffersFromConvergentEncryption) {
-  // Without the secret, the adversary cannot brute-force predictable chunks:
-  // the key is not a public function of the content alone.
-  KeyManager km(toBytes("secret"));
-  const ByteVec plain = toBytes("predictable chunk");
-  EXPECT_NE(ServerAidedMle(km).encrypt(plain),
-            ConvergentEncryption().encrypt(plain));
-}
-
-TEST(ServerAidedMle, DecryptRoundtrip) {
-  KeyManager km(toBytes("secret"));
-  ServerAidedMle mle(km);
-  const ByteVec plain = toBytes("roundtrip me");
-  EXPECT_EQ(MleScheme::decryptWithKey(mle.deriveKey(plain),
-                                      mle.encrypt(plain)),
-            plain);
-}
-
 TEST(Mle, LengthPreserved) {
   // The advanced locality-based attack relies on ciphertext sizes matching
   // plaintext sizes (Section 4.3).
-  ConvergentEncryption ce;
   for (const size_t n : {1u, 100u, 4096u, 8191u}) {
     const ByteVec plain(n, 0x5A);
-    EXPECT_EQ(ce.encrypt(plain).size(), n);
+    EXPECT_EQ(MleScheme::encryptWithKey(chunkKey(plain), plain).size(), n);
   }
 }
 

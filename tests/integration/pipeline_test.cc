@@ -1,10 +1,12 @@
 // Cross-module integration tests: trace pipeline (datagen -> encryption ->
 // attack -> defense -> evaluation), content pipeline (corpus -> chunking ->
-// MLE -> dedup store -> restore), and the DDFS engine fed by defended traces.
+// MLE -> dedup store -> restore), the DDFS engine fed by defended traces,
+// and the trace-level scramble against the client's upload order.
 #include <gtest/gtest.h>
 
 #include "analysis/attack_engine.h"
 #include "chunking/cdc_chunker.h"
+#include "chunking/fixed_chunker.h"
 #include "client/dedup_client.h"
 #include "core/attack_eval.h"
 #include "core/defense.h"
@@ -15,7 +17,6 @@
 #include "obs/metrics.h"
 #include "storage/dedup_engine.h"
 #include "temp_store.h"
-#include "trace/trace_io.h"
 
 namespace freqdedup {
 namespace {
@@ -190,19 +191,59 @@ TEST(DdfsPipeline, DefendedTraceCostsLittleExtraMetadata) {
               static_cast<double>(mleStats.metadata.totalBytes()) * 1.5);
 }
 
-TEST(TracePipeline, SerializationPreservesAttackResults) {
-  const Dataset fsl = generateFslDataset(smallFsl());
-  const ByteVec bytes = serializeDataset(fsl);
-  const Dataset reloaded = parseDataset(bytes);
-  const EncryptedTrace t1 = mleEncryptTrace(fsl.backups[2].records);
-  const EncryptedTrace t2 = mleEncryptTrace(reloaded.backups[2].records);
-  const AttackResult r1 =
-      AttackEngine::fromRecords(t1.records, fsl.backups[1].records)
-          .basicAttack(false);
-  const AttackResult r2 =
-      AttackEngine::fromRecords(t2.records, reloaded.backups[1].records)
-          .basicAttack(false);
-  EXPECT_EQ(inferenceRate(r1, t1), inferenceRate(r2, t2));
+// The paper figures simulate scrambling on traces (minHashEncryptTrace);
+// the client scrambles real uploads. With the same seed and segment
+// parameters both must visit the chunks in the same order: the client's
+// store order of unique chunks, mapped back to plaintext fingerprints,
+// equals the trace's output order.
+TEST(TracePipeline, TraceScrambleMatchesClientUploadOrder) {
+  BackupOptions options;
+  options.scheme = EncryptionScheme::kMinHashScrambled;
+  options.segmentParams.minBytes = 8 * 1024;
+  options.segmentParams.avgBytes = 16 * 1024;
+  options.segmentParams.maxBytes = 32 * 1024;
+  options.segmentParams.avgChunkBytes = 1024;
+  options.scrambleSeed = 4242;
+
+  // Random bytes in 1 KiB fixed-size chunks: every chunk is unique, so each
+  // one is stored new and newChunkFps lists the whole upload order.
+  Rng rng(31);
+  ByteVec content(256 * 1024);
+  for (auto& b : content) b = static_cast<uint8_t>(rng.next());
+  TempStore store;
+  KeyManager km(toBytes("scramble-secret"));
+  FixedChunker chunker(1024);
+  DedupClient client(store, km, chunker, options);
+  BackupSession session = client.beginBackup("obj");
+  session.append(content);
+  const BackupOutcome outcome = session.finish();
+  ASSERT_EQ(outcome.newChunks, outcome.chunkCount);
+
+  std::unordered_map<Fp, Fp, FpHash> plainOfCipher;
+  std::vector<ChunkRecord> plain;
+  for (const RecipeEntry& e : outcome.fileRecipe.entries) {
+    plainOfCipher.emplace(e.cipherFp, e.plainFp);
+    plain.push_back({e.plainFp, e.size});
+  }
+  std::vector<Fp> clientOrder;
+  for (const Fp fp : outcome.newChunkFps)
+    clientOrder.push_back(plainOfCipher.at(fp));
+
+  DefenseConfig defense;
+  defense.segment = options.segmentParams;
+  defense.scramble = true;
+  defense.scrambleSeed = options.scrambleSeed;
+  const EncryptedTrace trace = minHashEncryptTrace(plain, defense);
+  std::vector<Fp> traceOrder;
+  for (const ChunkRecord& r : trace.records)
+    traceOrder.push_back(trace.truth.at(r.fp));
+
+  EXPECT_EQ(clientOrder, traceOrder);
+  // Not vacuous: several segments, and the upload order is not chunk order.
+  ASSERT_GE(segmentRecords(plain, options.segmentParams).size(), 3u);
+  std::vector<Fp> chunkOrder;
+  for (const ChunkRecord& r : plain) chunkOrder.push_back(r.fp);
+  EXPECT_NE(clientOrder, chunkOrder);
 }
 
 }  // namespace

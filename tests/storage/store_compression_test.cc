@@ -11,6 +11,7 @@
 
 #include "common/bytes.h"
 #include "common/crc32.h"
+#include "crypto/key_manager.h"
 #include "crypto/mle.h"
 #include "obs/metrics.h"
 #include "storage/backup_store.h"
@@ -88,16 +89,17 @@ TEST_F(StoreCompressionTest, CompressedChunksRoundTripAcrossReopen) {
 }
 
 TEST_F(StoreCompressionTest, MleCiphertextKeepsLegacyFrames) {
-  // The same compressible payloads, convergently encrypted: every frame must
-  // take the incompressible fallback to the legacy (V1) format, so the
-  // store saves nothing over the raw ciphertext.
-  const ConvergentEncryption mle;
+  // The same compressible payloads, MLE-encrypted under their clients'
+  // chunk keys: every frame must take the incompressible fallback to the
+  // legacy (V1) format, so the store saves nothing over the raw ciphertext.
+  const KeyManager keys(toBytes("compression-secret"));
   uint64_t raw = 0;
   {
     FileBackupStore store(dir_, withCodec(ContainerCodec::kDeflate));
     for (int i = 0; i < 24; ++i) {
-      const ByteVec cipher =
-          mle.encrypt(compressibleChunk(static_cast<uint8_t>(i)));
+      const ByteVec plain = compressibleChunk(static_cast<uint8_t>(i));
+      const ByteVec cipher = MleScheme::encryptWithKey(
+          keys.deriveChunkKey(fpOfContent(plain)), plain);
       ASSERT_TRUE(store.putChunk(fpOfContent(cipher), cipher));
       raw += cipher.size();
     }
