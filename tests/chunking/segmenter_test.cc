@@ -273,6 +273,28 @@ TEST(ScrambleOrder, SingletonSegmentUnchanged) {
   EXPECT_EQ(scrambleOrder(1, segments, rng), std::vector<size_t>{0});
 }
 
+TEST(ScrambleOrder, EmptyStreamGivesEmptyOrder) {
+  Rng rng(3);
+  EXPECT_TRUE(scrambleOrder(0, {}, rng).empty());
+  EXPECT_EQ(rng.next(), Rng(3).next()) << "no draw without records";
+}
+
+// The trace-level defence and the client rebuild the order from the seed:
+// the same seed must give the same order, another seed another order.
+TEST(ScrambleOrder, SameSeedSameOrder) {
+  const std::vector<Segment> segments = {{0, 60}};
+  Rng first(9), second(9), other(10);
+  const std::vector<size_t> order = scrambleOrder(60, segments, first);
+  EXPECT_EQ(scrambleOrder(60, segments, second), order);
+  EXPECT_NE(scrambleOrder(60, segments, other), order);
+}
+
+TEST(ScrambleOrder, RejectsSegmentPastRecordCount) {
+  Rng rng(1);
+  const std::vector<Segment> segments = {{0, 3}};
+  EXPECT_THROW(scrambleOrder(2, segments, rng), std::logic_error);
+}
+
 TEST(ScrambleOrder, RejectsNonCoveringSegments) {
   Rng rng(1);
   const std::vector<Segment> segments = {{0, 2}};

@@ -2,7 +2,8 @@
 // every EncryptionScheme, commit/restore by name with sealed recipes,
 // tamper detection (substituted ciphertext, wrong key), delete + GC safety,
 // pooled-vs-serial client bit-identity for single objects and whole backup
-// chains, tiny objects, and MinHash's per-segment keys (Algorithm 4).
+// chains, tiny objects, the per-chunk MLE keys and MinHash's per-segment
+// keys (Algorithm 4).
 #include "client/dedup_client.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "chunking/cdc_chunker.h"
 #include "chunking/fixed_chunker.h"
 #include "common/rng.h"
+#include "crypto/mle.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
 
@@ -255,6 +257,76 @@ TEST(ClientRoundtrip, MinHashStoresAChunkUnderTwoMinimaTwice) {
   EXPECT_EQ(second.newChunks, 4u);
   EXPECT_EQ(second.duplicateChunks, 0u);
   EXPECT_EQ(restoreAll(client, first), a);
+  EXPECT_EQ(restoreAll(client, second), b);
+}
+
+/// The `size`-byte chunk `index` of `content` under a FixedChunker.
+ByteView fixedChunk(const ByteVec& content, size_t index, size_t size) {
+  const size_t begin = index * size;
+  return ByteView(content.data() + begin,
+                  std::min(size, content.size() - begin));
+}
+
+// Server-aided MLE: each chunk's key is the key manager's chunk key of its
+// plaintext fingerprint.
+TEST(ClientRoundtrip, MleKeysEachChunkByItsFingerprint) {
+  TempStore store;
+  KeyManager km(toBytes("secret"));
+  FixedChunker chunker(1024);
+  DedupClient client(store, km, chunker);
+  const ByteVec content = randomContent(18, 16 * 1024 + 100);
+  const BackupOutcome outcome = backupAll(client, "f", content);
+  ASSERT_EQ(outcome.chunkCount, 17u);
+  for (size_t i = 0; i < outcome.chunkCount; ++i) {
+    const Fp plainFp = fpOfContent(fixedChunk(content, i, 1024));
+    EXPECT_EQ(outcome.fileRecipe.entries[i].plainFp, plainFp) << i;
+    EXPECT_EQ(outcome.keyRecipe.keys[i], km.deriveChunkKey(plainFp)) << i;
+  }
+}
+
+// Under every scheme a recipe's ciphertext fingerprint is the fingerprint
+// of the chunk encrypted under the key the key recipe records for it.
+TEST(ClientRoundtrip, CipherFpIsFingerprintOfKeyedCiphertext) {
+  KeyManager km(toBytes("secret"));
+  FixedChunker chunker(1024);
+  const ByteVec content = randomContent(19, 40 * 1024);
+  for (const EncryptionScheme scheme :
+       {EncryptionScheme::kMle, EncryptionScheme::kMinHash,
+        EncryptionScheme::kMinHashScrambled}) {
+    TempStore store;
+    DedupClient client(store, km, chunker, minhashOptions(scheme));
+    const BackupOutcome outcome = backupAll(client, "f", content);
+    ASSERT_EQ(outcome.chunkCount, 40u);
+    for (size_t i = 0; i < outcome.chunkCount; ++i) {
+      const ByteVec cipher = MleScheme::encryptWithKey(
+          outcome.keyRecipe.keys[i], fixedChunk(content, i, 1024));
+      EXPECT_EQ(outcome.fileRecipe.entries[i].cipherFp, fpOfContent(cipher))
+          << "chunk " << i;
+    }
+  }
+}
+
+// A segment's key depends on its chunk set, not on the chunks' order: the
+// same chunks reordered share the minimum and deduplicate completely.
+TEST(ClientRoundtrip, MinHashReorderedChunkSetFullyDeduplicates) {
+  TempStore store;
+  KeyManager km(toBytes("secret"));
+  FixedChunker chunker(1024);
+  DedupClient client(store, km, chunker,
+                     minhashOptions(EncryptionScheme::kMinHash));
+  // Four 1 KiB chunks, below the 8 KiB minimum segment: one segment.
+  const ByteVec a = randomContent(20, 4 * 1024);
+  ByteVec b;
+  for (size_t i = 4; i-- > 0;) {
+    const ByteView chunk = fixedChunk(a, i, 1024);
+    b.insert(b.end(), chunk.begin(), chunk.end());
+  }
+  const BackupOutcome first = backupAll(client, "a", a);
+  const BackupOutcome second = backupAll(client, "b", b);
+  ASSERT_EQ(second.chunkCount, 4u);
+  EXPECT_EQ(first.newChunks, 4u);
+  EXPECT_EQ(second.newChunks, 0u);
+  EXPECT_EQ(second.duplicateChunks, 4u);
   EXPECT_EQ(restoreAll(client, second), b);
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,12 +24,121 @@ TEST(Hash, Sha256KnownVectorAbc) {
 
 TEST(Hash, Sha256DigestSize) { EXPECT_EQ(sha256(toBytes("x")).size, 32); }
 
+struct Sha256Vector {
+  std::string name;
+  std::string message;
+  std::string digestHex;
+};
+
+class Sha256Fips180 : public ::testing::TestWithParam<Sha256Vector> {};
+
+// The one-shot digest and a stream fed in uneven pieces (so updates cross
+// the 64-byte block boundary at varying offsets) both give the digest.
+TEST_P(Sha256Fips180, MatchesPublishedDigest) {
+  const Sha256Vector& v = GetParam();
+  EXPECT_EQ(sha256(toBytes(v.message)).hex(), v.digestHex);
+  Sha256Stream stream;
+  const ByteVec message = toBytes(v.message);
+  size_t at = 0;
+  for (size_t piece = 1; at < message.size(); piece = piece * 3 + 1) {
+    const size_t n = std::min(piece, message.size() - at);
+    stream.update(ByteView(message.data() + at, n));
+    at += n;
+  }
+  EXPECT_EQ(stream.finish().hex(), v.digestHex);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fips180, Sha256Fips180,
+    ::testing::Values(
+        Sha256Vector{
+            "TwoBlock448Bit",
+            "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+        Sha256Vector{
+            "TwoBlock896Bit",
+            "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+            "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+        Sha256Vector{
+            "MillionA", std::string(1'000'000, 'a'),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"}),
+    [](const auto& info) { return info.param.name; });
+
 // RFC 4231 test case 2.
 TEST(Hash, HmacSha256KnownVector) {
   EXPECT_EQ(
       hmacSha256(toBytes("Jefe"), toBytes("what do ya want for nothing?"))
           .hex(),
       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+struct HmacVector {
+  std::string name;
+  ByteVec key;
+  ByteVec data;
+  std::string macHex;  // case 5 publishes only the first 16 bytes
+};
+
+class HmacSha256Rfc4231 : public ::testing::TestWithParam<HmacVector> {};
+
+TEST_P(HmacSha256Rfc4231, MatchesPublishedDigest) {
+  const HmacVector& v = GetParam();
+  const Digest d = hmacSha256(v.key, v.data);
+  EXPECT_EQ(d.size, 32);
+  EXPECT_EQ(d.hex().substr(0, v.macHex.size()), v.macHex);
+}
+
+ByteVec repeated(uint8_t byte, size_t n) { return ByteVec(n, byte); }
+
+// RFC 4231 test cases 1 and 3-7 (case 2 is HmacSha256KnownVector above).
+// Cases 6 and 7 use a 131-byte key, longer than SHA-256's 64-byte block,
+// which HMAC hashes first.
+INSTANTIATE_TEST_SUITE_P(
+    Rfc4231, HmacSha256Rfc4231,
+    ::testing::Values(
+        HmacVector{
+            "Case1", repeated(0x0b, 20), toBytes("Hi There"),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+        HmacVector{
+            "Case3", repeated(0xaa, 20), repeated(0xdd, 50),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+        HmacVector{
+            "Case4", hexDecode("0102030405060708090a0b0c0d0e0f10111213141516171819"),
+            repeated(0xcd, 50),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+        HmacVector{"Case5", repeated(0x0c, 20), toBytes("Test With Truncation"),
+                   "a3b6167473100ee06e0c796c2955552b"},
+        HmacVector{
+            "Case6", repeated(0xaa, 131),
+            toBytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+        HmacVector{
+            "Case7", repeated(0xaa, 131),
+            toBytes("This is a test using a larger than block-size key and a "
+                    "larger than block-size data. The key needs to be hashed "
+                    "before being used by the HMAC algorithm."),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"}),
+    [](const auto& info) { return info.param.name; });
+
+// HMAC replaces a key longer than the hash block by its digest.
+TEST(Hash, HmacKeyLongerThanBlockEqualsItsDigestAsKey) {
+  const ByteVec longKey = toBytes(std::string(100, 'k'));
+  const Digest hashedKey = sha256(longKey);
+  EXPECT_EQ(hmacSha256(longKey, toBytes("msg")).hex(),
+            hmacSha256(hashedKey.view(), toBytes("msg")).hex());
+}
+
+// Every call keys a copy of one shared context: a call under one key must
+// leave nothing behind for the next call under another.
+TEST(Hash, HmacInterleavedKeysMatchIsolatedCalls) {
+  const Digest a = hmacSha256(toBytes("key-a"), toBytes("message"));
+  const Digest b = hmacSha256(toBytes("key-b"), toBytes("message"));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(hmacSha256(toBytes("key-a"), toBytes("message")), a);
+    EXPECT_EQ(hmacSha256(toBytes("key-b"), toBytes("message")), b);
+  }
+  EXPECT_FALSE(a == b);
 }
 
 // Daemon workers authenticate tenants concurrently, each call duplicating

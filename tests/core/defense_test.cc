@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace freqdedup {
@@ -70,6 +71,30 @@ TEST(MleTrace, FingerprintWidthRespected) {
   const auto plain = randomTrace(5, 200);
   const EncryptedTrace enc = mleEncryptTrace(plain, 48);
   for (const auto& r : enc.records) EXPECT_LT(r.fp, 1ULL << 48);
+}
+
+// Section 7.1's trace-level MLE: cipher fp = trunc(SHA-256("mle" || fp)).
+TEST(MleTrace, CipherFpIsTruncatedSha256OfPlainFp) {
+  const std::vector<ChunkRecord> plain = {{42, 8192}, {7, 4096}};
+  const EncryptedTrace enc = mleEncryptTrace(plain);
+  for (size_t i = 0; i < plain.size(); ++i) {
+    ByteVec msg = toBytes("mle");
+    putU64(msg, plain[i].fp);
+    EXPECT_EQ(enc.records[i].fp, fpFromDigest(sha256(msg), kFslFpBits));
+  }
+}
+
+TEST(MleTrace, ThreadCountDoesNotChangeOutput) {
+  const auto plain = randomTrace(9, 3000);
+  const EncryptedTrace serial = mleEncryptTrace(plain, kFslFpBits, 1);
+  const EncryptedTrace pooled = mleEncryptTrace(plain, kFslFpBits, 4);
+  EXPECT_EQ(pooled.records, serial.records);
+  EXPECT_EQ(pooled.truth, serial.truth);
+}
+
+TEST(ScrambleTrace, EmptyInputYieldsEmptyStream) {
+  Rng rng(1);
+  EXPECT_TRUE(scrambleTrace({}, tinySegments(), rng).empty());
 }
 
 class ScrambleProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -197,6 +222,85 @@ TEST(MinHashTrace, ScrambleKeepsSegmentMinimaAndTruth) {
   EXPECT_EQ(uniqueA, uniqueB);
   // But the order differs.
   EXPECT_NE(a.records, b.records);
+}
+
+// minHashEncryptTrace scrambles with Rng(scrambleSeed) exactly as
+// scrambleTrace does: mapped back through the truth, its output is
+// scrambleTrace's stream.
+TEST(MinHashTrace, ScrambledOrderIsScrambleTraceOrder) {
+  const auto plain = randomTrace(10, 2000);
+  DefenseConfig config;
+  config.segment = tinySegments();
+  config.scramble = true;
+  config.scrambleSeed = 31;
+  const EncryptedTrace enc = minHashEncryptTrace(plain, config);
+  Rng rng(config.scrambleSeed);
+  const std::vector<ChunkRecord> scrambled =
+      scrambleTrace(plain, config.segment, rng);
+  ASSERT_EQ(enc.records.size(), scrambled.size());
+  for (size_t i = 0; i < scrambled.size(); ++i) {
+    EXPECT_EQ(enc.truth.at(enc.records[i].fp), scrambled[i].fp) << i;
+    EXPECT_EQ(enc.records[i].size, scrambled[i].size) << i;
+  }
+}
+
+TEST(MinHashTrace, ThreadCountDoesNotChangeOutput) {
+  const auto plain = randomTrace(11, 3000);
+  DefenseConfig config;
+  config.segment = tinySegments();
+  config.scramble = true;
+  config.scrambleSeed = 5;
+  const EncryptedTrace serial = minHashEncryptTrace(plain, config);
+  config.threads = 4;
+  const EncryptedTrace pooled = minHashEncryptTrace(plain, config);
+  EXPECT_EQ(pooled.records, serial.records);
+  EXPECT_EQ(pooled.truth, serial.truth);
+}
+
+// Inside one segment every copy of a chunk shares the segment's minimum, so
+// the copies encrypt alike and still deduplicate.
+TEST(MinHashTrace, RepeatInsideOneSegmentSharesCipher) {
+  std::vector<ChunkRecord> stream;
+  for (Fp fp = 10; fp < 40; ++fp) stream.push_back({fp, 8192});
+  stream.push_back({17, 8192});
+  DefenseConfig config;
+  config.segment.minBytes = 1;
+  config.segment.avgBytes = 100 * 8192ULL * 1024;  // one huge segment
+  config.segment.maxBytes = 100 * 8192ULL * 1024;
+  const EncryptedTrace enc = minHashEncryptTrace(stream, config);
+  EXPECT_EQ(enc.records.back().fp, enc.records[7].fp);
+  std::unordered_set<Fp, FpHash> unique;
+  for (const auto& r : enc.records) unique.insert(r.fp);
+  EXPECT_EQ(unique.size(), stream.size() - 1);
+}
+
+// Section 7.1's MinHash: cipher fp = trunc(SHA-256("mh" || min || fp)),
+// with min the minimum fingerprint of the chunk's segment.
+TEST(MinHashTrace, CipherFpIsTruncatedSha256OfMinimumAndPlainFp) {
+  const auto plain = randomTrace(13, 1000);
+  DefenseConfig config;
+  config.segment = tinySegments();
+  const EncryptedTrace enc = minHashEncryptTrace(plain, config);
+  const std::vector<Segment> segments = segmentRecords(plain, config.segment);
+  ASSERT_GE(segments.size(), 2u);
+  for (const Segment& seg : segments) {
+    const Fp minFp = segmentMinFingerprint(plain, seg);
+    for (size_t i = seg.begin; i < seg.end; ++i) {
+      ByteVec msg = toBytes("mh");
+      putU64(msg, minFp);
+      putU64(msg, plain[i].fp);
+      EXPECT_EQ(enc.records[i].fp, fpFromDigest(sha256(msg), kFslFpBits)) << i;
+    }
+  }
+}
+
+TEST(MinHashTrace, FingerprintWidthRespected) {
+  const auto plain = randomTrace(12, 500);
+  DefenseConfig config;
+  config.segment = tinySegments();
+  config.fpBits = 48;
+  const EncryptedTrace enc = minHashEncryptTrace(plain, config);
+  for (const auto& r : enc.records) EXPECT_LT(r.fp, 1ULL << 48);
 }
 
 TEST(MinHashTrace, EmptyInput) {

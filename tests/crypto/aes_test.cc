@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace freqdedup {
@@ -70,6 +73,55 @@ TEST(Aes, WrongKeyDoesNotDecrypt) {
 TEST(Aes, DeterministicIvDerivedFromKey) {
   EXPECT_EQ(deterministicIv(testKey(0x33)), deterministicIv(testKey(0x33)));
   EXPECT_NE(deterministicIv(testKey(0x33)), deterministicIv(testKey(0x34)));
+}
+
+// NIST SP 800-38A, F.5.5 (CTR-AES256.Encrypt): four blocks from the
+// initial counter block f0f1...feff.
+TEST(Aes, NistSp80038aCtrAes256Vector) {
+  AesKey key{};
+  const ByteVec keyBytes = hexDecode(
+      "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+  std::copy(keyBytes.begin(), keyBytes.end(), key.begin());
+  AesIv iv{};
+  const ByteVec ivBytes = hexDecode("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+  std::copy(ivBytes.begin(), ivBytes.end(), iv.begin());
+  const ByteVec plain = hexDecode(
+      "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710");
+  EXPECT_EQ(hexEncode(aesCtrEncrypt(key, iv, plain)),
+            "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
+            "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6");
+}
+
+TEST(Aes, DeterministicIvIsSha256PrefixOfKey) {
+  const AesKey key = testKey(0x33);
+  const Digest d = sha256(ByteView(key.data(), key.size()));
+  const AesIv iv = deterministicIv(key);
+  EXPECT_TRUE(std::equal(iv.begin(), iv.end(), d.bytes.begin()));
+}
+
+// The counter is the whole 128-bit block: from all-ones it wraps to zero.
+TEST(Aes, CounterWrapsAcrossAllOnesIv) {
+  const ByteVec zeros(2 * kAesBlockBytes, 0);
+  const ByteVec fromAllOnes = aesCtrEncrypt(testKey(), testIv(0xff), zeros);
+  const ByteVec fromZero =
+      aesCtrEncrypt(testKey(), testIv(0x00), ByteView(zeros.data(), 16));
+  EXPECT_TRUE(std::equal(fromZero.begin(), fromZero.end(),
+                         fromAllOnes.begin() + kAesBlockBytes));
+}
+
+// CTR XORs one keystream per (key, IV): two plaintexts under the same pair
+// leak their XOR. The security note in aes.h relies on MLE never pairing a
+// key with two different plaintexts.
+TEST(Aes, SameKeyAndIvShareOneKeystream) {
+  Rng rng(2);
+  ByteVec a(100), b(100);
+  for (auto& x : a) x = static_cast<uint8_t>(rng.next());
+  for (auto& x : b) x = static_cast<uint8_t>(rng.next());
+  const ByteVec ca = aesCtrEncrypt(testKey(), testIv(), a);
+  const ByteVec cb = aesCtrEncrypt(testKey(), testIv(), b);
+  for (size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(ca[i] ^ cb[i], a[i] ^ b[i]) << "byte " << i;
 }
 
 }  // namespace

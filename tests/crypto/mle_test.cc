@@ -13,6 +13,64 @@ AesKey chunkKey(ByteView plain) {
   return KeyManager(toBytes("secret")).deriveChunkKey(fpOfContent(plain));
 }
 
+// Server-aided MLE as the clients run it: the KeyManager derives a key
+// from the chunk fingerprint, and encryption under that key is
+// deterministic, so identical chunks stay deduplicable.
+TEST(Mle, IdenticalPlaintextsYieldIdenticalCiphertexts) {
+  const ByteVec plain = toBytes("duplicate chunk content");
+  EXPECT_EQ(MleScheme::encryptWithKey(chunkKey(plain), plain),
+            MleScheme::encryptWithKey(chunkKey(plain), plain));
+}
+
+TEST(Mle, DifferentPlaintextsDiffer) {
+  const ByteVec a = toBytes("chunk A");
+  const ByteVec b = toBytes("chunk B");
+  EXPECT_NE(MleScheme::encryptWithKey(chunkKey(a), a),
+            MleScheme::encryptWithKey(chunkKey(b), b));
+}
+
+TEST(Mle, DecryptRoundtripUnderChunkKey) {
+  const ByteVec plain = toBytes("some chunk to protect");
+  const AesKey key = chunkKey(plain);
+  EXPECT_EQ(MleScheme::decryptWithKey(key, MleScheme::encryptWithKey(key, plain)),
+            plain);
+}
+
+// Without the key manager's secret the key is not a public function of the
+// content, so an adversary cannot brute-force predictable chunks offline.
+TEST(Mle, CiphertextDependsOnGlobalSecret) {
+  const ByteVec plain = toBytes("predictable chunk");
+  const Fp fp = fpOfContent(plain);
+  const AesKey key1 = KeyManager(toBytes("secret-1")).deriveChunkKey(fp);
+  const AesKey key2 = KeyManager(toBytes("secret-2")).deriveChunkKey(fp);
+  EXPECT_NE(MleScheme::encryptWithKey(key1, plain),
+            MleScheme::encryptWithKey(key2, plain));
+}
+
+// MinHash encryption keys a chunk by its segment's minimum fingerprint; even
+// when that minimum is the chunk's own, the ciphertext differs from MLE's.
+TEST(Mle, SegmentAndChunkKeysEncryptDifferently) {
+  const KeyManager km(toBytes("secret"));
+  const ByteVec plain = toBytes("segment minimum chunk");
+  const Fp fp = fpOfContent(plain);
+  EXPECT_NE(MleScheme::encryptWithKey(km.deriveChunkKey(fp), plain),
+            MleScheme::encryptWithKey(km.deriveSegmentKey(fp), plain));
+}
+
+// The stored format: AES-256-CTR under the key's deterministic IV.
+TEST(Mle, IsAesCtrUnderTheKeysDeterministicIv) {
+  const ByteVec plain = toBytes("on-disk ciphertext format");
+  const AesKey key = chunkKey(plain);
+  EXPECT_EQ(MleScheme::encryptWithKey(key, plain),
+            aesCtrEncrypt(key, deterministicIv(key), plain));
+}
+
+TEST(Mle, EmptyPlaintext) {
+  const AesKey key = chunkKey({});
+  EXPECT_TRUE(MleScheme::encryptWithKey(key, {}).empty());
+  EXPECT_TRUE(MleScheme::decryptWithKey(key, {}).empty());
+}
+
 TEST(Mle, CiphertextHidesPlaintext) {
   const ByteVec plain(1000, 0x41);
   const ByteVec cipher = MleScheme::encryptWithKey(chunkKey(plain), plain);
