@@ -199,8 +199,15 @@ class DedupClient {
 };
 
 /// Derives a user (recipe-sealing) key from a passphrase:
-/// SHA-256("user-key:" + passphrase). Shared by backup_system and fsck so a
-/// store written by one can be deep-verified by the other.
+/// SHA-256("user-key:" + passphrase). Shared by the `fdd` CLI and the daemon
+/// so a store written by one can be restored and deep-verified by the other.
 AesKey userKeyFromPassphrase(std::string_view passphrase);
+
+/// Key-manager secret of local `fdd backup` and of the daemon. Both derive
+/// chunk and segment keys from it, so either one deduplicates against
+/// chunks the other stored. Changing it would stop new backups from
+/// deduplicating against every existing store's chunks.
+inline constexpr std::string_view kKeyManagerSecret =
+    "backup-system-global-secret";
 
 }  // namespace freqdedup

@@ -1,6 +1,6 @@
-// Remote client for freqdedupd: one authenticated tenant connection
+// Remote client for the dedup daemon: one authenticated tenant connection
 // speaking the wire.h protocol, with an API shaped after the in-process
-// DedupClient so callers (backup_system --remote, tests, benches) can swap
+// DedupClient so callers (`fdd --remote`, tests, benches) can swap
 // between the two.
 //
 // A RemoteDedupClient is a single socket and is NOT thread-safe; open one

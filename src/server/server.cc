@@ -28,11 +28,6 @@ namespace freqdedup::server {
 
 namespace {
 
-/// Same key-manager secret as the backup_system tool, so a store written by
-/// either is readable by the other (the tenant-isolation tests rely on
-/// byte-identical restores across the in-process and remote paths).
-constexpr char kServerSecret[] = "backup-system-global-secret";
-
 /// Mid-frame stall bound on accepted sockets: a peer that sends half a
 /// frame (or stops reading its response) fails the worker within this
 /// budget instead of pinning a pool thread forever.
@@ -95,31 +90,13 @@ struct FreqDedupServer::Conn {
   std::map<uint64_t, OpenRestore> restores;
 };
 
-uint64_t parseByteSize(const std::string& s) {
-  if (s.empty()) throw std::invalid_argument("byte size: empty");
-  size_t end = 0;
-  const uint64_t n = std::stoull(s, &end);
-  uint64_t mult = 1;
-  if (end + 1 == s.size()) {
-    switch (s[end]) {
-      case 'k': case 'K': mult = 1024; break;
-      case 'm': case 'M': mult = 1024 * 1024; break;
-      case 'g': case 'G': mult = 1024 * 1024 * 1024; break;
-      default: throw std::invalid_argument("byte size: bad suffix in " + s);
-    }
-  } else if (end != s.size()) {
-    throw std::invalid_argument("byte size: trailing junk in " + s);
-  }
-  return n * mult;
-}
-
 FreqDedupServer::FreqDedupServer(const std::string& storeDir,
                                  ServerOptions options)
     : storeDir_(storeDir),
       options_(std::move(options)),
       bound_(parseAddress(options_.address)),
       store_(std::make_unique<FileBackupStore>(storeDir, options_.store)),
-      keyManager_(toBytes(kServerSecret)),
+      keyManager_(toBytes(kKeyManagerSecret)),
       chunker_(std::make_unique<CdcChunker>()),
       tenants_(options_.quota) {
   client_ = std::make_unique<DedupClient>(*store_, keyManager_, *chunker_,

@@ -1,4 +1,4 @@
-// freqdedupd — the dedup server daemon.
+// FreqDedupServer — the dedup server daemon that `fdd serve` runs.
 //
 // One FreqDedupServer owns the persistent store, a shared DedupClient and a
 // TenantRegistry, and serves many concurrent remote clients over a Unix or
@@ -70,7 +70,7 @@ struct ServerOptions {
   /// to the FileBackupStore).
   StoreOptions store;
   /// Session behavior for all tenants. Defaults to the full defense
-  /// (MinHash + scrambling), matching the backup_system tool.
+  /// (MinHash + scrambling), matching local `fdd backup`.
   BackupOptions backupOptions;
   RestoreOptions restoreOptions;
   /// Whether privileged peers (unix-socket, same uid as the daemon or root)
@@ -191,9 +191,5 @@ class FreqDedupServer {
   std::mutex shutdownMu_;
   std::condition_variable shutdownCv_;
 };
-
-/// Serialization of ServerOptions quota flags used by the CLI:
-/// parses "<n>[k|m|g]" into bytes. Throws std::invalid_argument.
-uint64_t parseByteSize(const std::string& s);
 
 }  // namespace freqdedup::server

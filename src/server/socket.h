@@ -1,4 +1,4 @@
-// Minimal blocking socket layer for the freqdedupd daemon and its remote
+// Minimal blocking socket layer for the dedup daemon and its remote
 // clients: address parsing, listen/connect, and frame-at-a-time I/O over the
 // wire.h framing. POSIX only (the rest of the repo already assumes POSIX
 // file I/O).

@@ -3,7 +3,7 @@
 // The paper's multi-tenant threat model (Section 2) has many clients writing
 // into ONE deduplicated store — that sharing is exactly what makes frequency
 // analysis a cross-user attack, and exactly what an operator deploys for
-// space savings. freqdedupd therefore keeps a single chunk store (chunks
+// space savings. The daemon therefore keeps a single chunk store (chunks
 // dedup across all tenants) but namespaces everything nameable:
 //
 //  - backup names: tenant "acme" backup "vm.img" lives under the scoped

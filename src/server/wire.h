@@ -1,4 +1,4 @@
-// freqdedupd wire protocol: length-prefixed, CRC-framed request/response
+// Daemon wire protocol: length-prefixed, CRC-framed request/response
 // messages between remote clients and the dedup server daemon.
 //
 // Framing (identical shape to the WAL/container record framing):

@@ -47,8 +47,8 @@ struct StoreOptions {
   /// whatever each frame declares.
   ContainerCodec codec = ContainerCodec::kNone;
   /// Byte budget of the block cache shared by restore prefetch, cold-tier
-  /// promotion and fsck --deep (0 disables it, kUnboundedBlockCacheBytes
-  /// never evicts).
+  /// promotion and `fdd verify --deep` (0 disables it,
+  /// kUnboundedBlockCacheBytes never evicts).
   uint64_t blockCacheBytes = kDefaultBlockCacheBytes;
   /// Hot/cold tiering (demotion policy + simulated cold-store performance).
   ColdTierOptions coldTier;

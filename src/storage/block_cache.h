@@ -1,6 +1,7 @@
 // Thread-safe byte-budgeted cache of parsed, immutable containers — the one
 // block-cache layer shared by the restore read path, cold-tier promotion and
-// fsck --deep (WiredTiger src/block_cache is the architectural exemplar).
+// `fdd verify --deep` (WiredTiger src/block_cache is the architectural
+// exemplar).
 //
 // It replaces the container-count-bounded read cache: with variable
 // container sizes a count bound leaves the real memory footprint unbounded

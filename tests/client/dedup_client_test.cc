@@ -247,6 +247,12 @@ TEST_F(DedupClientDurability, RecommitIsDurableWhenCommitReturns) {
   EXPECT_EQ(restoreFromCopy("doc"), content);
 }
 
+// Every store written so far holds chunks keyed by this secret: a new value
+// would make fresh backups store every chunk again instead of deduplicating.
+TEST(DedupClient, KeyManagerSecretIsTheOneEveryStoreWasWrittenWith) {
+  EXPECT_EQ(kKeyManagerSecret, "backup-system-global-secret");
+}
+
 TEST(DedupClient, EmptyObjectRoundTrips) {
   TempStore store;
   KeyManager km(toBytes("empty-secret"));

@@ -4,7 +4,6 @@
 // remote shutdown.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +14,7 @@
 #include "server/server.h"
 #include "server/socket.h"
 #include "server/wire.h"
+#include "temp_store.h"
 
 namespace freqdedup::server {
 namespace {
@@ -28,23 +28,12 @@ ByteVec randomContent(uint64_t seed, size_t n) {
 
 class ServerE2E : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto& info = *::testing::UnitTest::GetInstance()->current_test_info();
-    base_ = (std::filesystem::temp_directory_path() /
-             ("fdd_e2e_" + std::string(info.name())))
-                .string();
-    std::filesystem::remove_all(base_);
-    std::filesystem::create_directories(base_);
-  }
-  void TearDown() override {
-    server_.reset();
-    std::filesystem::remove_all(base_);
-  }
-
   void startServer(ServerOptions options = {}) {
-    if (options.address.empty()) options.address = "unix:" + base_ + "/sock";
+    if (options.address.empty())
+      options.address = "unix:" + tmp_.path() + "/sock";
     options.store.containerBytes = 256 * 1024;
-    server_ = std::make_unique<FreqDedupServer>(base_ + "/store", options);
+    server_ =
+        std::make_unique<FreqDedupServer>(tmp_.path() + "/store", options);
     server_->start();
   }
 
@@ -57,7 +46,9 @@ class ServerE2E : public ::testing::Test {
     return connectTo(server_->boundAddress());
   }
 
-  std::string base_;
+  // Store and socket live in a directory of this test alone, declared
+  // before the server so that the server stops before the directory goes.
+  const TempDir tmp_;
   std::unique_ptr<FreqDedupServer> server_;
 };
 
@@ -210,7 +201,7 @@ TEST_F(ServerE2E, StatsExposeServerAndTenantCounters) {
 TEST_F(ServerE2E, RestartRecoversTenantAccounting) {
   // Quota small enough that recovery errors would change admission.
   ServerOptions options;
-  options.address = "unix:" + base_ + "/sock";
+  options.address = "unix:" + tmp_.path() + "/sock";
   options.quota.maxLogicalBytes = 100 * 1024;
   options.quota.maxBackups = 3;
   startServer(options);
@@ -319,7 +310,7 @@ TEST_F(ServerE2E, WrongTenantPassphraseIsRejected) {
 
 TEST_F(ServerE2E, AuthVerifierSurvivesRestart) {
   ServerOptions options;
-  options.address = "unix:" + base_ + "/sock";
+  options.address = "unix:" + tmp_.path() + "/sock";
   startServer(options);
   {
     RemoteDedupClient client = connect("acme");

@@ -5,7 +5,6 @@
 // store.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -20,6 +19,7 @@
 #include "server/server.h"
 #include "server/tenant.h"
 #include "storage/file_backup_store.h"
+#include "temp_store.h"
 
 namespace freqdedup::server {
 namespace {
@@ -33,28 +33,16 @@ ByteVec randomContent(uint64_t seed, size_t n) {
 
 class TenantIsolation : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto& info = *::testing::UnitTest::GetInstance()->current_test_info();
-    base_ = (std::filesystem::temp_directory_path() /
-             ("fdd_tenant_" + std::string(info.name())))
-                .string();
-    std::filesystem::remove_all(base_);
-    std::filesystem::create_directories(base_);
-  }
-  void TearDown() override {
-    server_.reset();
-    std::filesystem::remove_all(base_);
-  }
-
   /// Starts a daemon on a unix socket under the test dir.
   void startServer(TenantQuota quota = {}) {
     ServerOptions options;
-    options.address = "unix:" + base_ + "/sock";
+    options.address = "unix:" + tmp_.path() + "/sock";
     options.threads = 4;
     options.quota = quota;
     options.store.containerBytes = 256 * 1024;
     options.allowShutdown = false;
-    server_ = std::make_unique<FreqDedupServer>(base_ + "/store", options);
+    server_ =
+        std::make_unique<FreqDedupServer>(tmp_.path() + "/store", options);
     server_->start();
   }
 
@@ -79,7 +67,9 @@ class TenantIsolation : public ::testing::Test {
     return names;
   }
 
-  std::string base_;
+  // Store and socket live in a directory of this test alone, declared
+  // before the server so that the server stops before the directory goes.
+  const TempDir tmp_;
   std::unique_ptr<FreqDedupServer> server_;
 };
 
@@ -239,7 +229,8 @@ TEST_F(TenantIsolation, ConcurrentTenantsRestoreBitIdentical) {
   // socket path adds no transformation. The daemon stores recipes sealed
   // under userKeyFromPassphrase(hello.passphrase) at the scoped name.
   server_.reset();
-  FileBackupStore store(base_ + "/store", {.containerBytes = 256 * 1024});
+  FileBackupStore store(tmp_.path() + "/store",
+                        {.containerBytes = 256 * 1024});
   DedupClient local(store);
   for (int t = 0; t < kTenants; ++t) {
     const std::string tenant = "tenant" + std::to_string(t);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sanity-check a --stats=json dump from backup_system or fsck.
+"""Sanity-check a --stats=json dump from fdd.
 
 Usage: check_stats.py <file> [<file>...]
 
@@ -23,8 +23,9 @@ JSON metrics snapshot (or a bare .json file). Checks, per file:
   - settled gauges: restore.prefetch_window reads 0;
   - every histogram's count/sum/bucket totals are internally consistent.
 
-When the snapshot carries freqdedupd counters (any "server." counter), it is
-additionally checked as a daemon dump:
+When the snapshot carries daemon counters (any "server." counter, as from
+`fdd serve` at exit or `fdd stats --remote`), it is additionally checked as a
+daemon dump:
   - server.requests > 0 and server.request_errors <= server.requests;
   - frame accounting: frames_rx >= requests, frames_tx > 0, bytes flowing;
   - connection lifecycle: connections_opened >= connections_closed > 0,
@@ -57,7 +58,7 @@ def extract_snapshot(path):
 
 
 def check_server(snap):
-    """freqdedupd-specific invariants; no-op for non-daemon snapshots."""
+    """Daemon-specific invariants; no-op for non-daemon snapshots."""
     counters = snap.get("counters", {})
     gauges = snap.get("gauges", {})
     if not any(name.startswith("server.") for name in counters):

@@ -1,107 +1,120 @@
 #!/usr/bin/env bash
-# End-to-end freqdedupd smoke: start the daemon, drive concurrent tenant
-# clients through backup -> restore -> byte-compare -> delete over the
-# socket, validate the server/tenant metrics, shut the daemon down remotely
-# and check it exits cleanly, then GC + fsck the store it leaves behind.
+# End-to-end daemon smoke: start `fdd serve` on a unix socket, drive two
+# concurrent tenants through backup -> restore -> byte-compare -> delete
+# with `fdd --remote`, check tenant namespaces and authentication, validate
+# the server/tenant metrics live and at daemon exit, shut the daemon down
+# remotely and check that it exits cleanly, then gc and verify the store it
+# leaves behind.
 #
-# Usage: server_smoke.sh <build-dir> <work-dir>
-# Exits non-zero on any failure. Used by CI (plain and ASan+UBSan builds).
+# Usage: server_smoke.sh <fdd-binary> <stats-dir>
+# Works in its own mktemp directory under /tmp, so the socket path stays
+# short and parallel runs never share a socket. The live and final stats
+# dumps and the daemon log are kept in <stats-dir>. With the registry
+# compiled out (FREQDEDUP_OBS=OFF in the environment) the check_stats.py
+# calls are skipped. Exits non-zero on any failure. ctest runs it as
+# cli.server_smoke.
 set -euo pipefail
 
-BUILD_DIR=${1:?usage: server_smoke.sh <build-dir> <work-dir>}
-WORK_DIR=${2:?usage: server_smoke.sh <build-dir> <work-dir>}
-DAEMON="$BUILD_DIR/tools/freqdedupd"
-CLIENT="$BUILD_DIR/examples/backup_system"
+FDD=${1:?usage: server_smoke.sh <fdd-binary> <stats-dir>}
+STATS=${2:?usage: server_smoke.sh <fdd-binary> <stats-dir>}
 TOOLS_DIR="$(cd "$(dirname "$0")" && pwd)"
+WORK=$(mktemp -d /tmp/fdd-server.XXXXXX)
+trap 'rm -rf "$WORK"' EXIT
+mkdir -p "$STATS" "$WORK/src-acme" "$WORK/src-beta"
+SOCK="unix:$WORK/sock"
+STORE="$WORK/store"
+LOG="$STATS/daemon.log"
 
-rm -rf "$WORK_DIR"
-mkdir -p "$WORK_DIR"/src-acme "$WORK_DIR"/src-beta
-SOCK="unix:$WORK_DIR/freqdedupd.sock"
-STORE="$WORK_DIR/store"
+check_stats() {
+  if [ "${FREQDEDUP_OBS:-ON}" = OFF ]; then
+    echo "SKIP check_stats.py $* (FREQDEDUP_OBS=OFF)"
+  else
+    python3 "$TOOLS_DIR/check_stats.py" "$@"
+  fi
+}
 
 # Distinct data per tenant plus one shared file, so the smoke crosses the
 # cross-tenant dedup path too.
-head -c 4194304 /dev/urandom > "$WORK_DIR/src-acme/big.bin"
-head -c  524288 /dev/urandom > "$WORK_DIR/src-acme/small.bin"
-head -c 2097152 /dev/urandom > "$WORK_DIR/src-beta/other.bin"
-cp "$WORK_DIR/src-acme/big.bin" "$WORK_DIR/src-beta/big.bin"
+head -c 4194304 /dev/urandom > "$WORK/src-acme/big.bin"
+head -c  524288 /dev/urandom > "$WORK/src-acme/small.bin"
+head -c 2097152 /dev/urandom > "$WORK/src-beta/other.bin"
+cp "$WORK/src-acme/big.bin" "$WORK/src-beta/big.bin"
 
-"$DAEMON" "$STORE" "$SOCK" --threads=4 --quota-bytes=64m \
-    --stats=json > "$WORK_DIR/daemon.log" 2>&1 &
+"$FDD" serve "$STORE" "$SOCK" --threads=4 --quota-bytes=64m \
+    --stats=json > "$LOG" 2>&1 &
 DAEMON_PID=$!
-trap 'kill "$DAEMON_PID" 2>/dev/null || true' EXIT
+trap 'kill -9 "$DAEMON_PID" 2>/dev/null || true; wait "$DAEMON_PID" || true;
+      rm -rf "$WORK"' EXIT
 
-# The daemon prints "freqdedupd listening on ..." once it is accepting.
-for _ in $(seq 1 100); do
-  grep -q "freqdedupd listening on" "$WORK_DIR/daemon.log" && break
+# The daemon prints "fdd serve: listening on ..." once it is accepting.
+for _ in $(seq 1 300); do
+  grep -q "fdd serve: listening on" "$LOG" && break
   kill -0 "$DAEMON_PID" 2>/dev/null || {
-    echo "daemon died during startup:"; cat "$WORK_DIR/daemon.log"; exit 1; }
+    echo "daemon died during startup:"; cat "$LOG"; exit 1; }
   sleep 0.1
 done
-grep -q "freqdedupd listening on" "$WORK_DIR/daemon.log" || {
-  echo "daemon never started listening:"; cat "$WORK_DIR/daemon.log"; exit 1; }
+grep -q "fdd serve: listening on" "$LOG" || {
+  echo "daemon never started listening:"; cat "$LOG"; exit 1; }
 
 # Two tenants back up CONCURRENTLY through the one daemon.
-"$CLIENT" backup "$WORK_DIR/src-acme" acme-pass \
-    --remote="$SOCK" --tenant=acme &
+"$FDD" backup "$WORK/src-acme" acme-pass --remote="$SOCK" --tenant=acme &
 ACME_PID=$!
-"$CLIENT" backup "$WORK_DIR/src-beta" beta-pass \
-    --remote="$SOCK" --tenant=beta &
+"$FDD" backup "$WORK/src-beta" beta-pass --remote="$SOCK" --tenant=beta &
 BETA_PID=$!
 wait "$ACME_PID"
 wait "$BETA_PID"
 
 # Namespaces: each tenant lists exactly its own files.
-"$CLIENT" list --remote="$SOCK" --tenant=acme --pass=acme-pass | sort > "$WORK_DIR/acme.list"
-printf 'big.bin\nsmall.bin\n' | diff - "$WORK_DIR/acme.list"
-"$CLIENT" list --remote="$SOCK" --tenant=beta --pass=beta-pass | sort > "$WORK_DIR/beta.list"
-printf 'big.bin\nother.bin\n' | diff - "$WORK_DIR/beta.list"
+"$FDD" list --remote="$SOCK" --tenant=acme --pass=acme-pass | sort \
+    > "$WORK/acme.list"
+printf 'big.bin\nsmall.bin\n' | diff - "$WORK/acme.list"
+"$FDD" list --remote="$SOCK" --tenant=beta --pass=beta-pass | sort \
+    > "$WORK/beta.list"
+printf 'big.bin\nother.bin\n' | diff - "$WORK/beta.list"
 
 # Tenant auth: claiming acme's id with the wrong passphrase must fail.
-if "$CLIENT" list --remote="$SOCK" --tenant=acme --pass=wrong-pass \
+if "$FDD" list --remote="$SOCK" --tenant=acme --pass=wrong-pass \
     > /dev/null 2>&1; then
   echo "wrong passphrase was accepted for tenant acme"; exit 1
 fi
 
 # Restore (concurrently) and byte-compare everything.
-"$CLIENT" restore "$WORK_DIR/out-acme" acme-pass \
-    --remote="$SOCK" --tenant=acme &
+"$FDD" restore "$WORK/out-acme" acme-pass --remote="$SOCK" --tenant=acme &
 ACME_PID=$!
-"$CLIENT" restore "$WORK_DIR/out-beta" beta-pass \
-    --remote="$SOCK" --tenant=beta &
+"$FDD" restore "$WORK/out-beta" beta-pass --remote="$SOCK" --tenant=beta &
 BETA_PID=$!
 wait "$ACME_PID"
 wait "$BETA_PID"
-cmp "$WORK_DIR/src-acme/big.bin"   "$WORK_DIR/out-acme/big.bin"
-cmp "$WORK_DIR/src-acme/small.bin" "$WORK_DIR/out-acme/small.bin"
-cmp "$WORK_DIR/src-beta/big.bin"   "$WORK_DIR/out-beta/big.bin"
-cmp "$WORK_DIR/src-beta/other.bin" "$WORK_DIR/out-beta/other.bin"
+cmp "$WORK/src-acme/big.bin"   "$WORK/out-acme/big.bin"
+cmp "$WORK/src-acme/small.bin" "$WORK/out-acme/small.bin"
+cmp "$WORK/src-beta/big.bin"   "$WORK/out-beta/big.bin"
+cmp "$WORK/src-beta/other.bin" "$WORK/out-beta/other.bin"
 
 # Live stats over the socket must pass the daemon invariants.
-"$CLIENT" stats --remote="$SOCK" --tenant=acme --pass=acme-pass > "$WORK_DIR/stats.json"
-python3 "$TOOLS_DIR/check_stats.py" "$WORK_DIR/stats.json"
+"$FDD" stats --remote="$SOCK" --tenant=acme --pass=acme-pass \
+    > "$STATS/server_stats.json"
+check_stats "$STATS/server_stats.json"
 
 # Delete one backup per tenant; acme's copy of big.bin must survive beta's.
-"$CLIENT" delete small.bin --remote="$SOCK" --tenant=acme --pass=acme-pass
-"$CLIENT" delete big.bin   --remote="$SOCK" --tenant=beta --pass=beta-pass
-"$CLIENT" restore "$WORK_DIR/out-acme2" acme-pass \
-    --remote="$SOCK" --tenant=acme
-cmp "$WORK_DIR/src-acme/big.bin" "$WORK_DIR/out-acme2/big.bin"
+"$FDD" delete small.bin --remote="$SOCK" --tenant=acme --pass=acme-pass
+"$FDD" delete big.bin   --remote="$SOCK" --tenant=beta --pass=beta-pass
+"$FDD" restore "$WORK/out-acme2" acme-pass --remote="$SOCK" --tenant=acme
+cmp "$WORK/src-acme/big.bin" "$WORK/out-acme2/big.bin"
 
 # Remote shutdown; the daemon must exit 0 and dump a clean final snapshot.
-"$CLIENT" shutdown --remote="$SOCK" --tenant=acme --pass=acme-pass
+"$FDD" shutdown --remote="$SOCK" --tenant=acme --pass=acme-pass
 DAEMON_RC=0
 wait "$DAEMON_PID" || DAEMON_RC=$?
-trap - EXIT
+trap 'rm -rf "$WORK"' EXIT
 if [ "$DAEMON_RC" -ne 0 ]; then
-  echo "daemon exited with $DAEMON_RC:"; cat "$WORK_DIR/daemon.log"; exit 1
+  echo "daemon exited with $DAEMON_RC:"; cat "$LOG"; exit 1
 fi
-grep -q "freqdedupd stopped" "$WORK_DIR/daemon.log"
-python3 "$TOOLS_DIR/check_stats.py" "$WORK_DIR/daemon.log"
+grep -q "fdd serve: stopped" "$LOG"
+check_stats "$LOG"
 
-# The store the daemon leaves behind is a normal store: GC the deleted
-# backups' chunks, then deep-verify a surviving tenant namespace.
-"$CLIENT" gc "$STORE"
-"$BUILD_DIR/tools/fsck" "$STORE" || { echo "fsck failed"; exit 1; }
+# The store the daemon leaves behind is a normal store: gc the deleted
+# backups' chunks, then cross-check index, containers and manifests.
+"$FDD" gc "$STORE"
+"$FDD" verify "$STORE"
 
 echo "server smoke OK"
