@@ -191,6 +191,30 @@ void BM_NeighborIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborIndexBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+void BM_RankByFrequency(benchmark::State& state) {
+  // The basic attack's ranking on attack-sweep's data at scale 1: the last
+  // of five FSL-like backups as the target and the one before it as the
+  // auxiliary stream, both ranked to k = the smaller unique count.
+  FslGenParams params;
+  params.backups = 5;
+  const Dataset dataset = generateFslDataset(params);
+  const auto target =
+      analysis::ChunkStreamIndex::build(dataset.backups[4].records);
+  const auto aux =
+      analysis::ChunkStreamIndex::build(dataset.backups[3].records);
+  const auto targetFreq = analysis::FrequencyIndex::build(target, 1);
+  const auto auxFreq = analysis::FrequencyIndex::build(aux, 1);
+  const size_t k = std::min(target.uniqueCount(), aux.uniqueCount());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::rankByFrequency(targetFreq, target, k));
+    benchmark::DoNotOptimize(analysis::rankByFrequency(auxFreq, aux, k));
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations()) *
+      static_cast<int64_t>(target.uniqueCount() + aux.uniqueCount()));
+}
+BENCHMARK(BM_RankByFrequency)->Unit(benchmark::kMillisecond);
+
 void BM_RankBySizeClass(benchmark::State& state) {
   // attack-sweep's target at scale 1: the last of five FSL-like backups,
   // ranked for the top u = 1 of each size class, as the locality attack's

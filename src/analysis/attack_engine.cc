@@ -1,6 +1,7 @@
 #include "analysis/attack_engine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 #include "obs/trace.h"
@@ -74,12 +75,21 @@ void AttackEngine::runParallel(
 void AttackEngine::buildFrequencies() {
   if (cipherFreq_ && plainFreq_) return;
   obs::ObsSpan span(&AttackMetrics::get().countUs, "attack.count", "attack");
+  std::vector<std::optional<FrequencyIndex>*> missing;
+  std::vector<const ChunkStreamIndex*> streams;
+  for (const auto& [index, stream] :
+       {std::pair{&cipherFreq_, &cipher_}, std::pair{&plainFreq_, &plain_}}) {
+    if (*index) continue;
+    missing.push_back(index);
+    streams.push_back(stream);
+  }
   FrequencyBuildOptions build;
   build.threads = effectiveThreads();
   build.pool = workerPool();
   build.plan = options_.plan;
-  if (!cipherFreq_) cipherFreq_ = FrequencyIndex::build(cipher_, build);
-  if (!plainFreq_) plainFreq_ = FrequencyIndex::build(plain_, build);
+  std::vector<FrequencyIndex> built = FrequencyIndex::buildAll(streams, build);
+  for (size_t i = 0; i < missing.size(); ++i)
+    *missing[i] = std::move(built[i]);
 }
 
 void AttackEngine::buildNeighbors() {
@@ -87,22 +97,25 @@ void AttackEngine::buildNeighbors() {
   obs::ObsSpan span(&AttackMetrics::get().neighborBuildUs,
                     "attack.neighbor_build", "attack");
   using Side = NeighborIndex::Side;
+  using Source = NeighborIndex::Source;
+  std::vector<std::optional<NeighborIndex>*> missing;
+  std::vector<Source> sources;
+  for (const auto& [index, source] :
+       {std::pair{&cipherLeft_, Source{&cipher_, Side::kLeft}},
+        std::pair{&cipherRight_, Source{&cipher_, Side::kRight}},
+        std::pair{&plainLeft_, Source{&plain_, Side::kLeft}},
+        std::pair{&plainRight_, Source{&plain_, Side::kRight}}}) {
+    if (*index) continue;
+    missing.push_back(index);
+    sources.push_back(source);
+  }
   NeighborBuildOptions build;
   build.threads = effectiveThreads();
   build.pool = workerPool();
   build.plan = options_.plan;
-  if (!cipherLeft_) {
-    cipherLeft_ = NeighborIndex::build(cipher_, Side::kLeft, build);
-  }
-  if (!cipherRight_) {
-    cipherRight_ = NeighborIndex::build(cipher_, Side::kRight, build);
-  }
-  if (!plainLeft_) {
-    plainLeft_ = NeighborIndex::build(plain_, Side::kLeft, build);
-  }
-  if (!plainRight_) {
-    plainRight_ = NeighborIndex::build(plain_, Side::kRight, build);
-  }
+  std::vector<NeighborIndex> built = NeighborIndex::buildAll(sources, build);
+  for (size_t i = 0; i < missing.size(); ++i)
+    *missing[i] = std::move(built[i]);
 }
 
 std::vector<AttackEngine::IdPair> AttackEngine::rankPairs(size_t x,
@@ -151,6 +164,25 @@ std::vector<AttackEngine::IdPair> AttackEngine::rankPairs(size_t x,
   return pairs;
 }
 
+void AttackEngine::Scratch::reset(size_t entries) {
+  table.assign(std::bit_ceil(2 * entries), ClassTally{});
+  shared.clear();
+}
+
+AttackEngine::Scratch::ClassTally& AttackEngine::Scratch::tally(
+    uint32_t sizeClass) {
+  const uint32_t key = sizeClass + 1;
+  const size_t mask = table.size() - 1;
+  for (size_t slot = mix64(key) & mask;; slot = (slot + 1) & mask) {
+    ClassTally& t = table[slot];
+    if (t.key == key) return t;
+    if (t.key == 0) {
+      t.key = key;
+      return t;
+    }
+  }
+}
+
 void AttackEngine::neighborPairs(
     std::span<const NeighborIndex::Entry> cipherList,
     std::span<const NeighborIndex::Entry> plainList, size_t v,
@@ -162,48 +194,52 @@ void AttackEngine::neighborPairs(
     return;
   }
 
-  // Size-classified variant: the CSR lists are pre-ranked globally, and a
-  // stable bucketing by class preserves that rank within each class, so the
-  // per-class top-v is just each class run's prefix.
-  scratch.cipher.clear();
-  for (const NeighborIndex::Entry& e : cipherList)
-    scratch.cipher.emplace_back(sizeClassOf(cipher_.sizeOf(e.id)), e.id);
-  scratch.plain.clear();
-  for (const NeighborIndex::Entry& e : plainList)
-    scratch.plain.emplace_back(sizeClassOf(plain_.sizeOf(e.id)), e.id);
-  const auto byClass = [](const std::pair<uint32_t, ChunkId>& a,
-                          const std::pair<uint32_t, ChunkId>& b) {
-    return a.first < b.first;
+  // Size-classified variant: the CSR lists are pre-ranked globally, so a
+  // class's top-v is its first v entries in row order. A per-pair table of
+  // the classes the two rows hold replaces sorting the rows by class: one
+  // pass per row tallies each class, the shared classes get their runs of
+  // `out` in ascending class order, and a second pass per row fills them.
+  if (cipherList.empty() || plainList.empty()) return;
+  const auto cipherClass = [&](const NeighborIndex::Entry& e) {
+    return sizeClassOf(cipher_.sizeOf(e.id));
   };
-  std::stable_sort(scratch.cipher.begin(), scratch.cipher.end(), byClass);
-  std::stable_sort(scratch.plain.begin(), scratch.plain.end(), byClass);
-
-  size_t ci = 0, mi = 0;
-  while (ci < scratch.cipher.size() && mi < scratch.plain.size()) {
-    const uint32_t cClass = scratch.cipher[ci].first;
-    const uint32_t mClass = scratch.plain[mi].first;
-    size_t cEnd = ci, mEnd = mi;
-    while (cEnd < scratch.cipher.size() &&
-           scratch.cipher[cEnd].first == cClass) {
-      ++cEnd;
-    }
-    while (mEnd < scratch.plain.size() &&
-           scratch.plain[mEnd].first == mClass) {
-      ++mEnd;
-    }
-    if (cClass < mClass) {
-      ci = cEnd;
-    } else if (mClass < cClass) {
-      mi = mEnd;
-    } else {
-      const size_t k = std::min({v, cEnd - ci, mEnd - mi});
-      for (size_t i = 0; i < k; ++i) {
-        out.push_back({scratch.cipher[ci + i].second,
-                       scratch.plain[mi + i].second});
-      }
-      ci = cEnd;
-      mi = mEnd;
-    }
+  const auto plainClass = [&](const NeighborIndex::Entry& e) {
+    return sizeClassOf(plain_.sizeOf(e.id));
+  };
+  // Most rows of a backup stream hold one neighbor (99% of FSL-like rows).
+  if (cipherList.size() == 1 && plainList.size() == 1) {
+    if (v > 0 && cipherClass(cipherList[0]) == plainClass(plainList[0]))
+      out.push_back({cipherList[0].id, plainList[0].id});
+    return;
+  }
+  scratch.reset(cipherList.size() + plainList.size());
+  for (const NeighborIndex::Entry& e : cipherList)
+    ++scratch.tally(cipherClass(e)).cipher;
+  for (const NeighborIndex::Entry& e : plainList) {
+    const uint32_t sizeClass = plainClass(e);
+    Scratch::ClassTally& t = scratch.tally(sizeClass);
+    if (t.plain++ == 0 && t.cipher > 0) scratch.shared.push_back(sizeClass);
+  }
+  // The classes both rows hold, usually one or none: the only ordering
+  // left, and it never touches the rows' entries.
+  std::sort(scratch.shared.begin(), scratch.shared.end());
+  const size_t base = out.size();
+  size_t at = base;
+  for (const uint32_t sizeClass : scratch.shared) {
+    Scratch::ClassTally& t = scratch.tally(sizeClass);
+    t.at = static_cast<uint32_t>(at - base);
+    t.len = static_cast<uint32_t>(std::min<size_t>({v, t.cipher, t.plain}));
+    t.cipher = t.plain = 0;  // from here on, fill cursors
+    at += t.len;
+  }
+  out.resize(at);
+  for (const NeighborIndex::Entry& e : cipherList) {
+    Scratch::ClassTally& t = scratch.tally(cipherClass(e));
+    if (t.cipher < t.len) out[base + t.at + t.cipher++].cipher = e.id;
+  }
+  for (const NeighborIndex::Entry& e : plainList) {
+    Scratch::ClassTally& t = scratch.tally(plainClass(e));
+    if (t.plain < t.len) out[base + t.at + t.plain++].plain = e.id;
   }
 }
 

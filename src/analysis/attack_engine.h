@@ -22,8 +22,19 @@
 //
 // An engine is constructed from the interned ciphertext and plaintext
 // streams. Frequency columns and CSR neighbor indexes are built lazily (the
-// basic attack needs no neighbor tables) with the configured number of
-// threads and cached across attack runs on the same engine.
+// basic attack needs no neighbor tables) and cached across attack runs on
+// the same engine. The builds are independent of each other, so they run
+// side by side on the engine's worker pool: the two frequency builds at
+// once, then the four neighbor builds (FrequencyIndex::buildAll,
+// NeighborIndex::buildAll). Each build phase runs the key ranges of every
+// build as the tasks of one parallelFor called from the engine's thread,
+// so a build on the serial plan occupies one worker, and a stream long
+// enough for its build to split (plan.h's cost model) spreads over several.
+// No build runs nested inside a pool task: parallelFor blocks its caller,
+// so tasks that waited on the pool could hold every worker and deadlock
+// it. The engine's thread also allocates every build buffer between the
+// phases: a worker that allocated them would keep them resident in its own
+// malloc arena after they are freed.
 //
 // Determinism contract: every result is bit-identical to the legacy serial
 // map-based implementation at every thread count. All ranking ties break by
@@ -116,7 +127,8 @@ class AttackEngine {
   AttackResult localityAttack(const AttackConfig& config);
 
   /// Phase builders, exposed so fddbench's attack-sweep can time the COUNT
-  /// and neighbor-build phases in isolation. Idempotent.
+  /// and neighbor-build phases in isolation. Idempotent. Each builds its
+  /// missing indexes side by side on the worker pool (see above).
   void buildFrequencies();
   void buildNeighbors();
 
@@ -135,10 +147,24 @@ class AttackEngine {
     ChunkId plain;
   };
 
-  /// Per-worker scratch for the sized neighbor analysis.
+  /// Per-worker scratch for the sized neighbor analysis: an open-addressing
+  /// table of the size classes two rows hold, emptied for every row pair
+  /// and reallocated only when a pair outgrows it.
   struct Scratch {
-    std::vector<std::pair<uint32_t, ChunkId>> cipher;
-    std::vector<std::pair<uint32_t, ChunkId>> plain;
+    struct ClassTally {
+      uint32_t key = 0;     // size class + 1; 0 marks an empty slot
+      uint32_t cipher = 0;  // the class's entries in the cipher row
+      uint32_t plain = 0;   // the class's entries in the plain row
+      uint32_t at = 0;      // offset of the class's first pair in the output
+      uint32_t len = 0;     // pairs the class contributes
+    };
+    std::vector<ClassTally> table;  // power-of-two size
+    std::vector<uint32_t> shared;   // the classes both rows hold
+
+    /// Empties the table, sized for `entries` row entries at load <= 1/2.
+    void reset(size_t entries);
+    /// The tally of `sizeClass`, inserted empty on first sight.
+    ClassTally& tally(uint32_t sizeClass);
   };
 
   /// Rank-pairs the top-x chunks of both streams by global frequency

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "analysis/plan.h"
@@ -48,6 +49,15 @@ struct FrequencyIndex {
   static FrequencyIndex build(const ChunkStreamIndex& stream,
                               const FrequencyBuildOptions& options);
 
+  /// One index per stream, built side by side: the key ranges of every
+  /// build are the tasks of one parallelFor, so builds on the serial plan
+  /// run one per worker. This thread allocates every output, and the tasks
+  /// only count (see neighbor_index.h on why). Each index is the one
+  /// build(*stream, options) returns.
+  static std::vector<FrequencyIndex> buildAll(
+      std::span<const ChunkStreamIndex* const> streams,
+      const FrequencyBuildOptions& options);
+
   /// Compatibility entry point. `parallelThreshold` 0 forces the parallel
   /// plan (tests and benches that must measure it on any machine); any other
   /// value defers to the cost model.
@@ -57,8 +67,9 @@ struct FrequencyIndex {
 };
 
 /// The ranking order every frequency analysis consumes: count desc, then
-/// fingerprint asc (never internal IDs — see stream_index.h). Shared by
-/// rankByFrequency and the per-class ranking in rankBySizeClass.
+/// fingerprint asc (never internal IDs — see stream_index.h). The
+/// comparator of rankBySizeClass's per-class sorts and of
+/// rankByFrequency's short prefixes.
 struct FrequencyOrder {
   const FrequencyIndex* freq;
   const ChunkStreamIndex* stream;
@@ -71,7 +82,10 @@ struct FrequencyOrder {
 };
 
 /// Top-k IDs by (count desc, fingerprint asc). k is capped at the unique
-/// count; uses a partial sort when k is a strict prefix.
+/// count. Linear in the unique count: an LSD radix sort over 16-bit digits,
+/// by fingerprint and then stably by count, that skips every digit the
+/// keys share, and then keeps the first k. A prefix of at most 1/16 of the
+/// IDs (the locality attack's seeds) takes a heap select instead.
 std::vector<ChunkId> rankByFrequency(const FrequencyIndex& freq,
                                      const ChunkStreamIndex& stream,
                                      size_t k);

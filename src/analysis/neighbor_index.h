@@ -17,9 +17,18 @@
 // One worker is the "serial" plan, several the "parallel" one; every row is
 // sorted before it is encoded, so the index is bit-identical at every
 // thread count.
+//
+// buildAll builds several indexes side by side: each phase runs the key
+// ranges of every build as the tasks of one parallelFor, so builds on the
+// serial plan run one per worker. No task waits on the pool: parallelFor
+// blocks its caller, so tasks that did could hold every worker and
+// deadlock it. The calling thread allocates every buffer between phases
+// and the tasks only compute, so no worker's malloc arena keeps a build's
+// freed buffers resident.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -47,9 +56,11 @@ class NeighborIndex {
     kRight,  // neighbors(x) = chunks seen directly after occurrences of x
   };
 
+  /// Trivially constructible, so the build can allocate the entries
+  /// array without a zeroing pass it would overwrite anyway.
   struct Entry {
-    ChunkId id = 0;       // the neighboring chunk
-    uint32_t count = 0;   // co-occurrence count
+    ChunkId id;      // the neighboring chunk
+    uint32_t count;  // co-occurrence count
   };
 
   NeighborIndex() = default;
@@ -57,24 +68,37 @@ class NeighborIndex {
   static NeighborIndex build(const ChunkStreamIndex& stream, Side side,
                              const NeighborBuildOptions& options);
 
+  /// One index of a buildAll call.
+  struct Source {
+    const ChunkStreamIndex* stream;
+    Side side;
+  };
+
+  /// One index per source, built side by side (see above). Each index is
+  /// the one build(*source.stream, source.side, options) returns.
+  static std::vector<NeighborIndex> buildAll(
+      std::span<const Source> sources, const NeighborBuildOptions& options);
+
   /// Compatibility entry point: cost-model plan.
   static NeighborIndex build(const ChunkStreamIndex& stream, Side side,
                              uint32_t threads, ThreadPool* pool = nullptr);
 
   /// The neighbor list of `id`, ranked by (count desc, fingerprint asc).
   [[nodiscard]] std::span<const Entry> neighbors(ChunkId id) const {
-    return {entries_.data() + offsets_[id],
-            entries_.data() + offsets_[id + 1]};
+    return {entries_.get() + offsets_[id], entries_.get() + offsets_[id + 1]};
   }
 
-  [[nodiscard]] size_t entryCount() const { return entries_.size(); }
+  [[nodiscard]] size_t entryCount() const { return entryCount_; }
 
   /// What the build did: plan ("serial"/"parallel") and shard count.
   [[nodiscard]] const AnalysisBuildStats& buildStats() const { return stats_; }
 
  private:
-  std::vector<uint32_t> offsets_;  // uniqueCount + 1
-  std::vector<Entry> entries_;
+  // Allocated uninitialized by the calling thread; the build's tasks write
+  // every slot, so the zeroing and first page touch run in parallel.
+  std::unique_ptr<uint32_t[]> offsets_;  // uniqueCount + 1
+  std::unique_ptr<Entry[]> entries_;
+  size_t entryCount_ = 0;
   AnalysisBuildStats stats_;
 };
 

@@ -72,6 +72,11 @@ std::vector<size_t> scrambleOrder(size_t recordCount,
   order.reserve(recordCount);
   std::deque<size_t> scrambled;
   for (const Segment& seg : segments) {
+    // Each segment starts where the previous one ended, so the output is a
+    // permutation: overlapping or gapped segments would repeat or drop
+    // records.
+    FDD_CHECK_MSG(seg.begin == order.size() && seg.begin <= seg.end,
+                  "segments must be consecutive from record 0");
     FDD_CHECK(seg.end <= recordCount);
     scrambled.clear();
     for (size_t i = seg.begin; i < seg.end; ++i) {

@@ -103,7 +103,7 @@ Fp segmentMinFingerprint(std::span<const ChunkRecord> records,
 /// [0, recordCount) as indices into the original order. The segments must
 /// be consecutive from record 0, as segmentRecords() returns them, so each
 /// keeps its own range of output positions. Throws std::logic_error unless
-/// they cover every record.
+/// they are consecutive from record 0 and cover every record.
 std::vector<size_t> scrambleOrder(size_t recordCount,
                                   std::span<const Segment> segments, Rng& rng);
 

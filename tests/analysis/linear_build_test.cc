@@ -1,8 +1,11 @@
-// Reference checks for the counting-sort builds: rankBySizeClass against a
-// brute-force per-class ranking, and the NeighborIndex against a
-// map-of-maps neighbor table, at every thread count. The streams carry the shapes that stress a counting sort: a hub
-// chunk whose row holds more than 10k entries, self-adjacent runs, size
-// classes spread over the whole uint32 range, and a two-record stream.
+// Reference checks for the linear builds: rankByFrequency and
+// rankBySizeClass against brute-force rankings, the NeighborIndex against a
+// map-of-maps neighbor table at every thread count, and engines whose
+// builds run side by side against a serial engine. The streams carry the
+// shapes that stress a counting or radix sort: a hub chunk whose row holds
+// more than 10k entries, self-adjacent runs, size classes spread over the
+// whole uint32 range, fingerprints with the high 16 bits set, and a
+// two-record stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,10 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "analysis/attack_engine.h"
 #include "analysis/frequency_index.h"
 #include "analysis/neighbor_index.h"
 #include "analysis/stream_index.h"
 #include "common/rng.h"
+#include "pipeline/thread_pool.h"
 
 namespace freqdedup::analysis {
 namespace {
@@ -51,6 +56,74 @@ std::vector<ChunkRecord> hubStream(uint64_t seed) {
   push(1);
   push(7);
   return records;
+}
+
+// --- rankByFrequency ------------------------------------------------------
+
+/// Checks rankByFrequency against a (count desc, fp asc) std::sort of the
+/// stream's fingerprints, for k of none, one, all but one, all, and more.
+void checkRankByFrequency(const std::vector<ChunkRecord>& records,
+                          const std::string& name) {
+  const auto stream = ChunkStreamIndex::build(records);
+  const auto freq = FrequencyIndex::build(stream, 1);
+  std::map<Fp, uint64_t> counts;
+  for (const ChunkRecord& r : records) ++counts[r.fp];
+  std::vector<Fp> reference;
+  for (const auto& [fp, count] : counts) reference.push_back(fp);
+  std::sort(reference.begin(), reference.end(), [&](Fp a, Fp b) {
+    if (counts[a] != counts[b]) return counts[a] > counts[b];
+    return a < b;
+  });
+  const size_t unique = reference.size();
+  for (const size_t k : {size_t{0}, size_t{1}, unique - 1, unique,
+                         unique + 5}) {
+    const std::string label = name + " k=" + std::to_string(k);
+    const std::vector<ChunkId> ranked = rankByFrequency(freq, stream, k);
+    ASSERT_EQ(ranked.size(), std::min(k, unique)) << label;
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      ASSERT_EQ(stream.fpOf(ranked[i]), reference[i])
+          << label << " rank=" << i;
+    }
+  }
+}
+
+TEST(LinearBuild, RankByFrequencyMatchesBruteForce) {
+  // Skewed counts around a hub.
+  checkRankByFrequency(hubStream(47), "hub");
+
+  // Fingerprints that differ only in their high 16 bits (every other digit
+  // pass is skipped), then the same among random 64-bit fingerprints with
+  // the top bit set (every digit varies).
+  std::vector<ChunkRecord> high;
+  for (uint64_t i = 0; i < 3'000; ++i) {
+    high.push_back({((i % 97) << 48) | 5, 100});
+    if (i % 5 == 0) high.push_back({((i % 89) << 48) | 5, 100});
+  }
+  checkRankByFrequency(high, "high bits only");
+  Rng rng(48);
+  for (uint64_t i = 0; i < 3'000; ++i)
+    high.push_back({rng.next() | (uint64_t{1} << 63), 100});
+  checkRankByFrequency(high, "high bits and random");
+
+  // All counts equal: the order is the fingerprint order.
+  std::vector<ChunkRecord> equal;
+  for (uint64_t i = 0; i < 5'000; ++i) {
+    const Fp fp = mix64(i);
+    equal.push_back({fp, 100});
+    equal.push_back({fp, 100});
+  }
+  checkRankByFrequency(equal, "equal counts");
+
+  // One dominant count over singletons; it exceeds 2^16, so the count key
+  // takes two digit passes.
+  std::vector<ChunkRecord> dominant;
+  for (uint64_t i = 0; i < 70'000; ++i) {
+    dominant.push_back({42, 100});
+    if (i % 10 == 0) dominant.push_back({mix64(i + 1), 100});
+  }
+  checkRankByFrequency(dominant, "dominant");
+
+  checkRankByFrequency({{9, 100}}, "one chunk");
 }
 
 // --- rankBySizeClass ------------------------------------------------------
@@ -198,6 +271,111 @@ TEST(LinearBuild, NeighborIndexOnSelfAdjacentRuns) {
 TEST(LinearBuild, NeighborIndexOnTwoRecords) {
   checkAgainstReferences({{3, sizeFor(3)}, {4, sizeFor(4)}}, "two distinct");
   checkAgainstReferences({{3, sizeFor(3)}, {3, sizeFor(3)}}, "two equal");
+}
+
+// --- Builds side by side -------------------------------------------------
+
+TEST(LinearBuild, BuildAllMatchesSeparateBuilds) {
+  const std::vector<ChunkRecord> hub = hubStream(46);
+  std::vector<ChunkRecord> runs;
+  for (const Fp fp : {5, 5, 5, 6, 6, 5, 5, 9, 9, 9, 9, 6})
+    runs.push_back({static_cast<Fp>(fp), sizeFor(fp)});
+  const std::vector<ChunkRecord> one{{3, sizeFor(3)}};
+  const std::vector<const std::vector<ChunkRecord>*> records{&hub, &runs,
+                                                             &one};
+  std::vector<ChunkStreamIndex> streams;
+  for (const auto* r : records) streams.push_back(ChunkStreamIndex::build(*r));
+  std::vector<NeighborIndex::Source> sources;
+  std::vector<const ChunkStreamIndex*> frequencySources;
+  for (const ChunkStreamIndex& stream : streams) {
+    sources.push_back({&stream, Side::kLeft});
+    sources.push_back({&stream, Side::kRight});
+    frequencySources.push_back(&stream);
+  }
+
+  for (const uint32_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    // Serial plans run one build per task; parallel plans split each build.
+    for (const ComputePlan plan :
+         {ComputePlan::kSerial, ComputePlan::kParallel}) {
+      const std::string label =
+          "threads=" + std::to_string(threads) +
+          (plan == ComputePlan::kSerial ? " serial" : " parallel");
+      NeighborBuildOptions options;
+      options.threads = threads;
+      options.pool = &pool;
+      options.plan = plan;
+      const std::vector<NeighborIndex> built =
+          NeighborIndex::buildAll(sources, options);
+      ASSERT_EQ(built.size(), sources.size()) << label;
+      for (size_t i = 0; i < sources.size(); ++i) {
+        expectMatchesReference(built[i], *sources[i].stream,
+                               naiveTable(*records[i / 2], sources[i].side),
+                               label + " source=" + std::to_string(i));
+      }
+
+      FrequencyBuildOptions frequency;
+      frequency.threads = threads;
+      frequency.pool = &pool;
+      frequency.plan = plan;
+      const std::vector<FrequencyIndex> counted =
+          FrequencyIndex::buildAll(frequencySources, frequency);
+      ASSERT_EQ(counted.size(), streams.size()) << label;
+      for (size_t i = 0; i < streams.size(); ++i) {
+        EXPECT_EQ(counted[i].counts,
+                  FrequencyIndex::build(streams[i], 1).counts)
+            << label << " stream=" << i;
+      }
+    }
+  }
+}
+
+void expectSameResult(const AttackResult& expected, const AttackResult& got,
+                      const std::string& label) {
+  EXPECT_EQ(expected.processedPairs, got.processedPairs) << label;
+  EXPECT_EQ(expected.inferred, got.inferred) << label;
+}
+
+TEST(LinearBuild, EngineSideBySideBuildsMatchSerialBuilds) {
+  // The target is a hub stream under a one-to-one fingerprint map (sizes
+  // kept, as deterministic encryption keeps a chunk's size class), attacked
+  // with another hub stream as auxiliary data. A forced parallel engine
+  // runs the key ranges of all its builds on its pool at once.
+  std::vector<ChunkRecord> target = hubStream(44);
+  for (ChunkRecord& r : target) r.fp = mix64(r.fp ^ 0x5eed);
+  const std::vector<ChunkRecord> aux = hubStream(45);
+
+  AttackConfig plain;
+  plain.u = 3;
+  plain.v = 15;
+  plain.w = 5'000;
+  AttackConfig sized = plain;
+  sized.sizeAware = true;
+
+  AnalysisOptions serial;
+  serial.plan = ComputePlan::kSerial;
+  AttackEngine reference = AttackEngine::fromRecords(target, aux, serial);
+  const AttackResult basic = reference.basicAttack(false);
+  const AttackResult basicSized = reference.basicAttack(true);
+  const AttackResult locality = reference.localityAttack(plain);
+  const AttackResult localitySized = reference.localityAttack(sized);
+  ASSERT_GT(locality.processedPairs, 100u);
+  ASSERT_GT(localitySized.processedPairs, 100u);
+
+  for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    AnalysisOptions options;
+    options.threads = threads;
+    options.plan = ComputePlan::kParallel;
+    AttackEngine engine = AttackEngine::fromRecords(target, aux, options);
+    expectSameResult(basic, engine.basicAttack(false), label + " basic");
+    expectSameResult(basicSized, engine.basicAttack(true),
+                     label + " basic sized");
+    expectSameResult(locality, engine.localityAttack(plain),
+                     label + " locality");
+    expectSameResult(localitySized, engine.localityAttack(sized),
+                     label + " locality sized");
+  }
 }
 
 }  // namespace

@@ -301,5 +301,17 @@ TEST(ScrambleOrder, RejectsNonCoveringSegments) {
   EXPECT_THROW(scrambleOrder(5, segments, rng), std::logic_error);
 }
 
+TEST(ScrambleOrder, RejectsNonConsecutiveSegments) {
+  // Overlapping: the lengths sum to the record count, but records 1 and 2
+  // would appear twice and records 3 and 4 never.
+  Rng rng(1);
+  const std::vector<Segment> overlapping = {{0, 3}, {1, 3}};
+  EXPECT_THROW(scrambleOrder(5, overlapping, rng), std::logic_error);
+  const std::vector<Segment> gapped = {{0, 2}, {3, 5}, {2, 3}};
+  EXPECT_THROW(scrambleOrder(5, gapped, rng), std::logic_error);
+  const std::vector<Segment> notFromZero = {{1, 5}, {0, 1}};
+  EXPECT_THROW(scrambleOrder(5, notFromZero, rng), std::logic_error);
+}
+
 }  // namespace
 }  // namespace freqdedup

@@ -8,7 +8,9 @@
 #    the newest during gc, restore from the cold tier through an 8m block
 #    cache, compare, verify --deep;
 #  - usage: malformed numeric flags, a flag the subcommand does not take
-#    and a missing store exit 2, and the missing store is not created.
+#    and a missing store exit 2, and the missing store is not created;
+#  - dedup ratio: backing up the same file a second time must print a
+#    ratio above 1 for that run.
 # check_stats.py checks the --stats=json dumps, and the trace must be valid
 # JSON. The dumps and the trace are kept in <stats-dir>. With the registry
 # compiled out (FREQDEDUP_OBS=OFF in the environment) every counter reads
@@ -119,5 +121,20 @@ done
     | tee "$STATS/tier_verify.json"
 check_stats "$STATS/tier_backup.json" "$STATS/tier_restore.json" \
     "$STATS/tier_verify.json"
+
+# Dedup ratio. The second backup of an unchanged file adds no chunk, so
+# its own ratio (bytes backed up over bytes added) reads "inf".
+RATIO="$WORK/ratio"
+mkdir -p "$RATIO/src"
+head -c 2097152 /dev/urandom > "$RATIO/src/same.bin"
+"$FDD" backup "$RATIO/store" "$RATIO/src" ci-pass
+second=$("$FDD" backup "$RATIO/store" "$RATIO/src" ci-pass)
+echo "$second"
+python3 - "$second" <<'PY'
+import re, sys
+m = re.search(r"dedup ratio (inf|[0-9.]+)", sys.argv[1])
+assert m and float(m.group(1)) > 1, "second backup's ratio is not above 1"
+print("second backup's dedup ratio:", m.group(1))
+PY
 
 echo "cli smoke OK"

@@ -39,6 +39,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "chunking/cdc_chunker.h"
@@ -341,6 +342,27 @@ server::RemoteDedupClient connect(const Args& args,
                                    args.str("tenant", "default"), passphrase);
 }
 
+/// Bytes of the chunks a backup added to the store, each counted once.
+uint64_t addedBytes(const BackupOutcome& outcome) {
+  std::unordered_set<Fp> added(outcome.newChunkFps.begin(),
+                               outcome.newChunkFps.end());
+  uint64_t bytes = 0;
+  for (const RecipeEntry& entry : outcome.fileRecipe.entries) {
+    if (added.erase(entry.cipherFp) > 0) bytes += entry.size;
+  }
+  return bytes;
+}
+
+/// One run's dedup ratio, the bytes it backed up over the bytes it added:
+/// "2.50x", or "inf" when it added nothing.
+std::string dedupRatio(uint64_t logicalBytes, uint64_t added) {
+  if (added == 0) return logicalBytes == 0 ? "1.00x" : "inf";
+  char text[32];
+  snprintf(text, sizeof text, "%.2fx",
+           static_cast<double>(logicalBytes) / static_cast<double>(added));
+  return text;
+}
+
 // ---- Subcommands. run() has checked the argument count, and that <store>
 // exists for every local subcommand that does not create it. ----
 
@@ -384,7 +406,7 @@ int doBackup(const Args& args) {
   // deterministic seed would replay the same AES-CTR IV sequence on every
   // run against the same store.
   Rng rng(secureSeed());
-  uint64_t newChunks = 0, dupChunks = 0;
+  uint64_t newChunks = 0, dupChunks = 0, logicalBytes = 0, newBytes = 0;
   const size_t files = backupTree(
       args.at(2), [&](const std::string& name, const fs::path& path) {
         BackupSession session = client.beginBackup(name);
@@ -393,13 +415,15 @@ int doBackup(const Args& args) {
         client.commitBackup(name, outcome, userKey, rng);
         newChunks += outcome.newChunks;
         dupChunks += outcome.duplicateChunks;
+        logicalBytes += outcome.fileRecipe.fileSize;
+        newBytes += addedBytes(outcome);
       });
   store.flush();
   printf("backed up %zu files: %llu new chunks, %llu duplicates "
-         "(dedup ratio %.2fx, %zu containers)\n",
+         "(dedup ratio %s, %zu containers)\n",
          files, static_cast<unsigned long long>(newChunks),
          static_cast<unsigned long long>(dupChunks),
-         store.stats().dedupRatio(), store.containerCount());
+         dedupRatio(logicalBytes, newBytes).c_str(), store.containerCount());
   dumpStats(store, statsFlag(args));
   return 0;
 }
