@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,11 @@ struct Sha256Vector {
   std::string message;
   std::string digestHex;
 };
+
+// gtest appends the printed parameter to each test's listed name. Without
+// these it prints the raw bytes, heap addresses included, so the names of
+// the vectors below would change from run to run.
+void PrintTo(const Sha256Vector& v, std::ostream* os) { *os << v.name; }
 
 class Sha256Fips180 : public ::testing::TestWithParam<Sha256Vector> {};
 
@@ -79,6 +85,8 @@ struct HmacVector {
   ByteVec data;
   std::string macHex;  // case 5 publishes only the first 16 bytes
 };
+
+void PrintTo(const HmacVector& v, std::ostream* os) { *os << v.name; }
 
 class HmacSha256Rfc4231 : public ::testing::TestWithParam<HmacVector> {};
 
