@@ -4,11 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analysis/plan.h"
 #include "chunking/cdc_chunker.h"
 #include "datagen/fsl_gen.h"
 #include "datagen/snapshot_gen.h"
 #include "datagen/vm_gen.h"
+#include "pipeline/thread_pool.h"
 
 namespace freqdedup::exp {
 
@@ -88,13 +88,13 @@ uint64_t avgChunkBytesFor(const Dataset& dataset) {
 
 EncryptedTrace encryptTarget(const Dataset& dataset, size_t backupIndex) {
   return mleEncryptTrace(dataset.backups.at(backupIndex).records,
-                         fpBitsFor(dataset), analysis::hardwareThreads());
+                         fpBitsFor(dataset), hardwareThreads());
 }
 
 analysis::AttackEngine attackEngine(const EncryptedTrace& target,
                                     const std::vector<ChunkRecord>& aux) {
   return analysis::AttackEngine::fromRecords(target.records, aux,
-                                             {.threads = analysis::hardwareThreads()});
+                                             {.threads = hardwareThreads()});
 }
 
 double ratePct(const AttackResult& result, const EncryptedTrace& target) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "analysis/attack_engine.h"
@@ -157,40 +158,6 @@ void BM_DedupEngineIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_DedupEngineIngest)->Unit(benchmark::kMillisecond);
 
-void BM_FrequencyIndexBuild(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<ChunkRecord> records(50'000);
-  for (auto& r : records) r = {rng.uniformInt(0, 20'000), 8192};
-  const auto stream = analysis::ChunkStreamIndex::build(records);
-  const auto threads = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    // Threshold 0 forces the parallel plan so Arg(4) measures it.
-    benchmark::DoNotOptimize(
-        analysis::FrequencyIndex::build(stream, threads,
-                                        /*parallelThreshold=*/0));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(records.size()));
-}
-BENCHMARK(BM_FrequencyIndexBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_NeighborIndexBuild(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<ChunkRecord> records(50'000);
-  for (auto& r : records) r = {rng.uniformInt(0, 20'000), 8192};
-  const auto stream = analysis::ChunkStreamIndex::build(records);
-  const auto threads = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::NeighborIndex::build(
-        stream, analysis::NeighborIndex::Side::kLeft, threads));
-    benchmark::DoNotOptimize(analysis::NeighborIndex::build(
-        stream, analysis::NeighborIndex::Side::kRight, threads));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(records.size()));
-}
-BENCHMARK(BM_NeighborIndexBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 void BM_RankByFrequency(benchmark::State& state) {
   // The basic attack's ranking on attack-sweep's data at scale 1: the last
   // of five FSL-like backups as the target and the one before it as the
@@ -202,8 +169,8 @@ void BM_RankByFrequency(benchmark::State& state) {
       analysis::ChunkStreamIndex::build(dataset.backups[4].records);
   const auto aux =
       analysis::ChunkStreamIndex::build(dataset.backups[3].records);
-  const auto targetFreq = analysis::FrequencyIndex::build(target, 1);
-  const auto auxFreq = analysis::FrequencyIndex::build(aux, 1);
+  const auto targetFreq = analysis::FrequencyIndex::build(target);
+  const auto auxFreq = analysis::FrequencyIndex::build(aux);
   const size_t k = std::min(target.uniqueCount(), aux.uniqueCount());
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::rankByFrequency(targetFreq, target, k));
@@ -224,7 +191,7 @@ void BM_RankBySizeClass(benchmark::State& state) {
   const Dataset dataset = generateFslDataset(params);
   const auto stream =
       analysis::ChunkStreamIndex::build(dataset.backups.back().records);
-  const auto freq = analysis::FrequencyIndex::build(stream, 1);
+  const auto freq = analysis::FrequencyIndex::build(stream);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::rankBySizeClass(freq, stream, 1));
   }
@@ -232,6 +199,38 @@ void BM_RankBySizeClass(benchmark::State& state) {
                           static_cast<int64_t>(stream.uniqueCount()));
 }
 BENCHMARK(BM_RankBySizeClass)->Unit(benchmark::kMillisecond);
+
+void BM_EngineBuilds(benchmark::State& state) {
+  // Every index the attacks read, on attack-sweep's data at scale 1 (the
+  // last of five FSL-like backups as the target, the one before it as the
+  // auxiliary stream): the two frequency builds and then the four neighbor
+  // builds, side by side on an engine of Arg() threads. Timed by the wall
+  // clock, since the builds run on the pool's workers.
+  FslGenParams params;
+  params.backups = 5;
+  const Dataset dataset = generateFslDataset(params);
+  const auto target =
+      analysis::ChunkStreamIndex::build(dataset.backups[4].records);
+  const auto aux =
+      analysis::ChunkStreamIndex::build(dataset.backups[3].records);
+  const auto threads = static_cast<uint32_t>(state.range(0));
+  std::optional<analysis::AttackEngine> engine;
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine.emplace(target, aux, analysis::AnalysisOptions{.threads = threads});
+    state.ResumeTiming();
+    engine->buildFrequencies();
+    engine->buildNeighbors();
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations()) *
+      static_cast<int64_t>(target.recordCount() + aux.recordCount()));
+}
+BENCHMARK(BM_EngineBuilds)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LocalityAttack(benchmark::State& state) {
   // Two synthetic backups with realistic churn for a small attack kernel.

@@ -46,30 +46,10 @@ AttackEngine AttackEngine::fromRecords(std::span<const ChunkRecord> cipher,
           options};
 }
 
-uint32_t AttackEngine::effectiveThreads() const {
-  if (options_.plan == ComputePlan::kSerial) return 1;
-  if (options_.plan == ComputePlan::kParallel) {
-    return std::max(options_.threads, 1u);
-  }
-  return std::max(1u, std::min(options_.threads, hardwareThreads()));
-}
-
 ThreadPool* AttackEngine::workerPool() {
-  const uint32_t threads = effectiveThreads();
-  if (threads <= 1) return nullptr;
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(threads);
+  if (options_.threads <= 1) return nullptr;
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.threads);
   return pool_.get();
-}
-
-void AttackEngine::runParallel(
-    size_t n, const std::function<void(size_t, size_t)>& body) {
-  // Tiny ranges are not worth a round trip through the pool; running them
-  // inline computes exactly the same thing.
-  if (effectiveThreads() <= 1 || n < 64) {
-    if (n > 0) body(0, n);
-    return;
-  }
-  parallelFor(*workerPool(), n, body);
 }
 
 void AttackEngine::buildFrequencies() {
@@ -83,11 +63,8 @@ void AttackEngine::buildFrequencies() {
     missing.push_back(index);
     streams.push_back(stream);
   }
-  FrequencyBuildOptions build;
-  build.threads = effectiveThreads();
-  build.pool = workerPool();
-  build.plan = options_.plan;
-  std::vector<FrequencyIndex> built = FrequencyIndex::buildAll(streams, build);
+  std::vector<FrequencyIndex> built =
+      FrequencyIndex::buildAll(streams, workerPool());
   for (size_t i = 0; i < missing.size(); ++i)
     *missing[i] = std::move(built[i]);
 }
@@ -109,11 +86,8 @@ void AttackEngine::buildNeighbors() {
     missing.push_back(index);
     sources.push_back(source);
   }
-  NeighborBuildOptions build;
-  build.threads = effectiveThreads();
-  build.pool = workerPool();
-  build.plan = options_.plan;
-  std::vector<NeighborIndex> built = NeighborIndex::buildAll(sources, build);
+  std::vector<NeighborIndex> built =
+      NeighborIndex::buildAll(sources, workerPool());
   for (size_t i = 0; i < missing.size(); ++i)
     *missing[i] = std::move(built[i]);
 }
@@ -309,42 +283,26 @@ AttackResult AttackEngine::localityAttack(const AttackConfig& config) {
     }
   }
 
-  // Main loop (Algorithm 2, lines 10-22), batched by queue generation. A
-  // pair's neighbor analyses depend only on the immutable CSR indexes —
-  // never on T or G — so the whole pending generation computes in parallel,
-  // and the serial apply phase then consumes the results in exact FIFO
-  // order, reproducing the serial walk step for step.
+  // Main loop (Algorithm 2, lines 10-22): pop the front pair of G, analyse
+  // its left and then its right neighbor tables, and infer the pairs found
+  // in that order.
   AttackResult result;
-  std::vector<std::vector<IdPair>> batchFound;
+  Scratch scratch;
+  std::vector<IdPair> found;
   while (head < g.size()) {
-    const size_t batchBegin = head;
-    const size_t batchSize = g.size() - head;
-    if (batchFound.size() < batchSize) batchFound.resize(batchSize);
-
-    runParallel(batchSize, [&](size_t lo, size_t hi) {
-      Scratch scratch;
-      for (size_t i = lo; i < hi; ++i) {
-        const IdPair current = g[batchBegin + i];
-        std::vector<IdPair>& found = batchFound[i];
-        found.clear();
-        // Left side first, then right (Algorithm 2's order).
-        neighborPairs(cipherLeft_->neighbors(current.cipher),
-                      plainLeft_->neighbors(current.plain), config.v,
-                      config.sizeAware, scratch, found);
-        neighborPairs(cipherRight_->neighbors(current.cipher),
-                      plainRight_->neighbors(current.plain), config.v,
-                      config.sizeAware, scratch, found);
-      }
-    });
-
-    for (size_t i = 0; i < batchSize; ++i) {
-      ++head;
-      ++result.processedPairs;
-      for (const IdPair& p : batchFound[i]) {
-        if (tryInfer(p.cipher, plain_.fpOf(p.plain))) {
-          // Algorithm 2 line 17: admit to G only while it has room.
-          if (g.size() - head <= config.w) g.push_back(p);
-        }
+    const IdPair current = g[head++];
+    ++result.processedPairs;
+    found.clear();
+    neighborPairs(cipherLeft_->neighbors(current.cipher),
+                  plainLeft_->neighbors(current.plain), config.v,
+                  config.sizeAware, scratch, found);
+    neighborPairs(cipherRight_->neighbors(current.cipher),
+                  plainRight_->neighbors(current.plain), config.v,
+                  config.sizeAware, scratch, found);
+    for (const IdPair& p : found) {
+      if (tryInfer(p.cipher, plain_.fpOf(p.plain))) {
+        // Algorithm 2 line 17: admit to G only while it has room.
+        if (g.size() - head <= config.w) g.push_back(p);
       }
     }
   }

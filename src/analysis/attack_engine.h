@@ -1,5 +1,5 @@
 // The attack-analysis engine: the paper's three inference attacks
-// (Section 4) over columnar, sharded per-stream indexes.
+// (Section 4) over columnar per-stream indexes.
 //
 // Given the ciphertext chunk stream C of the latest backup and the plaintext
 // chunk stream M of a prior backup (the auxiliary information), each attack
@@ -24,32 +24,24 @@
 // streams. Frequency columns and CSR neighbor indexes are built lazily (the
 // basic attack needs no neighbor tables) and cached across attack runs on
 // the same engine. The builds are independent of each other, so they run
-// side by side on the engine's worker pool: the two frequency builds at
-// once, then the four neighbor builds (FrequencyIndex::buildAll,
-// NeighborIndex::buildAll). Each build phase runs the key ranges of every
-// build as the tasks of one parallelFor called from the engine's thread,
-// so a build on the serial plan occupies one worker, and a stream long
-// enough for its build to split (plan.h's cost model) spreads over several.
-// No build runs nested inside a pool task: parallelFor blocks its caller,
-// so tasks that waited on the pool could hold every worker and deadlock
-// it. The engine's thread also allocates every build buffer between the
-// phases: a worker that allocated them would keep them resident in its own
-// malloc arena after they are freed.
+// side by side on the engine's worker pool, one task per build: the two
+// frequency builds at once, then the four neighbor builds
+// (FrequencyIndex::buildAll, NeighborIndex::buildAll). That is the engine's
+// only parallelism; AnalysisOptions::threads sizes the pool. The engine's
+// thread submits the builds and allocates their buffers, so no build runs
+// nested inside a pool task and no worker's malloc arena keeps a build's
+// freed buffers resident.
 //
 // Determinism contract: every result is bit-identical to the legacy serial
 // map-based implementation at every thread count. All ranking ties break by
-// ascending fingerprint (never by internal chunk ID), parallel builds
-// canonicalize intermediate orders by sorting, and the locality walk is the
-// algorithm's own FIFO order. The walk itself parallelizes by generation:
-// each pair's neighbor analysis is a pure function of the (immutable) CSR
-// indexes, so the pending queue's analyses run concurrently while the
-// state updates (inference set, queue admission) are applied serially in
-// exact FIFO order — the same instruction-level outcome as the serial walk.
+// ascending fingerprint (never by internal chunk ID), every index row is
+// sorted before it is ranked, and the locality walk is the algorithm's own
+// serial FIFO loop: pop a pair, analyse its left and then its right
+// neighbor tables, apply the found pairs in order.
 // tests/analysis/engine_equivalence_test.cc pins this against a frozen copy
 // of the legacy implementation.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -103,10 +95,9 @@ struct AttackResult {
 namespace freqdedup::analysis {
 
 struct AnalysisOptions {
-  /// Worker threads for index builds. Results do not depend on this value.
+  /// Workers of the pool the index builds run on; 0 and 1 build on the
+  /// calling thread. Results do not depend on this value.
   uint32_t threads = 1;
-  /// Plan override, forwarded to every index build (kAuto = cost model).
-  ComputePlan plan = ComputePlan::kAuto;
 };
 
 class AttackEngine {
@@ -147,9 +138,9 @@ class AttackEngine {
     ChunkId plain;
   };
 
-  /// Per-worker scratch for the sized neighbor analysis: an open-addressing
-  /// table of the size classes two rows hold, emptied for every row pair
-  /// and reallocated only when a pair outgrows it.
+  /// Scratch for the sized neighbor analysis, reused across the walk: an
+  /// open-addressing table of the size classes two rows hold, emptied for
+  /// every row pair and reallocated only when a pair outgrows it.
   struct Scratch {
     struct ClassTally {
       uint32_t key = 0;     // size class + 1; 0 marks an empty slot
@@ -174,32 +165,20 @@ class AttackEngine {
 
   /// One neighbor-table frequency analysis of the walk: zips the pre-ranked
   /// CSR neighbor lists of an inferred pair (per size class when
-  /// sizeAware), appending at most v pairs per class to `out`. Pure:
-  /// depends only on the indexes, so walk batches can compute it in
-  /// parallel.
+  /// sizeAware), appending at most v pairs per class to `out`.
   void neighborPairs(std::span<const NeighborIndex::Entry> cipherList,
                      std::span<const NeighborIndex::Entry> plainList,
                      size_t v, bool sizeAware, Scratch& scratch,
                      std::vector<IdPair>& out) const;
 
-  /// Worker threads the engine actually uses: options_.threads clamped to
-  /// the plan override (kSerial -> 1) and, under kAuto, to the machine's
-  /// real core count — an oversubscribed thread count degrades to serial
-  /// instead of paying dispatch cost for nothing.
-  [[nodiscard]] uint32_t effectiveThreads() const;
-
-  /// The engine's lazily created worker pool (nullptr when effectiveThreads
-  /// is 1), shared by index builds and walk batches.
+  /// The engine's lazily created worker pool of options_.threads workers,
+  /// or nullptr when that is at most 1.
   ThreadPool* workerPool();
-
-  /// Runs body(begin, end) over [0, n) on the engine's worker pool (inline
-  /// when single-threaded or n is tiny).
-  void runParallel(size_t n, const std::function<void(size_t, size_t)>& body);
 
   ChunkStreamIndex cipher_;
   ChunkStreamIndex plain_;
   AnalysisOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily created when threads > 1
+  std::unique_ptr<ThreadPool> pool_;
 
   std::optional<FrequencyIndex> cipherFreq_;
   std::optional<FrequencyIndex> plainFreq_;

@@ -8,76 +8,28 @@
 namespace freqdedup::analysis {
 
 FrequencyIndex FrequencyIndex::build(const ChunkStreamIndex& stream,
-                                     const FrequencyBuildOptions& options) {
+                                     ThreadPool* pool) {
   const ChunkStreamIndex* source = &stream;
-  return std::move(buildAll({&source, 1}, options).front());
+  return std::move(buildAll({&source, 1}, pool).front());
 }
 
 std::vector<FrequencyIndex> FrequencyIndex::buildAll(
-    std::span<const ChunkStreamIndex* const> streams,
-    const FrequencyBuildOptions& options) {
-  // Shard-private sub-range counting: each task owns counts[lo, hi) of one
-  // build and rescans that build's whole id column for it. The scan is
-  // sequential (prefetched, cheap); the increments — the random-access cost
-  // that dominates at large unique counts — split W ways into ranges that
-  // each fit closer to cache. No partial columns, no reduce pass, and
-  // nothing allocated beyond the outputs, which this thread allocates.
-  // Addition commutes, so any range split yields the same counts.
-  struct Task {
-    size_t build;
-    ChunkId lo, hi;
-  };
+    std::span<const ChunkStreamIndex* const> streams, ThreadPool* pool) {
   std::vector<FrequencyIndex> indexes(streams.size());
-  std::vector<Task> tasks;
-  for (size_t b = 0; b < streams.size(); ++b) {
-    const size_t records = streams[b]->recordCount();
-    const size_t unique = streams[b]->uniqueCount();
-    indexes[b].counts.assign(unique, 0);
-    if (records == 0) continue;
-    const PlanChoice plan = chooseFrequencyPlan(
-        records, unique, options.threads, hardwareThreads(), options.plan);
-    if (plan.parallel()) {
-      indexes[b].stats.plan = "parallel";
-      indexes[b].stats.shards = plan.workers;
+  for (size_t b = 0; b < streams.size(); ++b)
+    indexes[b].counts.assign(streams[b]->uniqueCount(), 0);
+  const auto count = [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      uint64_t* counts = indexes[b].counts.data();
+      for (const ChunkId id : streams[b]->ids()) ++counts[id];
     }
-    const size_t rangeSize = (unique + plan.workers - 1) / plan.workers;
-    for (size_t r = 0; r < plan.workers; ++r) {
-      const auto lo = static_cast<ChunkId>(std::min(unique, r * rangeSize));
-      const auto hi =
-          static_cast<ChunkId>(std::min(unique, (r + 1) * rangeSize));
-      if (lo < hi) tasks.push_back({b, lo, hi});
-    }
+  };
+  if (pool != nullptr) {
+    parallelFor(*pool, streams.size(), count);
+  } else {
+    count(0, streams.size());
   }
-  parallelFor(options.pool, options.threads, tasks.size(),
-              [&](size_t begin, size_t end) {
-                for (size_t t = begin; t < end; ++t) {
-                  const Task& task = tasks[t];
-                  const ChunkStreamIndex& stream = *streams[task.build];
-                  uint64_t* counts = indexes[task.build].counts.data();
-                  const std::vector<ChunkId>& ids = stream.ids();
-                  if (task.lo == 0 && task.hi == stream.uniqueCount()) {
-                    // The serial plan: one pass, one increment per record.
-                    for (const ChunkId id : ids) ++counts[id];
-                    continue;
-                  }
-                  for (const ChunkId id : ids) {
-                    if (id >= task.lo && id < task.hi) ++counts[id];
-                  }
-                }
-              });
-  for (const FrequencyIndex& index : indexes) reportBuildStats(index.stats);
   return indexes;
-}
-
-FrequencyIndex FrequencyIndex::build(const ChunkStreamIndex& stream,
-                                     uint32_t threads,
-                                     size_t parallelThreshold,
-                                     ThreadPool* pool) {
-  FrequencyBuildOptions options;
-  options.threads = threads;
-  options.pool = pool;
-  if (parallelThreshold == 0) options.plan = ComputePlan::kParallel;
-  return build(stream, options);
 }
 
 namespace {
@@ -112,6 +64,7 @@ std::vector<ChunkId> rankByFrequency(const FrequencyIndex& freq,
   std::vector<ChunkId> ids(unique);
   for (ChunkId id = 0; id < unique; ++id) ids[id] = id;
   if (unique == 0) return ids;
+  k = std::min(k, unique);
   if (k * 16 <= unique) {
     // A short prefix, such as the locality attack's u seeds: a heap select
     // touches each ID once and fails fast on the many low counts. On
@@ -142,7 +95,7 @@ std::vector<ChunkId> rankByFrequency(const FrequencyIndex& freq,
               [&](ChunkId id) { return stream.fpOf(id); });
   radixSortBy(ids, tmp, hist, keyOr ^ keyAnd,
               [&](ChunkId id) { return maxCount - freq.counts[id]; });
-  ids.resize(std::min(k, unique));
+  ids.resize(k);
   return ids;
 }
 

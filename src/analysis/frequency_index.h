@@ -1,16 +1,9 @@
 // The COUNT step of the attacks in columnar form: per-ChunkId occurrence
 // counts plus the deterministic rankings frequency analysis pairs by.
 //
-// Counting parallelizes as shard-private sub-range counting: each worker
-// owns a disjoint ID range of the single output column and rescans the
-// stream for its range. No per-worker partial columns exist (the old
-// slice-and-reduce plan allocated slices x unique x 4 bytes — ruinous at
-// 10^8 unique), so the parallel plan allocates nothing beyond the output.
-// Integer addition commutes, so the counts are bit-identical at every
-// thread count and plan.
-//
-// Plan selection is the plan.h cost model (stream size, unique count,
-// real core count) instead of a fixed record-count threshold.
+// A count is one pass over the stream's id column. Independent streams count
+// side by side, one pool task each (FrequencyIndex::buildAll); one count is
+// never split.
 //
 // Rankings order IDs by (count desc, fingerprint asc) — the same tie-break
 // the legacy map-based sortByFrequency used, so rank pairing over these
@@ -22,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "analysis/plan.h"
 #include "analysis/stream_index.h"
 
 namespace freqdedup {
@@ -31,39 +23,21 @@ class ThreadPool;
 
 namespace freqdedup::analysis {
 
-struct FrequencyBuildOptions {
-  uint32_t threads = 1;
-  /// Optional caller-owned worker pool (instead of spawning per call).
-  ThreadPool* pool = nullptr;
-  /// kAuto: cost model; kSerial/kParallel: forced (tests, benches).
-  ComputePlan plan = ComputePlan::kAuto;
-};
-
 struct FrequencyIndex {
   /// Occurrence count of every ChunkId of the stream.
   std::vector<uint64_t> counts;
 
-  /// What the build did ("serial" or "parallel" plan).
-  AnalysisBuildStats stats;
-
+  /// buildAll of one stream.
   static FrequencyIndex build(const ChunkStreamIndex& stream,
-                              const FrequencyBuildOptions& options);
-
-  /// One index per stream, built side by side: the key ranges of every
-  /// build are the tasks of one parallelFor, so builds on the serial plan
-  /// run one per worker. This thread allocates every output, and the tasks
-  /// only count (see neighbor_index.h on why). Each index is the one
-  /// build(*stream, options) returns.
-  static std::vector<FrequencyIndex> buildAll(
-      std::span<const ChunkStreamIndex* const> streams,
-      const FrequencyBuildOptions& options);
-
-  /// Compatibility entry point. `parallelThreshold` 0 forces the parallel
-  /// plan (tests and benches that must measure it on any machine); any other
-  /// value defers to the cost model.
-  static FrequencyIndex build(const ChunkStreamIndex& stream, uint32_t threads,
-                              size_t parallelThreshold = 1,
                               ThreadPool* pool = nullptr);
+
+  /// One index per stream, built side by side: one task per stream on
+  /// `pool`, or inline on this thread when `pool` is null. This thread
+  /// allocates every output, and the tasks only count (see neighbor_index.h
+  /// on why). Call it from outside the pool's tasks: it blocks until its
+  /// tasks are done.
+  static std::vector<FrequencyIndex> buildAll(
+      std::span<const ChunkStreamIndex* const> streams, ThreadPool* pool);
 };
 
 /// The ranking order every frequency analysis consumes: count desc, then

@@ -118,13 +118,10 @@ void parallelFor(ThreadPool& pool, size_t n,
   if (sync.error) std::rethrow_exception(sync.error);
 }
 
-void parallelFor(ThreadPool* pool, size_t threads, size_t n,
-                 const std::function<void(size_t, size_t)>& body) {
-  if (pool != nullptr) {
-    parallelFor(*pool, n, body);
-  } else {
-    parallelFor(threads, n, body);
-  }
+uint32_t hardwareThreads() {
+  static const uint32_t hw =
+      std::max(1u, std::thread::hardware_concurrency());
+  return hw;
 }
 
 }  // namespace freqdedup

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -69,10 +70,7 @@ void parallelFor(size_t threads, size_t n,
 void parallelFor(ThreadPool& pool, size_t n,
                  const std::function<void(size_t, size_t)>& body);
 
-/// Pool-or-spawn dispatch: reuses `pool` when one is provided, otherwise
-/// spawns `threads` workers for this call. Lets components accept an
-/// optional caller-owned pool without duplicating the choice everywhere.
-void parallelFor(ThreadPool* pool, size_t threads, size_t n,
-                 const std::function<void(size_t, size_t)>& body);
+/// Cached std::thread::hardware_concurrency(), at least 1.
+uint32_t hardwareThreads();
 
 }  // namespace freqdedup

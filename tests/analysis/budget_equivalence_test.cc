@@ -1,7 +1,7 @@
-// Equivalence pins for the index builds' plans: every index and every
-// attack result must be bit-identical across thread counts, on randomized
-// traces and an FSL-mini dataset. Thread counts above 1 force the parallel
-// plan so the parallel builds stay covered on single-core CI boxes.
+// Thread invariance of the index builds and the attacks: every index and
+// every attack result must be bit-identical across thread counts, on
+// randomized traces and an FSL-mini dataset. Builds take a ThreadPool of N
+// workers, and an engine of N threads builds on N workers, on any machine.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "core/attack_eval.h"
 #include "datagen/fsl_gen.h"
+#include "pipeline/thread_pool.h"
 
 namespace freqdedup::analysis {
 namespace {
@@ -59,15 +60,6 @@ std::vector<ChunkRecord> perturb(std::vector<ChunkRecord> records,
   return records;
 }
 
-NeighborBuildOptions neighborOptions(uint32_t threads) {
-  NeighborBuildOptions options;
-  options.threads = threads;
-  // kAuto would serialize on a single-core machine; forcing the parallel
-  // plan keeps the multi-worker key-range paths covered everywhere.
-  if (threads > 1) options.plan = ComputePlan::kParallel;
-  return options;
-}
-
 void expectSameNeighbors(const NeighborIndex& expected,
                          const NeighborIndex& got, size_t unique,
                          const std::string& label) {
@@ -90,16 +82,14 @@ TEST(BudgetEquivalence, NeighborIndexAcrossThreads) {
     const auto records = randomStream(seed, 3000);
     const auto stream = ChunkStreamIndex::build(records);
     for (const Side side : {Side::kLeft, Side::kRight}) {
-      const NeighborIndex baseline =
-          NeighborIndex::build(stream, side, neighborOptions(1));
-      EXPECT_STREQ(baseline.buildStats().plan, "serial");
+      const NeighborIndex baseline = NeighborIndex::build(stream, side);
       for (const uint32_t threads : kThreadCounts) {
+        ThreadPool pool(threads);
         const std::string label =
             "seed=" + std::to_string(seed) +
             " threads=" + std::to_string(threads) +
             (side == Side::kLeft ? " left" : " right");
-        const NeighborIndex got =
-            NeighborIndex::build(stream, side, neighborOptions(threads));
+        const NeighborIndex got = NeighborIndex::build(stream, side, &pool);
         expectSameNeighbors(baseline, got, stream.uniqueCount(), label);
       }
     }
@@ -110,15 +100,10 @@ TEST(BudgetEquivalence, FrequencyIndexAcrossPlans) {
   for (const uint64_t seed : {21u, 22u}) {
     const auto records = randomStream(seed, 4000);
     const auto stream = ChunkStreamIndex::build(records);
-    FrequencyBuildOptions serial;
-    const FrequencyIndex baseline = FrequencyIndex::build(stream, serial);
-    EXPECT_STREQ(baseline.stats.plan, "serial");
+    const FrequencyIndex baseline = FrequencyIndex::build(stream);
     for (const uint32_t threads : kThreadCounts) {
-      FrequencyBuildOptions options;
-      options.threads = threads;
-      options.plan = ComputePlan::kParallel;
-      const FrequencyIndex got = FrequencyIndex::build(stream, options);
-      EXPECT_STREQ(got.stats.plan, "parallel");
+      ThreadPool pool(threads);
+      const FrequencyIndex got = FrequencyIndex::build(stream, &pool);
       EXPECT_EQ(baseline.counts, got.counts)
           << "seed=" << seed << " threads=" << threads;
     }
@@ -158,7 +143,6 @@ void checkAttacksAcrossThreads(const EncryptedTrace& target,
                               " threads=" + std::to_string(threads);
       AnalysisOptions options;
       options.threads = threads;
-      if (threads > 1) options.plan = ComputePlan::kParallel;
       AttackEngine engine =
           AttackEngine::fromRecords(target.records, aux, options);
       expectIdentical(baselineBasic, engine.basicAttack(sizeAware),

@@ -14,6 +14,7 @@
 namespace freqdedup {
 namespace {
 
+// An engine of N threads builds on a pool of N workers on any machine.
 constexpr uint32_t kThreadCounts[] = {1, 2, 8};
 
 /// Deterministic chunk size per fingerprint (a fingerprint fixes its
@@ -104,22 +105,6 @@ void checkAllAttacks(const EncryptedTrace& target,
                       tag + " ciphertext-only");
       expectIdentical(legacyKp, engine.localityAttack(kp),
                       tag + " known-plaintext");
-      if (threads > 1) {
-        // The cost model may (correctly) pick serial plans on small streams
-        // or single-core machines; force the parallel plan so the parallel
-        // build paths are pinned against the legacy reference everywhere.
-        analysis::AnalysisOptions forced;
-        forced.threads = threads;
-        forced.plan = analysis::ComputePlan::kParallel;
-        analysis::AttackEngine forcedEngine =
-            analysis::AttackEngine::fromRecords(target.records, aux, forced);
-        expectIdentical(legacyBasic, forcedEngine.basicAttack(sizeAware),
-                        tag + " basic forced-parallel");
-        expectIdentical(legacyCo, forcedEngine.localityAttack(co),
-                        tag + " ciphertext-only forced-parallel");
-        expectIdentical(legacyKp, forcedEngine.localityAttack(kp),
-                        tag + " known-plaintext forced-parallel");
-      }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include "analysis/frequency_index.h"
 #include "analysis/neighbor_index.h"
 #include "analysis/stream_index.h"
+#include "pipeline/thread_pool.h"
 
 namespace freqdedup::analysis {
 namespace {
@@ -61,7 +62,8 @@ TEST(ChunkStreamIndex, SizesKeepFirstOccurrence) {
 TEST(FrequencyIndex, CountsFrequenciesAtEveryThreadCount) {
   const auto stream = ChunkStreamIndex::build(seq({1, 2, 1, 3, 1}));
   for (const uint32_t threads : {1u, 2u, 8u}) {
-    const auto freq = FrequencyIndex::build(stream, threads);
+    ThreadPool pool(threads);
+    const auto freq = FrequencyIndex::build(stream, &pool);
     EXPECT_EQ(freq.counts[*stream.idOf(1)], 3u);
     EXPECT_EQ(freq.counts[*stream.idOf(2)], 1u);
     EXPECT_EQ(freq.counts[*stream.idOf(3)], 1u);
@@ -73,10 +75,9 @@ TEST(FrequencyIndex, LargeStreamThreadInvariant) {
   for (uint32_t i = 0; i < 50'000; ++i)
     records.push_back({(i * 7919) % 997, 100});
   const auto stream = ChunkStreamIndex::build(records);
-  const auto serial = FrequencyIndex::build(stream, 1);
-  // Force the parallel slice-and-reduce plan despite the small stream.
-  const auto parallel =
-      FrequencyIndex::build(stream, 8, /*parallelThreshold=*/0);
+  const auto serial = FrequencyIndex::build(stream);
+  ThreadPool pool(8);
+  const auto parallel = FrequencyIndex::build(stream, &pool);
   EXPECT_EQ(serial.counts, parallel.counts);
 }
 
@@ -84,7 +85,7 @@ TEST(Ranking, ByCountDescThenFpAsc) {
   // Counts: 20 -> 3, 10 -> 2, 30 -> 2 (tie broken by fingerprint).
   const auto stream =
       ChunkStreamIndex::build(seq({20, 30, 10, 20, 30, 10, 20}));
-  const auto freq = FrequencyIndex::build(stream, 1);
+  const auto freq = FrequencyIndex::build(stream);
   const auto top = rankByFrequency(freq, stream, 10);
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(stream.fpOf(top[0]), 20u);
@@ -97,7 +98,7 @@ TEST(Ranking, SizeClassesAscendingWithRankedRuns) {
   std::vector<ChunkRecord> records{{1, 16}, {2, 32}, {3, 16},
                                    {1, 16}, {4, 32}, {4, 32}};
   const auto stream = ChunkStreamIndex::build(records);
-  const auto freq = FrequencyIndex::build(stream, 1);
+  const auto freq = FrequencyIndex::build(stream);
   const auto ranking = rankBySizeClass(freq, stream);
   ASSERT_EQ(ranking.classes.size(), 2u);
   EXPECT_EQ(ranking.classes[0].sizeClass, 1u);
@@ -117,15 +118,11 @@ TEST(NeighborIndex, PaperExampleTables) {
   const auto stream =
       ChunkStreamIndex::build(seq({1, 2, 1, 2, 3, 4, 2, 3, 4}));
   for (const uint32_t threads : {1u, 2u, 8u}) {
-    // The cost model would serialize a 9-record stream (and any stream on a
-    // single-core machine); force the parallel plan so it stays covered.
-    NeighborBuildOptions options;
-    options.threads = threads;
-    if (threads > 1) options.plan = ComputePlan::kParallel;
+    ThreadPool pool(threads);
     const auto left =
-        NeighborIndex::build(stream, NeighborIndex::Side::kLeft, options);
+        NeighborIndex::build(stream, NeighborIndex::Side::kLeft, &pool);
     const auto right =
-        NeighborIndex::build(stream, NeighborIndex::Side::kRight, options);
+        NeighborIndex::build(stream, NeighborIndex::Side::kRight, &pool);
     EXPECT_EQ(countOf(left, stream, 2, 1), 2u);
     EXPECT_EQ(countOf(left, stream, 2, 4), 1u);
     EXPECT_EQ(left.neighbors(*stream.idOf(2)).size(), 2u);
@@ -138,9 +135,9 @@ TEST(NeighborIndex, PaperExampleTables) {
 TEST(NeighborIndex, BoundaryChunksHaveNoOuterNeighbor) {
   const auto stream = ChunkStreamIndex::build(seq({7, 8}));
   const auto left =
-      NeighborIndex::build(stream, NeighborIndex::Side::kLeft, 1);
+      NeighborIndex::build(stream, NeighborIndex::Side::kLeft);
   const auto right =
-      NeighborIndex::build(stream, NeighborIndex::Side::kRight, 1);
+      NeighborIndex::build(stream, NeighborIndex::Side::kRight);
   EXPECT_TRUE(left.neighbors(*stream.idOf(7)).empty());
   EXPECT_EQ(countOf(left, stream, 8, 7), 1u);
   EXPECT_TRUE(right.neighbors(*stream.idOf(8)).empty());
@@ -150,7 +147,7 @@ TEST(NeighborIndex, BoundaryChunksHaveNoOuterNeighbor) {
 TEST(NeighborIndex, SelfAdjacency) {
   const auto stream = ChunkStreamIndex::build(seq({5, 5, 5}));
   const auto left =
-      NeighborIndex::build(stream, NeighborIndex::Side::kLeft, 1);
+      NeighborIndex::build(stream, NeighborIndex::Side::kLeft);
   EXPECT_EQ(countOf(left, stream, 5, 5), 2u);
 }
 
@@ -159,7 +156,7 @@ TEST(NeighborIndex, ListsRankedByCountThenFp) {
   const auto stream =
       ChunkStreamIndex::build(seq({4, 9, 4, 9, 2, 9, 8, 9}));
   const auto left =
-      NeighborIndex::build(stream, NeighborIndex::Side::kLeft, 1);
+      NeighborIndex::build(stream, NeighborIndex::Side::kLeft);
   const auto list = left.neighbors(*stream.idOf(9));
   ASSERT_EQ(list.size(), 3u);
   EXPECT_EQ(stream.fpOf(list[0].id), 4u);
@@ -175,11 +172,9 @@ TEST(NeighborIndex, ThreadCountInvariant) {
   const auto stream = ChunkStreamIndex::build(records);
   for (const auto side :
        {NeighborIndex::Side::kLeft, NeighborIndex::Side::kRight}) {
-    const auto serial = NeighborIndex::build(stream, side, 1);
-    NeighborBuildOptions forced;
-    forced.threads = 8;
-    forced.plan = ComputePlan::kParallel;
-    const auto parallel = NeighborIndex::build(stream, side, forced);
+    const auto serial = NeighborIndex::build(stream, side);
+    ThreadPool pool(8);
+    const auto parallel = NeighborIndex::build(stream, side, &pool);
     ASSERT_EQ(serial.entryCount(), parallel.entryCount());
     for (ChunkId id = 0; id < stream.uniqueCount(); ++id) {
       const auto a = serial.neighbors(id);
@@ -194,14 +189,44 @@ TEST(NeighborIndex, ThreadCountInvariant) {
 }
 
 TEST(NeighborIndex, EmptyAndSingleStreams) {
+  ThreadPool pool(4);
   const auto empty = ChunkStreamIndex::build({});
-  EXPECT_EQ(
-      NeighborIndex::build(empty, NeighborIndex::Side::kLeft, 4).entryCount(),
-      0u);
+  EXPECT_EQ(NeighborIndex::build(empty, NeighborIndex::Side::kLeft, &pool)
+                .entryCount(),
+            0u);
   const auto single = ChunkStreamIndex::build(seq({9}));
   const auto left =
-      NeighborIndex::build(single, NeighborIndex::Side::kLeft, 4);
+      NeighborIndex::build(single, NeighborIndex::Side::kLeft, &pool);
   EXPECT_TRUE(left.neighbors(0).empty());
+}
+
+TEST(AttackEngine, ZeroThreadsMatchesOneThread) {
+  // threads = 0 builds on the calling thread, as threads = 1 does, and a
+  // build with no pool needs no workers at all.
+  const auto records = seq({1, 2, 1, 3, 1, 2, 4, 2, 1, 3});
+  const auto stream = ChunkStreamIndex::build(records);
+  const NeighborIndex index =
+      NeighborIndex::build(stream, NeighborIndex::Side::kRight);
+  // 1 -> {2, 3}, 2 -> {1, 4}, 3 -> {1}, 4 -> {2}
+  EXPECT_EQ(index.entryCount(), 6u);
+  EXPECT_EQ(countOf(index, stream, 1, 2), 2u);
+  EXPECT_EQ(countOf(index, stream, 2, 4), 1u);
+
+  AttackConfig config;
+  config.u = 2;
+  config.v = 3;
+  for (const bool sizeAware : {false, true}) {
+    config.sizeAware = sizeAware;
+    AttackEngine one = AttackEngine::fromRecords(records, records, {1});
+    AttackEngine zero = AttackEngine::fromRecords(records, records, {0});
+    EXPECT_EQ(one.basicAttack(sizeAware).inferred,
+              zero.basicAttack(sizeAware).inferred);
+    const AttackResult expected = one.localityAttack(config);
+    const AttackResult got = zero.localityAttack(config);
+    EXPECT_EQ(expected.inferred, got.inferred);
+    EXPECT_EQ(expected.processedPairs, got.processedPairs);
+    EXPECT_GT(got.processedPairs, 0u);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -65,7 +66,7 @@ std::vector<ChunkRecord> hubStream(uint64_t seed) {
 void checkRankByFrequency(const std::vector<ChunkRecord>& records,
                           const std::string& name) {
   const auto stream = ChunkStreamIndex::build(records);
-  const auto freq = FrequencyIndex::build(stream, 1);
+  const auto freq = FrequencyIndex::build(stream);
   std::map<Fp, uint64_t> counts;
   for (const ChunkRecord& r : records) ++counts[r.fp];
   std::vector<Fp> reference;
@@ -126,12 +127,26 @@ TEST(LinearBuild, RankByFrequencyMatchesBruteForce) {
   checkRankByFrequency({{9, 100}}, "one chunk");
 }
 
+TEST(LinearBuild, RankByFrequencyCapsHugeK) {
+  // k is capped at the unique count before it picks the heap select: a k of
+  // 2^60 would otherwise wrap k * 16 to 0 and select past the end.
+  std::vector<ChunkRecord> records;
+  for (uint64_t i = 0; i < 300; ++i) records.push_back({mix64(i % 100), 100});
+  const auto stream = ChunkStreamIndex::build(records);
+  const auto freq = FrequencyIndex::build(stream);
+  const std::vector<ChunkId> all =
+      rankByFrequency(freq, stream, stream.uniqueCount());
+  ASSERT_EQ(all.size(), 100u);
+  for (const size_t k : {size_t{1} << 60, kUnbounded})
+    EXPECT_EQ(rankByFrequency(freq, stream, k), all) << "k=" << k;
+}
+
 // --- rankBySizeClass ------------------------------------------------------
 
 TEST(LinearBuild, RankBySizeClassMatchesBruteForce) {
   const std::vector<ChunkRecord> records = hubStream(41);
   const auto stream = ChunkStreamIndex::build(records);
-  const auto freq = FrequencyIndex::build(stream, 1);
+  const auto freq = FrequencyIndex::build(stream);
 
   // Reference: class -> fingerprints ranked by (count desc, fp asc).
   std::map<Fp, uint64_t> counts;
@@ -240,14 +255,8 @@ void checkAgainstReferences(const std::vector<ChunkRecord>& records,
     for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
       const std::string label =
           name + sideName + " threads=" + std::to_string(threads);
-      NeighborBuildOptions options;
-      options.threads = threads;
-      options.plan =
-          threads > 1 ? ComputePlan::kParallel : ComputePlan::kSerial;
-      const NeighborIndex index = NeighborIndex::build(stream, side, options);
-      EXPECT_STREQ(index.buildStats().plan,
-                   threads > 1 ? "parallel" : "serial")
-          << label;
+      ThreadPool pool(threads);
+      const NeighborIndex index = NeighborIndex::build(stream, side, &pool);
       expectMatchesReference(index, stream, reference, label);
     }
   }
@@ -256,7 +265,7 @@ void checkAgainstReferences(const std::vector<ChunkRecord>& records,
 TEST(LinearBuild, NeighborIndexWithHubMatchesReferences) {
   const std::vector<ChunkRecord> records = hubStream(43);
   const auto stream = ChunkStreamIndex::build(records);
-  const auto hub = NeighborIndex::build(stream, Side::kRight, 1);
+  const auto hub = NeighborIndex::build(stream, Side::kRight);
   ASSERT_GT(hub.neighbors(*stream.idOf(1)).size(), 10'000u);
   checkAgainstReferences(records, "hub");
 }
@@ -293,39 +302,27 @@ TEST(LinearBuild, BuildAllMatchesSeparateBuilds) {
     frequencySources.push_back(&stream);
   }
 
-  for (const uint32_t threads : {2u, 4u}) {
-    ThreadPool pool(threads);
-    // Serial plans run one build per task; parallel plans split each build.
-    for (const ComputePlan plan :
-         {ComputePlan::kSerial, ComputePlan::kParallel}) {
-      const std::string label =
-          "threads=" + std::to_string(threads) +
-          (plan == ComputePlan::kSerial ? " serial" : " parallel");
-      NeighborBuildOptions options;
-      options.threads = threads;
-      options.pool = &pool;
-      options.plan = plan;
-      const std::vector<NeighborIndex> built =
-          NeighborIndex::buildAll(sources, options);
-      ASSERT_EQ(built.size(), sources.size()) << label;
-      for (size_t i = 0; i < sources.size(); ++i) {
-        expectMatchesReference(built[i], *sources[i].stream,
-                               naiveTable(*records[i / 2], sources[i].side),
-                               label + " source=" + std::to_string(i));
-      }
+  for (const uint32_t threads : {0u, 2u, 4u}) {
+    // 0: no pool, every build inline on this thread.
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    ThreadPool* workers = pool ? &*pool : nullptr;
+    const std::string label = "threads=" + std::to_string(threads);
+    const std::vector<NeighborIndex> built =
+        NeighborIndex::buildAll(sources, workers);
+    ASSERT_EQ(built.size(), sources.size()) << label;
+    for (size_t i = 0; i < sources.size(); ++i) {
+      expectMatchesReference(built[i], *sources[i].stream,
+                             naiveTable(*records[i / 2], sources[i].side),
+                             label + " source=" + std::to_string(i));
+    }
 
-      FrequencyBuildOptions frequency;
-      frequency.threads = threads;
-      frequency.pool = &pool;
-      frequency.plan = plan;
-      const std::vector<FrequencyIndex> counted =
-          FrequencyIndex::buildAll(frequencySources, frequency);
-      ASSERT_EQ(counted.size(), streams.size()) << label;
-      for (size_t i = 0; i < streams.size(); ++i) {
-        EXPECT_EQ(counted[i].counts,
-                  FrequencyIndex::build(streams[i], 1).counts)
-            << label << " stream=" << i;
-      }
+    const std::vector<FrequencyIndex> counted =
+        FrequencyIndex::buildAll(frequencySources, workers);
+    ASSERT_EQ(counted.size(), streams.size()) << label;
+    for (size_t i = 0; i < streams.size(); ++i) {
+      EXPECT_EQ(counted[i].counts, FrequencyIndex::build(streams[i]).counts)
+          << label << " stream=" << i;
     }
   }
 }
@@ -339,8 +336,8 @@ void expectSameResult(const AttackResult& expected, const AttackResult& got,
 TEST(LinearBuild, EngineSideBySideBuildsMatchSerialBuilds) {
   // The target is a hub stream under a one-to-one fingerprint map (sizes
   // kept, as deterministic encryption keeps a chunk's size class), attacked
-  // with another hub stream as auxiliary data. A forced parallel engine
-  // runs the key ranges of all its builds on its pool at once.
+  // with another hub stream as auxiliary data. An engine of several threads
+  // runs all its builds on its pool at once.
   std::vector<ChunkRecord> target = hubStream(44);
   for (ChunkRecord& r : target) r.fp = mix64(r.fp ^ 0x5eed);
   const std::vector<ChunkRecord> aux = hubStream(45);
@@ -352,9 +349,7 @@ TEST(LinearBuild, EngineSideBySideBuildsMatchSerialBuilds) {
   AttackConfig sized = plain;
   sized.sizeAware = true;
 
-  AnalysisOptions serial;
-  serial.plan = ComputePlan::kSerial;
-  AttackEngine reference = AttackEngine::fromRecords(target, aux, serial);
+  AttackEngine reference = AttackEngine::fromRecords(target, aux);
   const AttackResult basic = reference.basicAttack(false);
   const AttackResult basicSized = reference.basicAttack(true);
   const AttackResult locality = reference.localityAttack(plain);
@@ -366,7 +361,6 @@ TEST(LinearBuild, EngineSideBySideBuildsMatchSerialBuilds) {
     const std::string label = "threads=" + std::to_string(threads);
     AnalysisOptions options;
     options.threads = threads;
-    options.plan = ComputePlan::kParallel;
     AttackEngine engine = AttackEngine::fromRecords(target, aux, options);
     expectSameResult(basic, engine.basicAttack(false), label + " basic");
     expectSameResult(basicSized, engine.basicAttack(true),
