@@ -205,7 +205,9 @@ void BM_EngineBuilds(benchmark::State& state) {
   // last of five FSL-like backups as the target, the one before it as the
   // auxiliary stream): the two frequency builds and then the four neighbor
   // builds, side by side on an engine of Arg() threads. Timed by the wall
-  // clock, since the builds run on the pool's workers.
+  // clock, since the builds run on the pool's workers. The engine starts its
+  // pool on the first build, so the 4-thread time includes starting its 4
+  // workers each iteration; the 1-thread engine starts no pool.
   FslGenParams params;
   params.backups = 5;
   const Dataset dataset = generateFslDataset(params);

@@ -7,10 +7,9 @@
 
 namespace freqdedup::analysis {
 
-FrequencyIndex FrequencyIndex::build(const ChunkStreamIndex& stream,
-                                     ThreadPool* pool) {
+FrequencyIndex FrequencyIndex::build(const ChunkStreamIndex& stream) {
   const ChunkStreamIndex* source = &stream;
-  return std::move(buildAll({&source, 1}, pool).front());
+  return std::move(buildAll({&source, 1}, nullptr).front());
 }
 
 std::vector<FrequencyIndex> FrequencyIndex::buildAll(
@@ -18,17 +17,12 @@ std::vector<FrequencyIndex> FrequencyIndex::buildAll(
   std::vector<FrequencyIndex> indexes(streams.size());
   for (size_t b = 0; b < streams.size(); ++b)
     indexes[b].counts.assign(streams[b]->uniqueCount(), 0);
-  const auto count = [&](size_t begin, size_t end) {
+  parallelFor(pool, streams.size(), [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       uint64_t* counts = indexes[b].counts.data();
       for (const ChunkId id : streams[b]->ids()) ++counts[id];
     }
-  };
-  if (pool != nullptr) {
-    parallelFor(*pool, streams.size(), count);
-  } else {
-    count(0, streams.size());
-  }
+  });
   return indexes;
 }
 

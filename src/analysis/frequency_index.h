@@ -27,9 +27,8 @@ struct FrequencyIndex {
   /// Occurrence count of every ChunkId of the stream.
   std::vector<uint64_t> counts;
 
-  /// buildAll of one stream.
-  static FrequencyIndex build(const ChunkStreamIndex& stream,
-                              ThreadPool* pool = nullptr);
+  /// buildAll of one stream, inline on this thread.
+  static FrequencyIndex build(const ChunkStreamIndex& stream);
 
   /// One index per stream, built side by side: one task per stream on
   /// `pool`, or inline on this thread when `pool` is null. This thread

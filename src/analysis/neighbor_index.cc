@@ -22,10 +22,10 @@ struct RowRank {
 
 }  // namespace
 
-NeighborIndex NeighborIndex::build(const ChunkStreamIndex& stream, Side side,
-                                   ThreadPool* pool) {
+NeighborIndex NeighborIndex::build(const ChunkStreamIndex& stream,
+                                   Side side) {
   const Source source{&stream, side};
-  return std::move(buildAll({&source, 1}, pool).front());
+  return std::move(buildAll({&source, 1}, nullptr).front());
 }
 
 std::vector<NeighborIndex> NeighborIndex::buildAll(
@@ -71,14 +71,9 @@ std::vector<NeighborIndex> NeighborIndex::buildAll(
                       std::make_unique_for_overwrite<ChunkId[]>(pairs)});
   }
   const auto runPhase = [&](const std::function<void(size_t)>& phase) {
-    const auto body = [&](size_t begin, size_t end) {
+    parallelFor(pool, builds.size(), [&](size_t begin, size_t end) {
       for (size_t b = begin; b < end; ++b) phase(b);
-    };
-    if (pool != nullptr) {
-      parallelFor(*pool, builds.size(), body);
-    } else {
-      body(0, builds.size());
-    }
+    });
   };
 
   runPhase([&](size_t build) {

@@ -58,9 +58,8 @@ class NeighborIndex {
     Side side;
   };
 
-  /// buildAll of one source.
-  static NeighborIndex build(const ChunkStreamIndex& stream, Side side,
-                             ThreadPool* pool = nullptr);
+  /// buildAll of one source, inline on this thread.
+  static NeighborIndex build(const ChunkStreamIndex& stream, Side side);
 
   /// One index per source, built side by side: one task per source on
   /// `pool`, or inline on this thread when `pool` is null (see above).

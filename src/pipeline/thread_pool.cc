@@ -118,6 +118,15 @@ void parallelFor(ThreadPool& pool, size_t n,
   if (sync.error) std::rethrow_exception(sync.error);
 }
 
+void parallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t, size_t)>& body) {
+  if (pool != nullptr) {
+    parallelFor(*pool, n, body);
+  } else if (n > 0) {
+    body(0, n);
+  }
+}
+
 uint32_t hardwareThreads() {
   static const uint32_t hw =
       std::max(1u, std::thread::hardware_concurrency());

@@ -70,6 +70,12 @@ void parallelFor(size_t threads, size_t n,
 void parallelFor(ThreadPool& pool, size_t n,
                  const std::function<void(size_t, size_t)>& body);
 
+/// Pool-or-inline dispatch: runs on `pool` when one is provided, otherwise
+/// runs body(0, n) on the calling thread. Lets a component take an optional
+/// caller-owned pool without writing the choice out at every call.
+void parallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t, size_t)>& body);
+
 /// Cached std::thread::hardware_concurrency(), at least 1.
 uint32_t hardwareThreads();
 

@@ -81,16 +81,26 @@ TEST(BudgetEquivalence, NeighborIndexAcrossThreads) {
   for (const uint64_t seed : {11u, 12u}) {
     const auto records = randomStream(seed, 3000);
     const auto stream = ChunkStreamIndex::build(records);
-    for (const Side side : {Side::kLeft, Side::kRight}) {
-      const NeighborIndex baseline = NeighborIndex::build(stream, side);
-      for (const uint32_t threads : kThreadCounts) {
-        ThreadPool pool(threads);
+    const NeighborIndex baselines[] = {
+        NeighborIndex::build(stream, Side::kLeft),
+        NeighborIndex::build(stream, Side::kRight)};
+    for (const uint32_t threads : kThreadCounts) {
+      // One left and one right build per worker, side by side.
+      std::vector<NeighborIndex::Source> sources;
+      for (uint32_t w = 0; w < threads; ++w) {
+        sources.push_back({&stream, Side::kLeft});
+        sources.push_back({&stream, Side::kRight});
+      }
+      ThreadPool pool(threads);
+      const std::vector<NeighborIndex> built =
+          NeighborIndex::buildAll(sources, &pool);
+      for (size_t i = 0; i < built.size(); ++i) {
         const std::string label =
             "seed=" + std::to_string(seed) +
-            " threads=" + std::to_string(threads) +
-            (side == Side::kLeft ? " left" : " right");
-        const NeighborIndex got = NeighborIndex::build(stream, side, &pool);
-        expectSameNeighbors(baseline, got, stream.uniqueCount(), label);
+            " threads=" + std::to_string(threads) + " build=" +
+            std::to_string(i) + (i % 2 == 0 ? " left" : " right");
+        expectSameNeighbors(baselines[i % 2], built[i], stream.uniqueCount(),
+                            label);
       }
     }
   }
@@ -102,10 +112,15 @@ TEST(BudgetEquivalence, FrequencyIndexAcrossPlans) {
     const auto stream = ChunkStreamIndex::build(records);
     const FrequencyIndex baseline = FrequencyIndex::build(stream);
     for (const uint32_t threads : kThreadCounts) {
+      // Two counts per worker, side by side.
+      const std::vector<const ChunkStreamIndex*> streams(2 * threads,
+                                                         &stream);
       ThreadPool pool(threads);
-      const FrequencyIndex got = FrequencyIndex::build(stream, &pool);
-      EXPECT_EQ(baseline.counts, got.counts)
-          << "seed=" << seed << " threads=" << threads;
+      for (const FrequencyIndex& got :
+           FrequencyIndex::buildAll(streams, &pool)) {
+        EXPECT_EQ(baseline.counts, got.counts)
+            << "seed=" << seed << " threads=" << threads;
+      }
     }
   }
 }

@@ -60,13 +60,16 @@ TEST(ChunkStreamIndex, SizesKeepFirstOccurrence) {
 }
 
 TEST(FrequencyIndex, CountsFrequenciesAtEveryThreadCount) {
+  // Four counts of the stream side by side, one pool task each.
   const auto stream = ChunkStreamIndex::build(seq({1, 2, 1, 3, 1}));
+  const std::vector<const ChunkStreamIndex*> streams(4, &stream);
   for (const uint32_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    const auto freq = FrequencyIndex::build(stream, &pool);
-    EXPECT_EQ(freq.counts[*stream.idOf(1)], 3u);
-    EXPECT_EQ(freq.counts[*stream.idOf(2)], 1u);
-    EXPECT_EQ(freq.counts[*stream.idOf(3)], 1u);
+    for (const FrequencyIndex& freq : FrequencyIndex::buildAll(streams, &pool)) {
+      EXPECT_EQ(freq.counts[*stream.idOf(1)], 3u);
+      EXPECT_EQ(freq.counts[*stream.idOf(2)], 1u);
+      EXPECT_EQ(freq.counts[*stream.idOf(3)], 1u);
+    }
   }
 }
 
@@ -77,8 +80,11 @@ TEST(FrequencyIndex, LargeStreamThreadInvariant) {
   const auto stream = ChunkStreamIndex::build(records);
   const auto serial = FrequencyIndex::build(stream);
   ThreadPool pool(8);
-  const auto parallel = FrequencyIndex::build(stream, &pool);
-  EXPECT_EQ(serial.counts, parallel.counts);
+  const std::vector<const ChunkStreamIndex*> streams(8, &stream);
+  for (const FrequencyIndex& parallel :
+       FrequencyIndex::buildAll(streams, &pool)) {
+    EXPECT_EQ(serial.counts, parallel.counts);
+  }
 }
 
 TEST(Ranking, ByCountDescThenFpAsc) {
@@ -117,12 +123,14 @@ TEST(NeighborIndex, PaperExampleTables) {
   // L_M2 = {M1:2, M4:1}; R_M2 = {M1:1, M3:2} (Section 4.2's example).
   const auto stream =
       ChunkStreamIndex::build(seq({1, 2, 1, 2, 3, 4, 2, 3, 4}));
+  const NeighborIndex::Source sources[] = {
+      {&stream, NeighborIndex::Side::kLeft},
+      {&stream, NeighborIndex::Side::kRight}};
   for (const uint32_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    const auto left =
-        NeighborIndex::build(stream, NeighborIndex::Side::kLeft, &pool);
-    const auto right =
-        NeighborIndex::build(stream, NeighborIndex::Side::kRight, &pool);
+    const auto built = NeighborIndex::buildAll(sources, &pool);
+    const NeighborIndex& left = built[0];
+    const NeighborIndex& right = built[1];
     EXPECT_EQ(countOf(left, stream, 2, 1), 2u);
     EXPECT_EQ(countOf(left, stream, 2, 4), 1u);
     EXPECT_EQ(left.neighbors(*stream.idOf(2)).size(), 2u);
@@ -170,11 +178,20 @@ TEST(NeighborIndex, ThreadCountInvariant) {
   for (uint32_t i = 0; i < 20'000; ++i)
     records.push_back({(i * 31) % 512, 100});
   const auto stream = ChunkStreamIndex::build(records);
-  for (const auto side :
-       {NeighborIndex::Side::kLeft, NeighborIndex::Side::kRight}) {
-    const auto serial = NeighborIndex::build(stream, side);
-    ThreadPool pool(8);
-    const auto parallel = NeighborIndex::build(stream, side, &pool);
+  // Eight builds side by side on eight workers, four of each side.
+  std::vector<NeighborIndex::Source> sources;
+  for (int copy = 0; copy < 4; ++copy) {
+    sources.push_back({&stream, NeighborIndex::Side::kLeft});
+    sources.push_back({&stream, NeighborIndex::Side::kRight});
+  }
+  const NeighborIndex serials[] = {
+      NeighborIndex::build(stream, NeighborIndex::Side::kLeft),
+      NeighborIndex::build(stream, NeighborIndex::Side::kRight)};
+  ThreadPool pool(8);
+  const auto built = NeighborIndex::buildAll(sources, &pool);
+  for (size_t b = 0; b < built.size(); ++b) {
+    const NeighborIndex& serial = serials[b % 2];
+    const NeighborIndex& parallel = built[b];
     ASSERT_EQ(serial.entryCount(), parallel.entryCount());
     for (ChunkId id = 0; id < stream.uniqueCount(); ++id) {
       const auto a = serial.neighbors(id);
@@ -191,12 +208,13 @@ TEST(NeighborIndex, ThreadCountInvariant) {
 TEST(NeighborIndex, EmptyAndSingleStreams) {
   ThreadPool pool(4);
   const auto empty = ChunkStreamIndex::build({});
-  EXPECT_EQ(NeighborIndex::build(empty, NeighborIndex::Side::kLeft, &pool)
-                .entryCount(),
-            0u);
   const auto single = ChunkStreamIndex::build(seq({9}));
-  const auto left =
-      NeighborIndex::build(single, NeighborIndex::Side::kLeft, &pool);
+  const NeighborIndex::Source sources[] = {
+      {&empty, NeighborIndex::Side::kLeft},
+      {&single, NeighborIndex::Side::kLeft}};
+  const auto built = NeighborIndex::buildAll(sources, &pool);
+  EXPECT_EQ(built[0].entryCount(), 0u);
+  const NeighborIndex& left = built[1];
   EXPECT_TRUE(left.neighbors(0).empty());
 }
 

@@ -249,15 +249,19 @@ void expectMatchesReference(const NeighborIndex& index,
 void checkAgainstReferences(const std::vector<ChunkRecord>& records,
                             const std::string& name) {
   const auto stream = ChunkStreamIndex::build(records);
-  for (const Side side : {Side::kLeft, Side::kRight}) {
-    const std::string sideName = side == Side::kLeft ? " left" : " right";
-    const auto reference = naiveTable(records, side);
-    for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
-      const std::string label =
-          name + sideName + " threads=" + std::to_string(threads);
-      ThreadPool pool(threads);
-      const NeighborIndex index = NeighborIndex::build(stream, side, &pool);
-      expectMatchesReference(index, stream, reference, label);
+  const NeighborIndex::Source sources[] = {{&stream, Side::kLeft},
+                                           {&stream, Side::kRight}};
+  const std::map<Fp, RankedRow> references[] = {
+      naiveTable(records, Side::kLeft), naiveTable(records, Side::kRight)};
+  for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+    // Both sides side by side on the pool.
+    ThreadPool pool(threads);
+    const std::vector<NeighborIndex> built =
+        NeighborIndex::buildAll(sources, &pool);
+    for (size_t i = 0; i < 2; ++i) {
+      const std::string label = name + (i == 0 ? " left" : " right") +
+                                " threads=" + std::to_string(threads);
+      expectMatchesReference(built[i], stream, references[i], label);
     }
   }
 }

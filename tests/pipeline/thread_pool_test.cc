@@ -198,5 +198,29 @@ TEST(ParallelForShared, HandlesEmptyAndTinyRanges) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(ParallelForOptionalPool, NullPoolRunsInlineOnce) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  parallelFor(nullptr, 0, [&](size_t, size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  parallelFor(nullptr, 100, [&](size_t begin, size_t end) {
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 100u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ParallelForOptionalPool, PoolCoversRangeExactlyOnce) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 1'000;
+  std::vector<std::atomic<int>> hits(kN);
+  parallelFor(&pool, kN, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) ++hits[i];
+  });
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
+}
+
 }  // namespace
 }  // namespace freqdedup
