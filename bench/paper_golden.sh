@@ -2,10 +2,9 @@
 # Runs one paperrepro row and diffs its stdout against the committed table
 # in bench/golden/<row>.txt, taken at FDD_BENCH_SCALE=0.5.
 #
-# The row's own exit code wins: 1 when a shape check fails, 77 when the row
-# cannot run in this build (fig13 and fig14 with FREQDEDUP_OBS=OFF), which
-# ctest reports as skipped. A row that passes its checks but prints another
-# table than the golden file fails with the diff. A change that moves a
+# The row's own exit code wins: 1 when a shape check fails. A row that
+# passes its checks but prints another table than the golden file fails
+# with the diff. A change that moves a
 # table updates its golden file in the same commit and says why.
 #
 # Usage: paper_golden.sh <paperrepro-binary> <row>

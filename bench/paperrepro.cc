@@ -10,9 +10,7 @@
 //
 // Exit status: 0 when every check of every selected row holds; 1 when one
 // fails (each failure prints "FAIL paper.<row> [<cell>]: <claim> (<section>)");
-// 2 for an unknown row name; 77 when no check failed but a selected row
-// could not run in this build (fig13 and fig14 read the engine's metrics,
-// which FREQDEDUP_OBS=OFF compiles out; each prints "SKIP paper.<row>").
+// 2 for an unknown row name.
 // ctest runs each row as paper.<row>, and REPRODUCE.md lists every row's
 // command, scale and asserted shape.
 //
@@ -33,7 +31,6 @@
 #include "common/lru_cache.h"
 #include "core/storage_saving.h"
 #include "expcommon.h"
-#include "obs/metrics.h"
 #include "storage/dedup_engine.h"
 
 using namespace freqdedup;
@@ -588,9 +585,7 @@ MetadataSeries metadataExperiment(const char* figure, uint64_t cacheBytes,
 
     printf("\n[%s]\n", combinedScheme ? "combined" : "MLE");
     printRow({"backup", "update MB", "index MB", "loading MB", "total MB"});
-    // Per-backup intervals come straight from the engine's metrics registry:
-    // snapshot before/after and diff, instead of hand-copied stat structs.
-    obs::MetricsSnapshot previous = engine.metricsSnapshot();
+    MetadataAccessStats previous = engine.stats().metadata;
     for (const auto& backup : fsl.backups) {
       if (combinedScheme) {
         engine.ingestBackup(
@@ -598,10 +593,8 @@ MetadataSeries metadataExperiment(const char* figure, uint64_t cacheBytes,
       } else {
         engine.ingestBackup(mleEncryptTrace(backup.records).records);
       }
-      obs::MetricsSnapshot now = engine.metricsSnapshot();
-      const MetadataAccessStats delta =
-          MetadataAccessStats::fromSnapshot(now.delta(previous));
-      previous = std::move(now);
+      const MetadataAccessStats delta = engine.stats().metadata - previous;
+      previous = engine.stats().metadata;
       series[combinedScheme].push_back(delta);
       printRow({backup.label, fmtDouble(delta.updateBytes / 1e6, 2),
                 fmtDouble(delta.indexBytes / 1e6, 2),
@@ -906,11 +899,7 @@ struct Row {
   const char* section;  // the paper section its checks defend
   const char* sweep;    // what it varies
   void (*run)(Checks&);
-  bool readsMetrics = false;  // needs the metrics FREQDEDUP_OBS=OFF removes
 };
-
-/// Exit status when a selected row was skipped and none failed.
-constexpr int kSkipExit = 77;
 
 constexpr Row kRows[] = {
     {"fig01", "Figure 1", "Section 1",
@@ -932,9 +921,9 @@ constexpr Row kRows[] = {
     {"fig11", "Figure 11", "Section 7.3",
      "cumulative storage saving per backup, MLE vs combined", fig11},
     {"fig13", "Figure 13", "Section 7.4",
-     "DDFS metadata access per backup, insufficient cache", fig13, true},
+     "DDFS metadata access per backup, insufficient cache", fig13},
     {"fig14", "Figure 14", "Section 7.4",
-     "DDFS metadata access per backup, sufficient cache", fig14, true},
+     "DDFS metadata access per backup, sufficient cache", fig14},
     {"abl_rce_tags", "ablation", "Section 8",
      "auxiliary backup, MLE ciphertexts vs RCE tags", ablRceTags},
     {"abl_scramble_only", "ablation", "Section 6",
@@ -967,17 +956,9 @@ int main(int argc, char** argv) {
 
   printf("paperrepro: scale %.2f\n", benchScale());
   int failedRows = 0;
-  int skippedRows = 0;
   for (const Row* row : selected) {
     printf("\n### paper.%s: %s, %s; sweep: %s\n", row->name, row->figure,
            row->section, row->sweep);
-    if (row->readsMetrics && !obs::kObsEnabled) {
-      printf("SKIP paper.%s: its metadata counters are compiled out "
-             "(FREQDEDUP_OBS=OFF)\n",
-             row->name);
-      ++skippedRows;
-      continue;
-    }
     Checks checks(row->name, row->section);
     row->run(checks);
     if (!checks.report()) ++failedRows;
@@ -987,5 +968,5 @@ int main(int argc, char** argv) {
            selected.size());
     return 1;
   }
-  return skippedRows > 0 ? kSkipExit : 0;
+  return 0;
 }

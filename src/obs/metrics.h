@@ -26,9 +26,9 @@
 // own registry so a fresh open starts from zero — the per-connection vs
 // per-session scoping split the upcoming server daemon needs.
 //
-// Compile-out: building with FDD_OBS_DISABLED (CMake -DFREQDEDUP_OBS=OFF)
-// turns every update into a no-op for overhead measurement; the registry
-// and snapshot APIs keep working and report zeros.
+// There is no build without the registry: every update always runs. Its
+// cost is below what fddbench's run-to-run spread resolves (README,
+// "Overhead").
 //
 // Naming convention: `subsystem.verb_noun` (e.g. store.container_loads,
 // restore.batch_bytes); histograms end in a unit suffix (_us, _bytes).
@@ -46,11 +46,10 @@
 
 namespace freqdedup::obs {
 
-#if defined(FDD_OBS_DISABLED)
-inline constexpr bool kObsEnabled = false;
-#else
+// Always true. Only bench/fddbench/main.cc reads it, for the `obs_enabled`
+// field of its run header; it goes with that benchmark's next change
+// (ROADMAP item 4).
 inline constexpr bool kObsEnabled = true;
-#endif
 
 /// Small per-thread slot index used to spread updates across cells. Not a
 /// thread id: slots recycle modulo the cell count, which only costs some
@@ -64,12 +63,8 @@ inline constexpr size_t kMetricCells = 8;
 class Counter {
  public:
   void add(uint64_t n = 1) noexcept {
-#if defined(FDD_OBS_DISABLED)
-    (void)n;
-#else
     cells_[threadSlot() & (kMetricCells - 1)].v.fetch_add(
         n, std::memory_order_relaxed);
-#endif
   }
 
   /// Snapshot-on-read aggregation: the sum of all cells.
@@ -89,12 +84,8 @@ class Counter {
 class Gauge {
  public:
   void add(int64_t delta = 1) noexcept {
-#if defined(FDD_OBS_DISABLED)
-    (void)delta;
-#else
     cells_[threadSlot() & (kMetricCells - 1)].v.fetch_add(
         delta, std::memory_order_relaxed);
-#endif
   }
   void sub(int64_t delta = 1) noexcept { add(-delta); }
 
@@ -150,16 +141,12 @@ class Histogram {
   }
 
   void record(uint64_t value) noexcept {
-#if defined(FDD_OBS_DISABLED)
-    (void)value;
-#else
     Cell& cell = cells_[threadSlot() & (kHistCells - 1)];
     cell.buckets[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
     cell.count.fetch_add(1, std::memory_order_relaxed);
     cell.sum.fetch_add(value, std::memory_order_relaxed);
     atomicMin(cell.min, value);
     atomicMax(cell.max, value);
-#endif
   }
 
   /// Aggregates all cells into one consistent-enough view (counters are

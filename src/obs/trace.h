@@ -65,7 +65,7 @@ class ObsSpan {
  public:
   explicit ObsSpan(Histogram* latencyMicros, const char* name,
                    const char* category = "fdd")
-      : hist_(kObsEnabled ? latencyMicros : nullptr),
+      : hist_(latencyMicros),
         name_(name),
         category_(category),
         writer_(TraceWriter::global()) {

@@ -6,95 +6,60 @@ namespace freqdedup {
 
 DedupEngine::DedupEngine(const DedupEngineParams& params)
     : params_(params),
-      logicalChunks_(registry_.counter("ingest.logical_chunks")),
-      logicalBytes_(registry_.counter("ingest.logical_bytes")),
-      uniqueChunks_(registry_.counter("ingest.unique_chunks")),
-      uniqueBytes_(registry_.counter("ingest.unique_bytes")),
-      cacheHits_(registry_.counter("ingest.cache_hits")),
-      bufferHits_(registry_.counter("ingest.buffer_hits")),
-      bloomNegatives_(registry_.counter("ingest.bloom_negatives")),
-      bloomFalsePositives_(registry_.counter("ingest.bloom_false_positives")),
-      indexHits_(registry_.counter("ingest.index_hits")),
-      metadataUpdateBytes_(registry_.counter("ingest.metadata_update_bytes")),
-      metadataIndexBytes_(registry_.counter("ingest.metadata_index_bytes")),
-      metadataLoadingBytes_(
-          registry_.counter("ingest.metadata_loading_bytes")),
       bloom_(std::max<uint64_t>(1, params.expectedFingerprints),
              params.bloomFpr),
       cache_(std::max<uint64_t>(1, params.cacheBytes / kFpMetadataBytes)) {}
 
 IngestOutcome DedupEngine::ingest(const ChunkRecord& record) {
-  IngestTally tally;
-  const IngestOutcome outcome = ingestTallied(record, tally);
-  flushTally(tally);
-  return outcome;
-}
-
-IngestOutcome DedupEngine::ingestTallied(const ChunkRecord& record,
-                                         IngestTally& tally) {
-  ++tally.logicalChunks;
-  tally.logicalBytes += record.size;
+  ++stats_.logicalChunks;
+  stats_.logicalBytes += record.size;
 
   // S1: in-memory fingerprint cache (also covers the open container buffer,
   // whose fingerprints are in memory by definition).
   if (const auto cached = cache_.get(record.fp)) {
-    ++tally.cacheHits;
+    ++stats_.cacheHits;
     return {.duplicate = true, .containerId = *cached};
   }
   if (bufferFps_.contains(record.fp)) {
-    ++tally.bufferHits;
+    ++stats_.bufferHits;
     return {.duplicate = true, .containerId = std::nullopt};
   }
 
   // S2: Bloom filter — a negative proves uniqueness.
   if (!bloom_.maybeContains(record.fp)) {
-    ++tally.bloomNegatives;
-    storeUnique(record, tally);
+    ++stats_.bloomNegatives;
+    storeUnique(record);
     return {.duplicate = false, .containerId = std::nullopt};
   }
 
   // S3: on-disk index lookup.
-  tally.indexBytes += kFpMetadataBytes;
+  stats_.metadata.indexBytes += kFpMetadataBytes;
   const auto it = index_.find(record.fp);
   if (it == index_.end()) {
-    ++tally.bloomFalsePositives;
-    storeUnique(record, tally);
+    ++stats_.bloomFalsePositives;
+    storeUnique(record);
     return {.duplicate = false, .containerId = std::nullopt};
   }
 
   // S4: duplicate — prefetch its whole container's fingerprints.
-  ++tally.indexHits;
+  ++stats_.indexHits;
   const uint32_t containerId = it->second;
   const auto& fps = containerFps_[containerId];
-  tally.loadingBytes += static_cast<uint64_t>(fps.size()) * kFpMetadataBytes;
+  stats_.metadata.loadingBytes +=
+      static_cast<uint64_t>(fps.size()) * kFpMetadataBytes;
   for (const Fp fp : fps) cache_.put(fp, containerId);
   return {.duplicate = true, .containerId = containerId};
 }
 
-void DedupEngine::storeUnique(const ChunkRecord& record, IngestTally& tally) {
-  ++tally.uniqueChunks;
-  tally.uniqueBytes += record.size;
+void DedupEngine::storeUnique(const ChunkRecord& record) {
+  ++stats_.uniqueChunks;
+  stats_.uniqueBytes += record.size;
   bloom_.add(record.fp);
   if (buffer_.size() > 0 && bufferBytes_ + record.size > params_.containerBytes)
     flushOpenContainer();
   buffer_.push_back(record);
   bufferFps_.insert(record.fp);
   bufferBytes_ += record.size;
-}
-
-void DedupEngine::flushTally(const IngestTally& tally) {
-  if (tally.logicalChunks) logicalChunks_.add(tally.logicalChunks);
-  if (tally.logicalBytes) logicalBytes_.add(tally.logicalBytes);
-  if (tally.uniqueChunks) uniqueChunks_.add(tally.uniqueChunks);
-  if (tally.uniqueBytes) uniqueBytes_.add(tally.uniqueBytes);
-  if (tally.cacheHits) cacheHits_.add(tally.cacheHits);
-  if (tally.bufferHits) bufferHits_.add(tally.bufferHits);
-  if (tally.bloomNegatives) bloomNegatives_.add(tally.bloomNegatives);
-  if (tally.bloomFalsePositives)
-    bloomFalsePositives_.add(tally.bloomFalsePositives);
-  if (tally.indexHits) indexHits_.add(tally.indexHits);
-  if (tally.indexBytes) metadataIndexBytes_.add(tally.indexBytes);
-  if (tally.loadingBytes) metadataLoadingBytes_.add(tally.loadingBytes);
 }
 
 void DedupEngine::flushOpenContainer() {
@@ -104,8 +69,8 @@ void DedupEngine::flushOpenContainer() {
   fps.reserve(buffer_.size());
   for (const auto& r : buffer_) fps.push_back(r.fp);
   // Writing the sealed container updates the on-disk fingerprint index.
-  metadataUpdateBytes_.add(static_cast<uint64_t>(buffer_.size()) *
-                           kFpMetadataBytes);
+  stats_.metadata.updateBytes +=
+      static_cast<uint64_t>(buffer_.size()) * kFpMetadataBytes;
   for (const Fp fp : fps) index_[fp] = containerId;
   containerFps_.push_back(std::move(fps));
   buffer_.clear();
@@ -114,58 +79,12 @@ void DedupEngine::flushOpenContainer() {
 }
 
 void DedupEngine::ingestBackup(std::span<const ChunkRecord> records) {
-  // One tally for the whole span: the hot loop stays free of atomic
-  // operations, and concurrent snapshot readers see the batch land at once.
-  IngestTally tally;
-  for (const auto& r : records) ingestTallied(r, tally);
-  flushTally(tally);
+  for (const auto& r : records) (void)ingest(r);
 }
 
 const std::vector<Fp>& DedupEngine::containerFingerprints(uint32_t id) const {
   FDD_CHECK(id < containerFps_.size());
   return containerFps_[id];
-}
-
-DedupEngineStats DedupEngine::stats() const {
-  DedupEngineStats s;
-  s.logicalChunks = logicalChunks_.value();
-  s.logicalBytes = logicalBytes_.value();
-  s.uniqueChunks = uniqueChunks_.value();
-  s.uniqueBytes = uniqueBytes_.value();
-  s.cacheHits = cacheHits_.value();
-  s.bufferHits = bufferHits_.value();
-  s.bloomNegatives = bloomNegatives_.value();
-  s.bloomFalsePositives = bloomFalsePositives_.value();
-  s.indexHits = indexHits_.value();
-  s.metadata.updateBytes = metadataUpdateBytes_.value();
-  s.metadata.indexBytes = metadataIndexBytes_.value();
-  s.metadata.loadingBytes = metadataLoadingBytes_.value();
-  return s;
-}
-
-MetadataAccessStats MetadataAccessStats::fromSnapshot(
-    const obs::MetricsSnapshot& snap) {
-  MetadataAccessStats m;
-  m.updateBytes = snap.counter("ingest.metadata_update_bytes");
-  m.indexBytes = snap.counter("ingest.metadata_index_bytes");
-  m.loadingBytes = snap.counter("ingest.metadata_loading_bytes");
-  return m;
-}
-
-DedupEngineStats DedupEngineStats::fromSnapshot(
-    const obs::MetricsSnapshot& snap) {
-  DedupEngineStats s;
-  s.logicalChunks = snap.counter("ingest.logical_chunks");
-  s.logicalBytes = snap.counter("ingest.logical_bytes");
-  s.uniqueChunks = snap.counter("ingest.unique_chunks");
-  s.uniqueBytes = snap.counter("ingest.unique_bytes");
-  s.cacheHits = snap.counter("ingest.cache_hits");
-  s.bufferHits = snap.counter("ingest.buffer_hits");
-  s.bloomNegatives = snap.counter("ingest.bloom_negatives");
-  s.bloomFalsePositives = snap.counter("ingest.bloom_false_positives");
-  s.indexHits = snap.counter("ingest.index_hits");
-  s.metadata = MetadataAccessStats::fromSnapshot(snap);
-  return s;
 }
 
 }  // namespace freqdedup

@@ -18,17 +18,21 @@
 //   update access  — index writes for newly stored unique chunks (S2/S3),
 //   index access   — on-disk index lookups (S3),
 //   loading access — container fingerprint loads into the cache (S4).
+//
+// The engine is a single-threaded simulator: its counts are the results of
+// Figures 13 and 14, kept as plain values in one DedupEngineStats.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/bloom_filter.h"
 #include "common/fingerprint.h"
 #include "common/lru_cache.h"
-#include "obs/metrics.h"
 #include "storage/container.h"
 
 namespace freqdedup {
@@ -50,9 +54,9 @@ struct MetadataAccessStats {
   [[nodiscard]] uint64_t totalBytes() const {
     return updateBytes + indexBytes + loadingBytes;
   }
-  /// Differences saturate at zero: callers diff cumulative counters taken at
-  /// two points in time, and a reordered snapshot must not underflow into a
-  /// huge unsigned value.
+  /// Differences saturate at zero: callers diff cumulative stats taken at
+  /// two points in time, and a swapped pair must not underflow into a huge
+  /// unsigned value.
   friend MetadataAccessStats operator-(MetadataAccessStats a,
                                        const MetadataAccessStats& b) {
     const auto sub = [](uint64_t x, uint64_t y) { return x > y ? x - y : 0; };
@@ -61,9 +65,6 @@ struct MetadataAccessStats {
     a.loadingBytes = sub(a.loadingBytes, b.loadingBytes);
     return a;
   }
-
-  /// The ingest.metadata_* counters of one engine snapshot, as this struct.
-  static MetadataAccessStats fromSnapshot(const obs::MetricsSnapshot& snap);
 };
 
 struct DedupEngineStats {
@@ -84,27 +85,6 @@ struct DedupEngineStats {
                : static_cast<double>(logicalBytes) /
                      static_cast<double>(uniqueBytes);
   }
-
-  /// Interval view of two cumulative stats, saturating at zero per field.
-  friend DedupEngineStats operator-(DedupEngineStats a,
-                                    const DedupEngineStats& b) {
-    const auto sub = [](uint64_t x, uint64_t y) { return x > y ? x - y : 0; };
-    a.logicalChunks = sub(a.logicalChunks, b.logicalChunks);
-    a.logicalBytes = sub(a.logicalBytes, b.logicalBytes);
-    a.uniqueChunks = sub(a.uniqueChunks, b.uniqueChunks);
-    a.uniqueBytes = sub(a.uniqueBytes, b.uniqueBytes);
-    a.cacheHits = sub(a.cacheHits, b.cacheHits);
-    a.bufferHits = sub(a.bufferHits, b.bufferHits);
-    a.bloomNegatives = sub(a.bloomNegatives, b.bloomNegatives);
-    a.bloomFalsePositives = sub(a.bloomFalsePositives, b.bloomFalsePositives);
-    a.indexHits = sub(a.indexHits, b.indexHits);
-    a.metadata = a.metadata - b.metadata;
-    return a;
-  }
-
-  /// The ingest.* counters of one engine snapshot, as this struct — the
-  /// inverse of how DedupEngine::stats() views its registry.
-  static DedupEngineStats fromSnapshot(const obs::MetricsSnapshot& snap);
 };
 
 /// Result of ingesting one chunk.
@@ -128,58 +108,18 @@ class DedupEngine {
   /// Flushes the open container buffer (e.g. at end of the run).
   void flushOpenContainer();
 
-  /// Legacy-shaped view over this engine's metrics registry.
-  [[nodiscard]] DedupEngineStats stats() const;
-  /// Point-in-time snapshot of the engine's ingest.* metrics. Each engine
-  /// owns its registry, so several engines' counters merge via
-  /// MetricsSnapshot::merge with no shared state on the ingest hot path.
-  [[nodiscard]] obs::MetricsSnapshot metricsSnapshot() const {
-    return registry_.snapshot();
-  }
+  /// Cumulative counts since construction.
+  [[nodiscard]] const DedupEngineStats& stats() const { return stats_; }
   [[nodiscard]] size_t containerCount() const { return containerFps_.size(); }
   [[nodiscard]] size_t indexEntries() const { return index_.size(); }
   [[nodiscard]] const std::vector<Fp>& containerFingerprints(
       uint32_t id) const;
 
  private:
-  /// Per-batch accumulator for the per-chunk counters: ingestBackup tallies
-  /// in plain locals and flushes once per span, so the hot loop performs no
-  /// atomic operations at all (the counters stay exact — the engine is
-  /// externally synchronized, only snapshot reads are concurrent).
-  struct IngestTally {
-    uint64_t logicalChunks = 0;
-    uint64_t logicalBytes = 0;
-    uint64_t uniqueChunks = 0;
-    uint64_t uniqueBytes = 0;
-    uint64_t cacheHits = 0;
-    uint64_t bufferHits = 0;
-    uint64_t bloomNegatives = 0;
-    uint64_t bloomFalsePositives = 0;
-    uint64_t indexHits = 0;
-    uint64_t indexBytes = 0;
-    uint64_t loadingBytes = 0;
-  };
-
-  IngestOutcome ingestTallied(const ChunkRecord& record, IngestTally& tally);
-  void storeUnique(const ChunkRecord& record, IngestTally& tally);
-  void flushTally(const IngestTally& tally);
+  void storeUnique(const ChunkRecord& record);
 
   DedupEngineParams params_;
-  // Per-engine metrics; handles resolved once so ingest() never touches the
-  // registry itself.
-  mutable obs::MetricsRegistry registry_;
-  obs::Counter& logicalChunks_;
-  obs::Counter& logicalBytes_;
-  obs::Counter& uniqueChunks_;
-  obs::Counter& uniqueBytes_;
-  obs::Counter& cacheHits_;
-  obs::Counter& bufferHits_;
-  obs::Counter& bloomNegatives_;
-  obs::Counter& bloomFalsePositives_;
-  obs::Counter& indexHits_;
-  obs::Counter& metadataUpdateBytes_;
-  obs::Counter& metadataIndexBytes_;
-  obs::Counter& metadataLoadingBytes_;
+  DedupEngineStats stats_;
   BloomFilter bloom_;
   LruCache<Fp, uint32_t, FpHash> cache_;
   std::unordered_map<Fp, uint32_t, FpHash> index_;  // models the on-disk index

@@ -335,7 +335,7 @@ TEST(DedupClientSealMemo, StaleEntryAfterDeleteAndGcStoresTheChunksAgain) {
   EXPECT_EQ(second.newChunkFps, first.newChunkFps);
   EXPECT_EQ(second.fileRecipe, first.fileRecipe);
   EXPECT_EQ(second.keyRecipe, first.keyRecipe);
-  if (obs::kObsEnabled) EXPECT_EQ(sealMemoHitsSince(before), 0u);
+  EXPECT_EQ(sealMemoHitsSince(before), 0u);
   for (const RecipeEntry& e : second.fileRecipe.entries)
     EXPECT_TRUE(store.hasChunk(e.cipherFp));
 
@@ -383,7 +383,7 @@ TEST(DedupClientSealMemo, MinHashSegmentKeyChangeMissesTheMemo) {
     ++(it->second == b.keyRecipe.keys[i] ? sameKey : rekeyed);
   }
   EXPECT_GT(rekeyed, 0u);
-  if (obs::kObsEnabled) EXPECT_EQ(hits, sameKey);
+  EXPECT_EQ(hits, sameKey);
 }
 
 // The loop seals, stores and remembers each chunk before it reaches the
@@ -413,7 +413,7 @@ TEST(DedupClientSealMemo, RepeatInsideOneSegmentHitsTheMemo) {
       << "both copies must fall into the first segment";
   EXPECT_EQ(outcome.fileRecipe.entries[0], outcome.fileRecipe.entries[1]);
   EXPECT_EQ(outcome.duplicateChunks, 1u);
-  if (obs::kObsEnabled) EXPECT_EQ(hits, 1u);
+  EXPECT_EQ(hits, 1u);
 
   TempStore oracle;
   const BackupOutcome expected =
@@ -503,7 +503,7 @@ TEST(DedupClientSealMemo, MoreChunksThanTheMemoHoldsStillRestore) {
   const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
   const BackupOutcome recent = backupObject(client, "tail", tail);
   EXPECT_EQ(recent.newChunks, 0u);
-  if (obs::kObsEnabled) EXPECT_EQ(sealMemoHitsSince(before), kTailChunks);
+  EXPECT_EQ(sealMemoHitsSince(before), kTailChunks);
 
   // `again` has the recipes of `first`, so restoring it covers both.
   EXPECT_EQ(client.beginRestore(again.fileRecipe, again.keyRecipe).readAll(),

@@ -18,7 +18,6 @@
 #include "client/dedup_client.h"
 #include "common/rng.h"
 #include "legacy_restore_reference.h"
-#include "obs/metrics.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
 
@@ -144,31 +143,27 @@ TEST_P(RestoreEquivalence, BatchedPathMatchesChunkAtATimeBitIdentically) {
   EXPECT_EQ(batchedBytes, content);
 
   ASSERT_GT(containerCount, 2u) << "matrix needs a multi-container store";
-  // Read accounting lives in the metrics registry now, so these pins only
-  // mean anything when it is compiled in (FREQDEDUP_OBS=OFF reads zeros).
-  if (obs::kObsEnabled) {
-    // Both paths read every recipe entry exactly once...
-    const uint64_t entryCount = outcome.fileRecipe.entries.size();
-    EXPECT_EQ(legacyReads.chunkReads, entryCount);
-    EXPECT_EQ(batchedReads.chunkReads, entryCount);
-    EXPECT_GT(batchedReads.batchReads, 0u);
-    // ...but the batched path fetches far fewer containers when the cache is
-    // disabled (one getChunk = one container fetch vs. one fetch per distinct
-    // container per batch), and with a bounded cache it pays at most one
-    // boundary re-load per batch over the sequential legacy scan.
-    if (cacheBudget() == 0) {
-      EXPECT_EQ(legacyReads.containerLoads, legacyReads.chunkReads);
-      EXPECT_LT(batchedReads.containerLoads, legacyReads.containerLoads);
-    } else {
-      EXPECT_LE(batchedReads.containerLoads,
-                legacyReads.containerLoads + batchedReads.batchReads);
-    }
-    // With an unbounded cache nothing is ever evicted or re-read: each live
-    // container is parsed from disk exactly once.
-    if (cacheBudget() == kUnboundedBlockCacheBytes) {
-      EXPECT_EQ(batchedReads.containerLoads, containerCount);
-      EXPECT_EQ(legacyReads.containerLoads, containerCount);
-    }
+  // Both paths read every recipe entry exactly once...
+  const uint64_t entryCount = outcome.fileRecipe.entries.size();
+  EXPECT_EQ(legacyReads.chunkReads, entryCount);
+  EXPECT_EQ(batchedReads.chunkReads, entryCount);
+  EXPECT_GT(batchedReads.batchReads, 0u);
+  // ...but the batched path fetches far fewer containers when the cache is
+  // disabled (one getChunk = one container fetch vs. one fetch per distinct
+  // container per batch), and with a bounded cache it pays at most one
+  // boundary re-load per batch over the sequential legacy scan.
+  if (cacheBudget() == 0) {
+    EXPECT_EQ(legacyReads.containerLoads, legacyReads.chunkReads);
+    EXPECT_LT(batchedReads.containerLoads, legacyReads.containerLoads);
+  } else {
+    EXPECT_LE(batchedReads.containerLoads,
+              legacyReads.containerLoads + batchedReads.batchReads);
+  }
+  // With an unbounded cache nothing is ever evicted or re-read: each live
+  // container is parsed from disk exactly once.
+  if (cacheBudget() == kUnboundedBlockCacheBytes) {
+    EXPECT_EQ(batchedReads.containerLoads, containerCount);
+    EXPECT_EQ(legacyReads.containerLoads, containerCount);
   }
 }
 

@@ -2,8 +2,7 @@
 // the registry snapshots must tell the same story the operations do —
 // session counters in the global registry, store/cache/GC counters in the
 // store's own registry. All value assertions are interval deltas (this test
-// shares the global registry with everything else in the binary) and are
-// gated on obs::kObsEnabled so a FREQDEDUP_OBS=OFF build still passes.
+// shares the global registry with everything else in the binary).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -26,7 +25,6 @@ ByteVec makeObject(uint64_t seed, size_t bytes) {
 }
 
 TEST(ObsEndToEnd, BackupRestoreDeleteGcCounters) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "metrics compiled out";
   const auto dir = std::filesystem::temp_directory_path() / "fdd_obs_e2e";
   std::filesystem::remove_all(dir);
 

@@ -14,7 +14,6 @@
 #include "datagen/fsl_gen.h"
 #include "datagen/snapshot_gen.h"
 #include "datagen/vm_gen.h"
-#include "obs/metrics.h"
 #include "storage/dedup_engine.h"
 #include "temp_store.h"
 
@@ -155,7 +154,7 @@ TEST(ContentPipeline, SnapshotChainBacksUpAndRestores) {
         content);
     if (++restored >= 10) break;  // ten files is plenty for integration
   }
-  if (obs::kObsEnabled) EXPECT_GT(store.stats().uniqueChunks, 0u);
+  EXPECT_GT(store.stats().uniqueChunks, 0u);
 }
 
 TEST(DdfsPipeline, DefendedTraceCostsLittleExtraMetadata) {
@@ -184,11 +183,9 @@ TEST(DdfsPipeline, DefendedTraceCostsLittleExtraMetadata) {
   const DedupEngineStats mleStats = runEngine(false);
   const DedupEngineStats combinedStats = runEngine(true);
   EXPECT_GE(combinedStats.uniqueChunks, mleStats.uniqueChunks);
-  // Metadata overhead of the defense stays within tens of percent (a
-  // stats-based bound, meaningless when the registry is compiled out).
-  if (obs::kObsEnabled)
-    EXPECT_LT(static_cast<double>(combinedStats.metadata.totalBytes()),
-              static_cast<double>(mleStats.metadata.totalBytes()) * 1.5);
+  // Metadata overhead of the defense stays within tens of percent.
+  EXPECT_LT(static_cast<double>(combinedStats.metadata.totalBytes()),
+            static_cast<double>(mleStats.metadata.totalBytes()) * 1.5);
 }
 
 // The paper figures simulate scrambling on traces (minHashEncryptTrace);

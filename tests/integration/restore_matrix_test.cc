@@ -12,7 +12,6 @@
 #include "chunking/cdc_chunker.h"
 #include "client/dedup_client.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
 
@@ -147,8 +146,7 @@ TEST_P(RestoreMatrix, DeleteAndGcThenRestoreSurvivor) {
     const uint64_t storedBefore = store->stats().storedBytes;
     const GcStats gc = store->collectGarbage();
     EXPECT_GT(gc.chunksReclaimed, 0u) << "the edited region was unshared";
-    if (obs::kObsEnabled)
-      EXPECT_LT(store->stats().storedBytes, storedBefore);
+    EXPECT_LT(store->stats().storedBytes, storedBefore);
     EXPECT_TRUE(store->verify().ok());
 
     EXPECT_EQ(restoreByName(client, "keep", userKey), keep);
@@ -322,8 +320,7 @@ TEST_P(RestoreMatrix, TieredCompressedRestoresMatchSingleTierColdAndWarm) {
       EXPECT_GT(store.collectGarbage().containersDemoted, 0u);
   }
 
-  // The tier is read off the directories, which every build can see; the
-  // read counters compile out with FREQDEDUP_OBS=OFF.
+  // The tier is read off the directories.
   const std::set<std::string> demoted = containerFiles(tieredDir + "/cold");
   ASSERT_FALSE(demoted.empty()) << "gc should have demoted containers";
 
@@ -341,11 +338,9 @@ TEST_P(RestoreMatrix, TieredCompressedRestoresMatchSingleTierColdAndWarm) {
       EXPECT_EQ(fromTiered, content) << "cold " << name;
     }
     const StoreReadStats rs = tiered.readStats();
-    if (obs::kObsEnabled) {
-      EXPECT_GT(rs.coldReads, 0u) << "restores should have hit the cold tier";
-      EXPECT_GT(rs.promotions, 0u);
-      EXPECT_LE(rs.promotions, rs.coldReads);
-    }
+    EXPECT_GT(rs.coldReads, 0u) << "restores should have hit the cold tier";
+    EXPECT_GT(rs.promotions, 0u);
+    EXPECT_LE(rs.promotions, rs.coldReads);
     // Every object was restored, so every demoted container was read and
     // promoted: its file is back in containers/ and cold/ is empty.
     const std::set<std::string> hot = containerFiles(tieredDir + "/containers");

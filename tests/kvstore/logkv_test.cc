@@ -288,16 +288,14 @@ TEST_F(LogKvTest, ReopenAfterCheckpointReplaysOnlyTheTail) {
   EXPECT_EQ(reopened.size(),
             static_cast<size_t>(kCheckpointed + kTail));
   // The same numbers must surface through the obs registry.
-  if (obs::kObsEnabled) {
-    obs::MetricsRegistry registry;
-    reopened.bindMetrics(registry);
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    EXPECT_EQ(snap.counter("wal.replay.records"),
-              static_cast<uint64_t>(kTail));
-    EXPECT_EQ(snap.counter("ckpt.loads"), 1u);
-    EXPECT_EQ(snap.counter("ckpt.load_records"),
-              static_cast<uint64_t>(kCheckpointed));
-  }
+  obs::MetricsRegistry registry;
+  reopened.bindMetrics(registry);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("wal.replay.records"),
+            static_cast<uint64_t>(kTail));
+  EXPECT_EQ(snap.counter("ckpt.loads"), 1u);
+  EXPECT_EQ(snap.counter("ckpt.load_records"),
+            static_cast<uint64_t>(kCheckpointed));
   // Values read back from both files.
   EXPECT_EQ(reopened.get(kvKeyFromU64(0)), toBytes("base"));
   EXPECT_EQ(reopened.get(kvKeyFromU64(1000)), toBytes("tail"));

@@ -178,19 +178,17 @@ TEST_F(WalTest, ConcurrentCommittersAllDurableWithGroupedSyncs) {
                                 static_cast<uint64_t>(kCommitsPerThread));
   EXPECT_EQ(wal.durableLsn(), wal.appendedLsn());
 
-  if (obs::kObsEnabled) {
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    EXPECT_EQ(snap.counter("wal.appends"),
-              static_cast<uint64_t>(kThreads) * kCommitsPerThread);
-    // Group commit: the leader's fdatasync covers every waiter in the slot,
-    // so the sync count cannot exceed the commit count, and every appended
-    // record must be accounted to some group.
-    EXPECT_GT(snap.counter("wal.syncs"), 0u);
-    EXPECT_LE(snap.counter("wal.syncs"),
-              static_cast<uint64_t>(kThreads) * kCommitsPerThread);
-    EXPECT_EQ(snap.histogram("wal.group_records").sum,
-              static_cast<uint64_t>(kThreads) * kCommitsPerThread);
-  }
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("wal.appends"),
+            static_cast<uint64_t>(kThreads) * kCommitsPerThread);
+  // Group commit: the leader's fdatasync covers every waiter in the slot,
+  // so the sync count cannot exceed the commit count, and every appended
+  // record must be accounted to some group.
+  EXPECT_GT(snap.counter("wal.syncs"), 0u);
+  EXPECT_LE(snap.counter("wal.syncs"),
+            static_cast<uint64_t>(kThreads) * kCommitsPerThread);
+  EXPECT_EQ(snap.histogram("wal.group_records").sum,
+            static_cast<uint64_t>(kThreads) * kCommitsPerThread);
 
   // Everything written survives a reopen.
   Wal reopened(path_);

@@ -1,9 +1,5 @@
 // Registry/metric semantics: exact totals under concurrency, deterministic
 // snapshot rendering, merge/delta arithmetic, and name/kind discipline.
-//
-// Assertions on recorded values are gated on obs::kObsEnabled so the suite
-// also passes in a FREQDEDUP_OBS=OFF build (where every update is a no-op
-// by design and all values read zero).
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -15,21 +11,19 @@
 namespace freqdedup::obs {
 namespace {
 
-uint64_t expected(uint64_t v) { return kObsEnabled ? v : 0; }
-
 TEST(Counter, SingleThreadedTotal) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
   c.add(41);
-  EXPECT_EQ(c.value(), expected(42));
+  EXPECT_EQ(c.value(), 42);
 }
 
 TEST(Gauge, AddSubGoesNegative) {
   Gauge g;
   g.add(5);
   g.sub(8);
-  EXPECT_EQ(g.value(), kObsEnabled ? -3 : 0);
+  EXPECT_EQ(g.value(), -3);
   g.add(3);
   EXPECT_EQ(g.value(), 0);
 }
@@ -60,19 +54,17 @@ TEST(Histogram, DataAggregation) {
   h.record(3);
   h.record(1000);
   const HistogramData d = h.data();
-  EXPECT_EQ(d.count, expected(3));
-  EXPECT_EQ(d.sum, expected(1003));
-  if (kObsEnabled) {
-    EXPECT_EQ(d.min, 0u);
-    EXPECT_EQ(d.max, 1000u);
-    ASSERT_EQ(d.buckets.size(), 3u);  // zero, [2,4), [512,1024)
-    EXPECT_EQ(d.buckets[0], (std::pair<uint64_t, uint64_t>{0, 1}));
-    EXPECT_EQ(d.buckets[1], (std::pair<uint64_t, uint64_t>{2, 1}));
-    EXPECT_EQ(d.buckets[2], (std::pair<uint64_t, uint64_t>{512, 1}));
-    EXPECT_DOUBLE_EQ(d.mean(), 1003.0 / 3.0);
-    EXPECT_EQ(d.quantile(0.0), 0u);
-    EXPECT_EQ(d.quantile(1.0), 512u);
-  }
+  EXPECT_EQ(d.count, 3);
+  EXPECT_EQ(d.sum, 1003);
+  EXPECT_EQ(d.min, 0u);
+  EXPECT_EQ(d.max, 1000u);
+  ASSERT_EQ(d.buckets.size(), 3u);  // zero, [2,4), [512,1024)
+  EXPECT_EQ(d.buckets[0], (std::pair<uint64_t, uint64_t>{0, 1}));
+  EXPECT_EQ(d.buckets[1], (std::pair<uint64_t, uint64_t>{2, 1}));
+  EXPECT_EQ(d.buckets[2], (std::pair<uint64_t, uint64_t>{512, 1}));
+  EXPECT_DOUBLE_EQ(d.mean(), 1003.0 / 3.0);
+  EXPECT_EQ(d.quantile(0.0), 0u);
+  EXPECT_EQ(d.quantile(1.0), 512u);
 }
 
 TEST(Registry, StableHandlesAndKindMismatch) {
@@ -118,16 +110,14 @@ TEST(Registry, ConcurrentExactTotals) {
   for (auto& th : threads) th.join();
   for (int m = 0; m < kMetrics; ++m) {
     EXPECT_EQ(counters[m]->value(),
-              expected(uint64_t{kThreads} * kIters));
+              uint64_t{kThreads} * kIters);
     EXPECT_EQ(gauges[m]->value(),
-              kObsEnabled ? int64_t{kThreads} * kIters : 0);
+              int64_t{kThreads} * kIters);
     const HistogramData d = hists[m]->data();
-    EXPECT_EQ(d.count, expected(uint64_t{kThreads} * kIters));
-    EXPECT_EQ(d.sum, expected(uint64_t{kThreads} * kIters * (kIters - 1) / 2));
-    if (kObsEnabled) {
-      EXPECT_EQ(d.min, 0u);
-      EXPECT_EQ(d.max, uint64_t{kIters} - 1);
-    }
+    EXPECT_EQ(d.count, uint64_t{kThreads} * kIters);
+    EXPECT_EQ(d.sum, uint64_t{kThreads} * kIters * (kIters - 1) / 2);
+    EXPECT_EQ(d.min, 0u);
+    EXPECT_EQ(d.max, uint64_t{kIters} - 1);
   }
 }
 
@@ -145,7 +135,7 @@ TEST(Snapshot, DeterministicRendering) {
   // formats — the contract CI diffing and golden files rely on.
   EXPECT_EQ(s1.toText(), s2.toText());
   EXPECT_EQ(s1.toJson(), s2.toJson());
-  EXPECT_EQ(s1.counter("a.count"), expected(3));
+  EXPECT_EQ(s1.counter("a.count"), 3);
   EXPECT_EQ(s1.counter("missing"), 0u);
   // Sorted keys: "a.count" renders before "b.count".
   const std::string json = s1.toJson();
@@ -166,11 +156,11 @@ TEST(Snapshot, MergeAndDelta) {
 
   MetricsSnapshot merged = regA.snapshot();
   merged.merge(regB.snapshot());
-  EXPECT_EQ(merged.counter("n"), expected(11));
-  EXPECT_EQ(merged.counter("only_b"), expected(2));
-  EXPECT_EQ(merged.gauge("g"), kObsEnabled ? 4 : 0);
-  EXPECT_EQ(merged.histogram("h").count, expected(2));
-  EXPECT_EQ(merged.histogram("h").sum, expected(20));
+  EXPECT_EQ(merged.counter("n"), 11);
+  EXPECT_EQ(merged.counter("only_b"), 2);
+  EXPECT_EQ(merged.gauge("g"), 4);
+  EXPECT_EQ(merged.histogram("h").count, 2);
+  EXPECT_EQ(merged.histogram("h").sum, 20);
 
   regA.counter("n").add(5);
   regA.histogram("h").record(4);
@@ -180,7 +170,7 @@ TEST(Snapshot, MergeAndDelta) {
   const MetricsSnapshot interval = later.delta(merged);
   // Saturating: only_b exists only in the earlier snapshot; no underflow.
   EXPECT_EQ(interval.counter("only_b"), 0u);
-  EXPECT_EQ(interval.counter("n"), expected(4));
+  EXPECT_EQ(interval.counter("n"), 4);
 }
 
 }  // namespace

@@ -38,11 +38,9 @@ TEST(StoreMetricsReset, ReopenStartsCountersFromZero) {
       store.getChunk(fpOfContent(chunkOf(i)));
 
     const obs::MetricsSnapshot snap = store.metricsSnapshot();
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(snap.counter("store.put_chunks"), 10u);
-      EXPECT_EQ(snap.counter("store.chunk_reads"), 10u);
-      EXPECT_GT(snap.counter("store.container_writes"), 0u);
-    }
+    EXPECT_EQ(snap.counter("store.put_chunks"), 10u);
+    EXPECT_EQ(snap.counter("store.chunk_reads"), 10u);
+    EXPECT_GT(snap.counter("store.container_writes"), 0u);
     uniqueBefore = static_cast<uint64_t>(snap.gauge("store.unique_chunks"));
     storedBefore = static_cast<uint64_t>(snap.gauge("store.stored_bytes"));
   }
@@ -68,19 +66,15 @@ TEST(StoreMetricsReset, ReopenStartsCountersFromZero) {
               uniqueBefore);
     EXPECT_EQ(static_cast<uint64_t>(snap.gauge("store.stored_bytes")),
               storedBefore);
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(uniqueBefore, 10u);
-      EXPECT_GT(storedBefore, 0u);
-    }
+    EXPECT_EQ(uniqueBefore, 10u);
+    EXPECT_GT(storedBefore, 0u);
 
     // Reads on the reopened instance count from zero, not from the first
     // instance's history.
     reopened.getChunk(fpOfContent(chunkOf(0)));
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(reopened.metricsSnapshot().counter("store.chunk_reads"), 1u);
-      EXPECT_EQ(reopened.metricsSnapshot().counter("store.container_loads"),
-                1u);
-    }
+    EXPECT_EQ(reopened.metricsSnapshot().counter("store.chunk_reads"), 1u);
+    EXPECT_EQ(reopened.metricsSnapshot().counter("store.container_loads"),
+              1u);
   }
   std::filesystem::remove_all(dir);
 }

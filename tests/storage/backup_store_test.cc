@@ -4,7 +4,6 @@
 
 #include <filesystem>
 
-#include "obs/metrics.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
 
@@ -42,12 +41,10 @@ TEST(BackupStore, DuplicatePutIsDeduplicated) {
   const Fp fp = fpOfContent(bytes);
   EXPECT_TRUE(store.putChunk(fp, bytes));
   EXPECT_FALSE(store.putChunk(fp, bytes));
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(store.stats().uniqueChunks, 1u);
-    EXPECT_EQ(store.stats().logicalPuts, 2u);
-    EXPECT_EQ(store.stats().storedBytes, bytes.size());
-    EXPECT_EQ(store.stats().logicalBytes, 2 * bytes.size());
-  }
+  EXPECT_EQ(store.stats().uniqueChunks, 1u);
+  EXPECT_EQ(store.stats().logicalPuts, 2u);
+  EXPECT_EQ(store.stats().storedBytes, bytes.size());
+  EXPECT_EQ(store.stats().logicalBytes, 2 * bytes.size());
 }
 
 TEST(BackupStore, MissingChunkThrows) {
@@ -86,7 +83,7 @@ TEST(BackupStore, DedupRatioTracksDuplication) {
   const ByteVec bytes(1000, 0x33);
   const Fp fp = fpOfContent(bytes);
   for (int i = 0; i < 4; ++i) store.putChunk(fp, bytes);
-  if (obs::kObsEnabled) EXPECT_DOUBLE_EQ(store.stats().dedupRatio(), 4.0);
+  EXPECT_DOUBLE_EQ(store.stats().dedupRatio(), 4.0);
 }
 
 TEST(BackupStore, RecordBackupCountsReferences) {
@@ -152,10 +149,8 @@ TEST(BackupStore, GcReclaimsOnlyUnreferencedChunks) {
   EXPECT_EQ(gc.bytesReclaimed, 100u);
   EXPECT_FALSE(store.hasChunk(fpDead));
   EXPECT_EQ(store.getChunk(fpLive), live);
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(store.stats().uniqueChunks, 1u);
-    EXPECT_EQ(store.stats().storedBytes, 100u);
-  }
+  EXPECT_EQ(store.stats().uniqueChunks, 1u);
+  EXPECT_EQ(store.stats().storedBytes, 100u);
   EXPECT_TRUE(store.verify().ok());
 }
 
@@ -213,7 +208,7 @@ TEST_F(BackupStoreDirTest, PersistsAcrossReopen) {
     store.flush();
   }
   FileBackupStore reopened(dir_, {.containerBytes = 256 * 1024});
-  if (obs::kObsEnabled) EXPECT_EQ(reopened.stats().uniqueChunks, 50u);
+  EXPECT_EQ(reopened.stats().uniqueChunks, 50u);
   for (const auto& [fp, bytes] : chunks) {
     EXPECT_TRUE(reopened.hasChunk(fp));
     EXPECT_EQ(reopened.getChunk(fp), bytes);
@@ -284,7 +279,7 @@ TEST_F(BackupStoreDirTest, GcReclaimsContainerFilesAndSurvivesReopen) {
     EXPECT_TRUE(store.verify().ok());
   }
   FileBackupStore reopened(dir_, {.containerBytes = 64 * 1024});
-  if (obs::kObsEnabled) EXPECT_EQ(reopened.stats().uniqueChunks, 1u);
+  EXPECT_EQ(reopened.stats().uniqueChunks, 1u);
   EXPECT_EQ(reopened.getChunk(fpLive), live);
   EXPECT_TRUE(reopened.verify().ok());
 }

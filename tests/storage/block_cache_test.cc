@@ -8,7 +8,6 @@
 
 #include "common/crc32.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "storage/backup_store.h"
 #include "storage/block_cache.h"
 
@@ -67,10 +66,8 @@ TEST(BlockCache, AdmissionRejectsObjectLargerThanWholeBudget) {
   ASSERT_NE(big.container, nullptr);
   EXPECT_FALSE(cache.get(2).has_value());
   EXPECT_TRUE(cache.get(1).has_value()) << "oversized admit must not evict";
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(cache.stats().admissionRejects, 1u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-  }
+  EXPECT_EQ(cache.stats().admissionRejects, 1u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(BlockCache, BudgetForOneEvictsLeastRecentlyUsed) {
@@ -81,7 +78,7 @@ TEST(BlockCache, BudgetForOneEvictsLeastRecentlyUsed) {
   cache.admit(2, makeContainer(2, 2));
   EXPECT_FALSE(cache.get(1).has_value()) << "admitting 2 must evict 1";
   EXPECT_TRUE(cache.get(2).has_value());
-  if (obs::kObsEnabled) EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(BlockCache, LruAccessOrderDecidesTheVictim) {
@@ -113,7 +110,7 @@ TEST(BlockCache, InvalidateDropsEntryAndReleasesItsBytes) {
   cache.invalidate(7);
   EXPECT_FALSE(cache.get(7).has_value());
   EXPECT_EQ(cache.cachedBytes(), 0u);
-  if (obs::kObsEnabled) EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
   // The evicted shared state stays intact for the reader that holds it.
   EXPECT_EQ(held->container->id, 7u);
   EXPECT_EQ(held->payloadCrcs->size(), 2u);
@@ -143,13 +140,11 @@ TEST(BlockCache, CountsHitsMissesAndLookups) {
   EXPECT_FALSE(cache.get(1).has_value());
   cache.admit(1, makeContainer(1, 1));
   EXPECT_TRUE(cache.get(1).has_value());
-  if (obs::kObsEnabled) {
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.admissions, 1u);
-    EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
-  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.admissions, 1u);
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
 }
 
 // The budget is a hard ceiling: under a randomized churn of admissions with
@@ -174,9 +169,8 @@ TEST(BlockCache, PeakCachedBytesNeverExceedBudgetUnderMixedSizes) {
   const auto stats = cache.stats();
   EXPECT_LE(stats.peakCachedBytes, budget)
       << "peak charged bytes breached the budget";
-  if (obs::kObsEnabled)
-    EXPECT_EQ(stats.lookups, stats.hits + stats.misses)
-        << "lookup accounting must balance";
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses)
+      << "lookup accounting must balance";
   cache.clear();
   EXPECT_EQ(cache.cachedBytes(), 0u);
   EXPECT_EQ(cache.size(), 0u);
@@ -211,7 +205,7 @@ TEST(BlockCache, ReadmittingAResidentIdKeepsTheResidentCopy) {
   const auto resident = cache.get(4);
   ASSERT_TRUE(resident.has_value());
   EXPECT_EQ(resident->container, first.container);
-  if (obs::kObsEnabled) EXPECT_EQ(cache.stats().admissions, 1u);
+  EXPECT_EQ(cache.stats().admissions, 1u);
 }
 
 TEST(BlockCache, InvalidateOfAbsentIdIsANoOp) {

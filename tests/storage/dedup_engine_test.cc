@@ -8,17 +8,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "obs/metrics.h"
 
 namespace freqdedup {
 namespace {
-
-// The engine's counters live in its metrics registry; with
-// FREQDEDUP_OBS=OFF they all read zero, so stats-centric tests skip there
-// (functional behavior is still covered by the outcome-based tests).
-#define FDD_SKIP_WITHOUT_OBS()                                      \
-  if (!obs::kObsEnabled)                                            \
-  GTEST_SKIP() << "stats are compiled out (FREQDEDUP_OBS=OFF)"
 
 DedupEngineParams tinyParams() {
   DedupEngineParams p;
@@ -36,7 +28,6 @@ std::vector<ChunkRecord> makeRecords(std::initializer_list<Fp> fps,
 }
 
 TEST(DedupEngine, AllUniqueChunksStored) {
-  FDD_SKIP_WITHOUT_OBS();
   DedupEngine engine(tinyParams());
   engine.ingestBackup(makeRecords({1, 2, 3, 4, 5}));
   EXPECT_EQ(engine.stats().uniqueChunks, 5u);
@@ -44,7 +35,6 @@ TEST(DedupEngine, AllUniqueChunksStored) {
 }
 
 TEST(DedupEngine, DuplicateInOpenBufferDetected) {
-  FDD_SKIP_WITHOUT_OBS();
   DedupEngine engine(tinyParams());
   engine.ingestBackup(makeRecords({1, 2, 1}));
   EXPECT_EQ(engine.stats().uniqueChunks, 2u);
@@ -59,11 +49,9 @@ TEST(DedupEngine, DuplicateAfterFlushGoesThroughIndex) {
   const IngestOutcome outcome = engine.ingest({1, 4096});
   EXPECT_TRUE(outcome.duplicate);
   ASSERT_TRUE(outcome.containerId.has_value());
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(engine.stats().indexHits, 1u);
-    // S4 loaded the container's fingerprints (4 entries x 32 B).
-    EXPECT_EQ(engine.stats().metadata.loadingBytes, 4u * kFpMetadataBytes);
-  }
+  EXPECT_EQ(engine.stats().indexHits, 1u);
+  // S4 loaded the container's fingerprints (4 entries x 32 B).
+  EXPECT_EQ(engine.stats().metadata.loadingBytes, 4u * kFpMetadataBytes);
 }
 
 TEST(DedupEngine, CacheHitAfterContainerLoad) {
@@ -82,8 +70,7 @@ TEST(DedupEngine, UpdateAccessCountedOnFlush) {
   engine.ingestBackup(makeRecords({1, 2, 3, 4}));
   EXPECT_EQ(engine.stats().metadata.updateBytes, 0u);  // still buffered
   engine.flushOpenContainer();
-  if (obs::kObsEnabled)
-    EXPECT_EQ(engine.stats().metadata.updateBytes, 4u * kFpMetadataBytes);
+  EXPECT_EQ(engine.stats().metadata.updateBytes, 4u * kFpMetadataBytes);
   EXPECT_EQ(engine.containerCount(), 1u);
 }
 
@@ -99,7 +86,6 @@ TEST(DedupEngine, ContainerCapacityRespected) {
 }
 
 TEST(DedupEngine, BloomNegativeSkipsIndex) {
-  FDD_SKIP_WITHOUT_OBS();
   DedupEngine engine(tinyParams());
   engine.ingestBackup(makeRecords({1, 2, 3}));
   // All chunks were new; their uniqueness was provable by the Bloom filter
@@ -112,7 +98,6 @@ TEST(DedupEngine, BloomNegativeSkipsIndex) {
 }
 
 TEST(DedupEngine, StatsDedupRatio) {
-  FDD_SKIP_WITHOUT_OBS();
   DedupEngine engine(tinyParams());
   engine.ingestBackup(makeRecords({1, 2, 1, 2, 1, 2}));
   EXPECT_DOUBLE_EQ(engine.stats().dedupRatio(), 3.0);
@@ -148,7 +133,6 @@ TEST(MetadataAccessStats, DifferenceSaturatesInsteadOfUnderflowing) {
 class DedupEngineProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DedupEngineProperty, MatchesNaiveDeduplication) {
-  FDD_SKIP_WITHOUT_OBS();
   Rng rng(GetParam());
   std::vector<ChunkRecord> records;
   for (int i = 0; i < 5000; ++i) {
@@ -181,7 +165,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DedupEngineProperty,
                          ::testing::Values(1, 17, 23, 77));
 
 TEST(DedupEngine, LoadingDominatesWithSmallCache) {
-  FDD_SKIP_WITHOUT_OBS();
   // The paper's observation (Section 7.4.2): with an insufficient cache,
   // loading access dominates total metadata traffic.
   DedupEngineParams p;
@@ -266,14 +249,12 @@ TEST(DedupEngine, BatchedIngestMatchesPerRecordIngest) {
   }
   batched.flushOpenContainer();
   perRecord.flushOpenContainer();
-  // ingestBackup's batched counter tally must account every path exactly
-  // as the per-record entry point does.
+  // ingestBackup must account every path exactly as the per-record entry
+  // point does.
   expectSameStats(batched.stats(), perRecord.stats());
-  if (obs::kObsEnabled) {
-    uint64_t logical = 0;
-    for (const auto& backup : backups) logical += backup.size();
-    EXPECT_EQ(batched.stats().logicalChunks, logical);
-  }
+  uint64_t logical = 0;
+  for (const auto& backup : backups) logical += backup.size();
+  EXPECT_EQ(batched.stats().logicalChunks, logical);
 }
 
 TEST(DedupEngine, RepeatedRunsAreDeterministic) {
@@ -319,8 +300,7 @@ TEST(DedupEngine, FlushingAnEmptyBufferSealsNoContainer) {
   engine.ingestBackup(makeRecords({1, 2, 3}));  // fits one open container
   engine.flushOpenContainer();                  // seals container 0
   engine.flushOpenContainer();                  // nothing buffered: no-op
-  if (obs::kObsEnabled)
-    EXPECT_EQ(engine.stats().metadata.updateBytes, 3u * kFpMetadataBytes);
+  EXPECT_EQ(engine.stats().metadata.updateBytes, 3u * kFpMetadataBytes);
   (void)engine.ingest({10, 4096});
   engine.flushOpenContainer();  // container 1, not 2
   EXPECT_EQ(engine.ingest({10, 4096}).containerId,

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "storage/codec.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
@@ -137,10 +136,8 @@ void runOps(uint64_t seed, BackupStore* store,
       const uint64_t liveBefore = model.liveBytes();
       model.gc();
       EXPECT_EQ(gc.bytesReclaimed, liveBefore - model.liveBytes());
-      if (obs::kObsEnabled) {
-        EXPECT_EQ(store->stats().uniqueChunks, model.chunks.size());
-        EXPECT_EQ(store->stats().storedBytes, model.liveBytes());
-      }
+      EXPECT_EQ(store->stats().uniqueChunks, model.chunks.size());
+      EXPECT_EQ(store->stats().storedBytes, model.liveBytes());
       for (const auto& [fp, n] : model.refs) {
         if (n == 0)
           EXPECT_FALSE(store->hasChunk(fp))
@@ -164,8 +161,7 @@ void runOps(uint64_t seed, BackupStore* store,
   while (!model.manifests.empty()) model.releaseBackup(model.manifests.begin()->first);
   store->collectGarbage();
   model.gc();
-  if (obs::kObsEnabled)
-    EXPECT_EQ(store->stats().uniqueChunks, model.chunks.size());
+  EXPECT_EQ(store->stats().uniqueChunks, model.chunks.size());
   EXPECT_TRUE(store->verify().ok());
 }
 

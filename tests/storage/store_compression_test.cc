@@ -225,7 +225,6 @@ TEST_F(StoreCompressionTest, RecoveryQuarantinesCraftedCodecByte) {
 }
 
 TEST_F(StoreCompressionTest, CompressionMetricsCountFrames) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "metrics disabled in this build";
   FileBackupStore store(dir_, withCodec(ContainerCodec::kDeflate));
   for (int i = 0; i < 24; ++i) {
     const ByteVec bytes = compressibleChunk(static_cast<uint8_t>(i));

@@ -39,23 +39,19 @@ TEST_F(StoreWalTest, ReopenAfterGcCheckpointReplaysOnlyTailRecords) {
     // GC's final phase checkpoints the index and rotates the WAL: from here
     // on, the replayable tail is empty.
     store.collectGarbage();
-    if (obs::kObsEnabled) {
-      const obs::MetricsSnapshot snap = store.metricsSnapshot();
-      EXPECT_GE(snap.counter("ckpt.writes"), 1u);
-    }
+    const obs::MetricsSnapshot snap = store.metricsSnapshot();
+    EXPECT_GE(snap.counter("ckpt.writes"), 1u);
     // Exactly kTailBlobs single-record commits ride the fresh tail.
     for (int i = 0; i < kTailBlobs; ++i)
       store.putBlob("tail-" + std::to_string(i), toBytes("tail-blob"));
     store.flush();
   }
   FileBackupStore reopened(dir_);
-  if (obs::kObsEnabled) {
-    const obs::MetricsSnapshot snap = reopened.metricsSnapshot();
-    EXPECT_EQ(snap.counter("wal.replay.records"),
-              static_cast<uint64_t>(kTailBlobs));
-    EXPECT_EQ(snap.counter("ckpt.loads"), 1u);
-    EXPECT_GT(snap.counter("ckpt.load_records"), 0u);
-  }
+  const obs::MetricsSnapshot snap = reopened.metricsSnapshot();
+  EXPECT_EQ(snap.counter("wal.replay.records"),
+            static_cast<uint64_t>(kTailBlobs));
+  EXPECT_EQ(snap.counter("ckpt.loads"), 1u);
+  EXPECT_GT(snap.counter("ckpt.load_records"), 0u);
   // And the state is intact on both sides of the watermark.
   ASSERT_TRUE(reopened.backupRefs("backup-0").has_value());
   EXPECT_EQ(reopened.backupRefs("backup-0")->size(), 20u);
@@ -88,12 +84,10 @@ TEST_F(StoreWalTest, ConcurrentRecordBackupsAreDurable) {
       });
     }
     for (auto& th : threads) th.join();
-    if (obs::kObsEnabled) {
-      const obs::MetricsSnapshot snap = store.metricsSnapshot();
-      EXPECT_EQ(snap.counter("store.backups_recorded"),
-                static_cast<uint64_t>(kCommitters));
-      EXPECT_GT(snap.counter("wal.syncs"), 0u);
-    }
+    const obs::MetricsSnapshot snap = store.metricsSnapshot();
+    EXPECT_EQ(snap.counter("store.backups_recorded"),
+              static_cast<uint64_t>(kCommitters));
+    EXPECT_GT(snap.counter("wal.syncs"), 0u);
   }
   FileBackupStore reopened(dir_);
   EXPECT_EQ(reopened.listBackups().size(), static_cast<size_t>(kCommitters));
@@ -122,11 +116,9 @@ TEST_F(StoreWalTest, GcCheckpointCompactsIndexRecords) {
     store.collectGarbage();
   }
   FileBackupStore reopened(dir_);
-  if (obs::kObsEnabled) {
-    const obs::MetricsSnapshot snap = reopened.metricsSnapshot();
-    // All the churn was absorbed by the checkpoint: nothing left to replay.
-    EXPECT_EQ(snap.counter("wal.replay.records"), 0u);
-  }
+  const obs::MetricsSnapshot snap = reopened.metricsSnapshot();
+  // All the churn was absorbed by the checkpoint: nothing left to replay.
+  EXPECT_EQ(snap.counter("wal.replay.records"), 0u);
   ASSERT_TRUE(reopened.backupRefs("churn").has_value());
   EXPECT_EQ(reopened.verify().errors.size(), 0u);
 }

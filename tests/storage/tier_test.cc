@@ -141,11 +141,9 @@ TEST_F(TierTest, ColdReadsPromoteTransparentlyAndVerbatim) {
     EXPECT_EQ(reopened.getChunk(fp), bytes);
 
   const StoreReadStats rs = reopened.readStats();
-  if (obs::kObsEnabled) {  // FREQDEDUP_OBS=OFF compiles the counters out
-    EXPECT_GT(rs.coldReads, 0u);
-    EXPECT_GT(rs.promotions, 0u);
-    EXPECT_LE(rs.promotions, rs.coldReads);
-  }
+  EXPECT_GT(rs.coldReads, 0u);
+  EXPECT_GT(rs.promotions, 0u);
+  EXPECT_LE(rs.promotions, rs.coldReads);
 
   // Every promoted frame is back in the hot tier, bit-identical, and its
   // cold copy is gone (exactly one durable copy at all times). The
@@ -217,7 +215,6 @@ TEST_F(TierTest, VerifyFlagsOrphanColdObjects) {
 }
 
 TEST_F(TierTest, TierGaugesTrackPlacement) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "metrics disabled in this build";
   FileBackupStore store(dir_, tiered());
   fillStore(store, 24);
   store.collectGarbage();

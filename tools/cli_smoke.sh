@@ -12,9 +12,7 @@
 #  - dedup ratio: backing up the same file a second time must print a
 #    ratio above 1 for that run.
 # check_stats.py checks the --stats=json dumps, and the trace must be valid
-# JSON. The dumps and the trace are kept in <stats-dir>. With the registry
-# compiled out (FREQDEDUP_OBS=OFF in the environment) every counter reads
-# zero, so the check_stats.py calls are skipped.
+# JSON. The dumps and the trace are kept in <stats-dir>.
 #
 # Usage: cli_smoke.sh <fdd-binary> <stats-dir>
 # Exits non-zero on any failure. ctest runs it as cli.smoke.
@@ -26,14 +24,6 @@ TOOLS_DIR="$(cd "$(dirname "$0")" && pwd)"
 WORK=$(mktemp -d /tmp/fdd-cli.XXXXXX)
 trap 'rm -rf "$WORK"' EXIT
 mkdir -p "$STATS"
-
-check_stats() {
-  if [ "${FREQDEDUP_OBS:-ON}" = OFF ]; then
-    echo "SKIP check_stats.py $* (FREQDEDUP_OBS=OFF)"
-  else
-    python3 "$TOOLS_DIR/check_stats.py" "$@"
-  fi
-}
 
 # expect_usage_error <fdd arguments>: fdd must exit 2.
 expect_usage_error() {
@@ -90,7 +80,7 @@ cmp "$WORK/src/small.bin" "$WORK/out2/small.bin"
 "$FDD" gc "$WORK/store" --stats=json | tee "$STATS/gc.json"
 "$FDD" verify "$WORK/store" --deep=ci-pass --threads=4 --stats=json \
     | tee "$STATS/verify.json"
-check_stats "$STATS/backup.json" "$STATS/restore.json" "$STATS/verify.json"
+python3 "$TOOLS_DIR/check_stats.py" "$STATS/backup.json" "$STATS/restore.json" "$STATS/verify.json"
 python3 - "$STATS/restore_trace.json" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))
@@ -119,7 +109,7 @@ for f in text1.txt text2.txt noise.bin; do
 done
 "$FDD" verify "$TIER/store" --deep=ci-pass --threads=4 --stats=json \
     | tee "$STATS/tier_verify.json"
-check_stats "$STATS/tier_backup.json" "$STATS/tier_restore.json" \
+python3 "$TOOLS_DIR/check_stats.py" "$STATS/tier_backup.json" "$STATS/tier_restore.json" \
     "$STATS/tier_verify.json"
 
 # Dedup ratio. The second backup of an unchanged file adds no chunk, so

@@ -9,10 +9,8 @@
 # Usage: server_smoke.sh <fdd-binary> <stats-dir>
 # Works in its own mktemp directory under /tmp, so the socket path stays
 # short and parallel runs never share a socket. The live and final stats
-# dumps and the daemon log are kept in <stats-dir>. With the registry
-# compiled out (FREQDEDUP_OBS=OFF in the environment) the check_stats.py
-# calls are skipped. Exits non-zero on any failure. ctest runs it as
-# cli.server_smoke.
+# dumps and the daemon log are kept in <stats-dir>. Exits non-zero on any
+# failure. ctest runs it as cli.server_smoke.
 set -euo pipefail
 
 FDD=${1:?usage: server_smoke.sh <fdd-binary> <stats-dir>}
@@ -24,14 +22,6 @@ mkdir -p "$STATS" "$WORK/src-acme" "$WORK/src-beta"
 SOCK="unix:$WORK/sock"
 STORE="$WORK/store"
 LOG="$STATS/daemon.log"
-
-check_stats() {
-  if [ "${FREQDEDUP_OBS:-ON}" = OFF ]; then
-    echo "SKIP check_stats.py $* (FREQDEDUP_OBS=OFF)"
-  else
-    python3 "$TOOLS_DIR/check_stats.py" "$@"
-  fi
-}
 
 # Distinct data per tenant plus one shared file, so the smoke crosses the
 # cross-tenant dedup path too.
@@ -93,7 +83,7 @@ cmp "$WORK/src-beta/other.bin" "$WORK/out-beta/other.bin"
 # Live stats over the socket must pass the daemon invariants.
 "$FDD" stats --remote="$SOCK" --tenant=acme --pass=acme-pass \
     > "$STATS/server_stats.json"
-check_stats "$STATS/server_stats.json"
+python3 "$TOOLS_DIR/check_stats.py" "$STATS/server_stats.json"
 
 # Delete one backup per tenant; acme's copy of big.bin must survive beta's.
 "$FDD" delete small.bin --remote="$SOCK" --tenant=acme --pass=acme-pass
@@ -110,7 +100,7 @@ if [ "$DAEMON_RC" -ne 0 ]; then
   echo "daemon exited with $DAEMON_RC:"; cat "$LOG"; exit 1
 fi
 grep -q "fdd serve: stopped" "$LOG"
-check_stats "$LOG"
+python3 "$TOOLS_DIR/check_stats.py" "$LOG"
 
 # The store the daemon leaves behind is a normal store: gc the deleted
 # backups' chunks, then cross-check index, containers and manifests.
