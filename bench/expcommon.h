@@ -8,8 +8,8 @@
 // FDD_BENCH_SCALE=0.5 for the scale ctest runs paperrepro at, =20 to
 // approach the paper's 10^7-unique-chunk backups on a big machine). The
 // locality attack's w parameter scales by the same factor relative to the
-// paper's parameters; the DDFS fingerprint-cache sizes of paperrepro's
-// fig13/fig14 rows do not. Attack engines use every hardware thread;
+// paper's parameters, and so do the DDFS fingerprint-cache sizes of
+// paperrepro's fig13/fig14 rows. Attack engines use every hardware thread;
 // results are bit-identical at every thread count.
 #pragma once
 

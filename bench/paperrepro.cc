@@ -546,31 +546,40 @@ void fig11(Checks& checks) {
 // fingerprint metadata. The paper's 512 MB cache holds ~1/4 of its dataset's
 // unique fingerprints ("insufficient") and the 4 GB cache holds all of them
 // ("sufficient"). The FSL dataset at scale 1 has ~111k unique fingerprints
-// (~3.6 MB at 32 B each), so the two regimes are ~0.9 MB and ~7 MB. The
-// sizes do not follow FDD_BENCH_SCALE: at scale 2 the 7.2 MB cache (225k
-// entries) holds MLE's 215k unique fingerprints but not the combined
-// scheme's 370k.
+// (~3.6 MB at 32 B each), so the two regimes are 0.9 MB and 7.2 MB at scale
+// 1, and both follow FDD_BENCH_SCALE as the dataset does. Each row checks
+// that its cache is in its regime against the unique chunks it stored.
 
 /// Per-backup metadata access: [0] = MLE, [1] = combined.
 using MetadataSeries = std::array<std::vector<MetadataAccessStats>, 2>;
 
-MetadataSeries metadataExperiment(const char* figure, uint64_t cacheBytes,
-                                  const char* regime) {
+struct MetadataRun {
+  uint64_t cacheEntries = 0;
+  MetadataSeries series;
+  std::array<uint64_t, 2> uniqueChunks{};  // stored per scheme, as series
+};
+
+/// Runs both schemes with a fingerprint cache of `scaleOneCacheBytes` times
+/// benchScale().
+MetadataRun metadataExperiment(const char* figure, double scaleOneCacheBytes,
+                               const char* regime) {
   const Dataset& fsl = fslDataset();
+  const auto cacheBytes =
+      static_cast<uint64_t>(scaleOneCacheBytes * benchScale());
   uint64_t logicalInstances = 0;
   for (const auto& backup : fsl.backups)
     logicalInstances += backup.chunkCount();
 
   printTitle(figure, std::string("DDFS metadata access, fingerprint cache ") +
                          regime);
+  MetadataRun run;
+  run.cacheEntries = cacheBytes / kFpMetadataBytes;
   printf("fingerprint cache: %.1f MB (%llu entries); total fingerprint "
          "instances: %llu (%.1f MB of metadata)\n",
-         cacheBytes / 1e6,
-         static_cast<unsigned long long>(cacheBytes / kFpMetadataBytes),
+         cacheBytes / 1e6, static_cast<unsigned long long>(run.cacheEntries),
          static_cast<unsigned long long>(logicalInstances),
          logicalInstances * kFpMetadataBytes / 1e6);
 
-  MetadataSeries series;
   for (const bool combinedScheme : {false, true}) {
     DedupEngineParams params;
     params.containerBytes = 4 * 1024 * 1024;
@@ -595,18 +604,19 @@ MetadataSeries metadataExperiment(const char* figure, uint64_t cacheBytes,
       }
       const MetadataAccessStats delta = engine.stats().metadata - previous;
       previous = engine.stats().metadata;
-      series[combinedScheme].push_back(delta);
+      run.series[combinedScheme].push_back(delta);
       printRow({backup.label, fmtDouble(delta.updateBytes / 1e6, 2),
                 fmtDouble(delta.indexBytes / 1e6, 2),
                 fmtDouble(delta.loadingBytes / 1e6, 2),
                 fmtDouble(delta.totalBytes() / 1e6, 2)});
     }
     engine.flushOpenContainer();
+    run.uniqueChunks[combinedScheme] = engine.stats().uniqueChunks;
     printf("stored %llu unique chunks in %zu containers; dedup ratio %.1fx\n",
            static_cast<unsigned long long>(engine.stats().uniqueChunks),
            engine.containerCount(), engine.stats().dedupRatio());
   }
-  return series;
+  return run;
 }
 
 /// The combined scheme stores more unique chunks, so it touches more
@@ -629,8 +639,15 @@ double loadingMb(const MetadataAccessStats& stats) {
 }
 
 void fig13(Checks& checks) {
-  const MetadataSeries series = metadataExperiment(
-      "Figure 13", /*cacheBytes=*/900'000, "insufficient (paper: 512 MB)");
+  const MetadataRun run = metadataExperiment(
+      "Figure 13", /*scaleOneCacheBytes=*/900'000,
+      "insufficient (paper: 512 MB)");
+  const MetadataSeries& series = run.series;
+  // The regime: the cache cannot hold even MLE's unique fingerprints.
+  checks.expect(run.cacheEntries < run.uniqueChunks[0], "regime",
+                "cache entries " + std::to_string(run.cacheEntries) +
+                    " < MLE's stored unique chunks " +
+                    std::to_string(run.uniqueChunks[0]));
   checkMetadataOverhead(series, checks);
   // An insufficient cache thrashes as the index grows: the last backup
   // loads more fingerprint metadata than the first.
@@ -644,8 +661,18 @@ void fig13(Checks& checks) {
 }
 
 void fig14(Checks& checks) {
-  const MetadataSeries series = metadataExperiment(
-      "Figure 14", /*cacheBytes=*/7'200'000, "sufficient (paper: 4 GB)");
+  const MetadataRun run = metadataExperiment(
+      "Figure 14", /*scaleOneCacheBytes=*/7'200'000,
+      "sufficient (paper: 4 GB)");
+  const MetadataSeries& series = run.series;
+  // The regime: the cache holds every scheme's unique fingerprints.
+  for (size_t scheme = 0; scheme < 2; ++scheme) {
+    checks.expect(run.cacheEntries >= run.uniqueChunks[scheme],
+                  scheme == 0 ? "MLE regime" : "combined regime",
+                  "cache entries " + std::to_string(run.cacheEntries) +
+                      " >= stored unique chunks " +
+                      std::to_string(run.uniqueChunks[scheme]));
+  }
   checkMetadataOverhead(series, checks);
   // A sufficient cache keeps prior fingerprints resident: the last backup
   // loads less than the first.
