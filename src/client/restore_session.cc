@@ -264,11 +264,7 @@ uint64_t RestoreSession::streamEntries(size_t entryBegin, size_t entryEnd,
                   fpToHex(entry.cipherFp));
           }
         };
-        if (pool != nullptr) {
-          parallelFor(*pool, count, decryptRange);
-        } else {
-          decryptRange(0, count);
-        }
+        parallelFor(pool, count, decryptRange);
         // Strictly in-order emission, batch by batch, chunk by chunk.
         uint64_t emitted = 0;
         for (size_t k = 0; k < count; ++k) {

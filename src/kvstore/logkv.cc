@@ -32,38 +32,6 @@ constexpr size_t kCkptHeaderBytes = 28;
 /// stores; values larger than this still write in one piece).
 constexpr size_t kCkptWriteBufBytes = 1 << 20;
 
-void pwriteFully(int fd, const uint8_t* data, size_t size, uint64_t offset,
-                 const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::pwrite(fd, data, size, static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("LogKv: write failed on " + path + ": " +
-                               std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-    offset += static_cast<uint64_t>(n);
-  }
-}
-
-void preadExactly(int fd, uint8_t* out, size_t size, uint64_t offset,
-                  const std::string& path) {
-  size_t total = 0;
-  while (total < size) {
-    const ssize_t n = ::pread(fd, out + total, size - total,
-                              static_cast<off_t>(offset + total));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("LogKv: read failed on " + path + ": " +
-                               std::strerror(errno));
-    }
-    if (n == 0)
-      throw std::runtime_error("LogKv: short read on " + path);
-    total += static_cast<size_t>(n);
-  }
-}
-
 /// Closes a raw fd on scope exit unless released (ownership transferred).
 struct FdCloser {
   int fd = -1;
@@ -242,9 +210,9 @@ bool LogKv::parseRecordPayload(ByteView payload, ParsedRecord& out) {
 ByteVec LogKv::readValueAtLocked(const ValueLocation& loc) {
   if (loc.file == ValueFile::kWal) return wal_->readAt(loc.offset, loc.size);
   ByteVec value(loc.size);
-  if (loc.size > 0)
-    preadExactly(ckptFd_, value.data(), value.size(), loc.offset,
-                 ckptPath());
+  if (preadFully(ckptFd_, value.data(), value.size(), loc.offset,
+                 ckptPath()) != value.size())
+    throw std::runtime_error("LogKv: short read on " + ckptPath());
   return value;
 }
 

@@ -31,39 +31,6 @@ ByteVec encodeHeader(Lsn baseLsn) {
   return header;
 }
 
-void pwriteFully(int fd, const uint8_t* data, size_t size, uint64_t offset,
-                 const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::pwrite(fd, data, size, static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("wal: write failed on " + path + ": " +
-                               std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-    offset += static_cast<uint64_t>(n);
-  }
-}
-
-/// Reads up to `size` bytes; returns bytes read (short at EOF).
-size_t preadFully(int fd, uint8_t* out, size_t size, uint64_t offset,
-                  const std::string& path) {
-  size_t total = 0;
-  while (total < size) {
-    const ssize_t n = ::pread(fd, out + total, size - total,
-                              static_cast<off_t>(offset + total));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("wal: read failed on " + path + ": " +
-                               std::strerror(errno));
-    }
-    if (n == 0) break;  // EOF
-    total += static_cast<size_t>(n);
-  }
-  return total;
-}
-
 void fdatasyncOrThrow(int fd, const std::string& path) {
   if (::fdatasync(fd) != 0)
     throw std::runtime_error("wal: fdatasync failed on " + path + ": " +
@@ -79,6 +46,38 @@ uint64_t fileSizeOf(int fd, const std::string& path) {
 }
 
 }  // namespace
+
+void pwriteFully(int fd, const uint8_t* data, size_t size, uint64_t offset,
+                 const std::string& path) {
+  while (size > 0) {
+    const ssize_t n = ::pwrite(fd, data, size, static_cast<off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error("write failed on " + path + ": " +
+                               std::strerror(errno));
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+    offset += static_cast<uint64_t>(n);
+  }
+}
+
+size_t preadFully(int fd, uint8_t* out, size_t size, uint64_t offset,
+                  const std::string& path) {
+  size_t total = 0;
+  while (total < size) {
+    const ssize_t n = ::pread(fd, out + total, size - total,
+                              static_cast<off_t>(offset + total));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error("read failed on " + path + ": " +
+                               std::strerror(errno));
+    }
+    if (n == 0) break;  // EOF
+    total += static_cast<size_t>(n);
+  }
+  return total;
+}
 
 void fsyncDir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);

@@ -53,6 +53,17 @@ using Lsn = uint64_t;
 /// fsyncs a directory so a rename inside it is durable. Throws on failure.
 void fsyncDir(const std::string& dir);
 
+/// Writes all `size` bytes at `offset`, retrying short writes and EINTR.
+/// Throws on failure, naming `path`.
+void pwriteFully(int fd, const uint8_t* data, size_t size, uint64_t offset,
+                 const std::string& path);
+
+/// Reads up to `size` bytes at `offset`, retrying short reads and EINTR;
+/// returns the bytes read, fewer only at end of file. Throws on failure,
+/// naming `path`.
+size_t preadFully(int fd, uint8_t* out, size_t size, uint64_t offset,
+                  const std::string& path);
+
 class Wal {
  public:
   /// Bytes of framing before each record's payload.
