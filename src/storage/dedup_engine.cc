@@ -79,7 +79,7 @@ void DedupEngine::flushOpenContainer() {
 }
 
 void DedupEngine::ingestBackup(std::span<const ChunkRecord> records) {
-  for (const auto& r : records) (void)ingest(r);
+  for (const auto& r : records) ingest(r);
 }
 
 const std::vector<Fp>& DedupEngine::containerFingerprints(uint32_t id) const {

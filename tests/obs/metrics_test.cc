@@ -16,7 +16,7 @@ TEST(Counter, SingleThreadedTotal) {
   EXPECT_EQ(c.value(), 0u);
   c.add();
   c.add(41);
-  EXPECT_EQ(c.value(), 42);
+  EXPECT_EQ(c.value(), 42u);
 }
 
 TEST(Gauge, AddSubGoesNegative) {
@@ -54,8 +54,8 @@ TEST(Histogram, DataAggregation) {
   h.record(3);
   h.record(1000);
   const HistogramData d = h.data();
-  EXPECT_EQ(d.count, 3);
-  EXPECT_EQ(d.sum, 1003);
+  EXPECT_EQ(d.count, 3u);
+  EXPECT_EQ(d.sum, 1003u);
   EXPECT_EQ(d.min, 0u);
   EXPECT_EQ(d.max, 1000u);
   ASSERT_EQ(d.buckets.size(), 3u);  // zero, [2,4), [512,1024)
@@ -109,10 +109,8 @@ TEST(Registry, ConcurrentExactTotals) {
   }
   for (auto& th : threads) th.join();
   for (int m = 0; m < kMetrics; ++m) {
-    EXPECT_EQ(counters[m]->value(),
-              uint64_t{kThreads} * kIters);
-    EXPECT_EQ(gauges[m]->value(),
-              int64_t{kThreads} * kIters);
+    EXPECT_EQ(counters[m]->value(), uint64_t{kThreads} * kIters);
+    EXPECT_EQ(gauges[m]->value(), int64_t{kThreads} * kIters);
     const HistogramData d = hists[m]->data();
     EXPECT_EQ(d.count, uint64_t{kThreads} * kIters);
     EXPECT_EQ(d.sum, uint64_t{kThreads} * kIters * (kIters - 1) / 2);
@@ -135,7 +133,7 @@ TEST(Snapshot, DeterministicRendering) {
   // formats — the contract CI diffing and golden files rely on.
   EXPECT_EQ(s1.toText(), s2.toText());
   EXPECT_EQ(s1.toJson(), s2.toJson());
-  EXPECT_EQ(s1.counter("a.count"), 3);
+  EXPECT_EQ(s1.counter("a.count"), 3u);
   EXPECT_EQ(s1.counter("missing"), 0u);
   // Sorted keys: "a.count" renders before "b.count".
   const std::string json = s1.toJson();
@@ -156,11 +154,11 @@ TEST(Snapshot, MergeAndDelta) {
 
   MetricsSnapshot merged = regA.snapshot();
   merged.merge(regB.snapshot());
-  EXPECT_EQ(merged.counter("n"), 11);
-  EXPECT_EQ(merged.counter("only_b"), 2);
+  EXPECT_EQ(merged.counter("n"), 11u);
+  EXPECT_EQ(merged.counter("only_b"), 2u);
   EXPECT_EQ(merged.gauge("g"), 4);
-  EXPECT_EQ(merged.histogram("h").count, 2);
-  EXPECT_EQ(merged.histogram("h").sum, 20);
+  EXPECT_EQ(merged.histogram("h").count, 2u);
+  EXPECT_EQ(merged.histogram("h").sum, 20u);
 
   regA.counter("n").add(5);
   regA.histogram("h").record(4);
@@ -170,7 +168,7 @@ TEST(Snapshot, MergeAndDelta) {
   const MetricsSnapshot interval = later.delta(merged);
   // Saturating: only_b exists only in the earlier snapshot; no underflow.
   EXPECT_EQ(interval.counter("only_b"), 0u);
-  EXPECT_EQ(interval.counter("n"), 4);
+  EXPECT_EQ(interval.counter("n"), 4u);
 }
 
 }  // namespace
