@@ -230,6 +230,115 @@ TEST_F(TierTest, TierGaugesTrackPlacement) {
   EXPECT_GT(gauge("tier.cold_bytes"), 0);
 }
 
+// Cross-tier recovery. Each test demotes a store, closes it, edits the tier
+// directories the way a crash (or bit rot) would, and reopens.
+class TierRecoveryTest : public TierTest {
+ protected:
+  /// Fills a tiered store, demotes all but the newest container and closes
+  /// it; returns the chunks and the file name of the lowest demoted id.
+  std::string demotedStore(std::vector<std::pair<Fp, ByteVec>>& chunks) {
+    FileBackupStore store(dir_, tiered());
+    chunks = fillStore(store, 24);
+    EXPECT_GT(store.collectGarbage().containersDemoted, 0u);
+    std::string first;
+    for (const auto& entry : fs::directory_iterator(dir_ + "/cold")) {
+      const std::string name = entry.path().filename().string();
+      if (entry.path().extension() == ".fdc" && (first.empty() || name < first))
+        first = name;
+    }
+    return first;
+  }
+
+  static void flipMiddleByte(const std::string& path) {
+    ByteVec raw = readFile(path);
+    raw[raw.size() / 2] ^= 0x01;
+    writeFile(path, raw);
+  }
+};
+
+TEST_F(TierRecoveryTest, CopyInBothTiersKeepsHotAndRemovesCold) {
+  std::vector<std::pair<Fp, ByteVec>> chunks;
+  const std::string name = demotedStore(chunks);
+  ASSERT_FALSE(name.empty());
+  // A crash between the halves of a demotion or a promotion: both tiers
+  // hold the same complete frame.
+  const ByteVec frame = readFile(dir_ + "/cold/" + name);
+  writeFile(dir_ + "/containers/" + name, frame);
+  const size_t coldBefore = coldContainers();
+
+  FileBackupStore reopened(dir_, tiered());
+  EXPECT_EQ(reopened.recoveryStats().corruptContainers, 0u);
+  EXPECT_EQ(reopened.recoveryStats().entriesDropped, 0u);
+  EXPECT_EQ(reopened.recoveryStats().orphanContainersRemoved, 0u);
+  EXPECT_EQ(readFile(dir_ + "/containers/" + name), frame);
+  EXPECT_FALSE(fs::exists(dir_ + "/cold/" + name));
+  EXPECT_EQ(coldContainers(), coldBefore - 1);
+  for (const auto& [fp, bytes] : chunks)
+    EXPECT_EQ(reopened.getChunk(fp), bytes);
+  EXPECT_TRUE(reopened.verify().ok());
+}
+
+TEST_F(TierRecoveryTest, CorruptHotCopyIsQuarantinedAndColdServes) {
+  std::vector<std::pair<Fp, ByteVec>> chunks;
+  const std::string name = demotedStore(chunks);
+  ASSERT_FALSE(name.empty());
+  const std::string hotPath = dir_ + "/containers/" + name;
+  writeFile(hotPath, readFile(dir_ + "/cold/" + name));
+  flipMiddleByte(hotPath);
+
+  FileBackupStore reopened(dir_, tiered());
+  EXPECT_EQ(reopened.recoveryStats().corruptContainers, 1u);
+  EXPECT_EQ(reopened.recoveryStats().entriesDropped, 0u);
+  EXPECT_TRUE(fs::exists(hotPath + ".corrupt"));
+  EXPECT_FALSE(fs::exists(hotPath));
+  EXPECT_TRUE(fs::exists(dir_ + "/cold/" + name));
+  for (const auto& [fp, bytes] : chunks)
+    EXPECT_EQ(reopened.getChunk(fp), bytes);
+  EXPECT_GT(reopened.readStats().coldReads, 0u);
+  EXPECT_TRUE(reopened.verify().ok());
+}
+
+TEST_F(TierRecoveryTest, CorruptColdOnlyCopyIsQuarantinedAndItsEntriesDrop) {
+  std::vector<std::pair<Fp, ByteVec>> chunks;
+  const std::string name = demotedStore(chunks);
+  ASSERT_FALSE(name.empty());
+  const std::string coldPath = dir_ + "/cold/" + name;
+  const size_t lost = parseContainer(readFile(coldPath)).entries.size();
+  ASSERT_GT(lost, 0u);
+  flipMiddleByte(coldPath);
+
+  FileBackupStore reopened(dir_, tiered());
+  EXPECT_EQ(reopened.recoveryStats().corruptContainers, 1u);
+  EXPECT_EQ(reopened.recoveryStats().entriesDropped, lost);
+  EXPECT_TRUE(fs::exists(coldPath + ".corrupt"));
+  EXPECT_FALSE(fs::exists(coldPath));
+  EXPECT_FALSE(fs::exists(dir_ + "/containers/" + name + ".corrupt"));
+  size_t missing = 0;
+  for (const auto& [fp, bytes] : chunks) missing += !reopened.hasChunk(fp);
+  EXPECT_EQ(missing, lost);
+  // The "live" manifest still references the lost chunks.
+  const StoreCheckReport report = reopened.verify();
+  size_t dangling = 0;
+  for (const std::string& error : report.errors)
+    dangling += error.starts_with("manifest references missing chunk");
+  EXPECT_EQ(dangling, lost);
+}
+
+TEST_F(TierRecoveryTest, UnreferencedColdObjectIsRemovedAsAnOrphan) {
+  std::vector<std::pair<Fp, ByteVec>> chunks;
+  ASSERT_FALSE(demotedStore(chunks).empty());
+  const std::string orphan = dir_ + "/cold/00000099.fdc";
+  writeFile(orphan, toBytes("unreferenced cold object"));
+
+  FileBackupStore reopened(dir_, tiered());
+  EXPECT_EQ(reopened.recoveryStats().orphanContainersRemoved, 1u);
+  EXPECT_EQ(reopened.recoveryStats().corruptContainers, 0u);
+  EXPECT_FALSE(fs::exists(orphan));
+  for (const auto& [fp, bytes] : chunks)
+    EXPECT_EQ(reopened.getChunk(fp), bytes);
+  EXPECT_TRUE(reopened.verify().ok());
+}
+
 TEST(LocalObjectStoreTest, PutGetRemoveRenameListAndTornTmpSweep) {
   const std::string dir =
       (fs::temp_directory_path() / "local_object_store_test").string();
