@@ -5,8 +5,8 @@
 // Scaling note (see REPRODUCE.md): the seed datasets were sized to ~10^5
 // unique chunks per backup. The default bench scale is kDefaultBenchScale x
 // that; override with the FDD_BENCH_SCALE environment variable (e.g.
-// FDD_BENCH_SCALE=0.5 for the scale ctest runs paperrepro at, =20 to
-// approach the paper's 10^7-unique-chunk backups on a big machine). The
+// FDD_BENCH_SCALE=0.5 for the scale ctest runs paperrepro at). The paper's
+// ~10^7-unique-chunk backups correspond to a scale of about 100. The
 // locality attack's w parameter scales by the same factor relative to the
 // paper's parameters, and so do the DDFS fingerprint-cache sizes of
 // paperrepro's fig13/fig14 rows. Attack engines use every hardware thread;

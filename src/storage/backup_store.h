@@ -6,12 +6,12 @@
 // per-backup reference manifests that drive deletion and garbage collection.
 //
 // FileBackupStore (file_backup_store.h) implements it: containers are
-// CRC-framed files under <dir>/containers and the index, manifests and blobs
-// live in a LogKv at <dir>/index.log. Reopening the directory recovers all
-// state, removing orphan containers and dropping index entries whose
-// container failed trailer validation (crash-safe recovery). Decorators
-// (fault injection in the tests, tracing in the benchmark) wrap it through
-// this interface.
+// CRC-framed objects in a hot and a cold tier (container_tier.h) and the
+// index, manifests and blobs live in a LogKv at <dir>/index.log. Reopening
+// the directory recovers all state, removing orphan containers and dropping
+// index entries whose container failed trailer validation (crash-safe
+// recovery). Decorators (fault injection in the tests, tracing in the
+// benchmark) wrap it through this interface.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 
 #include "common/fingerprint.h"
 #include "obs/metrics.h"
-#include "storage/cold_tier.h"
 #include "storage/container.h"
 
 namespace freqdedup {
@@ -35,6 +34,21 @@ inline constexpr uint64_t kDefaultBlockCacheBytes = 64ull * 1024 * 1024;
 
 /// Block-cache budget meaning "never evict".
 inline constexpr uint64_t kUnboundedBlockCacheBytes = UINT64_MAX;
+
+/// Tiering policy, part of StoreOptions. Reads always consult the cold tier
+/// (tier assignment is discovered, not configured); these knobs only shape
+/// demotion.
+struct ColdTierOptions {
+  /// Demote during collectGarbage() until the hot tier's physical bytes
+  /// drop to hotBytes (oldest-unread containers first).
+  bool demoteOnGc = false;
+  /// Hot-tier physical-byte target for demotion. 0 demotes everything
+  /// demotable (the keepHotRecent newest containers are always kept hot).
+  uint64_t hotBytes = 0;
+  /// Newest containers never demoted: the most recent backup's tail stays
+  /// hot so incremental workloads do not bounce straight back.
+  uint32_t keepHotRecent = 1;
+};
 
 /// Everything that shapes a store instance beyond its directory. None of it
 /// is persisted: a store reopened with other options reads back everything
@@ -50,7 +64,7 @@ struct StoreOptions {
   /// promotion and `fdd verify --deep` (0 disables it,
   /// kUnboundedBlockCacheBytes never evicts).
   uint64_t blockCacheBytes = kDefaultBlockCacheBytes;
-  /// Hot/cold tiering (demotion policy + simulated cold-store performance).
+  /// Hot/cold tiering (demotion policy).
   ColdTierOptions coldTier;
 };
 
@@ -137,7 +151,8 @@ class BackupStore {
   /// must putChunk the bytes. The base implementation only answers
   /// membership (hasChunk) and counts nothing; a store or decorator that
   /// counts puts must override it to account a true return as a duplicate
-  /// putChunk (FileBackupStore and the tests' FailingStore do).
+  /// putChunk (FileBackupStore and the tests' FailingStore do). It keeps a
+  /// body because the benchmark's TracedStore does not override it.
   virtual bool putKnownChunk(Fp cipherFp, uint32_t /*size*/) {
     return hasChunk(cipherFp);
   }
@@ -147,28 +162,25 @@ class BackupStore {
 
   /// Batched retrieval: the chunks' bytes, in request order (duplicates
   /// allowed). Throws std::runtime_error if any chunk is absent or fails
-  /// integrity checks. The base implementation loops getChunk;
-  /// FileBackupStore overrides it with container-granular reads (every
-  /// chunk a batch takes from one container is served by a single container
-  /// fetch).
+  /// integrity checks. FileBackupStore serves it container by container:
+  /// every chunk a batch takes from one container costs a single container
+  /// fetch.
   ///
   /// Read-path thread safety: getChunks, getChunk, chunkLocator and
   /// readStats on FileBackupStore are safe to call concurrently with
   /// each other AND with writer operations (which the caller still
   /// serializes, as DedupClient does) — restore I/O must not hold the
   /// writer lock.
-  virtual std::vector<ByteVec> getChunks(std::span<const Fp> cipherFps);
+  virtual std::vector<ByteVec> getChunks(std::span<const Fp> cipherFps) = 0;
 
   /// Container placement of stored chunks for locality-aware read planning:
   /// result[i] describes cipherFps[i], nullopt when the store has no sealed
-  /// placement for it (chunk absent, or still in the open container). The
-  /// base implementation knows nothing about placement and returns
-  /// all-nullopt, which degrades the restore planner to byte-sized batches.
+  /// placement for it (chunk absent, or still in the open container).
   [[nodiscard]] virtual std::vector<std::optional<ChunkPlacement>>
-  chunkLocator(std::span<const Fp> cipherFps) const;
+  chunkLocator(std::span<const Fp> cipherFps) const = 0;
 
-  /// Read-path counters; the base implementation reports all zeros.
-  [[nodiscard]] virtual StoreReadStats readStats() const { return {}; }
+  /// Read-path counters.
+  [[nodiscard]] virtual StoreReadStats readStats() const = 0;
 
   /// Current reference count of a chunk (0 if absent or unreferenced).
   [[nodiscard]] virtual uint32_t chunkRefCount(Fp cipherFp) const = 0;
@@ -191,22 +203,16 @@ class BackupStore {
   /// in the metadata log without forcing it to stable storage, so a pipeline
   /// of commits can share one later group sync (syncMetadataAsync / flush)
   /// instead of paying an fsync wait per backup. Until that sync, a crash
-  /// may drop the record exactly as it would drop an unflushed put. The base
-  /// implementation falls back to recordBackup (immediately durable).
+  /// may drop the record exactly as it would drop an unflushed put.
   virtual void recordBackupDeferred(const std::string& name,
-                                    std::span<const Fp> chunkRefs) {
-    recordBackup(name, chunkRefs);
-  }
+                                    std::span<const Fp> chunkRefs) = 0;
 
   /// Registers `done(ok)` to run once every metadata mutation issued so far
   /// (manifests, blobs, index entries) is durable. FileBackupStore runs
   /// callbacks on its log's syncer thread, outside the store locks, and
-  /// coalesces concurrent requests into one group fdatasync; the base
-  /// implementation completes inline with ok == true. The callback must not
-  /// destroy the store.
-  virtual void syncMetadataAsync(std::function<void(bool ok)> done) {
-    done(true);
-  }
+  /// coalesces concurrent requests into one group fdatasync. The callback
+  /// must not destroy the store.
+  virtual void syncMetadataAsync(std::function<void(bool ok)> done) = 0;
 
   /// Deletes a backup's manifest and decrements the reference counts it
   /// held. Returns false if no such backup was recorded. Chunk data is only
@@ -238,12 +244,9 @@ class BackupStore {
   [[nodiscard]] virtual BackupStoreStats stats() const = 0;
 
   /// Point-in-time snapshot of every metric the store instance maintains
-  /// (store.*, cache.*). A fresh open — including one that recovered
-  /// persistent state — starts all counters from zero. The base
-  /// implementation reports an empty snapshot.
-  [[nodiscard]] virtual obs::MetricsSnapshot metricsSnapshot() const {
-    return {};
-  }
+  /// (store.*, tier.*, cache.*). A fresh open — including one that
+  /// recovered persistent state — starts all counters from zero.
+  [[nodiscard]] virtual obs::MetricsSnapshot metricsSnapshot() const = 0;
 
   /// Number of sealed, live containers.
   [[nodiscard]] virtual size_t containerCount() const = 0;

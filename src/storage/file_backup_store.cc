@@ -1,11 +1,8 @@
 #include "storage/file_backup_store.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <stdexcept>
 
-#include "common/check.h"
 #include "common/crc32.h"
 #include "common/varint.h"
 #include "obs/trace.h"
@@ -71,27 +68,6 @@ std::vector<Fp> parseManifest(ByteView bytes) {
   return refs;
 }
 
-/// Creates <dir>/containers (and <dir>) before the index log opens there.
-const std::string& createStoreDirs(const std::string& dir) {
-  FDD_CHECK_MSG(!dir.empty(), "FileBackupStore needs a directory");
-  std::filesystem::create_directories(dir + "/containers");
-  return dir;
-}
-
-/// Container file ids; files that are not <8 digits>.fdc are ignored.
-std::optional<uint32_t> containerIdFromPath(const std::filesystem::path& p) {
-  if (p.extension() != ".fdc") return std::nullopt;
-  const std::string stem = p.stem().string();
-  if (stem.empty() || stem.size() > 10) return std::nullopt;
-  uint64_t id = 0;
-  for (const char c : stem) {
-    if (c < '0' || c > '9') return std::nullopt;
-    id = id * 10 + static_cast<uint64_t>(c - '0');
-  }
-  if (id > UINT32_MAX) return std::nullopt;
-  return static_cast<uint32_t>(id);
-}
-
 }  // namespace
 
 ByteVec FileBackupStore::chunkKey(Fp fp) {
@@ -120,12 +96,10 @@ FileBackupStore::ChunkEntry FileBackupStore::decodeChunkEntry(
 
 FileBackupStore::FileBackupStore(const std::string& dir,
                                  const StoreOptions& options)
-    : dir_(createStoreDirs(dir)),
-      index_(dir_ + "/index.log"),
+    : tiers_(dir, options.codec, registry_),
+      index_(dir + "/index.log"),
       builder_(options.containerBytes),
       options_(options),
-      cold_(std::make_unique<LocalObjectStore>(dir_ + "/cold",
-                                               options.coldTier.sim)),
       putChunks_(registry_.counter("store.put_chunks")),
       putBytes_(registry_.counter("store.put_bytes")),
       uniqueChunks_(registry_.gauge("store.unique_chunks")),
@@ -141,19 +115,6 @@ FileBackupStore::FileBackupStore(const std::string& dir,
           registry_.counter("store.singleflight_coalesces")),
       containerLoadUs_(registry_.histogram("store.container_load_us")),
       gcUs_(registry_.histogram("store.gc_us")),
-      compressedContainers_(registry_.counter("store.compressed_containers")),
-      containerRawBytes_(registry_.counter("store.container_raw_bytes")),
-      containerPhysicalBytes_(
-          registry_.counter("store.container_physical_bytes")),
-      coldReads_(registry_.counter("tier.cold_reads")),
-      coldReadBytes_(registry_.counter("tier.cold_read_bytes")),
-      coldWriteBytes_(registry_.counter("tier.cold_write_bytes")),
-      demotions_(registry_.counter("tier.demotions")),
-      promotions_(registry_.counter("tier.promotions")),
-      hotContainers_(registry_.gauge("tier.hot_containers")),
-      hotBytes_(registry_.gauge("tier.hot_bytes")),
-      coldContainers_(registry_.gauge("tier.cold_containers")),
-      coldBytes_(registry_.gauge("tier.cold_bytes")),
       readCache_(options.blockCacheBytes, registry_) {
   // Surface the index's WAL/checkpoint/recovery activity (wal.*, ckpt.*)
   // in this store's registry alongside the store.* metrics.
@@ -168,16 +129,6 @@ FileBackupStore::~FileBackupStore() {
     // Destructors must not throw; an unflushed open container is the same
     // state as a crash before flush(), which recovery tolerates.
   }
-}
-
-std::string FileBackupStore::containerPath(uint32_t id) const {
-  return dir_ + "/containers/" + coldKey(id);
-}
-
-std::string FileBackupStore::coldKey(uint32_t id) {
-  char name[32];
-  snprintf(name, sizeof(name), "%08u.fdc", id);
-  return name;
 }
 
 bool FileBackupStore::hasChunkLocked(Fp cipherFp) const {
@@ -233,17 +184,13 @@ void FileBackupStore::sealOpenContainerLocked() {
   Container container = builder_.seal(id);
   // Persist the container before its index entries: a crash in between
   // leaves only an orphan container file, which recovery deletes.
-  const uint64_t physical = writeContainerFile(container);
-  physicalBytes_[id] = physical;
-  hotContainers_.add(1);
-  hotBytes_.add(static_cast<int64_t>(physical));
+  tiers_.write(container);
   for (uint32_t i = 0; i < container.entries.size(); ++i) {
     const Fp fp = container.entries[i].fp;
     const ChunkEntry e{id, i, container.entries[i].size,
                        openChunks_.at(fp).refs};
     index_.put(chunkKey(fp), encodeChunkEntry(e));
   }
-  liveContainerIds_.insert(id);
   containerWrites_.add();
   if (readCache_.enabled()) {
     // Keep the freshly sealed container hot. Admission CRCs its payloads
@@ -258,22 +205,6 @@ void FileBackupStore::sealOpenContainerLocked() {
   openChunks_.clear();
 }
 
-uint64_t FileBackupStore::writeContainerFile(
-    const Container& container) const {
-  // Atomic write: containers become visible under their final name only
-  // once fully written, so a torn write can never masquerade as a
-  // container. Recovery deletes stray .tmp files.
-  const ByteVec frame = serializeContainer(container, options_.codec);
-  if (!frame.empty() && getU32(frame, 0) == kContainerMagicV2)
-    compressedContainers_.add();
-  containerRawBytes_.add(container.data.size());
-  containerPhysicalBytes_.add(frame.size());
-  const std::string path = containerPath(container.id);
-  writeFile(path + ".tmp", frame);
-  std::filesystem::rename(path + ".tmp", path);
-  return frame.size();
-}
-
 std::shared_ptr<const Container> FileBackupStore::loadContainerLocked(
     uint32_t id) {
   if (auto cached = readCache_.get(id)) return cached->container;
@@ -282,83 +213,14 @@ std::shared_ptr<const Container> FileBackupStore::loadContainerLocked(
   // evict the restore working set from the bounded cache. Cold containers
   // are likewise read in place, not promoted — a scan must not drag the
   // whole cold tier back into the hot directory.
-  return parseContainerFile(id);
-}
-
-FileBackupStore::RawContainer FileBackupStore::readContainerRaw(
-    uint32_t id) const {
-  try {
-    return {readFile(containerPath(id)), /*fromCold=*/false};
-  } catch (const std::exception&) {
-    // Fall through to the cold tier.
-  }
-  if (cold_->exists(coldKey(id))) {
-    try {
-      RawContainer raw{cold_->get(coldKey(id)), /*fromCold=*/true};
-      coldReads_.add();
-      coldReadBytes_.add(raw.bytes.size());
-      return raw;
-    } catch (const std::exception&) {
-      // A promotion may have moved it back to hot between exists and get.
-    }
-  }
-  // Final attempt against the hot tier (covers a read racing a promotion);
-  // its failure is the error the caller sees.
-  return {readFile(containerPath(id)), /*fromCold=*/false};
-}
-
-std::shared_ptr<const Container> FileBackupStore::parseContainerFile(
-    uint32_t id, bool* fromCold, ByteVec* rawBytes) const {
-  RawContainer raw = readContainerRaw(id);
-  auto container =
-      std::make_shared<const Container>(parseContainer(raw.bytes));
-  if (container->id != id)
-    throw std::runtime_error("BackupStore: container id mismatch in " +
-                             containerPath(id));
-  if (fromCold != nullptr) *fromCold = raw.fromCold;
-  if (rawBytes != nullptr) *rawBytes = std::move(raw.bytes);
-  return container;
+  return tiers_.load(id).container;
 }
 
 void FileBackupStore::promoteContainer(uint32_t id, ByteView frame) {
   // Entirely under mu_: the cold-copy removal must not race a GC pass that
   // re-demoted the container, or the only surviving copy could be deleted.
   std::lock_guard lock(mu_);
-  if (!liveContainerIds_.contains(id) || !coldContainerIds_.contains(id))
-    return;
-  const std::string path = containerPath(id);
-  writeFile(path + ".tmp", frame);
-  std::filesystem::rename(path + ".tmp", path);
-  cold_->remove(coldKey(id));
-  coldContainerIds_.erase(id);
-  const uint64_t physical = frame.size();
-  physicalBytes_[id] = physical;
-  promotions_.add();
-  hotContainers_.add(1);
-  hotBytes_.add(static_cast<int64_t>(physical));
-  coldContainers_.sub(1);
-  coldBytes_.sub(static_cast<int64_t>(physical));
-}
-
-void FileBackupStore::demoteContainerLocked(uint32_t id) {
-  // Cold copy lands before the hot file goes away, so a crash (or a
-  // concurrent reader) at any instant still finds one complete copy.
-  const ByteVec frame = readFile(containerPath(id));
-  cold_->put(coldKey(id), frame);
-  std::filesystem::remove(containerPath(id));
-  coldContainerIds_.insert(id);
-  physicalBytes_[id] = frame.size();
-  demotions_.add();
-  coldWriteBytes_.add(frame.size());
-  hotContainers_.sub(1);
-  hotBytes_.sub(static_cast<int64_t>(frame.size()));
-  coldContainers_.add(1);
-  coldBytes_.add(static_cast<int64_t>(frame.size()));
-}
-
-void FileBackupStore::noteContainerRead(uint32_t id) {
-  std::lock_guard lock(tierMu_);
-  lastReadGen_[id] = ++readGen_;
+  tiers_.move(id, Tier::kCold, Tier::kHot, frame);
 }
 
 BlockCache::Entry FileBackupStore::loadAndAdmit(uint32_t id) {
@@ -367,12 +229,10 @@ BlockCache::Entry FileBackupStore::loadAndAdmit(uint32_t id) {
     // single-flight coalescing would only serialize concurrent misses.
     // Every miss loads independently, in parallel.
     obs::ObsSpan span(&containerLoadUs_, "store.container_load", "store");
-    bool fromCold = false;
-    ByteVec raw;
-    auto container = parseContainerFile(id, &fromCold, &raw);
+    ContainerTiers::Loaded loaded = tiers_.load(id);
     containerLoads_.add();
-    if (fromCold) promoteContainer(id, raw);
-    return BlockCache::makeEntry(std::move(container));
+    if (!loaded.coldFrame.empty()) promoteContainer(id, loaded.coldFrame);
+    return BlockCache::makeEntry(std::move(loaded.container));
   }
   {
     std::unique_lock lock(loadMu_);
@@ -408,17 +268,16 @@ BlockCache::Entry FileBackupStore::loadAndAdmit(uint32_t id) {
   };
   try {
     obs::ObsSpan span(&containerLoadUs_, "store.container_load", "store");
-    bool fromCold = false;
-    ByteVec raw;
-    auto container = parseContainerFile(id, &fromCold, &raw);
+    ContainerTiers::Loaded loaded = tiers_.load(id);
     span.finish();
     containerLoads_.add();
-    BlockCache::Entry entry = readCache_.admit(id, std::move(container));
+    BlockCache::Entry entry =
+        readCache_.admit(id, std::move(loaded.container));
     // A cold hit is promoted with the verbatim frame bytes we just read —
     // no re-serialization, so the hot copy is bit-identical to the cold one
     // (same codec, same CRC). The promotion itself re-checks liveness and
-    // tier membership under mu_.
-    if (fromCold) promoteContainer(id, raw);
+    // tier placement under mu_.
+    if (!loaded.coldFrame.empty()) promoteContainer(id, loaded.coldFrame);
     // Close the admit-vs-GC race: if GC compacted this container while we
     // were reading it (its invalidate() ran before our admit()), drop the
     // re-admitted entry so a dead container never pins a cache slot. GC
@@ -427,7 +286,7 @@ BlockCache::Entry FileBackupStore::loadAndAdmit(uint32_t id) {
     // reused and the bytes are correct for the placement we resolved).
     {
       std::lock_guard lock(mu_);
-      if (!liveContainerIds_.contains(id)) readCache_.invalidate(id);
+      if (!tiers_.contains(id)) readCache_.invalidate(id);
     }
     finishLoad();
     return entry;
@@ -438,32 +297,12 @@ BlockCache::Entry FileBackupStore::loadAndAdmit(uint32_t id) {
 }
 
 BlockCache::Entry FileBackupStore::fetchContainer(uint32_t id) {
-  noteContainerRead(id);
+  tiers_.noteRead(id);
   if (auto cached = readCache_.get(id)) {
     readCacheHits_.add();
     return *cached;
   }
   return loadAndAdmit(id);
-}
-
-void FileBackupStore::dropContainerLocked(uint32_t id) {
-  readCache_.invalidate(id);
-  liveContainerIds_.erase(id);
-  const auto sizeIt = physicalBytes_.find(id);
-  const uint64_t physical =
-      sizeIt == physicalBytes_.end() ? 0 : sizeIt->second;
-  if (coldContainerIds_.erase(id) > 0) {
-    cold_->remove(coldKey(id));
-    coldContainers_.sub(1);
-    coldBytes_.sub(static_cast<int64_t>(physical));
-  } else {
-    std::filesystem::remove(containerPath(id));
-    hotContainers_.sub(1);
-    hotBytes_.sub(static_cast<int64_t>(physical));
-  }
-  physicalBytes_.erase(id);
-  std::lock_guard tierLock(tierMu_);
-  lastReadGen_.erase(id);
 }
 
 ByteVec FileBackupStore::extractPayload(
@@ -631,14 +470,14 @@ StoreReadStats FileBackupStore::readStats() const {
   s.containerLoads = containerLoads_.value();
   s.cacheHits = readCacheHits_.value();
   s.readRetries = readRetries_.value();
-  s.coldReads = coldReads_.value();
-  s.promotions = promotions_.value();
+  s.coldReads = tiers_.coldReads();
+  s.promotions = tiers_.promotions();
   return s;
 }
 
 size_t FileBackupStore::containerCount() const {
   std::lock_guard lock(mu_);
-  return liveContainerIds_.size();
+  return tiers_.count();
 }
 
 void FileBackupStore::putBlob(const std::string& name, ByteView bytes) {
@@ -863,52 +702,16 @@ GcStats FileBackupStore::collectGarbage() {
       ++gc.chunksReclaimed;
       gc.bytesReclaimed += e.size;
     }
-    dropContainerLocked(id);
+    readCache_.invalidate(id);
+    tiers_.drop(id);
     ++gc.containersCompacted;
   }
 
-  // Phase 4 (optional): demote cold containers until the hot tier's
-  // physical bytes drop to the configured target. Oldest-unread containers
-  // go first (admission order breaks ties); the keepHotRecent newest ids
-  // stay hot so an incremental workload's tail does not bounce straight
-  // back. Runs after compaction so doomed containers are never demoted.
-  if (options_.coldTier.demoteOnGc) {
-    std::unordered_map<uint32_t, uint64_t> readGen;
-    {
-      std::lock_guard tierLock(tierMu_);
-      readGen = lastReadGen_;
-    }
-    std::vector<uint32_t> hot;
-    uint64_t hotPhysical = 0;
-    for (const uint32_t id : liveContainerIds_) {
-      if (coldContainerIds_.contains(id)) continue;
-      hot.push_back(id);
-      const auto it = physicalBytes_.find(id);
-      if (it != physicalBytes_.end()) hotPhysical += it->second;
-    }
-    std::sort(hot.begin(), hot.end());
-    const size_t keep =
-        std::min<size_t>(hot.size(), options_.coldTier.keepHotRecent);
-    hot.resize(hot.size() - keep);  // newest ids are never demoted
-    std::stable_sort(hot.begin(), hot.end(),
-                     [&readGen](uint32_t a, uint32_t b) {
-                       const auto ga = readGen.find(a);
-                       const auto gb = readGen.find(b);
-                       const uint64_t va =
-                           ga == readGen.end() ? 0 : ga->second;
-                       const uint64_t vb =
-                           gb == readGen.end() ? 0 : gb->second;
-                       return va != vb ? va < vb : a < b;
-                     });
-    for (const uint32_t id : hot) {
-      if (hotPhysical <= options_.coldTier.hotBytes) break;
-      const auto it = physicalBytes_.find(id);
-      const uint64_t physical = it == physicalBytes_.end() ? 0 : it->second;
-      demoteContainerLocked(id);
-      hotPhysical -= physical;
-      ++gc.containersDemoted;
-    }
-  }
+  // Phase 4 (optional): demote the least recently read containers until the
+  // hot tier's physical bytes drop to the configured target. Runs after
+  // compaction so doomed containers are never demoted.
+  if (options_.coldTier.demoteOnGc)
+    gc.containersDemoted = tiers_.demote(options_.coldTier);
 
   // Phase 5: checkpoint the index. The checkpoint snapshots only live
   // records (reclaiming the dead ones GC just created), makes everything
@@ -999,20 +802,9 @@ StoreCheckReport FileBackupStore::verify() {
   }
 
   // Every container file on disk — either tier — must be referenced.
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_ + "/containers")) {
-    const auto id = containerIdFromPath(entry.path());
-    if (!id) continue;
-    if (!byContainer.contains(*id))
-      report.errors.emplace_back("orphan container file: " +
-                                 entry.path().string());
-  }
-  for (const std::string& key : cold_->list()) {
-    const auto id = containerIdFromPath(std::filesystem::path(key));
-    if (!id) continue;
-    if (!byContainer.contains(*id))
-      report.errors.emplace_back("orphan cold container object: " + key);
-  }
+  for (const std::string& path : tiers_.orphans(
+           [&byContainer](uint32_t id) { return byContainer.contains(id); }))
+    report.errors.emplace_back("orphan container file: " + path);
   return report;
 }
 
@@ -1022,107 +814,17 @@ StoreRecoveryStats FileBackupStore::recover() {
   // The LogKv constructor already replayed the index log and truncated any
   // torn tail; cross-check the container directory against that index.
   const auto byContainer = chunkEntriesByContainerLocked();
-  nextContainerId_ = 0;
-  for (const auto& [id, entries] : byContainer)
-    nextContainerId_ = std::max(nextContainerId_, id + 1);
-
-  std::unordered_set<uint32_t> onHot;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_ + "/containers")) {
-    if (entry.path().extension() == ".tmp") {
-      std::filesystem::remove(entry.path());  // torn atomic write
-      continue;
-    }
-    const auto id = containerIdFromPath(entry.path());
-    if (!id) continue;
-    onHot.insert(*id);
-    nextContainerId_ = std::max(nextContainerId_, *id + 1);
-  }
-  // Tier assignment is never persisted: discover the cold tier's containers
-  // by listing it (the LocalObjectStore constructor already swept its torn
-  // .tmp puts). Quarantined *.corrupt objects fail the id parse and are
-  // left alone.
-  std::unordered_set<uint32_t> onCold;
-  for (const std::string& key : cold_->list()) {
-    const auto id = containerIdFromPath(std::filesystem::path(key));
-    if (!id) continue;
-    onCold.insert(*id);
-    nextContainerId_ = std::max(nextContainerId_, *id + 1);
-  }
-
-  std::unordered_set<uint32_t> onDisk = onHot;
-  onDisk.insert(onCold.begin(), onCold.end());
-  for (const uint32_t id : onDisk) {
-    const bool hot = onHot.contains(id);
-    const bool coldCopy = onCold.contains(id);
-    if (!byContainer.contains(id)) {
-      // No index entry references it: a crash landed between the container
-      // write and its index puts, or mid-GC after relocation.
-      if (hot) std::filesystem::remove(containerPath(id));
-      if (coldCopy) cold_->remove(coldKey(id));
-      ++rs.orphanContainersRemoved;
-      continue;
-    }
-    // Prefer the hot copy. Both tiers holding one (a crash between the two
-    // halves of a demotion or promotion) means the copies are identical —
-    // both transitions complete the new copy before removing the old — so
-    // keeping hot and dropping cold is always safe. Validation parses the
-    // full frame (CRC + structure + codec byte), so an unreadable codec or
-    // a corrupt compressed stream quarantines exactly like torn bytes.
-    // Valid containers are deliberately NOT admitted to the block cache: a
-    // freshly opened store starts with a cold cache, so read-count
-    // accounting and cold-cache benchmarks measure the read path, not
-    // recovery's validation pass.
-    bool valid = false;
-    if (hot) {
-      uint64_t physical = 0;
-      try {
-        const ByteVec frame = readFile(containerPath(id));
-        physical = frame.size();
-        valid = parseContainer(frame).id == id;
-      } catch (const std::exception&) {
-      }
-      if (valid) {
-        physicalBytes_[id] = physical;
-        hotContainers_.add(1);
-        hotBytes_.add(static_cast<int64_t>(physical));
-        if (coldCopy) cold_->remove(coldKey(id));  // stale duplicate
-      } else {
-        ++rs.corruptContainers;
-        // Keep the bytes for forensics, but out of the recovery path.
-        std::filesystem::rename(containerPath(id),
-                                containerPath(id) + ".corrupt");
-      }
-    }
-    if (!valid && coldCopy) {
-      uint64_t physical = 0;
-      try {
-        const ByteVec frame = cold_->get(coldKey(id));
-        physical = frame.size();
-        valid = parseContainer(frame).id == id;
-      } catch (const std::exception&) {
-      }
-      if (valid) {
-        coldContainerIds_.insert(id);
-        physicalBytes_[id] = physical;
-        coldContainers_.add(1);
-        coldBytes_.add(static_cast<int64_t>(physical));
-      } else {
-        ++rs.corruptContainers;
-        cold_->rename(coldKey(id), coldKey(id) + ".corrupt");
-      }
-    }
-    if (valid) {
-      ++rs.containersValidated;
-      liveContainerIds_.insert(id);
-    }
-  }
+  // Tier placement is never persisted: recovery discovers it by listing
+  // both tiers, validating each indexed container and removing orphans.
+  nextContainerId_ = tiers_.recover(
+      [&byContainer](uint32_t id) { return byContainer.contains(id); }, rs);
 
   // Drop index entries whose container is missing or failed validation;
   // manifests referencing them now dangle, which verify() reports as the
   // data loss it is.
   for (const auto& [id, entries] : byContainer) {
-    if (liveContainerIds_.contains(id)) continue;
+    nextContainerId_ = std::max(nextContainerId_, id + 1);
+    if (tiers_.contains(id)) continue;
     for (const auto& [fp, e] : entries) {
       index_.erase(chunkKey(fp));
       ++rs.entriesDropped;

@@ -7,15 +7,21 @@
 //   <dir>/cold/NNNNNNNN.fdc         demoted containers (cold tier)
 //
 // Chunks accumulate in a ContainerBuilder; each sealed container is written
-// as a file, and the fingerprint index, blobs and backup manifests all live
-// in the LogKv under one-byte key prefixes:
+// to the hot tier (ContainerTiers, container_tier.h, owns both tiers), and
+// the fingerprint index, blobs and backup manifests all live in the LogKv
+// under one-byte key prefixes:
 //
 //   'C' + fp(u64)   -> containerId u32, entryIndex u32, size u32, refs u32
 //   'B' + name      -> blob bytes (sealed recipes)
 //   'M' + name      -> manifest: varint count, count * fp(u64), crc32c
 //
 // Containers are written atomically (tmp + rename) and *before* their index
-// entries, so the index never references bytes that are not durably on disk.
+// entries, so after a process kill the index never references a container
+// that is not on disk. That does not hold after power loss or an OS crash:
+// the index log is fdatasynced, but no container file is, so a synced index
+// entry can outlive its container's bytes. Recovery then finds the container
+// missing or corrupt and drops its entries, and verify() reports the
+// manifests that referenced them.
 // Opening the directory runs crash-safe recovery: the LogKv replays its log
 // (truncating any torn tail), every container trailer is validated (both
 // tiers), orphan containers and stray .tmp files are deleted, index entries
@@ -51,7 +57,7 @@
 #include "obs/metrics.h"
 #include "storage/backup_store.h"
 #include "storage/block_cache.h"
-#include "storage/cold_tier.h"
+#include "storage/container_tier.h"
 
 namespace freqdedup {
 
@@ -160,45 +166,16 @@ class FileBackupStore : public BackupStore {
   /// Container for admin paths (GC/verify) that already hold mu_. Serves
   /// from the cache when present but never admits (single-visit scans).
   std::shared_ptr<const Container> loadContainerLocked(uint32_t id);
-  void dropContainerLocked(uint32_t id);
   /// All 'C' entries grouped by container id.
   [[nodiscard]] std::unordered_map<
       uint32_t, std::vector<std::pair<Fp, ChunkEntry>>>
   chunkEntriesByContainerLocked();
   void flushIndexLocked();
 
-  [[nodiscard]] std::string containerPath(uint32_t id) const;
-  /// Cold-tier object key of a container (same name the hot tier uses).
-  [[nodiscard]] static std::string coldKey(uint32_t id);
-  /// Writes the container's frame to the hot tier (codec per StoreOptions)
-  /// and returns its physical (on-disk) byte size.
-  uint64_t writeContainerFile(const Container& container) const;
-
-  /// A container's raw frame bytes and which tier served them. Tries the
-  /// hot tier, then the cold tier, then the hot tier again — demotion puts
-  /// cold before removing hot and promotion renames hot before removing
-  /// cold, so one complete copy exists at every instant and the re-try
-  /// covers reads racing either transition. Cold reads count tier.*.
-  struct RawContainer {
-    ByteVec bytes;
-    bool fromCold = false;
-  };
-  [[nodiscard]] RawContainer readContainerRaw(uint32_t id) const;
-  /// Reads + parses a container (either tier) and validates its id; throws
-  /// std::runtime_error on any mismatch or I/O/parse failure. `fromCold`
-  /// (optional) reports the serving tier; `rawBytes` (optional) hands back
-  /// the frame bytes for promotion.
-  [[nodiscard]] std::shared_ptr<const Container> parseContainerFile(
-      uint32_t id, bool* fromCold = nullptr, ByteVec* rawBytes = nullptr) const;
-
   /// Copies a cold container's frame back into the hot tier (verbatim
   /// bytes) and removes the cold copy. No-op when the container is no
   /// longer live or already hot. Takes mu_ internally.
   void promoteContainer(uint32_t id, ByteView frame);
-  /// Moves a hot container's frame to the cold tier; requires mu_.
-  void demoteContainerLocked(uint32_t id);
-  /// Records a read-path touch for demotion ordering (oldest-unread first).
-  void noteContainerRead(uint32_t id);
 
   // Read path; must NOT be called with mu_ held.
   BlockCache::Entry fetchContainer(uint32_t id);
@@ -210,31 +187,24 @@ class FileBackupStore : public BackupStore {
   ByteVec extractPayload(const BlockCache::Entry& cached, Fp fp,
                          const ChunkEntry& e);
 
-  std::string dir_;
+  // Per-instance metrics. The registry lives for the store's lifetime, so a
+  // fresh open (including one that ran recovery) starts every counter from
+  // zero. Declared before tiers_ and readCache_, which register their
+  // tier.*, store.container_* and cache.* metrics here.
+  mutable obs::MetricsRegistry registry_;
+  /// Both container tiers; declared before index_ so <dir> exists when the
+  /// index log opens there. Its placement map is guarded by mu_.
+  ContainerTiers tiers_;
   /// The index log at <dir>/index.log. Mutable because LogKv::get reads
   /// the log file, and const lookups (chunkRefCount, chunkLocator) use it.
   mutable LogKv index_;
   ContainerBuilder builder_;
   std::unordered_map<Fp, OpenChunk, FpHash> openChunks_;  // not yet sealed
-  std::unordered_set<uint32_t> liveContainerIds_;
   uint32_t nextContainerId_ = 0;
 
   StoreOptions options_;
   StoreRecoveryStats recovery_;
-  /// Cold tier, always at <dir>/cold, so a store reopened with different
-  /// options (or none) still finds every demoted container. Reads always
-  /// consult it; ColdTierOptions only shape demotion.
-  std::unique_ptr<ObjectStore> cold_;
-  /// Containers currently living in the cold tier; guarded by mu_.
-  std::unordered_set<uint32_t> coldContainerIds_;
-  /// Physical (on-disk frame) bytes per live container; guarded by mu_.
-  std::unordered_map<uint32_t, uint64_t> physicalBytes_;
-
-  // Per-instance metrics. The registry lives for the store's lifetime, so a
-  // fresh open (including one that ran recovery) starts every counter from
-  // zero; the references below pre-resolve the hot-path metrics once.
-  // Declared before readCache_, which registers its cache.* counters here.
-  mutable obs::MetricsRegistry registry_;
+  // The hot-path metrics, resolved in registry_ once.
   obs::Counter& putChunks_;
   obs::Counter& putBytes_;
   obs::Gauge& uniqueChunks_;
@@ -249,31 +219,12 @@ class FileBackupStore : public BackupStore {
   obs::Counter& singleflightCoalesces_;
   obs::Histogram& containerLoadUs_;
   obs::Histogram& gcUs_;
-  obs::Counter& compressedContainers_;
-  obs::Counter& containerRawBytes_;
-  obs::Counter& containerPhysicalBytes_;
-  obs::Counter& coldReads_;
-  obs::Counter& coldReadBytes_;
-  obs::Counter& coldWriteBytes_;
-  obs::Counter& demotions_;
-  obs::Counter& promotions_;
-  obs::Gauge& hotContainers_;
-  obs::Gauge& hotBytes_;
-  obs::Gauge& coldContainers_;
-  obs::Gauge& coldBytes_;
 
   /// Guards the metadata members above (index, open container, ids, tier
-  /// membership). The read cache and registry counters are internally
+  /// placement). The read cache and registry counters are internally
   /// synchronized and safe to touch without it.
   mutable std::mutex mu_;
   mutable BlockCache readCache_;  // byte-budgeted container block cache
-
-  /// Read-recency for demotion ordering: container id -> last read
-  /// generation. Guarded by tierMu_ (not mu_: the read path must not take
-  /// the metadata mutex to record a touch).
-  mutable std::mutex tierMu_;
-  mutable std::unordered_map<uint32_t, uint64_t> lastReadGen_;
-  mutable uint64_t readGen_ = 0;
 
   // Single-flight miss handling: concurrent read-path misses for one
   // container coalesce into a single file read; waiters are served from the

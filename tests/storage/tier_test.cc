@@ -2,17 +2,16 @@
 // protection, least-recently-read order), transparent promotion on restore
 // reads (verbatim frame bytes, promotions ≤ cold reads), tier discovery on
 // reopen without tiering options, GC of demoted containers, cold-orphan
-// detection in verify(), and the LocalObjectStore contract.
+// detection in verify(), cross-tier recovery, and the ObjectDir contract.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <map>
 
 #include "obs/metrics.h"
 #include "storage/backup_store.h"
-#include "storage/cold_tier.h"
 #include "storage/container.h"
+#include "storage/container_tier.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
 
@@ -339,47 +338,29 @@ TEST_F(TierRecoveryTest, UnreferencedColdObjectIsRemovedAsAnOrphan) {
   EXPECT_TRUE(reopened.verify().ok());
 }
 
-TEST(LocalObjectStoreTest, PutGetRemoveRenameListAndTornTmpSweep) {
-  const std::string dir =
-      (fs::temp_directory_path() / "local_object_store_test").string();
-  fs::remove_all(dir);
+TEST(ObjectDirTest, PutGetRemoveRenameListAndTornTmpSweep) {
+  const TempDir tmp;
+  const std::string dir = tmp.path() + "/objects";
   {
-    LocalObjectStore store(dir);
-    store.put("a.fdc", toBytes("alpha"));
+    const ObjectDir objects(dir);
+    objects.put("a.fdc", toBytes("alpha"));
   }
   // A torn put (crash mid-write) leaves a tmp file; reopening sweeps it.
   writeFile(dir + "/torn.fdc.tmp", toBytes("partial"));
-  LocalObjectStore store(dir);
+  const ObjectDir objects(dir);
   EXPECT_FALSE(fs::exists(dir + "/torn.fdc.tmp"));
 
-  EXPECT_TRUE(store.exists("a.fdc"));
-  EXPECT_EQ(store.get("a.fdc"), toBytes("alpha"));
-  EXPECT_THROW((void)store.get("missing"), std::runtime_error);
-  store.put("b.fdc", toBytes("beta"));
-  EXPECT_EQ(store.list().size(), 2u);
-  store.rename("b.fdc", "b.fdc.corrupt");
-  EXPECT_FALSE(store.exists("b.fdc"));
-  EXPECT_TRUE(store.exists("b.fdc.corrupt"));
-  EXPECT_TRUE(store.remove("a.fdc"));
-  EXPECT_FALSE(store.remove("a.fdc")) << "second remove is an idempotent no";
-  fs::remove_all(dir);
-}
-
-TEST(LocalObjectStoreTest, SimulatedLatencyIsApplied) {
-  const std::string dir =
-      (fs::temp_directory_path() / "local_object_store_sim_test").string();
-  fs::remove_all(dir);
-  ObjectStoreSim sim;
-  sim.readLatencyUs = 2000;
-  LocalObjectStore store(dir, sim);
-  store.put("k", toBytes("v"));
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)store.get("k");
-  const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-  EXPECT_GE(elapsed, 1000) << "simulated read latency should be felt";
-  fs::remove_all(dir);
+  EXPECT_TRUE(objects.exists("a.fdc"));
+  EXPECT_EQ(objects.get("a.fdc"), toBytes("alpha"));
+  EXPECT_THROW((void)objects.get("missing"), std::runtime_error);
+  objects.put("b.fdc", toBytes("beta"));
+  EXPECT_EQ(objects.list().size(), 2u);
+  objects.rename("b.fdc", "b.fdc.corrupt");
+  EXPECT_FALSE(objects.exists("b.fdc"));
+  EXPECT_TRUE(objects.exists("b.fdc.corrupt"));
+  EXPECT_THROW(objects.rename("b.fdc", "c.fdc"), std::runtime_error);
+  EXPECT_TRUE(objects.remove("a.fdc"));
+  EXPECT_FALSE(objects.remove("a.fdc")) << "second remove is an idempotent no";
 }
 
 }  // namespace

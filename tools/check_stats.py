@@ -7,7 +7,8 @@ Each file is CLI output whose last '{'-prefixed line is the single-line
 JSON metrics snapshot (or a bare .json file). Checks, per file:
   - the snapshot parses and has the counters/gauges/histograms sections;
   - at least one work counter is nonzero (a backup that chunked nothing,
-    or a restore that streamed nothing, is a broken run);
+    a restore that streamed nothing or a gc that never ran is a broken
+    run);
   - the container read cache hit rate is a real rate in [0, 1];
   - block cache accounting: hits + misses == lookups, and the byte
     gauges respect cached_bytes <= peak_cached_bytes <= budget_bytes
@@ -43,6 +44,7 @@ WORK_COUNTERS = (
     "restore.chunks_streamed",
     "store.chunk_reads",
     "store.put_chunks",
+    "store.gc_runs",
 )
 SETTLED_GAUGES = (
     "restore.prefetch_window",

@@ -109,8 +109,8 @@ for f in text1.txt text2.txt noise.bin; do
 done
 "$FDD" verify "$TIER/store" --deep=ci-pass --threads=4 --stats=json \
     | tee "$STATS/tier_verify.json"
-python3 "$TOOLS_DIR/check_stats.py" "$STATS/tier_backup.json" "$STATS/tier_restore.json" \
-    "$STATS/tier_verify.json"
+python3 "$TOOLS_DIR/check_stats.py" "$STATS/tier_backup.json" "$STATS/tier_gc.json" \
+    "$STATS/tier_restore.json" "$STATS/tier_verify.json"
 
 # Dedup ratio. The second backup of an unchanged file adds no chunk, so
 # its own ratio (bytes backed up over bytes added) reads "inf".
