@@ -106,7 +106,6 @@ struct StoreRecoveryStats {
   uint64_t orphanContainersRemoved = 0;  // files no index entry references
   uint64_t corruptContainers = 0;        // failed trailer validation
   uint64_t entriesDropped = 0;  // index entries whose container is gone/bad
-  uint64_t refcountsRepaired = 0;  // refcounts reconciled against manifests
 };
 
 /// Container placement of a stored chunk, as exposed by chunkLocator(). The

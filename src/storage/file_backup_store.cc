@@ -82,16 +82,16 @@ ByteVec FileBackupStore::encodeChunkEntry(const ChunkEntry& e) {
   putU32(value, e.containerId);
   putU32(value, e.entryIndex);
   putU32(value, e.size);
-  putU32(value, e.refs);
   return value;
 }
 
 FileBackupStore::ChunkEntry FileBackupStore::decodeChunkEntry(
     ByteView value) {
-  if (value.size() != 16)
+  // 16 bytes is the legacy form, which also logged a refcount; recovery
+  // derives refcounts from the manifests, so that field is ignored.
+  if (value.size() != 12 && value.size() != 16)
     throw std::runtime_error("BackupStore: malformed index entry");
-  return ChunkEntry{getU32(value, 0), getU32(value, 4), getU32(value, 8),
-                    getU32(value, 12)};
+  return ChunkEntry{getU32(value, 0), getU32(value, 4), getU32(value, 8)};
 }
 
 FileBackupStore::FileBackupStore(const std::string& dir,
@@ -132,8 +132,7 @@ FileBackupStore::~FileBackupStore() {
 }
 
 bool FileBackupStore::hasChunkLocked(Fp cipherFp) const {
-  if (openChunks_.contains(cipherFp)) return true;
-  return index_.contains(chunkKey(cipherFp));
+  return openChunks_.contains(cipherFp) || chunks_.contains(cipherFp);
 }
 
 bool FileBackupStore::hasChunk(Fp cipherFp) const {
@@ -145,9 +144,8 @@ uint32_t FileBackupStore::chunkRefCount(Fp cipherFp) const {
   std::lock_guard lock(mu_);
   const auto it = openChunks_.find(cipherFp);
   if (it != openChunks_.end()) return it->second.refs;
-  const auto value = index_.get(chunkKey(cipherFp));
-  if (!value) return 0;
-  return decodeChunkEntry(*value).refs;
+  const auto chunk = chunks_.find(cipherFp);
+  return chunk == chunks_.end() ? 0 : chunk->second.refs;
 }
 
 bool FileBackupStore::putChunk(Fp cipherFp, ByteView bytes) {
@@ -190,6 +188,7 @@ void FileBackupStore::sealOpenContainerLocked() {
     const ChunkEntry e{id, i, container.entries[i].size,
                        openChunks_.at(fp).refs};
     index_.put(chunkKey(fp), encodeChunkEntry(e));
+    chunks_.insert_or_assign(fp, e);
   }
   containerWrites_.add();
   if (readCache_.enabled()) {
@@ -345,11 +344,7 @@ ByteVec FileBackupStore::serveChunk(Fp fp, ChunkEntry e) {
         std::lock_guard lock(mu_);
         const auto openIt = openChunks_.find(fp);
         if (openIt != openChunks_.end()) return openIt->second.bytes;
-        const auto value = index_.get(chunkKey(fp));
-        if (!value)
-          throw std::runtime_error("BackupStore: chunk not found: " +
-                                   fpToHex(fp));
-        fresh = decodeChunkEntry(*value);
+        fresh = sealedChunkLocked(fp);
       }
       if (fresh.containerId == e.containerId &&
           fresh.entryIndex == e.entryIndex)
@@ -367,11 +362,7 @@ ByteVec FileBackupStore::getChunk(Fp cipherFp) {
     std::lock_guard lock(mu_);
     const auto openIt = openChunks_.find(cipherFp);
     if (openIt != openChunks_.end()) return openIt->second.bytes;
-    const auto value = index_.get(chunkKey(cipherFp));
-    if (!value)
-      throw std::runtime_error("BackupStore: chunk not found: " +
-                               fpToHex(cipherFp));
-    e = decodeChunkEntry(*value);
+    e = sealedChunkLocked(cipherFp);
   }
   return serveChunk(cipherFp, e);
 }
@@ -399,11 +390,7 @@ std::vector<ByteVec> FileBackupStore::getChunks(
         out[i] = openIt->second.bytes;
         continue;
       }
-      const auto value = index_.get(chunkKey(cipherFps[i]));
-      if (!value)
-        throw std::runtime_error("BackupStore: chunk not found: " +
-                                 fpToHex(cipherFps[i]));
-      needs.push_back({i, cipherFps[i], decodeChunkEntry(*value)});
+      needs.push_back({i, cipherFps[i], sealedChunkLocked(cipherFps[i])});
     }
   }
 
@@ -446,9 +433,9 @@ std::vector<std::optional<ChunkPlacement>> FileBackupStore::chunkLocator(
   std::vector<std::optional<ChunkPlacement>> out(cipherFps.size());
   std::lock_guard lock(mu_);
   for (size_t i = 0; i < cipherFps.size(); ++i) {
-    const auto value = index_.get(chunkKey(cipherFps[i]));
-    if (!value) continue;  // absent, or still in the open container
-    const ChunkEntry e = decodeChunkEntry(*value);
+    const auto it = chunks_.find(cipherFps[i]);
+    if (it == chunks_.end()) continue;  // absent, or in the open container
+    const ChunkEntry& e = it->second;
     out[i] = ChunkPlacement{e.containerId, e.entryIndex, e.size};
   }
   return out;
@@ -495,8 +482,7 @@ bool FileBackupStore::eraseBlob(const std::string& name) {
   return index_.erase(blobKey(name));
 }
 
-std::vector<std::string> FileBackupStore::listNamesLocked(
-    char prefix) const {
+std::vector<std::string> FileBackupStore::listNamesLocked(char prefix) {
   std::vector<std::string> names;
   index_.forEach([&names, prefix](ByteView key, ByteView) {
     if (!key.empty() && key[0] == static_cast<uint8_t>(prefix)) {
@@ -512,9 +498,16 @@ std::vector<std::string> FileBackupStore::listBlobs() {
   return listNamesLocked(kBlobKeyPrefix);
 }
 
+FileBackupStore::ChunkEntry FileBackupStore::sealedChunkLocked(Fp fp) const {
+  const auto it = chunks_.find(fp);
+  if (it == chunks_.end())
+    throw std::runtime_error("BackupStore: chunk not found: " + fpToHex(fp));
+  return it->second;
+}
+
 void FileBackupStore::adjustRefsLocked(Fp fp, int64_t delta) {
-  const auto value = index_.get(chunkKey(fp));
-  if (!value) {
+  const auto it = chunks_.find(fp);
+  if (it == chunks_.end()) {
     // Dropping a reference to a chunk that no longer exists (e.g. lost to a
     // corrupt container and already reported by recovery) is a no-op;
     // adding one is a caller error.
@@ -522,12 +515,10 @@ void FileBackupStore::adjustRefsLocked(Fp fp, int64_t delta) {
     throw std::runtime_error("BackupStore: reference to unknown chunk " +
                              fpToHex(fp));
   }
-  ChunkEntry e = decodeChunkEntry(*value);
-  const int64_t refs = static_cast<int64_t>(e.refs) + delta;
+  const int64_t refs = static_cast<int64_t>(it->second.refs) + delta;
   // Clamp defensively: an underflow means a corrupt manifest, and verify()
   // reports the accounting mismatch rather than deletion failing halfway.
-  e.refs = refs < 0 ? 0 : static_cast<uint32_t>(refs);
-  index_.put(chunkKey(fp), encodeChunkEntry(e));
+  it->second.refs = refs < 0 ? 0 : static_cast<uint32_t>(refs);
 }
 
 void FileBackupStore::recordBackup(const std::string& name,
@@ -568,16 +559,15 @@ uint64_t FileBackupStore::stageRecordBackup(
     // Validate every reference before mutating anything, so a bad manifest
     // cannot leave refcounts half-applied.
     for (const auto& [fp, n] : deltas) {
-      if (!index_.contains(chunkKey(fp)))
+      if (!chunks_.contains(fp))
         throw std::runtime_error("recordBackup: chunk not stored: " +
                                  fpToHex(fp));
     }
     // Re-recording a name replaces its references. The old manifest is never
-    // erased first: refcounts move by delta and the manifest key is swapped
-    // in one put (atomic at the log-record level), so a crash at any point
-    // leaves either the old or the new manifest — never none. Refcount drift
-    // from a crash mid-delta is reconciled against the manifests on the next
-    // open.
+    // erased first: the manifest key is swapped in one put (atomic at the
+    // log-record level), so a crash at any point leaves either the old or
+    // the new manifest — never none. Refcounts move by delta in memory only;
+    // the next open derives them from whichever manifest survived.
     for (const Fp fp : backupRefsLocked(name).value_or(std::vector<Fp>{}))
       --deltas[fp];
     for (const auto& [fp, delta] : deltas)
@@ -630,12 +620,7 @@ std::unordered_map<uint32_t,
                    std::vector<std::pair<Fp, FileBackupStore::ChunkEntry>>>
 FileBackupStore::chunkEntriesByContainerLocked() {
   std::unordered_map<uint32_t, std::vector<std::pair<Fp, ChunkEntry>>> result;
-  index_.forEach([&result](ByteView key, ByteView value) {
-    if (key.empty() || key[0] != static_cast<uint8_t>(kChunkKeyPrefix)) return;
-    const Fp fp = getU64(key, 1);
-    const ChunkEntry e = decodeChunkEntry(value);
-    result[e.containerId].emplace_back(fp, e);
-  });
+  for (const auto& [fp, e] : chunks_) result[e.containerId].emplace_back(fp, e);
   return result;
 }
 
@@ -697,6 +682,7 @@ GcStats FileBackupStore::collectGarbage() {
     for (const auto& [fp, e] : byContainer[id]) {
       if (e.refs != 0) continue;
       index_.erase(chunkKey(fp));
+      chunks_.erase(fp);
       uniqueChunks_.sub(1);
       storedBytes_.sub(e.size);
       ++gc.chunksReclaimed;
@@ -730,14 +716,7 @@ StoreCheckReport FileBackupStore::verify() {
   StoreCheckReport report;
   std::lock_guard lock(mu_);
   sealOpenContainerLocked();
-  std::unordered_map<uint32_t, std::vector<std::pair<Fp, ChunkEntry>>>
-      byContainer;
-  try {
-    byContainer = chunkEntriesByContainerLocked();
-  } catch (const std::exception& e) {
-    report.errors.emplace_back(std::string("index: ") + e.what());
-    return report;
-  }
+  const auto byContainer = chunkEntriesByContainerLocked();
 
   // Manifest accounting: expected refcount per fingerprint.
   std::unordered_map<Fp, uint64_t, FpHash> manifestRefs;
@@ -812,10 +791,22 @@ StoreRecoveryStats FileBackupStore::recover() {
   StoreRecoveryStats rs;
   std::lock_guard lock(mu_);
   // The LogKv constructor already replayed the index log and truncated any
-  // torn tail; cross-check the container directory against that index.
+  // torn tail. One pass over it decodes every 'C' entry into the chunk
+  // table and collects every manifest's references.
+  std::vector<Fp> referenced;
+  index_.forEach([this, &referenced](ByteView key, ByteView value) {
+    if (key.empty()) return;
+    if (key[0] == static_cast<uint8_t>(kChunkKeyPrefix)) {
+      chunks_.emplace(getU64(key, 1), decodeChunkEntry(value));
+    } else if (key[0] == static_cast<uint8_t>(kManifestKeyPrefix)) {
+      const std::vector<Fp> refs = parseManifest(value);
+      referenced.insert(referenced.end(), refs.begin(), refs.end());
+    }
+  });
+  // Cross-check the container directory against that index. Tier placement
+  // is never persisted: recovery discovers it by listing both tiers,
+  // validating each indexed container and removing orphans.
   const auto byContainer = chunkEntriesByContainerLocked();
-  // Tier placement is never persisted: recovery discovers it by listing
-  // both tiers, validating each indexed container and removing orphans.
   nextContainerId_ = tiers_.recover(
       [&byContainer](uint32_t id) { return byContainer.contains(id); }, rs);
 
@@ -827,47 +818,28 @@ StoreRecoveryStats FileBackupStore::recover() {
     if (tiers_.contains(id)) continue;
     for (const auto& [fp, e] : entries) {
       index_.erase(chunkKey(fp));
+      chunks_.erase(fp);
       ++rs.entriesDropped;
     }
   }
 
-  // Reconcile reference counts against the manifests, which are the ground
-  // truth (each manifest swap is a single atomic log record, while the
-  // refcount deltas around it are not). A crash inside recordBackup /
-  // releaseBackup / commitBackup leaves drift that this repairs, so GC after
-  // reopen can never reclaim a chunk a surviving manifest references.
-  std::unordered_map<Fp, uint64_t, FpHash> expectedRefs;
-  for (const std::string& name : listNamesLocked(kManifestKeyPrefix)) {
-    const auto refs = backupRefsLocked(name);
-    if (!refs) continue;
-    for (const Fp fp : *refs) ++expectedRefs[fp];
+  // Refcounts are never logged: each chunk's count is the number of times
+  // the manifests reference it. A manifest swap is one log record, so the
+  // counts derived here match the manifests at every log prefix a crash
+  // can leave, and GC after reopen can never reclaim a chunk a surviving
+  // manifest references.
+  for (const Fp fp : referenced) {
+    const auto it = chunks_.find(fp);
+    if (it != chunks_.end()) ++it->second.refs;
   }
-  std::vector<std::pair<Fp, ChunkEntry>> repairs;
-  index_.forEach([&](ByteView key, ByteView value) {
-    if (key.empty() || key[0] != static_cast<uint8_t>(kChunkKeyPrefix)) return;
-    const Fp fp = getU64(key, 1);
-    ChunkEntry e = decodeChunkEntry(value);
-    const auto it = expectedRefs.find(fp);
-    const uint64_t expected = it == expectedRefs.end() ? 0 : it->second;
-    if (e.refs != expected) {
-      e.refs = static_cast<uint32_t>(expected);
-      repairs.emplace_back(fp, e);
-    }
-  });
-  for (const auto& [fp, e] : repairs)
-    index_.put(chunkKey(fp), encodeChunkEntry(e));
-  rs.refcountsRepaired = repairs.size();
 
   // Rebuild stats from the surviving index. The registry is fresh for this
   // instance (reset-on-reopen), so the gauges start at zero here.
-  index_.forEach([this](ByteView key, ByteView value) {
-    if (!key.empty() && key[0] == static_cast<uint8_t>(kChunkKeyPrefix)) {
-      uniqueChunks_.add(1);
-      storedBytes_.add(decodeChunkEntry(value).size);
-    }
-  });
-  if (rs.entriesDropped > 0 || rs.orphanContainersRemoved > 0 ||
-      rs.refcountsRepaired > 0)
+  for (const auto& [fp, e] : chunks_) {
+    uniqueChunks_.add(1);
+    storedBytes_.add(e.size);
+  }
+  if (rs.entriesDropped > 0 || rs.orphanContainersRemoved > 0)
     flushIndexLocked();
   return rs;
 }

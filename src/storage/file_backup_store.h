@@ -11,9 +11,17 @@
 // the fingerprint index, blobs and backup manifests all live in the LogKv
 // under one-byte key prefixes:
 //
-//   'C' + fp(u64)   -> containerId u32, entryIndex u32, size u32, refs u32
+//   'C' + fp(u64)   -> containerId u32, entryIndex u32, size u32
 //   'B' + name      -> blob bytes (sealed recipes)
 //   'M' + name      -> manifest: varint count, count * fp(u64), crc32c
+//
+// (A 'C' value of 16 bytes is the legacy form, which appended a refcount u32;
+// it still decodes, and its refcount is ignored.) The 'C' entries are decoded
+// once at open into an in-memory chunk table that serves every lookup.
+// Refcounts are never logged: recovery derives each chunk's count from the
+// manifests, and commits and releases move it in memory. A commit therefore
+// appends its manifest swap and nothing per chunk, and the counts match the
+// manifests at every log prefix a crash can leave.
 //
 // Containers are written atomically (tmp + rename) and *before* their index
 // entries, so after a process kill the index never references a container
@@ -26,10 +34,10 @@
 // (truncating any torn tail), every container trailer is validated (both
 // tiers), orphan containers and stray .tmp files are deleted, index entries
 // whose container is missing or corrupt are dropped, and refcounts are
-// reconciled against the manifests.
+// derived from the manifests.
 //
-// Locking: a single internal mutex guards all metadata (index, open
-// container, stats). Writer operations are additionally serialized by the
+// Locking: a single internal mutex guards all metadata (index, chunk table,
+// open container, stats). Writer operations are additionally serialized by the
 // caller (DedupClient), as before. The read path (getChunk/getChunks/
 // chunkLocator) holds the mutex only for index lookups — container file
 // reads, parses and payload copies run outside it, so concurrent restores
@@ -126,7 +134,8 @@ class FileBackupStore : public BackupStore {
   }
 
  private:
-  /// Decoded 'C' index entry.
+  /// Decoded 'C' index entry, plus the chunk's refcount, which is kept only
+  /// in memory (see the header comment).
   struct ChunkEntry {
     uint32_t containerId = 0;
     uint32_t entryIndex = 0;
@@ -146,13 +155,14 @@ class FileBackupStore : public BackupStore {
   /// Open-time recovery, run after the LogKv has replayed its log:
   /// validates every container file's trailer (full CRC + structure parse),
   /// deletes orphan containers and stray .tmp files, drops index entries
-  /// whose container is missing or corrupt (renamed to *.corrupt),
-  /// reconciles refcounts and rebuilds stats from the surviving index.
+  /// whose container is missing or corrupt (renamed to *.corrupt), derives
+  /// refcounts from the manifests and rebuilds stats from the surviving
+  /// index.
   StoreRecoveryStats recover();
 
   /// Shared body of recordBackup / recordBackupDeferred: stages the manifest
-  /// swap + refcount deltas under mu_ and returns the LSN a durability wait
-  /// must cover.
+  /// swap, moves the in-memory refcounts under mu_ and returns the LSN a
+  /// durability wait must cover.
   uint64_t stageRecordBackup(const std::string& name,
                              std::span<const Fp> chunkRefs);
 
@@ -160,13 +170,15 @@ class FileBackupStore : public BackupStore {
   [[nodiscard]] bool hasChunkLocked(Fp cipherFp) const;
   void stageChunkLocked(Fp fp, ByteView bytes, uint32_t refs);
   void sealOpenContainerLocked();
+  /// The table entry of a sealed chunk; throws when the store lacks it.
+  [[nodiscard]] ChunkEntry sealedChunkLocked(Fp fp) const;
   void adjustRefsLocked(Fp fp, int64_t delta);
   std::optional<std::vector<Fp>> backupRefsLocked(const std::string& name);
-  [[nodiscard]] std::vector<std::string> listNamesLocked(char prefix) const;
+  [[nodiscard]] std::vector<std::string> listNamesLocked(char prefix);
   /// Container for admin paths (GC/verify) that already hold mu_. Serves
   /// from the cache when present but never admits (single-visit scans).
   std::shared_ptr<const Container> loadContainerLocked(uint32_t id);
-  /// All 'C' entries grouped by container id.
+  /// The chunk table grouped by container id.
   [[nodiscard]] std::unordered_map<
       uint32_t, std::vector<std::pair<Fp, ChunkEntry>>>
   chunkEntriesByContainerLocked();
@@ -195,10 +207,11 @@ class FileBackupStore : public BackupStore {
   /// Both container tiers; declared before index_ so <dir> exists when the
   /// index log opens there. Its placement map is guarded by mu_.
   ContainerTiers tiers_;
-  /// The index log at <dir>/index.log. Mutable because LogKv::get reads
-  /// the log file, and const lookups (chunkRefCount, chunkLocator) use it.
-  mutable LogKv index_;
+  /// The index log at <dir>/index.log.
+  LogKv index_;
   ContainerBuilder builder_;
+  /// Every sealed chunk: the decoded 'C' entries and their refcounts.
+  std::unordered_map<Fp, ChunkEntry, FpHash> chunks_;
   std::unordered_map<Fp, OpenChunk, FpHash> openChunks_;  // not yet sealed
   uint32_t nextContainerId_ = 0;
 
