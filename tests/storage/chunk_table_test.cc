@@ -4,7 +4,6 @@
 // (a refcount in every 'C' value) reopens with the manifests' counts.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>

@@ -80,7 +80,8 @@ cmp "$WORK/src/small.bin" "$WORK/out2/small.bin"
 "$FDD" gc "$WORK/store" --stats=json | tee "$STATS/gc.json"
 "$FDD" verify "$WORK/store" --deep=ci-pass --threads=4 --stats=json \
     | tee "$STATS/verify.json"
-python3 "$TOOLS_DIR/check_stats.py" "$STATS/backup.json" "$STATS/restore.json" "$STATS/verify.json"
+python3 "$TOOLS_DIR/check_stats.py" "$STATS/backup.json" "$STATS/restore.json" \
+    "$STATS/gc.json" "$STATS/verify.json"
 python3 - "$STATS/restore_trace.json" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))
