@@ -151,7 +151,7 @@ class DedupClient {
 
   /// Runs `fn(store)` under the client's writer/admin lock — the hook
   /// through which owners layered above the client (the server daemon)
-  /// perform store admin operations (usage blobs, manifest reads, flushes)
+  /// perform store admin operations (auth blobs, flushes)
   /// that must serialize with concurrent session writes. `fn` must not call
   /// back into this client.
   template <typename Fn>

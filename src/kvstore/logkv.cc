@@ -304,6 +304,12 @@ void LogKv::forEach(
   }
 }
 
+void LogKv::forEachKey(const std::function<void(ByteView key)>& fn) const {
+  std::lock_guard lock(mu_);
+  for (const auto& [key, loc] : index_)
+    fn(ByteView(reinterpret_cast<const uint8_t*>(key.data()), key.size()));
+}
+
 void LogKv::flush() { sync(wal_->appendedLsn()); }
 
 Lsn LogKv::appendedLsn() const { return wal_->appendedLsn(); }

@@ -28,7 +28,8 @@
 // Thread safety: all operations are safe from any thread. Mutations and
 // reads serialize on an internal mutex; the durability wait in sync()/
 // flush() runs outside it, which is what lets concurrent committers group.
-// forEach's callback runs under the mutex and must not reenter the store.
+// forEach's and forEachKey's callbacks run under the mutex and must not
+// reenter the store.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +88,9 @@ class LogKv final {
   /// Visits every live entry (order unspecified); see the thread-safety
   /// note above.
   void forEach(const std::function<void(ByteView key, ByteView value)>& fn);
+  /// Visits every live key (order unspecified) without reading any value;
+  /// same thread-safety note as forEach.
+  void forEachKey(const std::function<void(ByteView key)>& fn) const;
 
   /// Blocks until every record appended so far is durable (group commit:
   /// one fdatasync per slot of concurrent flushers). When flush() returns,

@@ -18,7 +18,6 @@
 #include "chunking/cdc_chunker.h"
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "common/varint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pipeline/thread_pool.h"
@@ -491,20 +490,9 @@ bool FreqDedupServer::handleBackupFinish(const std::shared_ptr<Conn>& conn,
   const BackupOutcome outcome = session->finish();
   const uint64_t logicalBytes = outcome.fileRecipe.fileSize;
 
-  uint64_t replacedBytes = 0;
-  bool replaces = false;
-  std::lock_guard commitLock(commitMu_);
-  client_->withStore([&](BackupStore& s) {
-    replaces = s.backupRefs(scoped).has_value();
-    if (const auto blob = s.getBlob(TenantRegistry::usageBlobName(scoped))) {
-      size_t offset = 0;
-      if (const auto v = getVarint(*blob, offset)) replacedBytes = *v;
-    }
-    return 0;
-  });
-
-  if (const auto err = tenants_.checkQuota(conn->tenant, logicalBytes,
-                                           replacedBytes, replaces)) {
+  std::unique_lock commitLock(commitMu_);
+  if (const auto err =
+          tenants_.checkQuota(conn->tenant, scoped, logicalBytes)) {
     // The rejected stream's chunks are already in the store but
     // unreferenced; the next GC reclaims them.
     tenants_.recordQuotaReject(conn->tenant);
@@ -512,51 +500,59 @@ bool FreqDedupServer::handleBackupFinish(const std::shared_ptr<Conn>& conn,
     return false;
   }
 
-  const DedupClassification cls = tenants_.recordCommit(
-      conn->tenant, outcome.newChunkFps, outcome.duplicateChunkFps,
-      logicalBytes, replacedBytes, replaces);
-  ByteVec usage;
-  putVarint(usage, logicalBytes);
-  client_->withStore([&](BackupStore& s) {
-    s.putBlob(TenantRegistry::usageBlobName(scoped), usage);
-    return 0;
-  });
-
-  BackupDone done;
-  done.chunkCount = outcome.chunkCount;
-  done.newChunks = outcome.newChunks;
-  done.duplicateChunks = outcome.duplicateChunks;
-  done.crossTenantDuplicates = cls.crossTenantDuplicates;
-
-  {
+  // The reply goes out once the commit is both accounted (below) and
+  // durable (the callback), whichever comes last: the callback may run on
+  // the log syncer thread, or inline, before commitBackupAsync returns, and
+  // a client must not see BackupDone before the usage it added.
+  struct Completion {
+    std::atomic<int> waits{2};
+    bool durable = false;
+    BackupDone done;
+  };
+  const auto completion = std::make_shared<Completion>();
+  auto complete = [this, conn, completion] {
+    if (completion->waits.fetch_sub(1) != 1) return;
+    try {
+      if (completion->durable) {
+        sendReply(conn, encode(completion->done));
+        rearm(conn);
+      } else {
+        sendError(conn, ErrorCode::kServerError,
+                  "commit not durable: metadata log sync failed");
+        markDead(conn);
+      }
+    } catch (...) {
+      markDead(conn);
+    }
+    // Notify under the lock: once stop() sees the count reach zero the
+    // server may be destroyed, condition variable included.
     std::lock_guard lock(deferredMu_);
-    ++pendingDeferred_;
-  }
+    --pendingDeferred_;
+    deferredCv_.notify_all();
+  };
+
   // The commit is staged synchronously (visible on return); the response
   // waits for the coalesced group sync so the client's BackupDone means
   // "durable". The worker thread is released meanwhile — this is what lets
   // many tenants' commits share one fdatasync.
-  client_->commitBackupAsync(
-      scoped, outcome, conn->userKey, conn->rng,
-      [this, conn, done](bool ok) {
-        try {
-          if (ok) {
-            sendReply(conn, encode(done));
-            rearm(conn);
-          } else {
-            sendError(conn, ErrorCode::kServerError,
-                      "commit not durable: metadata log sync failed");
-            markDead(conn);
-          }
-        } catch (...) {
-          markDead(conn);
-        }
-        // Notify under the lock: once stop() sees the count reach zero the
-        // server may be destroyed, condition variable included.
-        std::lock_guard lock(deferredMu_);
-        --pendingDeferred_;
-        deferredCv_.notify_all();
-      });
+  client_->commitBackupAsync(scoped, outcome, conn->userKey, conn->rng,
+                             [completion, complete](bool ok) {
+                               completion->durable = ok;
+                               complete();
+                             });
+  // Staged. Only now is the finish accounted and pending for stop(): when
+  // staging throws, the callback never runs and nothing changed.
+  const DedupClassification cls =
+      tenants_.recordCommit(conn->tenant, scoped, outcome.newChunkFps,
+                            outcome.duplicateChunkFps, logicalBytes);
+  completion->done = {outcome.chunkCount, outcome.newChunks,
+                      outcome.duplicateChunks, cls.crossTenantDuplicates};
+  {
+    std::lock_guard lock(deferredMu_);
+    ++pendingDeferred_;
+  }
+  commitLock.unlock();
+  complete();
   return true;
 }
 
@@ -569,10 +565,7 @@ void FreqDedupServer::handleRestoreOpen(const std::shared_ptr<Conn>& conn,
     return;
   }
   const std::string scoped = scopedBackupName(conn->tenant, req.name);
-  const bool exists = client_->withStore([&](BackupStore& s) {
-    return s.getBlob(DedupClient::recipeBlobName(scoped)).has_value();
-  });
-  if (!exists) {
+  if (!tenants_.hasBackup(conn->tenant, scoped)) {
     sendError(conn, ErrorCode::kNotFound, "no such backup: " + req.name);
     return;
   }
@@ -613,24 +606,14 @@ void FreqDedupServer::handleDelete(const std::shared_ptr<Conn>& conn,
                                    ByteView payload) {
   const DeleteBackup req = decodeDeleteBackup(payload);
   const std::string scoped = scopedBackupName(conn->tenant, req.name);
-  const std::string usageName = TenantRegistry::usageBlobName(scoped);
-  uint64_t usageBytes = 0;
-  client_->withStore([&](BackupStore& s) {
-    if (const auto blob = s.getBlob(usageName)) {
-      size_t offset = 0;
-      if (const auto v = getVarint(*blob, offset)) usageBytes = *v;
-    }
-    return 0;
-  });
+  // Under the commit lock, so that the registry sees this delete and a
+  // concurrent finish of the same name in the store's order.
+  std::lock_guard commitLock(commitMu_);
   if (!client_->deleteBackup(scoped)) {
     sendError(conn, ErrorCode::kNotFound, "no such backup: " + req.name);
     return;
   }
-  client_->withStore([&](BackupStore& s) {
-    s.eraseBlob(usageName);
-    return 0;
-  });
-  tenants_.recordDelete(conn->tenant, usageBytes);
+  tenants_.recordDelete(conn->tenant, scoped);
   sendReply(conn, encode(Ok{}));
 }
 

@@ -176,10 +176,11 @@ class FreqDedupServer {
 
   /// Serializes stop() against concurrent/double calls.
   std::mutex stopMu_;
-  /// Serializes the finish-time bookkeeping (quota check → accounting →
-  /// commit staging) so two concurrent finishes can't both squeeze past a
-  /// nearly-full quota. Appends — the heavy part — stay parallel, and the
-  /// deferred durability syncs still coalesce across commits.
+  /// Serializes finishes (quota check → commit staging → accounting) and
+  /// deletes, so two concurrent finishes can't both squeeze past a
+  /// nearly-full quota and the registry's per-backup map changes in the
+  /// store's commit order. Appends — the heavy part — stay parallel, and
+  /// the deferred durability syncs still coalesce across commits.
   std::mutex commitMu_;
 
   /// Deferred (async-commit) completions still in flight; stop() drains

@@ -1,10 +1,7 @@
 #include "server/tenant.h"
 
-#include <algorithm>
-
 #include "common/hash.h"
 #include "common/rng.h"
-#include "common/varint.h"
 #include "obs/metrics.h"
 #include "server/wire.h"  // kMaxTenantBytes
 
@@ -13,7 +10,6 @@ namespace freqdedup::server {
 namespace {
 
 constexpr char kScopedPrefix[] = "t/";
-constexpr char kUsagePrefix[] = "tenantu:";
 constexpr char kAuthPrefix[] = "tenanta:";
 
 constexpr size_t kAuthSaltBytes = 16;
@@ -49,10 +45,6 @@ std::optional<std::string> unscopeBackupName(const std::string& tenant,
   return scoped.substr(prefix.size());
 }
 
-std::string TenantRegistry::usageBlobName(const std::string& scopedName) {
-  return kUsagePrefix + scopedName;
-}
-
 std::string authBlobName(const std::string& tenant) {
   return kAuthPrefix + tenant;
 }
@@ -81,7 +73,6 @@ bool checkAuthVerifier(ByteView record, const std::string& passphrase) {
 
 void TenantRegistry::loadFrom(BackupStore& store) {
   std::lock_guard lock(mu_);
-  // Backup counts and Bloom filters from scoped manifests.
   for (const std::string& scoped : store.listBackups()) {
     if (scoped.rfind(kScopedPrefix, 0) != 0) continue;  // unscoped legacy name
     const size_t slash = scoped.find('/', sizeof(kScopedPrefix) - 1);
@@ -90,31 +81,30 @@ void TenantRegistry::loadFrom(BackupStore& store) {
         scoped.substr(sizeof(kScopedPrefix) - 1,
                       slash - (sizeof(kScopedPrefix) - 1));
     Tenant& t = tenantLocked(tenant);
-    t.backups++;
-    if (const auto refs = store.backupRefs(scoped))
+    uint64_t bytes = 0;
+    if (const auto refs = store.backupRefs(scoped)) {
       for (const Fp fp : *refs) t.seen.add(fp);
-    // Logical bytes from the per-backup usage blob (absent for stores
-    // written before quotas existed: those backups cost 0 toward the byte
-    // quota, which only ever under-counts).
-    if (const auto blob = store.getBlob(usageBlobName(scoped))) {
-      size_t offset = 0;
-      if (const auto bytes = getVarint(*blob, offset))
-        t.logicalBytes += *bytes;
+      for (const auto& placement : store.chunkLocator(*refs))
+        if (placement) bytes += placement->size;
     }
+    t.backupBytes[scoped] = bytes;
+    t.logicalBytes += bytes;
   }
   for (const auto& [tenant, t] : tenants_) setUsageGauges(tenant, *t);
 }
 
 std::optional<std::string> TenantRegistry::checkQuota(
-    const std::string& tenant, uint64_t logicalBytes, uint64_t replacedBytes,
-    bool replacesExisting) {
+    const std::string& tenant, const std::string& scoped,
+    uint64_t logicalBytes) {
   std::lock_guard lock(mu_);
   Tenant& t = tenantLocked(tenant);
-  if (quota_.maxBackups != 0 && !replacesExisting &&
-      t.backups + 1 > quota_.maxBackups)
+  const auto old = t.backupBytes.find(scoped);
+  const bool replaces = old != t.backupBytes.end();
+  if (quota_.maxBackups != 0 && !replaces &&
+      t.backupBytes.size() + 1 > quota_.maxBackups)
     return "tenant backup quota exceeded (" + std::to_string(quota_.maxBackups) +
            " backups)";
-  const uint64_t credit = std::min(replacedBytes, t.logicalBytes);
+  const uint64_t credit = replaces ? old->second : 0;
   if (quota_.maxLogicalBytes != 0 &&
       t.logicalBytes - credit + logicalBytes > quota_.maxLogicalBytes)
     return "tenant logical-byte quota exceeded (" +
@@ -123,9 +113,9 @@ std::optional<std::string> TenantRegistry::checkQuota(
 }
 
 DedupClassification TenantRegistry::recordCommit(
-    const std::string& tenant, std::span<const Fp> newFps,
-    std::span<const Fp> duplicateFps, uint64_t logicalBytes,
-    uint64_t replacedBytes, bool replacesExisting) {
+    const std::string& tenant, const std::string& scoped,
+    std::span<const Fp> newFps, std::span<const Fp> duplicateFps,
+    uint64_t logicalBytes) {
   DedupClassification out;
   out.newChunks = newFps.size();
   {
@@ -139,9 +129,9 @@ DedupClassification TenantRegistry::recordCommit(
     }
     for (const Fp fp : newFps) t.seen.add(fp);
     for (const Fp fp : duplicateFps) t.seen.add(fp);
-    t.logicalBytes -= std::min(replacedBytes, t.logicalBytes);
-    t.logicalBytes += logicalBytes;
-    if (!replacesExisting) t.backups++;
+    uint64_t& bytes = t.backupBytes[scoped];  // 0 for a new name
+    t.logicalBytes = t.logicalBytes - bytes + logicalBytes;
+    bytes = logicalBytes;
     setUsageGauges(tenant, t);
   }
   bumpCounter(tenant, "chunks", newFps.size() + duplicateFps.size());
@@ -152,12 +142,15 @@ DedupClassification TenantRegistry::recordCommit(
 }
 
 void TenantRegistry::recordDelete(const std::string& tenant,
-                                  uint64_t logicalBytes) {
+                                  const std::string& scoped) {
   {
     std::lock_guard lock(mu_);
     Tenant& t = tenantLocked(tenant);
-    t.logicalBytes -= std::min(logicalBytes, t.logicalBytes);
-    if (t.backups > 0) t.backups--;
+    const auto it = t.backupBytes.find(scoped);
+    if (it != t.backupBytes.end()) {
+      t.logicalBytes -= it->second;
+      t.backupBytes.erase(it);
+    }
     setUsageGauges(tenant, t);
   }
   bumpCounter(tenant, "backups_deleted", 1);
@@ -171,6 +164,12 @@ void TenantRegistry::recordQuotaReject(const std::string& tenant) {
   bumpCounter(tenant, "quota_rejects", 1);
 }
 
+bool TenantRegistry::hasBackup(const std::string& tenant,
+                               const std::string& scoped) {
+  std::lock_guard lock(mu_);
+  return tenantLocked(tenant).backupBytes.contains(scoped);
+}
+
 uint64_t TenantRegistry::logicalBytes(const std::string& tenant) {
   std::lock_guard lock(mu_);
   return tenantLocked(tenant).logicalBytes;
@@ -178,7 +177,7 @@ uint64_t TenantRegistry::logicalBytes(const std::string& tenant) {
 
 uint64_t TenantRegistry::backupCount(const std::string& tenant) {
   std::lock_guard lock(mu_);
-  return tenantLocked(tenant).backups;
+  return tenantLocked(tenant).backupBytes.size();
 }
 
 TenantRegistry::Tenant& TenantRegistry::tenantLocked(
@@ -206,7 +205,7 @@ void TenantRegistry::setUsageGauges(const std::string& tenant,
     g.add(value - g.value());
   };
   publish("logical_bytes", static_cast<int64_t>(t.logicalBytes));
-  publish("backups", static_cast<int64_t>(t.backups));
+  publish("backups", static_cast<int64_t>(t.backupBytes.size()));
 }
 
 }  // namespace freqdedup::server

@@ -10,8 +10,10 @@
 //    name "t/acme/vm.img", which flows into manifest keys and recipe blob
 //    names, so list/restore/delete can only ever see the caller's tenant;
 //  - quotas: per-tenant logical-byte and backup-count budgets, enforced at
-//    backup finish (usage is persisted per backup in a store blob so a
-//    daemon restart recovers accounting exactly);
+//    backup finish. A backup's usage is the sum of its manifest's chunk
+//    sizes (AES-CTR keeps length), derived from the store at startup and
+//    kept in memory after each staged commit and delete, so accounting
+//    has no second copy on disk to drift from the manifests;
 //  - observability: per-tenant tenant.<id>.* counters in the global
 //    MetricsRegistry — including dedup_hits and cross_tenant_dedup_hits,
 //    the store-side measure of how much of a tenant's data deduplicated
@@ -34,6 +36,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bloom_filter.h"
@@ -91,54 +94,56 @@ struct DedupClassification {
 };
 
 /// Tracks per-tenant usage, quotas, Bloom filters and metrics. Thread-safe;
-/// one instance per server, shared by all connections.
+/// one instance per server, shared by all connections. The server calls
+/// recordCommit/recordDelete in the store's commit order (under its commit
+/// lock), so the per-backup map names exactly the store's scoped manifests.
 class TenantRegistry {
  public:
   explicit TenantRegistry(TenantQuota quota) : quota_(quota) {}
 
-  /// Rebuilds usage accounting and Bloom filters from a (re)opened store:
-  /// scans scoped manifests for backup counts and per-backup usage blobs for
-  /// logical bytes, and seeds each tenant's filter with every fingerprint
-  /// its manifests reference. Call once at server startup, before serving.
+  /// Rebuilds accounting and Bloom filters from a (re)opened store: each
+  /// scoped manifest is one backup whose size is the sum of its chunks'
+  /// stored sizes (a chunk with no placement counts 0, so a lost chunk only
+  /// under-counts), and its fingerprints seed the tenant's filter. The
+  /// per-backup usage blobs that older daemons wrote are ignored. Call once
+  /// at server startup, before serving.
   void loadFrom(BackupStore& store);
 
-  /// Quota check for an incoming backup of `logicalBytes` replacing
-  /// `replacedBytes` (0 when the name is new; replacing counts the delta).
-  /// Returns an error description, or nullopt when the backup fits.
+  /// Quota check for committing `logicalBytes` under `scoped`: replacing an
+  /// existing backup counts only the delta and adds no backup. Returns an
+  /// error description, or nullopt when the backup fits.
   [[nodiscard]] std::optional<std::string> checkQuota(
-      const std::string& tenant, uint64_t logicalBytes, uint64_t replacedBytes,
-      bool replacesExisting);
+      const std::string& tenant, const std::string& scoped,
+      uint64_t logicalBytes);
 
-  /// Classifies a finished backup's chunks against the tenant's own filter
-  /// (then adds them to it), updates usage and tenant.* counters.
-  /// `duplicateFps` must hold exactly the chunks the store deduplicated.
+  /// Accounts a staged commit of `scoped` (new or replacing): classifies
+  /// its chunks against the tenant's own filter (then adds them to it) and
+  /// updates usage and tenant.* counters. `duplicateFps` must hold exactly
+  /// the chunks the store deduplicated.
   DedupClassification recordCommit(const std::string& tenant,
+                                   const std::string& scoped,
                                    std::span<const Fp> newFps,
                                    std::span<const Fp> duplicateFps,
-                                   uint64_t logicalBytes,
-                                   uint64_t replacedBytes,
-                                   bool replacesExisting);
+                                   uint64_t logicalBytes);
 
-  /// Updates usage and counters for a deleted backup.
-  void recordDelete(const std::string& tenant, uint64_t logicalBytes);
+  /// Accounts a deleted backup.
+  void recordDelete(const std::string& tenant, const std::string& scoped);
 
   void recordRestore(const std::string& tenant);
   void recordQuotaReject(const std::string& tenant);
 
+  [[nodiscard]] bool hasBackup(const std::string& tenant,
+                               const std::string& scoped);
   [[nodiscard]] uint64_t logicalBytes(const std::string& tenant);
   [[nodiscard]] uint64_t backupCount(const std::string& tenant);
 
   [[nodiscard]] const TenantQuota& quota() const { return quota_; }
 
-  /// Store blob that persists one backup's logical size for quota recovery:
-  /// "tenantu:<scoped backup name>" → varint logicalBytes. Maintained by the
-  /// server next to each commit/delete.
-  static std::string usageBlobName(const std::string& scopedName);
-
  private:
   struct Tenant {
-    uint64_t logicalBytes = 0;
-    uint64_t backups = 0;
+    uint64_t logicalBytes = 0;  // sum of backupBytes' values
+    /// Logical bytes of each committed backup, by scoped name.
+    std::unordered_map<std::string, uint64_t> backupBytes;
     /// Fingerprints this tenant has stored before (approximate set).
     BloomFilter seen{1u << 18, 0.01};
   };

@@ -484,7 +484,7 @@ bool FileBackupStore::eraseBlob(const std::string& name) {
 
 std::vector<std::string> FileBackupStore::listNamesLocked(char prefix) {
   std::vector<std::string> names;
-  index_.forEach([&names, prefix](ByteView key, ByteView) {
+  index_.forEachKey([&names, prefix](ByteView key) {
     if (!key.empty() && key[0] == static_cast<uint8_t>(prefix)) {
       names.emplace_back(reinterpret_cast<const char*>(key.data()) + 1,
                          key.size() - 1);

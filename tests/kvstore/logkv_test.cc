@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <map>
+#include <set>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -227,6 +228,44 @@ TEST_F(LogKvTest, ForEachVisitsLiveEntriesOnly) {
     ++count;
   });
   EXPECT_EQ(count, 1u);
+}
+
+TEST_F(LogKvTest, ForEachKeyVisitsTheLiveKeysAcrossCheckpointAndReopen) {
+  auto keysOf = [](const LogKv& kv) {
+    std::set<std::string> keys;
+    kv.forEachKey([&keys](ByteView key) {
+      EXPECT_TRUE(keys.insert(toString(key)).second)
+          << "visited twice: " << toString(key);
+    });
+    return keys;
+  };
+  std::set<std::string> live;
+  {
+    LogKv kv(path_);
+    // Checkpointed: puts, an overwrite and an erase.
+    for (int i = 0; i < 20; ++i) {
+      kv.put(toBytes("ck" + std::to_string(i)), toBytes("v"));
+      live.insert("ck" + std::to_string(i));
+    }
+    kv.put(toBytes("ck3"), toBytes("overwritten"));
+    kv.erase(toBytes("ck5"));
+    live.erase("ck5");
+    kv.checkpoint();
+    // WAL tail: a new key, an overwrite of a checkpointed key, an erase of
+    // a checkpointed key, and a key put and erased within the tail.
+    kv.put(toBytes("tail"), toBytes("t"));
+    kv.put(toBytes("ck7"), toBytes("again"));
+    kv.erase(toBytes("ck9"));
+    kv.put(toBytes("gone"), toBytes("g"));
+    kv.erase(toBytes("gone"));
+    live.insert("tail");
+    live.erase("ck9");
+    EXPECT_EQ(keysOf(kv), live);
+    kv.flush();
+  }
+  const LogKv reopened(path_);
+  EXPECT_EQ(keysOf(reopened), live);
+  EXPECT_EQ(reopened.size(), live.size());
 }
 
 TEST_F(LogKvTest, EmptyValue) {

@@ -1,19 +1,24 @@
 // End-to-end daemon tests over the socket: lifecycle, handshake policing,
 // malformed-frame handling (connection-fatal), abort/empty-backup edges,
-// stats content, quota-accounting recovery across a daemon restart, and
-// remote shutdown.
+// stats content, quota-accounting recovery across a daemon restart and a
+// kill after a delete, a finish whose staging throws, and remote shutdown.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/varint.h"
 #include "server/client_conn.h"
 #include "server/server.h"
 #include "server/socket.h"
 #include "server/wire.h"
+#include "storage/file_backup_store.h"
 #include "temp_store.h"
 
 namespace freqdedup::server {
@@ -39,6 +44,14 @@ class ServerE2E : public ::testing::Test {
 
   [[nodiscard]] RemoteDedupClient connect(const std::string& tenant) const {
     return RemoteDedupClient(server_->boundAddress().str(), tenant, "pw");
+  }
+
+  /// One whole remote backup.
+  static void backup(RemoteDedupClient& client, const std::string& name,
+                     ByteView data) {
+    const RemoteBackup b = client.openBackup(name);
+    client.append(b, data);
+    client.finishBackup(b);
   }
 
   /// Raw (non-client) connection for protocol-violation tests.
@@ -236,6 +249,84 @@ TEST_F(ServerE2E, RestartRecoversTenantAccounting) {
     EXPECT_EQ(client.restoreAll("a"), randomContent(8, 80 * 1024));
   }
   EXPECT_EQ(server_->tenants().logicalBytes("acme"), 80u * 1024);
+}
+
+TEST_F(ServerE2E, KillAfterDeleteKeepsAccountingExact) {
+  startServer();
+  {
+    RemoteDedupClient client = connect("acme");
+    backup(client, "b", randomContent(20, 40 * 1024));
+    backup(client, "a", randomContent(21, 60 * 1024));
+    EXPECT_TRUE(client.deleteBackup("a"));
+  }
+  // Copying the store while its daemon runs keeps what reached the files
+  // and drops what was still buffered: a kill right after the delete.
+  const std::string copy = tmp_.path() + "/copy";
+  std::filesystem::copy(tmp_.path() + "/store", copy,
+                        std::filesystem::copy_options::recursive);
+  ServerOptions options;
+  options.address = "unix:" + tmp_.path() + "/sock2";
+  options.store.containerBytes = 256 * 1024;
+  FreqDedupServer restarted(copy, options);
+  restarted.start();
+  {
+    RemoteDedupClient client(restarted.boundAddress().str(), "acme", "pw");
+    backup(client, "a", randomContent(22, 20 * 1024));
+  }
+  EXPECT_EQ(restarted.tenants().logicalBytes("acme"), 61440u);
+  EXPECT_EQ(restarted.tenants().backupCount("acme"), 2u);
+}
+
+TEST_F(ServerE2E, LegacyUsageBlobIsIgnoredAtRestart) {
+  startServer();
+  {
+    RemoteDedupClient client = connect("acme");
+    backup(client, "a", randomContent(23, 60 * 1024));
+  }
+  server_.reset();
+  {
+    // What an older daemon persisted per backup, here with a wrong size,
+    // plus one for a backup that does not exist.
+    FileBackupStore store(tmp_.path() + "/store");
+    ByteVec wrong;
+    putVarint(wrong, 999);
+    store.putBlob("tenantu:t/acme/a", wrong);
+    store.putBlob("tenantu:t/acme/gone", wrong);
+    store.flush();
+  }
+  startServer();
+  EXPECT_EQ(server_->tenants().logicalBytes("acme"), 60u * 1024);
+  EXPECT_EQ(server_->tenants().backupCount("acme"), 1u);
+}
+
+TEST_F(ServerE2E, FinishWhoseStagingThrowsLeavesNoUsageAndStopReturns) {
+  startServer();
+  {
+    RemoteDedupClient client = connect("acme");
+    const RemoteBackup b = client.openBackup("a");
+    client.append(b, randomContent(24, 256 * 1024));
+    // GC reclaims the open session's chunks, none of which a manifest
+    // references yet, so staging its commit throws.
+    server_->store().collectGarbage();
+    try {
+      client.finishBackup(b);
+      FAIL() << "finish over reclaimed chunks succeeded";
+    } catch (const RemoteError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kServerError);
+    }
+    EXPECT_TRUE(client.listBackups().empty());  // connection still alive
+  }
+  EXPECT_EQ(server_->tenants().logicalBytes("acme"), 0u);
+  EXPECT_EQ(server_->tenants().backupCount("acme"), 0u);
+  auto stopped = std::async(std::launch::async, [this] { server_->stop(); });
+  if (stopped.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    // Leak the stuck stop() and its server, so the test fails instead of
+    // hanging in their destructors.
+    (void)server_.release();
+    (void)new std::future<void>(std::move(stopped));
+    FAIL() << "stop() did not return within 10 s";
+  }
 }
 
 TEST_F(ServerE2E, ConcurrentConnectionsOneTenant) {

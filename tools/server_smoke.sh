@@ -3,8 +3,9 @@
 # concurrent tenants through backup -> restore -> byte-compare -> delete
 # with `fdd --remote`, check tenant namespaces and authentication, validate
 # the server/tenant metrics live and at daemon exit, shut the daemon down
-# remotely and check that it exits cleanly, then gc and verify the store it
-# leaves behind.
+# remotely and check that it exits cleanly, serve the same store again and
+# check that the tenant usage gauges come back unchanged, then gc and
+# verify the store it leaves behind.
 #
 # Usage: server_smoke.sh <fdd-binary> <stats-dir>
 # Works in its own mktemp directory under /tmp, so the socket path stays
@@ -91,6 +92,10 @@ python3 "$TOOLS_DIR/check_stats.py" "$STATS/server_stats.json"
 "$FDD" restore "$WORK/out-acme2" acme-pass --remote="$SOCK" --tenant=acme
 cmp "$WORK/src-acme/big.bin" "$WORK/out-acme2/big.bin"
 
+# The tenant usage gauges the restarted daemon must derive again.
+"$FDD" stats --remote="$SOCK" --tenant=acme --pass=acme-pass \
+    > "$STATS/server_stats_before_restart.json"
+
 # Remote shutdown; the daemon must exit 0 and dump a clean final snapshot.
 "$FDD" shutdown --remote="$SOCK" --tenant=acme --pass=acme-pass
 DAEMON_RC=0
@@ -101,6 +106,51 @@ if [ "$DAEMON_RC" -ne 0 ]; then
 fi
 grep -q "fdd serve: stopped" "$LOG"
 python3 "$TOOLS_DIR/check_stats.py" "$LOG"
+
+# Serve the same store again: usage is derived from the manifests at
+# startup, so both tenants' logical_bytes and backups gauges must equal
+# those before the restart.
+LOG2="$STATS/daemon_restart.log"
+"$FDD" serve "$STORE" "$SOCK" --threads=4 --quota-bytes=64m \
+    --stats=json > "$LOG2" 2>&1 &
+DAEMON_PID=$!
+trap 'kill -9 "$DAEMON_PID" 2>/dev/null || true; wait "$DAEMON_PID" || true;
+      rm -rf "$WORK"' EXIT
+for _ in $(seq 1 300); do
+  grep -q "fdd serve: listening on" "$LOG2" && break
+  kill -0 "$DAEMON_PID" 2>/dev/null || {
+    echo "restarted daemon died during startup:"; cat "$LOG2"; exit 1; }
+  sleep 0.1
+done
+grep -q "fdd serve: listening on" "$LOG2" || {
+  echo "restarted daemon never started listening:"; cat "$LOG2"; exit 1; }
+"$FDD" stats --remote="$SOCK" --tenant=beta --pass=beta-pass \
+    > "$STATS/server_stats_after_restart.json"
+python3 - "$STATS/server_stats_before_restart.json" \
+    "$STATS/server_stats_after_restart.json" <<'EOF'
+import json
+import sys
+
+before, after = (json.load(open(p))["gauges"] for p in sys.argv[1:])
+for tenant in ("acme", "beta"):
+    for gauge in ("logical_bytes", "backups"):
+        name = f"tenant.{tenant}.{gauge}"
+        if before.get(name) != after.get(name):
+            sys.exit(f"{name}: {before.get(name)} before the restart, "
+                     f"{after.get(name)} after")
+EOF
+"$FDD" restore "$WORK/out-acme3" acme-pass --remote="$SOCK" --tenant=acme
+cmp "$WORK/src-acme/big.bin" "$WORK/out-acme3/big.bin"
+"$FDD" stats --remote="$SOCK" --tenant=acme --pass=acme-pass \
+    > "$STATS/server_stats_restarted.json"
+python3 "$TOOLS_DIR/check_stats.py" "$STATS/server_stats_restarted.json"
+"$FDD" shutdown --remote="$SOCK" --tenant=acme --pass=acme-pass
+DAEMON_RC=0
+wait "$DAEMON_PID" || DAEMON_RC=$?
+trap 'rm -rf "$WORK"' EXIT
+if [ "$DAEMON_RC" -ne 0 ]; then
+  echo "restarted daemon exited with $DAEMON_RC:"; cat "$LOG2"; exit 1
+fi
 
 # The store the daemon leaves behind is a normal store: gc the deleted
 # backups' chunks, then cross-check index, containers and manifests.
