@@ -19,8 +19,7 @@
 // each of its two phases; one build is never split. The calling thread
 // allocates every buffer before and between the phases, and the tasks only
 // compute: memory a worker allocates stays resident in that worker's malloc
-// arena after it is freed. No task waits on the pool: parallelFor blocks
-// its caller, so tasks that did could hold every worker and deadlock it.
+// arena after it is freed.
 #pragma once
 
 #include <cstdint>

@@ -12,14 +12,34 @@ namespace freqdedup {
 
 namespace {
 
-Digest oneShot(const EVP_MD* md, ByteView data) {
-  Digest d;
-  unsigned int len = 0;
-  if (EVP_Digest(data.data(), data.size(), d.bytes.data(), &len, md,
-                 nullptr) != 1)
-    throw std::runtime_error("EVP_Digest failed");
-  d.size = static_cast<uint8_t>(len);
-  return d;
+struct MdDeleter {
+  void operator()(EVP_MD* md) const { EVP_MD_free(md); }
+};
+struct MdCtxDeleter {
+  void operator()(EVP_MD_CTX* ctx) const { EVP_MD_CTX_free(ctx); }
+};
+using MdCtxPtr = std::unique_ptr<EVP_MD_CTX, MdCtxDeleter>;
+
+/// SHA-256, fetched on first use. Initialising a context with the
+/// EVP_sha256() handle instead looks the implementation up in OpenSSL's
+/// shared algorithm table on every call.
+const EVP_MD* sha256Md() {
+  static const std::unique_ptr<EVP_MD, MdDeleter> md(
+      EVP_MD_fetch(nullptr, "SHA256", nullptr));
+  if (!md) throw std::runtime_error("EVP_MD_fetch(SHA256) failed");
+  return md.get();
+}
+
+void initSha256(EVP_MD_CTX* ctx) {
+  if (EVP_DigestInit_ex2(ctx, sha256Md(), nullptr) != 1)
+    throw std::runtime_error("EVP_DigestInit_ex2 failed");
+}
+
+/// This thread's one-shot digest context, re-initialised by every sha256().
+EVP_MD_CTX* threadMdCtx() {
+  thread_local const MdCtxPtr ctx(EVP_MD_CTX_new());
+  if (!ctx) throw std::runtime_error("EVP_MD_CTX_new failed");
+  return ctx.get();
 }
 
 struct MacCtxDeleter {
@@ -50,7 +70,17 @@ const EVP_MAC_CTX* hmacSha256Template() {
 
 }  // namespace
 
-Digest sha256(ByteView data) { return oneShot(EVP_sha256(), data); }
+Digest sha256(ByteView data) {
+  EVP_MD_CTX* ctx = threadMdCtx();
+  initSha256(ctx);
+  Digest d;
+  unsigned int len = 0;
+  if (EVP_DigestUpdate(ctx, data.data(), data.size()) != 1 ||
+      EVP_DigestFinal_ex(ctx, d.bytes.data(), &len) != 1)
+    throw std::runtime_error("SHA-256 failed");
+  d.size = static_cast<uint8_t>(len);
+  return d;
+}
 
 Digest hmacSha256(ByteView key, ByteView data) {
   const MacCtxPtr ctx(EVP_MAC_CTX_dup(hmacSha256Template()));
@@ -66,9 +96,7 @@ Digest hmacSha256(ByteView key, ByteView data) {
 
 Sha256Stream::Sha256Stream() : ctx_(EVP_MD_CTX_new()) {
   FDD_CHECK(ctx_ != nullptr);
-  if (EVP_DigestInit_ex(static_cast<EVP_MD_CTX*>(ctx_), EVP_sha256(),
-                        nullptr) != 1)
-    throw std::runtime_error("EVP_DigestInit_ex failed");
+  initSha256(static_cast<EVP_MD_CTX*>(ctx_));
 }
 
 Sha256Stream::~Sha256Stream() {
@@ -88,8 +116,7 @@ Digest Sha256Stream::finish() {
   if (EVP_DigestFinal_ex(ctx, d.bytes.data(), &len) != 1)
     throw std::runtime_error("EVP_DigestFinal_ex failed");
   d.size = static_cast<uint8_t>(len);
-  if (EVP_DigestInit_ex(ctx, EVP_sha256(), nullptr) != 1)
-    throw std::runtime_error("EVP_DigestInit_ex (reset) failed");
+  initSha256(ctx);
   return d;
 }
 

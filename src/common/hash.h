@@ -2,7 +2,10 @@
 //
 // All fingerprinting in the library goes through these wrappers: SHA-256
 // (content fingerprints, MinHash re-keying) and HMAC-SHA-256 (server-aided
-// MLE key derivation, tenant authentication).
+// MLE key derivation, tenant authentication). Both algorithms are fetched
+// once per process, and sha256() re-initialises one digest context per
+// thread, so no call goes through OpenSSL's shared algorithm table or
+// allocates a context.
 #pragma once
 
 #include <array>
@@ -26,7 +29,7 @@ struct Digest {
   }
 };
 
-/// One-shot SHA-256 of a byte range.
+/// One-shot SHA-256 of a byte range, on the calling thread's context.
 Digest sha256(ByteView data);
 
 /// HMAC-SHA-256(key, data). The HMAC and SHA-256 implementations are fetched

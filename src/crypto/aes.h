@@ -10,6 +10,10 @@
 // Security note: reusing a (key, IV) pair is only safe here because an MLE
 // key is itself a deterministic function of the chunk content, so a repeated
 // (key, IV) pair always encrypts the *same* plaintext.
+//
+// AES-256-CTR is fetched once per process, and each call re-keys one cipher
+// context per thread, so no call goes through OpenSSL's shared algorithm
+// table or allocates a context.
 #pragma once
 
 #include <array>

@@ -48,7 +48,7 @@ namespace freqdedup::obs {
 
 // Always true. Only bench/fddbench/main.cc reads it, for the `obs_enabled`
 // field of its run header; it goes with that benchmark's next change
-// (ROADMAP item 4).
+// (ROADMAP item 5).
 inline constexpr bool kObsEnabled = true;
 
 /// Small per-thread slot index used to spread updates across cells. Not a

@@ -30,6 +30,10 @@ class ThreadPool {
   /// once shutdown() has been called.
   bool submit(std::function<void()> task);
 
+  /// Enqueues a task without blocking. Returns false when the queue is full
+  /// or shutdown() has been called.
+  bool trySubmit(std::function<void()> task);
+
   /// Blocks until all submitted tasks have completed (queue empty, workers
   /// idle), then rethrows the first exception any task threw, if one did.
   /// The pool keeps accepting work afterwards.
@@ -44,6 +48,7 @@ class ThreadPool {
  private:
   void workerLoop();
   void finishOne();
+  bool enqueue(std::function<void()> task, bool block);
 
   BoundedQueue<std::function<void()>> tasks_;
   std::vector<std::thread> workers_;
@@ -53,20 +58,24 @@ class ThreadPool {
   std::exception_ptr error_;  // first task exception, rethrown by wait()
 };
 
-/// Runs body(begin, end) over sub-ranges of [0, n), distributed across
-/// `threads` workers. With threads <= 1 (or a tiny n) the body runs inline on
-/// the calling thread. The body must be safe to invoke concurrently on
-/// disjoint ranges. Rethrows the first exception the body threw.
+/// Runs body(begin, end) over sub-ranges of [0, n) on `threads` threads: the
+/// calling thread and threads - 1 workers. With threads <= 1 (or a tiny n)
+/// the body runs inline on the calling thread. The body must be safe to
+/// invoke concurrently on disjoint ranges. Rethrows the first exception the
+/// body threw.
 void parallelFor(size_t threads, size_t n,
                  const std::function<void(size_t, size_t)>& body);
 
-/// Same, but reuses an existing pool (no per-call thread spawn) and blocks
-/// the caller until the range is done. Safe for concurrent callers sharing
-/// one pool: each call tracks the completion of its own blocks instead of
-/// waiting for the whole pool to go idle, so independent client sessions can
-/// drive parallel work through a shared worker pool simultaneously. Rethrows
-/// the first exception this call's body threw. The pool must not be shut
-/// down while calls are in flight.
+/// Same, but reuses an existing pool (no per-call thread spawn). The range is
+/// cut into blocks that the calling thread and up to threadCount() helper
+/// tasks claim from one atomic cursor, so the caller works instead of
+/// sleeping while its helpers wait behind other tasks in the pool's queue.
+/// The call returns once every block has run, without waiting for helpers
+/// that found nothing left; it completes even when no worker is free, so a
+/// call from inside a pool task cannot deadlock, and a helper the full
+/// queue has no room for is not started. Safe for concurrent callers
+/// sharing one pool: each tracks only its own blocks. Every block runs even
+/// after one throws; the first exception is rethrown once, on the caller.
 void parallelFor(ThreadPool& pool, size_t n,
                  const std::function<void(size_t, size_t)>& body);
 

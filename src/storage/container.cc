@@ -1,5 +1,6 @@
 #include "storage/container.h"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "common/check.h"
@@ -93,7 +94,19 @@ ByteVec serializeContainer(const Container& container, ContainerCodec codec) {
   return out;
 }
 
-Container parseContainer(ByteView bytes) {
+namespace {
+
+/// A parsed frame. A legacy frame's data section is left in the frame at
+/// [dataOffset, dataOffset + dataLen) for the caller to copy or move; a
+/// codec frame's is already decompressed into container.data.
+struct ParsedFrame {
+  Container container;
+  size_t dataOffset = 0;
+  size_t dataLen = 0;
+};
+
+/// Every structural and checksum check of parseContainer.
+ParsedFrame parseFrame(ByteView bytes) {
   if (bytes.size() < 12)
     throw std::runtime_error("container: input too short");
   const size_t bodySize = bytes.size() - 4;
@@ -107,7 +120,8 @@ Container parseContainer(ByteView bytes) {
   offset += 4;
   if (magic != kContainerMagic && magic != kContainerMagicV2)
     throw std::runtime_error("container: bad magic");
-  Container container;
+  ParsedFrame frame;
+  Container& container = frame.container;
   container.id = getU32(body, offset);
   offset += 4;
 
@@ -116,14 +130,13 @@ Container parseContainer(ByteView bytes) {
     const auto dataLen = getVarint(body, offset);
     if (!dataLen || *dataLen > bodySize - offset)
       throw std::runtime_error("container: truncated data");
-    container.data.assign(
-        body.begin() + static_cast<ptrdiff_t>(offset),
-        body.begin() + static_cast<ptrdiff_t>(offset + *dataLen));
-    offset += static_cast<size_t>(*dataLen);
+    frame.dataOffset = offset;
+    frame.dataLen = static_cast<size_t>(*dataLen);
+    offset += frame.dataLen;
     if (offset != bodySize)
       throw std::runtime_error("container: trailing garbage");
-    checkEntryExtents(container, container.data.size());
-    return container;
+    checkEntryExtents(container, frame.dataLen);
+    return frame;
   }
 
   // Codec frame. The codec byte is validated first: a frame declaring any
@@ -157,7 +170,29 @@ Container parseContainer(ByteView bytes) {
     throw std::runtime_error("container: trailing garbage");
   container.data = decompressBytes(codec, stored, *rawLen);
   container.storageCodec = codec;
-  return container;
+  return frame;
+}
+
+}  // namespace
+
+Container parseContainer(ByteView bytes) {
+  ParsedFrame frame = parseFrame(bytes);
+  if (frame.container.storageCodec == ContainerCodec::kNone)
+    frame.container.data.assign(bytes.begin() + frame.dataOffset,
+                                bytes.begin() + frame.dataOffset +
+                                    frame.dataLen);
+  return std::move(frame.container);
+}
+
+Container parseContainer(ByteVec&& bytes) {
+  ParsedFrame frame = parseFrame(bytes);
+  if (frame.container.storageCodec == ContainerCodec::kNone) {
+    std::memmove(bytes.data(), bytes.data() + frame.dataOffset,
+                 frame.dataLen);
+    bytes.resize(frame.dataLen);
+    frame.container.data = std::move(bytes);
+  }
+  return std::move(frame.container);
 }
 
 ContainerBuilder::ContainerBuilder(uint64_t capacityBytes)

@@ -69,6 +69,11 @@ ByteVec serializeContainer(const Container& container,
 /// decompression output is allocated.
 Container parseContainer(ByteView bytes);
 
+/// Same checks and result, but a legacy frame's data section is moved to the
+/// front of `bytes`, which then becomes Container::data: no second buffer of
+/// the frame's size is allocated. A codec frame decompresses as above.
+Container parseContainer(ByteVec&& bytes);
+
 /// Accumulates chunks until the data payload reaches the capacity, then the
 /// caller seals it into a Container.
 class ContainerBuilder {

@@ -236,9 +236,9 @@ uint32_t ContainerTiers::recover(
       }
       uint64_t physical = 0;
       try {
-        const ByteVec frame = dirs_[at(tier)].get(key);
+        ByteVec frame = dirs_[at(tier)].get(key);
         physical = frame.size();
-        valid = parseContainer(frame).id == id;
+        valid = parseContainer(std::move(frame)).id == id;
       } catch (const std::exception&) {
       }
       if (valid) {
@@ -283,7 +283,12 @@ ContainerTiers::Loaded ContainerTiers::load(uint32_t id) const {
       frame = dirs_[at(Tier::kHot)].get(key);
     }
   }
-  Loaded loaded{std::make_shared<const Container>(parseContainer(frame)), {}};
+  // A hot frame is parsed in place; a cold one from a view, because its
+  // promotion needs the verbatim bytes.
+  Loaded loaded{std::make_shared<const Container>(
+                    fromCold ? parseContainer(frame)
+                             : parseContainer(std::move(frame))),
+                {}};
   if (loaded.container->id != id)
     throw std::runtime_error("BackupStore: container id mismatch in " + key);
   if (fromCold) loaded.coldFrame = std::move(frame);

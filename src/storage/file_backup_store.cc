@@ -482,20 +482,16 @@ bool FileBackupStore::eraseBlob(const std::string& name) {
   return index_.erase(blobKey(name));
 }
 
-std::vector<std::string> FileBackupStore::listNamesLocked(char prefix) {
+std::vector<std::string> FileBackupStore::listBlobs() {
+  std::lock_guard lock(mu_);
   std::vector<std::string> names;
-  index_.forEachKey([&names, prefix](ByteView key) {
-    if (!key.empty() && key[0] == static_cast<uint8_t>(prefix)) {
+  index_.forEachKey([&names](ByteView key) {
+    if (!key.empty() && key[0] == static_cast<uint8_t>(kBlobKeyPrefix)) {
       names.emplace_back(reinterpret_cast<const char*>(key.data()) + 1,
                          key.size() - 1);
     }
   });
   return names;
-}
-
-std::vector<std::string> FileBackupStore::listBlobs() {
-  std::lock_guard lock(mu_);
-  return listNamesLocked(kBlobKeyPrefix);
 }
 
 FileBackupStore::ChunkEntry FileBackupStore::sealedChunkLocked(Fp fp) const {
@@ -573,6 +569,7 @@ uint64_t FileBackupStore::stageRecordBackup(
     for (const auto& [fp, delta] : deltas)
       if (delta != 0) adjustRefsLocked(fp, delta);
     index_.put(manifestKey(name), serializeManifest(chunkRefs));
+    backupNames_.insert(name);
     registry_.counter("store.backups_recorded").add();
     commitLsn = index_.appendedLsn();
   }
@@ -603,6 +600,7 @@ bool FileBackupStore::releaseBackup(const std::string& name) {
     for (const auto& [fp, n] : counts)
       adjustRefsLocked(fp, -static_cast<int64_t>(n));
     index_.erase(manifestKey(name));
+    backupNames_.erase(name);
     registry_.counter("store.backups_released").add();
     commitLsn = index_.appendedLsn();
   }
@@ -613,7 +611,7 @@ bool FileBackupStore::releaseBackup(const std::string& name) {
 
 std::vector<std::string> FileBackupStore::listBackups() {
   std::lock_guard lock(mu_);
-  return listNamesLocked(kManifestKeyPrefix);
+  return {backupNames_.begin(), backupNames_.end()};
 }
 
 std::unordered_map<uint32_t,
@@ -720,7 +718,7 @@ StoreCheckReport FileBackupStore::verify() {
 
   // Manifest accounting: expected refcount per fingerprint.
   std::unordered_map<Fp, uint64_t, FpHash> manifestRefs;
-  for (const std::string& name : listNamesLocked(kManifestKeyPrefix)) {
+  for (const std::string& name : backupNames_) {
     const auto blob = index_.get(manifestKey(name));
     if (!blob) continue;  // racing deletion; nothing to check
     try {
@@ -792,7 +790,7 @@ StoreRecoveryStats FileBackupStore::recover() {
   std::lock_guard lock(mu_);
   // The LogKv constructor already replayed the index log and truncated any
   // torn tail. One pass over it decodes every 'C' entry into the chunk
-  // table and collects every manifest's references.
+  // table and collects every manifest's name and references.
   std::vector<Fp> referenced;
   index_.forEach([this, &referenced](ByteView key, ByteView value) {
     if (key.empty()) return;
@@ -801,6 +799,8 @@ StoreRecoveryStats FileBackupStore::recover() {
     } else if (key[0] == static_cast<uint8_t>(kManifestKeyPrefix)) {
       const std::vector<Fp> refs = parseManifest(value);
       referenced.insert(referenced.end(), refs.begin(), refs.end());
+      backupNames_.emplace(reinterpret_cast<const char*>(key.data()) + 1,
+                           key.size() - 1);
     }
   });
   // Cross-check the container directory against that index. Tier placement

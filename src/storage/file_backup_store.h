@@ -58,6 +58,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -174,7 +175,6 @@ class FileBackupStore : public BackupStore {
   [[nodiscard]] ChunkEntry sealedChunkLocked(Fp fp) const;
   void adjustRefsLocked(Fp fp, int64_t delta);
   std::optional<std::vector<Fp>> backupRefsLocked(const std::string& name);
-  [[nodiscard]] std::vector<std::string> listNamesLocked(char prefix);
   /// Container for admin paths (GC/verify) that already hold mu_. Serves
   /// from the cache when present but never admits (single-visit scans).
   std::shared_ptr<const Container> loadContainerLocked(uint32_t id);
@@ -213,6 +213,9 @@ class FileBackupStore : public BackupStore {
   /// Every sealed chunk: the decoded 'C' entries and their refcounts.
   std::unordered_map<Fp, ChunkEntry, FpHash> chunks_;
   std::unordered_map<Fp, OpenChunk, FpHash> openChunks_;  // not yet sealed
+  /// The name of every manifest in the index, so listing backups reads no
+  /// chunk key. Recovery fills it; commits insert and releases erase.
+  std::set<std::string> backupNames_;
   uint32_t nextContainerId_ = 0;
 
   StoreOptions options_;

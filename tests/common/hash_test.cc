@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace freqdedup {
@@ -193,6 +195,49 @@ TEST(Hash, StreamResetsAfterFinish) {
 TEST(Hash, StreamEmptyInput) {
   Sha256Stream stream;
   EXPECT_EQ(stream.finish().hex(), sha256({}).hex());
+}
+
+// sha256() re-initialises one context per thread: eight threads hashing
+// the FIPS 180 messages at once must each get every published digest.
+TEST(Hash, Sha256VectorsHoldOnEightThreadsAtOnce) {
+  const std::vector<std::pair<std::string, std::string>> vectors = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"}};
+  std::latch start(8);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 20; ++i)
+        for (const auto& [message, digest] : vectors)
+          if (sha256(toBytes(message)).hex() != digest) mismatches.fetch_add(1);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// A stream keeps its own context beside the thread's one-shot context:
+// after each finish() resets it, it gives sha256()'s digest again, also
+// with one-shot calls on the same thread in between.
+TEST(Hash, StreamGivesOneShotDigestAgainAfterFinishResets) {
+  const ByteVec message =
+      toBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  const Digest expected = sha256(message);
+  Sha256Stream stream;
+  for (int round = 0; round < 3; ++round) {
+    stream.update(ByteView(message.data(), 10));
+    EXPECT_EQ(sha256(toBytes("abc")).hex(),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    stream.update(ByteView(message.data() + 10, message.size() - 10));
+    EXPECT_EQ(stream.finish(), expected) << "round " << round;
+  }
 }
 
 TEST(Hash, DigestEquality) {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <latch>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -77,20 +82,66 @@ TEST(Aes, DeterministicIvDerivedFromKey) {
 
 // NIST SP 800-38A, F.5.5 (CTR-AES256.Encrypt): four blocks from the
 // initial counter block f0f1...feff.
-TEST(Aes, NistSp80038aCtrAes256Vector) {
+struct NistCtrVector {
   AesKey key{};
-  const ByteVec keyBytes = hexDecode(
-      "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
-  std::copy(keyBytes.begin(), keyBytes.end(), key.begin());
   AesIv iv{};
-  const ByteVec ivBytes = hexDecode("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-  std::copy(ivBytes.begin(), ivBytes.end(), iv.begin());
-  const ByteVec plain = hexDecode(
+  ByteVec plain = hexDecode(
       "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
       "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710");
-  EXPECT_EQ(hexEncode(aesCtrEncrypt(key, iv, plain)),
-            "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
-            "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6");
+  std::string cipherHex =
+      "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
+      "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6";
+
+  NistCtrVector() {
+    const ByteVec keyBytes = hexDecode(
+        "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+    std::copy(keyBytes.begin(), keyBytes.end(), key.begin());
+    const ByteVec ivBytes = hexDecode("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+    std::copy(ivBytes.begin(), ivBytes.end(), iv.begin());
+  }
+  [[nodiscard]] bool holds() const {
+    return hexEncode(aesCtrEncrypt(key, iv, plain)) == cipherHex;
+  }
+};
+
+TEST(Aes, NistSp80038aCtrAes256Vector) {
+  const NistCtrVector v;
+  EXPECT_EQ(hexEncode(aesCtrEncrypt(v.key, v.iv, v.plain)), v.cipherHex);
+}
+
+// Every call re-keys this thread's one cipher context: eight threads
+// encrypting at once must each get the published ciphertext.
+TEST(Aes, NistCtrVectorHoldsOnEightThreadsAtOnce) {
+  const NistCtrVector v;
+  std::latch start(8);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 200; ++i)
+        if (!v.holds()) mismatches.fetch_add(1);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// A call under one key and IV, or on an empty input, leaves nothing in the
+// thread's context for the next call under another.
+TEST(Aes, NistCtrVectorHoldsInterleavedWithOtherKeysAndEmptyInput) {
+  const NistCtrVector v;
+  Rng rng(3);
+  ByteVec other(1000);
+  for (auto& x : other) x = static_cast<uint8_t>(rng.next());
+  const ByteVec otherCipher = aesCtrEncrypt(testKey(0x33), testIv(0x44), other);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(v.holds());
+    EXPECT_EQ(aesCtrEncrypt(testKey(0x33), testIv(0x44), other), otherCipher);
+    EXPECT_TRUE(aesCtrEncrypt(testKey(0x55), testIv(0x66), {}).empty());
+    EXPECT_TRUE(v.holds());
+    EXPECT_EQ(aesCtrDecrypt(testKey(0x33), testIv(0x44), otherCipher), other);
+  }
 }
 
 TEST(Aes, DeterministicIvIsSha256PrefixOfKey) {

@@ -4,6 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <latch>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -220,6 +224,74 @@ TEST(ParallelForOptionalPool, PoolCoversRangeExactlyOnce) {
     for (size_t i = begin; i < end; ++i) ++hits[i];
   });
   for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
+}
+
+// The calling thread claims blocks too: with the only worker parked, the
+// call still covers the range and returns. Run through std::async so a
+// caller that waits for the worker fails the test instead of hanging it.
+TEST(ParallelForShared, CallerFinishesWhileEveryWorkerIsParked) {
+  ThreadPool pool(1);
+  std::latch release(1);
+  ASSERT_TRUE(pool.submit([&release] { release.wait(); }));
+  constexpr size_t kN = 1'000;
+  std::vector<std::atomic<int>> hits(kN);
+  auto call = std::async(std::launch::async, [&] {
+    parallelFor(pool, kN, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) ++hits[i];
+    });
+  });
+  const bool finished =
+      call.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.count_down();
+  call.get();
+  pool.wait();
+  ASSERT_TRUE(finished) << "parallelFor waited for the parked worker";
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
+}
+
+// A pool task that calls parallelFor on its own 1-worker pool holds the
+// only worker, so only the calling thread can run the blocks.
+TEST(ParallelForShared, NestedCallInsideAPoolTaskCompletes) {
+  auto pool = std::make_unique<ThreadPool>(1);
+  constexpr size_t kN = 1'000;
+  auto hits = std::make_shared<std::vector<std::atomic<int>>>(kN);
+  auto finished = std::make_shared<std::promise<void>>();
+  std::future<void> done = finished->get_future();
+  ASSERT_TRUE(pool->submit([worker = pool.get(), hits, finished] {
+    parallelFor(*worker, kN, [&hits](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) ++(*hits)[i];
+    });
+    finished->set_value();
+  }));
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // The worker is deadlocked; joining it in the destructor would hang.
+    (void)pool.release();
+    FAIL() << "nested parallelFor did not complete";
+  }
+  pool->wait();
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ((*hits)[i], 1) << "index " << i;
+}
+
+// Two blocks throw: the caller gets one of them, once, every other block
+// still runs, and nothing reaches the pool's own error slot.
+TEST(ParallelForShared, ThrowingBlockIsRethrownOnceAndTheOthersStillRun) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 1'000;
+  std::vector<std::atomic<int>> hits(kN);
+  int caught = 0;
+  try {
+    parallelFor(pool, kN, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) ++hits[i];
+      for (const size_t bad : {size_t{0}, size_t{577}})
+        if (begin <= bad && bad < end) throw std::runtime_error("boom");
+    });
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    EXPECT_STREQ(e.what(), "boom");
+  }
+  EXPECT_EQ(caught, 1);
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
+  EXPECT_NO_THROW(pool.wait());
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // The store's chunk table: refcounts live only in memory and are derived
 // from the manifests at open, so a commit logs its manifest and recipe
 // records and nothing per chunk, and an index written in the legacy form
-// (a refcount in every 'C' value) reopens with the manifests' counts.
+// (a refcount in every 'C' value) reopens with the manifests' counts. The
+// manifest names live in memory too, filled the same way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,6 +52,20 @@ std::unordered_map<Fp, uint32_t, FpHash> manifestRefs(BackupStore& store) {
     for (const Fp fp : *manifest) ++refs[fp];
   }
   return refs;
+}
+
+/// The names of the 'M' keys in a closed store's index log, sorted: what
+/// listing backups found by scanning every key.
+std::vector<std::string> manifestKeysOnDisk(const std::string& dir) {
+  LogKv index(dir + "/index.log");
+  std::vector<std::string> names;
+  index.forEachKey([&names](ByteView key) {
+    if (!key.empty() && key[0] == 'M')
+      names.emplace_back(reinterpret_cast<const char*>(key.data()) + 1,
+                         key.size() - 1);
+  });
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 class ChunkTableTest : public ::testing::Test {
@@ -149,6 +166,59 @@ TEST_F(ChunkTableTest, LegacyIndexEntriesReopenWithManifestRefcounts) {
   EXPECT_EQ(client.beginRestore("a", userKey_).readAll(), a);
   EXPECT_EQ(client.beginRestore("b", userKey_).readAll(), b);
   EXPECT_TRUE(store.verify().ok());
+}
+
+// listBackups() serves the manifest names from memory. After each commit,
+// re-commit, delete and GC, and after the reopen that rebuilds the names,
+// they equal the manifest keys in the index log.
+TEST_F(ChunkTableTest, ListedBackupsEqualTheManifestKeysAfterEveryStep) {
+  const ByteVec a = randomContent(31, 64 * 1024);
+  const ByteVec b = randomContent(32, 64 * 1024);
+  const auto commit = [this](DedupClient& client, const std::string& name,
+                             const ByteVec& content) {
+    client.commitBackup(name, backupAll(client, name, content), userKey_,
+                        rng_);
+  };
+  using Run = std::function<void(DedupClient&, FileBackupStore&)>;
+  const struct Step {
+    std::string what;
+    Run run;
+    std::vector<std::string> names;
+  } steps[] = {
+      {"commit a", [&](DedupClient& c, FileBackupStore&) { commit(c, "a", a); },
+       {"a"}},
+      {"commit b and c",
+       [&](DedupClient& c, FileBackupStore&) {
+         commit(c, "b", b);
+         commit(c, "c", a);
+       },
+       {"a", "b", "c"}},
+      {"re-commit a",
+       [&](DedupClient& c, FileBackupStore&) { commit(c, "a", b); },
+       {"a", "b", "c"}},
+      {"delete b",
+       [](DedupClient& c, FileBackupStore&) {
+         EXPECT_TRUE(c.deleteBackup("b"));
+       },
+       {"a", "c"}},
+      {"gc",
+       [](DedupClient&, FileBackupStore& store) { store.collectGarbage(); },
+       {"a", "c"}},
+  };
+  for (const Step& step : steps) {
+    std::vector<std::string> listed;
+    {
+      FileBackupStore store(dir_);
+      DedupClient client(store, km_, chunker_);
+      step.run(client, store);
+      listed = store.listBackups();
+    }
+    const std::vector<std::string> onDisk = manifestKeysOnDisk(dir_);
+    EXPECT_EQ(onDisk, step.names) << step.what;
+    EXPECT_EQ(listed, onDisk) << step.what;
+    FileBackupStore reopened(dir_);
+    EXPECT_EQ(reopened.listBackups(), onDisk) << "reopened after " << step.what;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/crc32.h"
+#include "common/varint.h"
+
 namespace freqdedup {
 namespace {
 
@@ -94,6 +100,89 @@ TEST(Container, MetadataBytesAt32PerFingerprint) {
   ContainerBuilder builder(1024 * 1024);
   for (Fp fp = 0; fp < 10; ++fp) builder.add(fp, 100, {});
   EXPECT_EQ(builder.seal(0).metadataBytes(), 320u);
+}
+
+/// Both overloads parse `frame` the same way. The in-place one gets a copy.
+void expectInPlaceParseEqualsViewParse(const ByteVec& frame) {
+  const Container viewed = parseContainer(ByteView(frame));
+  const Container moved = parseContainer(ByteVec(frame));
+  EXPECT_EQ(moved.id, viewed.id);
+  EXPECT_EQ(moved.entries, viewed.entries);
+  EXPECT_EQ(moved.data, viewed.data);
+  EXPECT_EQ(moved.storageCodec, viewed.storageCodec);
+}
+
+TEST(Container, InPlaceParseEqualsViewParse) {
+  ContainerBuilder builder(64 * 1024);
+  builder.add(0xAAAA, 5, toBytes("hello"));
+  builder.add(0xBBBB, 7, toBytes("world!!"));
+  const ByteVec legacy = serializeContainer(builder.seal(4));
+  expectInPlaceParseEqualsViewParse(legacy);
+  EXPECT_EQ(toString(parseContainer(ByteVec(legacy)).data), "helloworld!!");
+
+  builder.add(1, 8192, {});  // trace mode: an empty data section
+  expectInPlaceParseEqualsViewParse(serializeContainer(builder.seal(5)));
+
+  builder.add(0xCCCC, 4096, ByteVec(4096, 'a'));
+  builder.add(0xDDDD, 4096, ByteVec(4096, 'b'));
+  const ByteVec deflated =
+      serializeContainer(builder.seal(6), ContainerCodec::kDeflate);
+  ASSERT_EQ(parseContainer(ByteView(deflated)).storageCodec,
+            ContainerCodec::kDeflate);
+  expectInPlaceParseEqualsViewParse(deflated);
+}
+
+/// The message parseContainer throws for `frame`, or "" when it parses.
+template <typename Frame>
+std::string parseError(Frame&& frame) {
+  try {
+    parseContainer(std::forward<Frame>(frame));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Replaces the trailing CRC of a frame whose body was edited.
+ByteVec resealed(ByteVec frame) {
+  frame.resize(frame.size() - 4);
+  putU32(frame, crc32c(frame));
+  return frame;
+}
+
+TEST(Container, InPlaceParseRejectsCorruptFramesWithTheSameMessage) {
+  ContainerBuilder builder(64 * 1024);
+  builder.add(1, 3, toBytes("abc"));
+  const ByteVec legacy = serializeContainer(builder.seal(0));
+  builder.add(2, 4096, ByteVec(4096, 'z'));
+  const ByteVec deflated =
+      serializeContainer(builder.seal(1), ContainerCodec::kDeflate);
+
+  std::vector<ByteVec> corrupt;
+  ByteVec flipped = legacy;  // CorruptChecksumRejected
+  flipped[flipped.size() / 2] ^= 0x01;
+  corrupt.push_back(flipped);
+  corrupt.emplace_back(legacy.begin(),  // TruncatedInputRejected
+                       legacy.begin() + static_cast<ptrdiff_t>(legacy.size() / 2));
+  ByteVec badMagic = legacy;
+  badMagic[0] ^= 0xFF;
+  corrupt.push_back(resealed(badMagic));
+  ByteVec garbage = legacy;
+  garbage.insert(garbage.end() - 4, 0x00);
+  corrupt.push_back(resealed(garbage));
+  ByteVec outOfRange = legacy;
+  outOfRange[9 + 8] = 100;  // the entry's size: after magic, id, count, fp
+  corrupt.push_back(resealed(outOfRange));
+  ByteVec badCodec = deflated;
+  badCodec[8] = 0x7F;  // the codec byte, after magic and id
+  corrupt.push_back(resealed(badCodec));
+  corrupt.emplace_back(deflated.begin(), deflated.end() - 8);
+
+  for (size_t i = 0; i < corrupt.size(); ++i) {
+    const std::string viewed = parseError(ByteView(corrupt[i]));
+    EXPECT_NE(viewed, "") << "frame " << i << " parsed";
+    EXPECT_EQ(parseError(ByteVec(corrupt[i])), viewed) << "frame " << i;
+  }
 }
 
 }  // namespace
