@@ -87,10 +87,7 @@ void BackupSession::storeChunk(SealedChunk& c, ByteView plain) {
   BackupMetrics& m = BackupMetrics::get();
   bool known = false;
   if (c.fromMemo) {
-    {
-      std::lock_guard lock(client_->storeMu_);
-      known = client_->store_->putKnownChunk(c.cipherFp, c.size);
-    }
+    known = client_->store_->putKnownChunk(c.cipherFp, c.size);
     // Stale entry (the chunk was collected) or a chunk another session has
     // yet to store: seal it now. Encryption is deterministic, so this is the
     // ciphertext the memo named.
@@ -100,10 +97,7 @@ void BackupSession::storeChunk(SealedChunk& c, ByteView plain) {
   if (known) {
     m.sealMemoHits.add();
   } else {
-    {
-      std::lock_guard lock(client_->storeMu_);
-      isNew = client_->store_->putChunk(c.cipherFp, c.cipher);
-    }
+    isNew = client_->store_->putChunk(c.cipherFp, c.cipher);
     // Only after the put returned: every entry names a chunk that reached
     // the store.
     client_->rememberSeal(c.plainFp, {c.key, c.cipherFp, c.size});

@@ -1,6 +1,6 @@
 #include "client/dedup_client.h"
 
-#include <condition_variable>
+#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -55,9 +55,9 @@ RestoreSession DedupClient::beginRestore(FileRecipe fileRecipe,
 
 namespace {
 
-/// The recipe blob packs both sealed recipes into one value so the pair is
-/// swapped by a single (atomic) log record and can never tear: varint
-/// lengths prefix each sealed section.
+/// The recipe blob packs both sealed recipes into one value, which the store
+/// writes in the same log record as the manifest: varint lengths prefix each
+/// sealed section.
 ByteVec packSealedRecipes(ByteView sealedFile, ByteView sealedKeys) {
   ByteVec out;
   putVarint(out, sealedFile.size());
@@ -87,11 +87,7 @@ std::pair<ByteVec, ByteVec> unpackSealedRecipes(ByteView blob) {
 
 RestoreSession DedupClient::beginRestore(const std::string& name,
                                          const AesKey& userKey) {
-  std::optional<ByteVec> blob;
-  {
-    std::lock_guard lock(storeMu_);
-    blob = store_->getBlob(recipeBlobName(name));
-  }
+  const std::optional<ByteVec> blob = store_->getBlob(recipeBlobName(name));
   if (!blob) throw std::runtime_error("beginRestore: no recipes for " + name);
   const auto [sealedFile, sealedKeys] = unpackSealedRecipes(*blob);
   FileRecipe fileRecipe = parseFileRecipe(openWithUserKey(userKey, sealedFile));
@@ -99,31 +95,15 @@ RestoreSession DedupClient::beginRestore(const std::string& name,
   return RestoreSession(*this, std::move(fileRecipe), std::move(keyRecipe));
 }
 
-std::string DedupClient::recipeBlobName(const std::string& name) {
-  return "recipe:" + name;
-}
-
 void DedupClient::commitBackup(const std::string& name,
                                const BackupOutcome& outcome,
                                const AesKey& userKey, Rng& rng) {
   // The async commit plus a blocking wait for its group sync. The callback
-  // notifies while holding the lock: this frame may otherwise observe `done`,
-  // return and destroy the state before the notify runs on the syncer thread.
-  struct Durable {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool ok = false;
-  } durable;
-  commitBackupAsync(name, outcome, userKey, rng, [&durable](bool ok) {
-    std::lock_guard lock(durable.mu);
-    durable.done = true;
-    durable.ok = ok;
-    durable.cv.notify_all();
-  });
-  std::unique_lock lock(durable.mu);
-  durable.cv.wait(lock, [&durable] { return durable.done; });
-  if (!durable.ok)
+  // owns the promise, so the syncer thread never touches this frame.
+  const auto durable = std::make_shared<std::promise<bool>>();
+  commitBackupAsync(name, outcome, userKey, rng,
+                    [durable](bool ok) { durable->set_value(ok); });
+  if (!durable->get_future().get())
     throw std::runtime_error("commitBackup: metadata sync failed for " + name);
 }
 
@@ -135,42 +115,15 @@ void DedupClient::commitBackupAsync(const std::string& name,
   refs.reserve(outcome.fileRecipe.entries.size());
   for (const RecipeEntry& e : outcome.fileRecipe.entries)
     refs.push_back(e.cipherFp);
-
-  {
-    // Three phases, all staged: the WAL orders the records and durability
-    // is a prefix of that order, so deferring every sync to one final group
-    // commit preserves the crash invariant (at any durable prefix the stored
-    // blob's chunks are covered by the manifest — losing a suffix only ever
-    // loses the blob swap or the shrink, both safe over-retention). The
-    // store lock spans all three so concurrent sessions never observe a
-    // half-swapped recipe/manifest pair.
-    std::lock_guard lock(storeMu_);
-
-    // Phase 1: widen the manifest to old ∪ new, so chunks of both the
-    // current blob and the incoming one stay protected through the swap.
-    const auto oldRefs = store_->backupRefs(name);
-    if (oldRefs) {
-      std::vector<Fp> unionRefs = refs;
-      unionRefs.insert(unionRefs.end(), oldRefs->begin(), oldRefs->end());
-      store_->recordBackupDeferred(name, unionRefs);
-    } else {
-      store_->recordBackupDeferred(name, refs);
-    }
-
-    // Phase 2: swap the sealed recipe pair in one atomic blob put.
-    store_->putBlob(
-        recipeBlobName(name),
-        packSealedRecipes(
-            sealWithUserKey(userKey, serializeFileRecipe(outcome.fileRecipe),
-                            rng),
-            sealWithUserKey(userKey, serializeKeyRecipe(outcome.keyRecipe),
-                            rng)));
-
-    // Phase 3: shrink the manifest to the new references only.
-    if (oldRefs) store_->recordBackupDeferred(name, refs);
-  }
-  // One coalesced durability wait for the whole commit, outside the client
-  // lock so concurrent committers pipeline into a single group fdatasync.
+  // One store record for manifest and recipes, then one coalesced group
+  // sync, so concurrent committers pipeline into a single fdatasync.
+  store_->stageBackup(
+      name, refs,
+      packSealedRecipes(
+          sealWithUserKey(userKey, serializeFileRecipe(outcome.fileRecipe),
+                          rng),
+          sealWithUserKey(userKey, serializeKeyRecipe(outcome.keyRecipe),
+                          rng)));
   store_->syncMetadataAsync(std::move(durable));
 }
 
@@ -182,21 +135,6 @@ std::optional<DedupClient::SealRef> DedupClient::findSeal(Fp plainFp) {
 void DedupClient::rememberSeal(Fp plainFp, const SealRef& ref) {
   std::lock_guard lock(memoMu_);
   sealMemo_.put(plainFp, ref);
-}
-
-bool DedupClient::deleteBackup(const std::string& name) {
-  // Blob first: a crash in between leaves the manifest (safe over-retention
-  // that a re-run or re-commit clears), never recipes whose chunks GC could
-  // reclaim underneath them.
-  std::lock_guard lock(storeMu_);
-  const bool hadBlob = store_->eraseBlob(recipeBlobName(name));
-  const bool hadManifest = store_->releaseBackup(name);
-  return hadBlob || hadManifest;
-}
-
-std::vector<std::string> DedupClient::listBackups() {
-  std::lock_guard lock(storeMu_);
-  return store_->listBackups();
 }
 
 AesKey userKeyFromPassphrase(std::string_view passphrase) {

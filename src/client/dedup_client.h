@@ -14,7 +14,8 @@
 // Every session encrypts and stores through one loop, one chunk at a time
 // on the appending thread (see backup_session.h). Every backup commits
 // through one path too: commitBackup is commitBackupAsync plus a wait, and
-// is durable when it returns.
+// is durable when it returns. A commit is one stageBackup and a delete one
+// releaseBackup: each is one store record, so crash safety lives there.
 //
 // Seal memo: the client remembers, for the 65,536 chunks it sealed most
 // recently, each chunk's key, ciphertext fingerprint and size, keyed on the
@@ -28,9 +29,10 @@
 // with or without the memo.
 //
 // Concurrency: sessions are single-threaded objects, but any number of
-// sessions of one client may run concurrently from different threads —
-// store access is serialized internally and the restore worker pool, shared
-// by all sessions, tracks completion per call (parallelFor on a pool). Recipes and store contents of
+// sessions of one client may run concurrently from different threads. The
+// client takes no lock around the store, whose writers serialize on its own
+// metadata lock, and the restore worker pool, shared by all sessions, tracks
+// completion per call (parallelFor on a pool). Recipes and store contents of
 // each session are bit-identical to a serial run of the same objects;
 // only the interleaving of chunks from different concurrent sessions into
 // containers is scheduling-dependent.
@@ -112,15 +114,11 @@ class DedupClient {
   [[nodiscard]] RestoreSession beginRestore(const std::string& name,
                                             const AesKey& userKey);
 
-  /// Commits a completed backup: seals both recipes under the user key,
-  /// stores them as one blob, and records the backup's chunk references in
-  /// the store so deletion and garbage collection can account for them.
-  ///
-  /// Crash-safe also when re-committing an existing name: the references are
-  /// first widened to the union of old and new (one atomic manifest swap),
-  /// then the recipe blob is swapped (one atomic put), then the references
-  /// shrink to the new set — so at every instant the stored blob's chunks
-  /// are covered by the manifest and GC can never reclaim them.
+  /// Commits a completed backup: seals both recipes under the user key and
+  /// stages them with the backup's chunk references in one store call
+  /// (stageBackup), which logs manifest and recipes as one record, so a
+  /// crash leaves the old or the new pair and GC never reclaims a chunk
+  /// that a surviving recipe names.
   ///
   /// Visible to readers on return; durability is deferred to one coalesced
   /// group sync, whose `durable(ok)` runs on the store's log syncer thread once the whole
@@ -138,25 +136,21 @@ class DedupClient {
   void commitBackup(const std::string& name, const BackupOutcome& outcome,
                     const AesKey& userKey, Rng& rng);
 
-  /// Deletes a committed backup: releases its chunk references and removes
-  /// its sealed recipes. Returns false if no such backup exists. Unreferenced
-  /// chunks are reclaimed by the store's next collectGarbage().
-  bool deleteBackup(const std::string& name);
+  /// Deletes a committed backup's chunk references and sealed recipes in one
+  /// durable store record. Returns false if no such backup exists.
+  /// Unreferenced chunks are reclaimed by the store's next collectGarbage().
+  bool deleteBackup(const std::string& name) {
+    return store_->releaseBackup(name);
+  }
 
   /// Names of all committed backups.
-  [[nodiscard]] std::vector<std::string> listBackups();
+  [[nodiscard]] std::vector<std::string> listBackups() {
+    return store_->listBackups();
+  }
 
-  /// Blob name commitBackup uses for a backup's sealed recipe pair.
-  static std::string recipeBlobName(const std::string& name);
-
-  /// Runs `fn(store)` under the client's writer/admin lock — the hook
-  /// through which owners layered above the client (the server daemon)
-  /// perform store admin operations (auth blobs, flushes)
-  /// that must serialize with concurrent session writes. `fn` must not call
-  /// back into this client.
+  /// `fn(store)`, without a lock; kept for the benchmark's traced ingest.
   template <typename Fn>
   auto withStore(Fn&& fn) {
-    std::lock_guard lock(storeMu_);
     return fn(*store_);
   }
 
@@ -188,12 +182,8 @@ class DedupClient {
   BackupOptions options_;
   RestoreOptions restoreOptions_;
   std::unique_ptr<ThreadPool> pool_;  // restore workers; null if serial
-  // Serializes writer/admin store access across sessions. Restore reads
-  // (getChunks/chunkLocator) deliberately bypass it — the store's read path
-  // is internally synchronized — so concurrent restores overlap their I/O.
-  std::mutex storeMu_;
   // Guards sealMemo_ (a lookup promotes its entry, so reads write too).
-  // Never held together with storeMu_.
+  // Never held across a store call.
   std::mutex memoMu_;
   LruCache<Fp, SealRef, FpHash> sealMemo_{kSealMemoEntries};
 };

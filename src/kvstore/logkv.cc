@@ -150,37 +150,64 @@ void LogKv::replayTail() {
   deadRecords_ = 0;
   tailRecordsReplayed_ = 0;
   tailBytesReplayed_ = 0;
-  wal_->scan(watermark_, [this](const Wal::Record& record) {
-    ParsedRecord parsed;
-    if (!parseRecordPayload(record.payload, parsed))
-      return false;  // CRC-valid but malformed: treat as corruption, stop
-    if (parsed.type == RecordType::kPut) {
-      const auto it = index_.find(parsed.key);
-      if (it != index_.end()) ++deadRecords_;
-      index_[std::move(parsed.key)] = ValueLocation{
-          record.payloadLsn + parsed.valueOffsetInPayload, parsed.valueSize,
-          ValueFile::kWal};
-    } else {
-      if (index_.erase(parsed.key) > 0) ++deadRecords_;
-      ++deadRecords_;  // the tombstone itself is dead space
-    }
+  std::vector<ParsedRecord> ops;
+  wal_->scan(watermark_, [this, &ops](const Wal::Record& record) {
+    // A CRC-valid but malformed record is corruption: stop there.
+    if (!parseOps(record.payload, ops)) return false;
+    for (ParsedRecord& op : ops) applyLocked(op, record.payloadLsn);
     ++tailRecordsReplayed_;
     tailBytesReplayed_ += record.end - record.start;
     return true;
   });
 }
 
+void LogKv::applyLocked(ParsedRecord& op, Lsn payloadLsn) {
+  if (op.type == RecordType::kDelete) {
+    // The tombstone is dead space, and so is the put it erases.
+    deadRecords_ += 1 + index_.erase(op.key);
+    return;
+  }
+  const ValueLocation loc{payloadLsn + op.valueOffsetInPayload, op.valueSize,
+                          ValueFile::kWal};
+  if (!index_.insert_or_assign(std::move(op.key), loc).second) ++deadRecords_;
+}
+
 ByteVec LogKv::encodePutPayload(ByteView key, ByteView value,
-                                size_t& valueOffsetInPayload) {
+                                size_t* valueOffsetInPayload) {
   ByteVec payload;
   payload.reserve(1 + 10 + key.size() + 10 + value.size());
   payload.push_back(static_cast<uint8_t>(RecordType::kPut));
   putVarint(payload, key.size());
   appendBytes(payload, key);
   putVarint(payload, value.size());
-  valueOffsetInPayload = payload.size();
+  if (valueOffsetInPayload) *valueOffsetInPayload = payload.size();
   appendBytes(payload, value);
   return payload;
+}
+
+ByteVec LogKv::encodeDeletePayload(ByteView key) {
+  ByteVec payload{static_cast<uint8_t>(RecordType::kDelete)};
+  putVarint(payload, key.size());
+  appendBytes(payload, key);
+  return payload;
+}
+
+bool LogKv::parseOps(ByteView payload, std::vector<ParsedRecord>& out) {
+  out.clear();
+  if (payload.empty() || payload[0] != static_cast<uint8_t>(RecordType::kBatch))
+    return parseRecordPayload(payload, out.emplace_back());
+  size_t pos = 1;
+  const auto count = getVarint(payload, pos);
+  for (uint64_t i = 0; count && i < *count; ++i) {
+    const auto len = getVarint(payload, pos);
+    // parseRecordPayload takes puts and deletes only: batches do not nest.
+    if (!len || *len > payload.size() - pos ||
+        !parseRecordPayload(payload.subspan(pos, *len), out.emplace_back()))
+      return false;
+    out.back().valueOffsetInPayload += pos;
+    pos += *len;
+  }
+  return count && pos == payload.size();
 }
 
 bool LogKv::parseRecordPayload(ByteView payload, ParsedRecord& out) {
@@ -221,23 +248,44 @@ void LogKv::markCrashedLocked() {
   if (wal_) wal_->markCrashed();
 }
 
-void LogKv::put(ByteView key, ByteView value) {
-  std::lock_guard lock(mu_);
+void LogKv::appendLocked(ByteView payload) {
+  // Applied from its own parse, exactly as replay will apply it.
+  std::vector<ParsedRecord> ops;
+  FDD_CHECK(parseOps(payload, ops));
   try {
-    size_t valueOffsetInPayload = 0;
-    const ByteVec payload = encodePutPayload(key, value,
-                                             valueOffsetInPayload);
     const Lsn payloadLsn = wal_->append(payload);
-    auto [it, inserted] = index_.try_emplace(keyString(key));
-    if (!inserted) ++deadRecords_;
-    it->second = ValueLocation{payloadLsn + valueOffsetInPayload,
-                               static_cast<uint32_t>(value.size()),
-                               ValueFile::kWal};
+    for (ParsedRecord& op : ops) applyLocked(op, payloadLsn);
     maybeCheckpointLocked();
   } catch (const kvcrash::CrashInjected&) {
     markCrashedLocked();
     throw;
   }
+}
+
+void LogKv::put(ByteView key, ByteView value) {
+  const ByteVec payload = encodePutPayload(key, value);
+  std::lock_guard lock(mu_);
+  appendLocked(payload);
+}
+
+void LogKv::Batch::put(ByteView key, ByteView value) {
+  add(encodePutPayload(key, value));
+}
+
+void LogKv::Batch::erase(ByteView key) { add(encodeDeletePayload(key)); }
+
+void LogKv::Batch::add(ByteView op) {
+  putVarint(ops_, op.size());
+  appendBytes(ops_, op);
+  ++count_;
+}
+
+void LogKv::write(const Batch& batch) {
+  ByteVec payload{static_cast<uint8_t>(RecordType::kBatch)};
+  putVarint(payload, batch.count_);
+  appendBytes(payload, batch.ops_);
+  std::lock_guard lock(mu_);
+  appendLocked(payload);
 }
 
 void LogKv::syncAsync(Lsn lsn, std::function<void(bool ok)> done) {
@@ -262,25 +310,8 @@ std::optional<ByteVec> LogKv::get(ByteView key) {
 
 bool LogKv::erase(ByteView key) {
   std::lock_guard lock(mu_);
-  const auto it = index_.find(keyString(key));
-  if (it == index_.end()) return false;
-  try {
-    ByteVec payload;
-    payload.reserve(1 + 10 + key.size());
-    payload.push_back(static_cast<uint8_t>(RecordType::kDelete));
-    putVarint(payload, key.size());
-    appendBytes(payload, key);
-    wal_->append(payload);
-    index_.erase(it);
-    // Two dead records per erase — the erased put and the tombstone
-    // itself — matching what replay counts, so deadRecords() is stable
-    // across a reopen.
-    deadRecords_ += 2;
-    maybeCheckpointLocked();
-  } catch (const kvcrash::CrashInjected&) {
-    markCrashedLocked();
-    throw;
-  }
+  if (!index_.contains(keyString(key))) return false;
+  appendLocked(encodeDeletePayload(key));
   return true;
 }
 
@@ -387,7 +418,7 @@ void LogKv::checkpointLocked() {
     size_t valueOffsetInPayload = 0;
     const ByteVec payload = encodePutPayload(
         ByteView(reinterpret_cast<const uint8_t*>(key.data()), key.size()),
-        value, valueOffsetInPayload);
+        value, &valueOffsetInPayload);
     const uint64_t recordStart = flushedBytes + buf.size();
     putU32(buf, crc32c(payload));
     putU32(buf, static_cast<uint32_t>(payload.size()));

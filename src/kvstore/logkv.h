@@ -23,7 +23,11 @@
 // Record framing (WAL and checkpoint records alike):
 //   [crc32c: u32][payloadLen: u32][payload], payload =
 //   [type: u8][varint keyLen][key][varint valLen][val]
-//   (valLen/val omitted for tombstones).
+//   (valLen/val omitted for tombstones), or for a batch (type 3) a varint
+//   count and count * [varint opLen][put or delete payload]. Replay parses a
+//   whole batch before applying any of it, so a log prefix holds all of a
+//   batch or none; a build without batches truncates the log at the first
+//   one. Checkpoints hold only puts.
 //
 // Thread safety: all operations are safe from any thread. Mutations and
 // reads serialize on an internal mutex; the durability wait in sync()/
@@ -39,6 +43,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.h"
 #include "kvstore/wal.h"
@@ -71,6 +76,24 @@ class LogKv final {
 
   /// Inserts or overwrites a key.
   void put(ByteView key, ByteView value);
+
+  /// An ordered group of puts and erases (an erase is logged even when its
+  /// key is absent) that write() appends as one record.
+  class Batch {
+   public:
+    void put(ByteView key, ByteView value);
+    void erase(ByteView key);
+
+   private:
+    friend class LogKv;
+    void add(ByteView op);
+    ByteVec ops_;  // per operation: varint length, put or delete payload
+    uint64_t count_ = 0;
+  };
+
+  /// Appends `batch` as one record (every log prefix holds all of it or
+  /// none) and applies its operations in order; durable as a put is.
+  void write(const Batch& batch);
 
   /// Registers `done(ok)` to run once every record below `lsn` is durable
   /// (see Wal::syncAsync): callbacks run on the WAL's syncer thread, outside
@@ -116,9 +139,9 @@ class LogKv final {
   /// Bytes in the replayable WAL tail (what recovery would replay).
   [[nodiscard]] uint64_t logBytes() const;
   /// Dead records accumulated since the last checkpoint: one per
-  /// overwritten put, two per erase (the erased put + the tombstone
-  /// itself) — counted identically by live mutations and by replay, so the
-  /// value is stable across reopen.
+  /// overwritten put and per tombstone, plus the put an erase removes —
+  /// counted identically by live mutations and by replay, so the value is
+  /// stable across reopen.
   [[nodiscard]] uint64_t deadRecords() const;
   [[nodiscard]] const std::string& path() const { return path_; }
 
@@ -139,7 +162,7 @@ class LogKv final {
   void bindMetrics(obs::MetricsRegistry& registry);
 
  private:
-  enum class RecordType : uint8_t { kPut = 1, kDelete = 2 };
+  enum class RecordType : uint8_t { kPut = 1, kDelete = 2, kBatch = 3 };
   /// Where a value's bytes live.
   enum class ValueFile : uint8_t { kWal, kCkpt };
 
@@ -166,8 +189,17 @@ class LogKv final {
   /// destructors perform no further I/O.
   void markCrashedLocked();
   static bool parseRecordPayload(ByteView payload, ParsedRecord& out);
+  /// A put, a delete or every operation of a batch, value offsets relative
+  /// to `payload`; false when any part is malformed.
+  static bool parseOps(ByteView payload, std::vector<ParsedRecord>& out);
   static ByteVec encodePutPayload(ByteView key, ByteView value,
-                                  size_t& valueOffsetInPayload);
+                                  size_t* valueOffsetInPayload = nullptr);
+  static ByteVec encodeDeletePayload(ByteView key);
+  /// Appends one record and applies its parse (put, erase and write).
+  void appendLocked(ByteView payload);
+  /// Applies one operation of the record whose payload is at `payloadLsn`;
+  /// shared with replay, so deadRecords() is the same after a reopen.
+  void applyLocked(ParsedRecord& op, Lsn payloadLsn);
 
   [[nodiscard]] std::string ckptPath() const { return path_ + ".ckpt"; }
   [[nodiscard]] std::string ckptTmpPath() const {

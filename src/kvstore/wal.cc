@@ -167,7 +167,7 @@ Lsn Wal::append(ByteView payload) {
   // threshold (a put-heavy stretch with no sync in sight), write it to the
   // file WITHOUT a sync — durability is still deferred to the next group
   // fdatasync, which covers spilled bytes for free. Spilling only happens
-  // while no leader is writing, so file regions never overlap.
+  // while no leader holds bytes to write, so file regions never overlap.
   constexpr size_t kSpillBytes = 1 << 20;
   Lsn payloadLsn = 0;
   {
@@ -239,11 +239,12 @@ void Wal::writeLeaderGroup(std::unique_lock<std::mutex>& syncLock) {
     // the authoritative tail), mark the log crashed so no caller believes a
     // later sync succeeded, and wake everyone.
     {
+      // The pwrite may have partly landed: never re-serve it from memory
+      // (a failed write is unrecoverable for this instance anyway).
       std::lock_guard bufLock(bufMu_);
-      writtenLsn_ = target;  // pwrite may have partially landed; readAt must
-      writingBuf_.clear();   // not re-serve these bytes from memory if the
-      writingGroupRecords_ = 0;  // file now holds them — but a failed write
-      // is unrecoverable for this instance either way:
+      writtenLsn_ = std::max(writtenLsn_, target);
+      writingBuf_.clear();
+      writingGroupRecords_ = 0;
     }
     syncLock.lock();
     crashed_ = true;
@@ -259,8 +260,9 @@ void Wal::writeLeaderGroup(std::unique_lock<std::mutex>& syncLock) {
     groupBytesMetric_->record(writingBuf_.size());
   }
   {
+    // Never back: appends may spill past target during an empty group.
     std::lock_guard bufLock(bufMu_);
-    writtenLsn_ = target;
+    writtenLsn_ = std::max(writtenLsn_, target);
     writingBuf_.clear();
     writingGroupRecords_ = 0;
   }

@@ -19,10 +19,10 @@ RemoteDedupClient::RemoteDedupClient(const std::string& address,
   Hello hello;
   hello.tenant = tenant;
   hello.passphrase = passphrase;
-  serverHello_ = decodeHelloOk(roundTrip(encode(hello)));
-  if (serverHello_.version != kWireVersion)
+  const HelloOk ok = decodeHelloOk(roundTrip(encode(hello)));
+  if (ok.version != kWireVersion)
     throw std::runtime_error("server speaks protocol version " +
-                             std::to_string(serverHello_.version));
+                             std::to_string(ok.version));
 }
 
 ByteVec RemoteDedupClient::roundTrip(ByteView requestPayload) {

@@ -105,7 +105,6 @@ class RemoteDedupClient {
   void shutdownServer();
 
   [[nodiscard]] const std::string& tenant() const { return tenant_; }
-  [[nodiscard]] const HelloOk& serverHello() const { return serverHello_; }
 
  private:
   /// Sends one request payload and reads one response payload; throws
@@ -114,7 +113,6 @@ class RemoteDedupClient {
 
   Fd fd_;
   std::string tenant_;
-  HelloOk serverHello_;
 };
 
 }  // namespace freqdedup::server

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -82,17 +83,13 @@ struct FreqDedupServer::Conn {
   Rng rng{secureSeed()};
   uint64_t nextId = 1;
   std::map<uint64_t, std::unique_ptr<BackupSession>> backups;
-  struct OpenRestore {
-    std::string name;
-    RestoreSession session;  // ranges stream on demand; nothing materialized
-  };
-  std::map<uint64_t, OpenRestore> restores;
+  /// Ranges stream on demand; nothing is materialized.
+  std::map<uint64_t, RestoreSession> restores;
 };
 
 FreqDedupServer::FreqDedupServer(const std::string& storeDir,
                                  ServerOptions options)
-    : storeDir_(storeDir),
-      options_(std::move(options)),
+    : options_(std::move(options)),
       bound_(parseAddress(options_.address)),
       store_(std::make_unique<FileBackupStore>(storeDir, options_.store)),
       keyManager_(toBytes(kKeyManagerSecret)),
@@ -162,12 +159,7 @@ void FreqDedupServer::stop() {
     }
     conns_.clear();
   }
-  if (client_) {
-    client_->withStore([](BackupStore& s) {
-      s.flush();
-      return 0;
-    });
-  }
+  store_->flush();
   listener_.reset();
   if (bound_.kind == Address::Kind::kUnix) ::unlink(bound_.path.c_str());
 }
@@ -577,8 +569,7 @@ void FreqDedupServer::handleRestoreOpen(const std::shared_ptr<Conn>& conn,
   RestoreSession session = client_->beginRestore(scoped, conn->userKey);
   const uint64_t size = session.size();
   const uint64_t id = conn->nextId++;
-  conn->restores.emplace(id,
-                         Conn::OpenRestore{req.name, std::move(session)});
+  conn->restores.emplace(id, std::move(session));
   tenants_.recordRestore(conn->tenant);
   sendReply(conn, encode(RestoreOpened{id, size}));
 }
@@ -591,7 +582,7 @@ void FreqDedupServer::handleRestoreRange(const std::shared_ptr<Conn>& conn,
     sendError(conn, ErrorCode::kBadRequest, "unknown restore id");
     return;
   }
-  RestoreSession& session = it->second.session;
+  RestoreSession& session = it->second;
   RestoreData out;
   const uint64_t len =
       std::min(req.length, static_cast<uint64_t>(kMaxDataBytes));
@@ -620,50 +611,50 @@ void FreqDedupServer::handleDelete(const std::shared_ptr<Conn>& conn,
 void FreqDedupServer::handleList(const std::shared_ptr<Conn>& conn,
                                  ByteView payload) {
   const ListBackups req = decodeListBackups(payload);
-  std::vector<std::string> names;
-  for (const std::string& scoped : client_->listBackups())
-    if (auto bare = unscopeBackupName(conn->tenant, scoped))
-      if (*bare > req.startAfter) names.push_back(std::move(*bare));
-  std::sort(names.begin(), names.end());
-  // One sorted page per reply, bounded by the byte budget so the encoded
-  // frame can never outgrow kMaxFrameBytes no matter how many backups a
-  // tenant holds; the client continues from names.back() while truncated.
+  // One sorted page of this tenant's names per reply, bounded by the byte
+  // budget so the encoded frame can never outgrow kMaxFrameBytes no matter
+  // how many backups a tenant holds; the client continues from
+  // names.back() while truncated.
   ListResult out;
   uint64_t budget = options_.listBytesPerReply;
-  for (std::string& name : names) {
-    const uint64_t cost = name.size() + 10;  // name bytes + varint framing
-    if (!out.names.empty() &&
-        (cost > budget || out.names.size() >= kMaxListNames)) {
-      out.truncated = true;
-      break;
-    }
-    budget -= std::min(budget, cost);
-    out.names.push_back(std::move(name));
-  }
+  tenants_.forEachBackupAfter(
+      conn->tenant, req.startAfter, [&](std::string_view name) {
+        const uint64_t cost = name.size() + 10;  // name + varint framing
+        if (!out.names.empty() &&
+            (cost > budget || out.names.size() >= kMaxListNames)) {
+          out.truncated = true;
+          return false;
+        }
+        budget -= std::min(budget, cost);
+        out.names.emplace_back(name);
+        return true;
+      });
   sendReply(conn, encode(out));
 }
 
 bool FreqDedupServer::authenticateTenant(const std::string& tenant,
                                          const std::string& passphrase) {
   const std::string blobName = authBlobName(tenant);
-  std::optional<ByteVec> record = client_->withStore(
-      [&](BackupStore& s) { return s.getBlob(blobName); });
-  if (record) return checkAuthVerifier(*record, passphrase);
+  if (const auto record = store_->getBlob(blobName))
+    return checkAuthVerifier(*record, passphrase);
   // First Hello for this tenant: register its verifier. The KDF — the
-  // expensive part — runs outside the store lock; the put-if-absent under
-  // the lock makes two racing first connects deterministic (one registers,
-  // the other re-verifies against the winner's record).
+  // expensive part — runs outside the commit lock; the put-if-absent under
+  // it makes two racing first connects deterministic (one registers, the
+  // other re-verifies against the winner's record).
   const ByteVec fresh = makeAuthVerifier(passphrase);
-  bool registered = false;
-  record = client_->withStore(
-      [&](BackupStore& s) -> std::optional<ByteVec> {
-        if (auto existing = s.getBlob(blobName)) return existing;
-        s.putBlob(blobName, fresh);
-        registered = true;
-        return std::nullopt;
-      });
-  if (registered) return true;
-  return checkAuthVerifier(*record, passphrase);
+  {
+    std::lock_guard commitLock(commitMu_);
+    if (const auto record = store_->getBlob(blobName))
+      return checkAuthVerifier(*record, passphrase);
+    store_->putBlob(blobName, fresh);
+  }
+  // HelloOk must not outrun the verifier to disk, or after a kill another
+  // passphrase could claim the tenant: one sync per tenant, ever.
+  const auto durable = std::make_shared<std::promise<bool>>();
+  store_->syncMetadataAsync([durable](bool ok) { durable->set_value(ok); });
+  if (!durable->get_future().get())
+    throw std::runtime_error("tenant verifier not durable: log sync failed");
+  return true;
 }
 
 void FreqDedupServer::handleStats(const std::shared_ptr<Conn>& conn) {

@@ -148,12 +148,11 @@ class FreqDedupServer {
   void handleDelete(const std::shared_ptr<Conn>& conn, ByteView payload);
   void handleList(const std::shared_ptr<Conn>& conn, ByteView payload);
   void handleStats(const std::shared_ptr<Conn>& conn);
-  /// Verifies (or, on a tenant's first Hello, establishes) the tenant
-  /// passphrase verifier. Returns false on mismatch.
+  /// Verifies (or, on a tenant's first Hello, establishes and waits until
+  /// durable) the tenant passphrase verifier. Returns false on mismatch.
   bool authenticateTenant(const std::string& tenant,
                           const std::string& passphrase);
 
-  std::string storeDir_;
   ServerOptions options_;
   Address bound_;
   std::unique_ptr<BackupStore> store_;
@@ -176,11 +175,11 @@ class FreqDedupServer {
 
   /// Serializes stop() against concurrent/double calls.
   std::mutex stopMu_;
-  /// Serializes finishes (quota check → commit staging → accounting) and
-  /// deletes, so two concurrent finishes can't both squeeze past a
-  /// nearly-full quota and the registry's per-backup map changes in the
-  /// store's commit order. Appends — the heavy part — stay parallel, and
-  /// the deferred durability syncs still coalesce across commits.
+  /// Serializes finishes (quota check → commit staging → accounting),
+  /// deletes and first-Hello verifier registration, so two concurrent
+  /// finishes can't both squeeze past a nearly-full quota and the registry's
+  /// per-backup map changes in the store's commit order. Appends — the
+  /// heavy part — stay parallel, and durability syncs still coalesce.
   std::mutex commitMu_;
 
   /// Deferred (async-commit) completions still in flight; stop() drains

@@ -38,13 +38,6 @@ std::string scopedBackupName(const std::string& tenant,
   return kScopedPrefix + tenant + "/" + name;
 }
 
-std::optional<std::string> unscopeBackupName(const std::string& tenant,
-                                             const std::string& scoped) {
-  const std::string prefix = kScopedPrefix + tenant + "/";
-  if (scoped.rfind(prefix, 0) != 0) return std::nullopt;
-  return scoped.substr(prefix.size());
-}
-
 std::string authBlobName(const std::string& tenant) {
   return kAuthPrefix + tenant;
 }
@@ -168,6 +161,18 @@ bool TenantRegistry::hasBackup(const std::string& tenant,
                                const std::string& scoped) {
   std::lock_guard lock(mu_);
   return tenantLocked(tenant).backupBytes.contains(scoped);
+}
+
+void TenantRegistry::forEachBackupAfter(
+    const std::string& tenant, const std::string& startAfter,
+    const std::function<bool(std::string_view)>& fn) {
+  // Every key is scopedBackupName(tenant, bare): one prefix strips them all.
+  const size_t prefixBytes = scopedBackupName(tenant, "").size();
+  std::lock_guard lock(mu_);
+  const auto& names = tenantLocked(tenant).backupBytes;
+  for (auto it = names.upper_bound(scopedBackupName(tenant, startAfter));
+       it != names.end(); ++it)
+    if (!fn(std::string_view(it->first).substr(prefixBytes))) return;
 }
 
 uint64_t TenantRegistry::logicalBytes(const std::string& tenant) {

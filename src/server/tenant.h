@@ -30,13 +30,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/bloom_filter.h"
@@ -59,11 +60,6 @@ bool validTenantId(const std::string& tenant);
 /// a valid tenant id; names may contain anything.
 std::string scopedBackupName(const std::string& tenant,
                              const std::string& name);
-
-/// Inverse of scopedBackupName for one tenant's prefix: returns the bare
-/// name, or nullopt when `scoped` belongs to a different tenant.
-std::optional<std::string> unscopeBackupName(const std::string& tenant,
-                                             const std::string& scoped);
 
 // ---- Tenant authentication ----
 //
@@ -134,6 +130,11 @@ class TenantRegistry {
 
   [[nodiscard]] bool hasBackup(const std::string& tenant,
                                const std::string& scoped);
+  /// Visits the tenant's bare backup names after `startAfter`, sorted,
+  /// until `fn` returns false; `fn` runs under the registry's lock.
+  void forEachBackupAfter(const std::string& tenant,
+                          const std::string& startAfter,
+                          const std::function<bool(std::string_view)>& fn);
   [[nodiscard]] uint64_t logicalBytes(const std::string& tenant);
   [[nodiscard]] uint64_t backupCount(const std::string& tenant);
 
@@ -142,8 +143,8 @@ class TenantRegistry {
  private:
   struct Tenant {
     uint64_t logicalBytes = 0;  // sum of backupBytes' values
-    /// Logical bytes of each committed backup, by scoped name.
-    std::unordered_map<std::string, uint64_t> backupBytes;
+    /// Logical bytes of each committed backup, by scoped name (sorted).
+    std::map<std::string, uint64_t> backupBytes;
     /// Fingerprints this tenant has stored before (approximate set).
     BloomFilter seen{1u << 18, 0.01};
   };

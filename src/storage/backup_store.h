@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,11 @@ struct StoreReadStats {
   uint64_t promotions = 0;      // cold containers copied back to hot
 };
 
+/// Blob name under which stageBackup stores a backup's sealed recipes.
+inline std::string recipeBlobName(const std::string& name) {
+  return "recipe:" + name;
+}
+
 class BackupStore {
  public:
   virtual ~BackupStore() = default;
@@ -167,9 +173,8 @@ class BackupStore {
   ///
   /// Read-path thread safety: getChunks, getChunk, chunkLocator and
   /// readStats on FileBackupStore are safe to call concurrently with
-  /// each other AND with writer operations (which the caller still
-  /// serializes, as DedupClient does) — restore I/O must not hold the
-  /// writer lock.
+  /// each other AND with writer operations (which the store serializes on
+  /// its own metadata lock) — restore I/O does not hold that lock.
   virtual std::vector<ByteVec> getChunks(std::span<const Fp> cipherFps) = 0;
 
   /// Container placement of stored chunks for locality-aware read planning:
@@ -206,6 +211,16 @@ class BackupStore {
   virtual void recordBackupDeferred(const std::string& name,
                                     std::span<const Fp> chunkRefs) = 0;
 
+  /// Stages a backup's manifest (as recordBackupDeferred) and its sealed
+  /// recipe blob (getBlob(recipeBlobName(name))) as one record, so a crash
+  /// leaves the old or the new pair. The base body throws: the benchmark's
+  /// TracedStore does not override it and only backs restore-only clients.
+  virtual void stageBackup(const std::string& /*name*/,
+                           std::span<const Fp> /*chunkRefs*/,
+                           ByteView /*recipeBlob*/) {
+    throw std::logic_error("stageBackup: not supported by this store");
+  }
+
   /// Registers `done(ok)` to run once every metadata mutation issued so far
   /// (manifests, blobs, index entries) is durable. FileBackupStore runs
   /// callbacks on its log's syncer thread, outside the store locks, and
@@ -213,9 +228,9 @@ class BackupStore {
   /// must not destroy the store.
   virtual void syncMetadataAsync(std::function<void(bool ok)> done) = 0;
 
-  /// Deletes a backup's manifest and decrements the reference counts it
-  /// held. Returns false if no such backup was recorded. Chunk data is only
-  /// reclaimed by the next collectGarbage().
+  /// Deletes a backup's manifest and recipe blob in one durable record and
+  /// decrements the reference counts it held. Returns false if neither
+  /// exists. Chunk data is only reclaimed by the next collectGarbage().
   virtual bool releaseBackup(const std::string& name) = 0;
 
   /// Names of all recorded backups.

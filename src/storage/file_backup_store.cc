@@ -519,7 +519,7 @@ void FileBackupStore::adjustRefsLocked(Fp fp, int64_t delta) {
 
 void FileBackupStore::recordBackup(const std::string& name,
                                    std::span<const Fp> chunkRefs) {
-  const Lsn commitLsn = stageRecordBackup(name, chunkRefs);
+  const Lsn commitLsn = stageRecordBackup(name, chunkRefs, std::nullopt);
   // Durable commit, outside the metadata lock: when recordBackup returns,
   // the manifest survives power loss. Concurrent committers block here
   // together and one group fdatasync covers all of them (the group-commit
@@ -531,7 +531,7 @@ void FileBackupStore::recordBackupDeferred(const std::string& name,
                                            std::span<const Fp> chunkRefs) {
   // Same staging, durability deferred to the caller's syncMetadataAsync()/
   // flush(): the pipelined form the server's commit path rides.
-  stageRecordBackup(name, chunkRefs);
+  stageRecordBackup(name, chunkRefs, std::nullopt);
 }
 
 void FileBackupStore::syncMetadataAsync(
@@ -545,35 +545,34 @@ void FileBackupStore::syncMetadataAsync(
 }
 
 uint64_t FileBackupStore::stageRecordBackup(
-    const std::string& name, std::span<const Fp> chunkRefs) {
-  Lsn commitLsn = 0;
-  {
-    std::lock_guard lock(mu_);
-    sealOpenContainerLocked();
-    std::unordered_map<Fp, int64_t, FpHash> deltas;
-    for (const Fp fp : chunkRefs) ++deltas[fp];
-    // Validate every reference before mutating anything, so a bad manifest
-    // cannot leave refcounts half-applied.
-    for (const auto& [fp, n] : deltas) {
-      if (!chunks_.contains(fp))
-        throw std::runtime_error("recordBackup: chunk not stored: " +
-                                 fpToHex(fp));
-    }
-    // Re-recording a name replaces its references. The old manifest is never
-    // erased first: the manifest key is swapped in one put (atomic at the
-    // log-record level), so a crash at any point leaves either the old or
-    // the new manifest — never none. Refcounts move by delta in memory only;
-    // the next open derives them from whichever manifest survived.
-    for (const Fp fp : backupRefsLocked(name).value_or(std::vector<Fp>{}))
-      --deltas[fp];
-    for (const auto& [fp, delta] : deltas)
-      if (delta != 0) adjustRefsLocked(fp, delta);
-    index_.put(manifestKey(name), serializeManifest(chunkRefs));
-    backupNames_.insert(name);
-    registry_.counter("store.backups_recorded").add();
-    commitLsn = index_.appendedLsn();
+    const std::string& name, std::span<const Fp> chunkRefs,
+    std::optional<ByteView> recipeBlob) {
+  std::lock_guard lock(mu_);
+  sealOpenContainerLocked();
+  std::unordered_map<Fp, int64_t, FpHash> deltas;
+  for (const Fp fp : chunkRefs) ++deltas[fp];
+  // Validate every reference before mutating anything, so a bad manifest
+  // cannot leave refcounts half-applied.
+  for (const auto& [fp, n] : deltas) {
+    if (!chunks_.contains(fp))
+      throw std::runtime_error("recordBackup: chunk not stored: " +
+                               fpToHex(fp));
   }
-  return commitLsn;
+  // Re-recording a name replaces its references: manifest and recipe blob
+  // are swapped in one batch record, so a crash leaves the old pair or the
+  // new one. Refcounts move by delta in memory only; the next open derives
+  // them from whichever manifest survived.
+  for (const Fp fp : backupRefsLocked(name).value_or(std::vector<Fp>{}))
+    --deltas[fp];
+  LogKv::Batch batch;
+  batch.put(manifestKey(name), serializeManifest(chunkRefs));
+  if (recipeBlob) batch.put(blobKey(recipeBlobName(name)), *recipeBlob);
+  index_.write(batch);
+  for (const auto& [fp, delta] : deltas)
+    if (delta != 0) adjustRefsLocked(fp, delta);
+  backupNames_.insert(name);
+  registry_.counter("store.backups_recorded").add();
+  return index_.appendedLsn();
 }
 
 std::optional<std::vector<Fp>> FileBackupStore::backupRefsLocked(
@@ -593,13 +592,15 @@ bool FileBackupStore::releaseBackup(const std::string& name) {
   Lsn commitLsn = 0;
   {
     std::lock_guard lock(mu_);
-    const auto blob = index_.get(manifestKey(name));
-    if (!blob) return false;
-    std::unordered_map<Fp, uint32_t, FpHash> counts;
-    for (const Fp fp : parseManifest(*blob)) ++counts[fp];
-    for (const auto& [fp, n] : counts)
-      adjustRefsLocked(fp, -static_cast<int64_t>(n));
-    index_.erase(manifestKey(name));
+    const auto refs = backupRefsLocked(name);
+    const ByteVec recipeKey = blobKey(recipeBlobName(name));
+    if (!refs && !index_.contains(recipeKey)) return false;
+    // One batch record: no log prefix holds the manifest without its recipe.
+    LogKv::Batch batch;
+    batch.erase(manifestKey(name));
+    batch.erase(recipeKey);
+    index_.write(batch);
+    for (const Fp fp : refs.value_or(std::vector<Fp>{})) adjustRefsLocked(fp, -1);
     backupNames_.erase(name);
     registry_.counter("store.backups_released").add();
     commitLsn = index_.appendedLsn();
@@ -620,10 +621,6 @@ FileBackupStore::chunkEntriesByContainerLocked() {
   std::unordered_map<uint32_t, std::vector<std::pair<Fp, ChunkEntry>>> result;
   for (const auto& [fp, e] : chunks_) result[e.containerId].emplace_back(fp, e);
   return result;
-}
-
-void FileBackupStore::flushIndexLocked() {
-  index_.flush();
 }
 
 GcStats FileBackupStore::collectGarbage() {
@@ -673,7 +670,7 @@ GcStats FileBackupStore::collectGarbage() {
 
   // Phase 2: persist the relocations before anything is deleted.
   sealOpenContainerLocked();
-  flushIndexLocked();
+  index_.flush();
 
   // Phase 3: drop dead index entries and reclaim the doomed containers.
   for (const uint32_t id : doomed) {
@@ -840,14 +837,14 @@ StoreRecoveryStats FileBackupStore::recover() {
     storedBytes_.add(e.size);
   }
   if (rs.entriesDropped > 0 || rs.orphanContainersRemoved > 0)
-    flushIndexLocked();
+    index_.flush();
   return rs;
 }
 
 void FileBackupStore::flush() {
   std::lock_guard lock(mu_);
   sealOpenContainerLocked();
-  flushIndexLocked();
+  index_.flush();
 }
 
 }  // namespace freqdedup

@@ -12,16 +12,16 @@
 // under one-byte key prefixes:
 //
 //   'C' + fp(u64)   -> containerId u32, entryIndex u32, size u32
-//   'B' + name      -> blob bytes (sealed recipes)
+//   'B' + name      -> blob bytes ('B' + "recipe:<backup>": sealed recipes)
 //   'M' + name      -> manifest: varint count, count * fp(u64), crc32c
 //
 // (A 'C' value of 16 bytes is the legacy form, which appended a refcount u32;
 // it still decodes, and its refcount is ignored.) The 'C' entries are decoded
 // once at open into an in-memory chunk table that serves every lookup.
 // Refcounts are never logged: recovery derives each chunk's count from the
-// manifests, and commits and releases move it in memory. A commit therefore
-// appends its manifest swap and nothing per chunk, and the counts match the
-// manifests at every log prefix a crash can leave.
+// manifests, and commits and releases move it in memory. A commit writes its
+// manifest and recipe blob as one LogKv batch record (a release erases both
+// in one), so the counts match the manifests at every log prefix.
 //
 // Containers are written atomically (tmp + rename) and *before* their index
 // entries, so after a process kill the index never references a container
@@ -37,8 +37,8 @@
 // derived from the manifests.
 //
 // Locking: a single internal mutex guards all metadata (index, chunk table,
-// open container, stats). Writer operations are additionally serialized by the
-// caller (DedupClient), as before. The read path (getChunk/getChunks/
+// open container, stats) and serializes every writer, so callers need no
+// lock of their own. The read path (getChunk/getChunks/
 // chunkLocator) holds the mutex only for index lookups — container file
 // reads, parses and payload copies run outside it, so concurrent restores
 // make overlapping I/O progress. Sealed containers are immutable and their
@@ -104,6 +104,10 @@ class FileBackupStore : public BackupStore {
                     std::span<const Fp> chunkRefs) override;
   void recordBackupDeferred(const std::string& name,
                             std::span<const Fp> chunkRefs) override;
+  void stageBackup(const std::string& name, std::span<const Fp> chunkRefs,
+                   ByteView recipeBlob) override {
+    stageRecordBackup(name, chunkRefs, recipeBlob);
+  }
   void syncMetadataAsync(std::function<void(bool ok)> done) override;
   bool releaseBackup(const std::string& name) override;
   [[nodiscard]] std::vector<std::string> listBackups() override;
@@ -161,11 +165,12 @@ class FileBackupStore : public BackupStore {
   /// index.
   StoreRecoveryStats recover();
 
-  /// Shared body of recordBackup / recordBackupDeferred: stages the manifest
-  /// swap, moves the in-memory refcounts under mu_ and returns the LSN a
-  /// durability wait must cover.
+  /// Shared body of recordBackup, recordBackupDeferred and stageBackup:
+  /// writes the manifest (and recipe blob) as one record, moves the
+  /// refcounts under mu_ and returns the LSN a durability wait must cover.
   uint64_t stageRecordBackup(const std::string& name,
-                             std::span<const Fp> chunkRefs);
+                             std::span<const Fp> chunkRefs,
+                             std::optional<ByteView> recipeBlob);
 
   // Metadata helpers; all require mu_ to be held by the caller.
   [[nodiscard]] bool hasChunkLocked(Fp cipherFp) const;
@@ -182,7 +187,6 @@ class FileBackupStore : public BackupStore {
   [[nodiscard]] std::unordered_map<
       uint32_t, std::vector<std::pair<Fp, ChunkEntry>>>
   chunkEntriesByContainerLocked();
-  void flushIndexLocked();
 
   /// Copies a cold container's frame back into the hot tier (verbatim
   /// bytes) and removes the cold copy. No-op when the container is no

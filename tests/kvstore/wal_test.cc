@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "kvstore/crash_point.h"
 #include "obs/metrics.h"
 
 namespace freqdedup {
@@ -198,6 +201,51 @@ TEST_F(WalTest, ConcurrentCommittersAllDurableWithGroupedSyncs) {
     return true;
   });
   EXPECT_EQ(records, static_cast<size_t>(kThreads) * kCommitsPerThread);
+}
+
+// A record that spills the slot buffer to the file while a sync leads a
+// group with nothing left to write (an earlier spill wrote it all) must not
+// be overwritten by the next spill: every record stays readable, live and
+// after a reopen. The spill runs inside the leader's write-to-sync window
+// through the crash hook, which appends instead of crashing.
+Wal* g_spillWal = nullptr;
+ByteVec g_spillPayload;
+bool appendDuringLeaderSync(const char* point) {
+  if (std::string(point) == "wal.after_write" && g_spillWal != nullptr) {
+    Wal* wal = std::exchange(g_spillWal, nullptr);
+    wal->append(g_spillPayload);
+  }
+  return false;
+}
+
+TEST_F(WalTest, SpillDuringAnEmptyGroupSyncKeepsEveryRecord) {
+  const size_t kBig = 1 << 20;  // the slot buffer's spill threshold
+  const ByteVec first(kBig, 0x11);
+  const ByteVec third(kBig, 0x33);
+  g_spillPayload.assign(kBig, 0x22);
+  std::vector<Lsn> lsns;
+  {
+    Wal wal(path_);
+    lsns.push_back(wal.append(first));  // spills: written, not yet durable
+    g_spillWal = &wal;
+    kvcrash::setHook(appendDuringLeaderSync);
+    wal.syncAll();  // the leader's group is empty; the hook spills the 2nd
+    kvcrash::setHook(nullptr);
+    ASSERT_EQ(g_spillWal, nullptr) << "hook never ran";
+    lsns.push_back(wal.appendedLsn() - kBig);
+    lsns.push_back(wal.append(third));  // spills again
+    wal.syncAll();
+    EXPECT_EQ(wal.readAt(lsns[0], kBig), first);
+    EXPECT_EQ(wal.readAt(lsns[1], kBig), g_spillPayload);
+    EXPECT_EQ(wal.readAt(lsns[2], kBig), third);
+  }
+  Wal reopened(path_);
+  std::vector<ByteVec> seen;
+  reopened.scan(0, [&seen](const Wal::Record& r) {
+    seen.emplace_back(r.payload.begin(), r.payload.end());
+    return true;
+  });
+  EXPECT_EQ(seen, (std::vector<ByteVec>{first, g_spillPayload, third}));
 }
 
 TEST_F(WalTest, CreateWithBaseLsnStartsThere) {

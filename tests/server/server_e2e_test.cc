@@ -1,7 +1,8 @@
 // End-to-end daemon tests over the socket: lifecycle, handshake policing,
 // malformed-frame handling (connection-fatal), abort/empty-backup edges,
 // stats content, quota-accounting recovery across a daemon restart and a
-// kill after a delete, a finish whose staging throws, and remote shutdown.
+// kill after a delete, the tenant verifier across a kill after the first
+// Hello, a finish whose staging throws, and remote shutdown.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -275,6 +276,28 @@ TEST_F(ServerE2E, KillAfterDeleteKeepsAccountingExact) {
   }
   EXPECT_EQ(restarted.tenants().logicalBytes("acme"), 61440u);
   EXPECT_EQ(restarted.tenants().backupCount("acme"), 2u);
+}
+
+// HelloOk means the tenant's first verifier is on disk. A copy of the store
+// taken right after a first Hello with no backup (a kill at that point)
+// still holds it, so another passphrase cannot claim the tenant.
+TEST_F(ServerE2E, TenantVerifierSurvivesKillAfterFirstHello) {
+  startServer();
+  { RemoteDedupClient client(server_->boundAddress().str(), "acme", "pw1"); }
+  const std::string copy = tmp_.path() + "/copy";
+  std::filesystem::copy(tmp_.path() + "/store", copy,
+                        std::filesystem::copy_options::recursive);
+  ServerOptions options;
+  options.address = "unix:" + tmp_.path() + "/sock2";
+  options.store.containerBytes = 256 * 1024;
+  FreqDedupServer restarted(copy, options);
+  restarted.start();
+  try {
+    RemoteDedupClient other(restarted.boundAddress().str(), "acme", "pw2");
+    FAIL() << "another passphrase claimed the tenant after a kill";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kAuthFailed);
+  }
 }
 
 TEST_F(ServerE2E, LegacyUsageBlobIsIgnoredAtRestart) {

@@ -1,11 +1,13 @@
 // The store's chunk table: refcounts live only in memory and are derived
-// from the manifests at open, so a commit logs its manifest and recipe
-// records and nothing per chunk, and an index written in the legacy form
-// (a refcount in every 'C' value) reopens with the manifests' counts. The
+// from the manifests at open, so a commit logs one record for its manifest
+// and recipe and nothing per chunk, an index written in the legacy form
+// (a refcount in every 'C' value) reopens with the manifests' counts, and
+// so does a log of plain put records with a re-commit cut halfway. The
 // manifest names live in memory too, filled the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -13,7 +15,9 @@
 
 #include "chunking/cdc_chunker.h"
 #include "client/dedup_client.h"
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "common/varint.h"
 #include "kvstore/logkv.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
@@ -80,9 +84,10 @@ class ChunkTableTest : public ::testing::Test {
   Rng rng_{11};
 };
 
-// A commit's log records do not grow with its chunk count: 2 for a new name
-// (manifest, recipe blob), 3 for a re-commit (widen, blob, shrink).
-TEST_F(ChunkTableTest, CommitAppendsTwoRecordsOrThreeForARecommit) {
+// A commit's log records do not grow with its chunk count: a new name, a
+// re-commit and a delete each append one batch record, which holds the
+// manifest and the recipe blob together.
+TEST_F(ChunkTableTest, CommitRecommitAndDeleteAppendOneRecordEach) {
   FileBackupStore store(dir_);
   DedupClient client(store, km_, chunker_);
   const ByteVec content = randomContent(5, 2 << 20);
@@ -99,15 +104,109 @@ TEST_F(ChunkTableTest, CommitAppendsTwoRecordsOrThreeForARecommit) {
   };
   uint64_t before = appends();
   client.commitBackup("second", outcome, userKey_, rng_);
-  EXPECT_EQ(appends() - before, 2u);
+  EXPECT_EQ(appends() - before, 1u);
 
   before = appends();
   client.commitBackup("second", outcome, userKey_, rng_);
-  EXPECT_EQ(appends() - before, 3u);
+  EXPECT_EQ(appends() - before, 1u);
 
   for (const auto& [fp, n] : manifestRefs(store))
     EXPECT_EQ(store.chunkRefCount(fp), n) << fpToHex(fp);
   EXPECT_TRUE(store.verify().ok());
+
+  before = appends();
+  EXPECT_TRUE(client.deleteBackup("second"));
+  EXPECT_EQ(appends() - before, 1u);
+  for (const auto& [fp, n] : manifestRefs(store))
+    EXPECT_EQ(store.chunkRefCount(fp), n) << fpToHex(fp);
+  EXPECT_TRUE(store.verify().ok());
+}
+
+// A store written before commits became batch records still opens. Its log
+// holds only plain put records, one per manifest and one per recipe blob,
+// and a re-commit of "a" was cut after its first step: the manifest widened
+// to old + new while the recipe blob is still the old one. The store
+// verifies, its refcounts equal the manifests, every backup restores
+// bit-identically, and re-committing "a" over it completes the change.
+TEST_F(ChunkTableTest, LogOfPlainPutsWithAWidenedRecommitReopens) {
+  const ByteVec a = randomContent(41, 48 * 1024);
+  ByteVec a2 = a;
+  for (size_t i = 10'000; i < 14'000; ++i) a2[i] ^= 0x77;
+  const ByteVec tail = randomContent(43, 8 * 1024);
+  a2.insert(a2.end(), tail.begin(), tail.end());
+  const ByteVec b = randomContent(42, 32 * 1024);
+  const StoreOptions options{.containerBytes = 16 * 1024};
+
+  // Every chunk and recipe, written by this build; "a2" stores a2's chunks.
+  const std::string written = dir_ + "/written";
+  std::vector<Fp> widened;  // the manifest of "a", then that of "a2"
+  {
+    FileBackupStore store(written, options);
+    DedupClient client(store, km_, chunker_);
+    client.commitBackup("a", backupAll(client, "a", a), userKey_, rng_);
+    client.commitBackup("b", backupAll(client, "b", b), userKey_, rng_);
+    client.commitBackup("a2", backupAll(client, "a2", a2), userKey_, rng_);
+    widened = store.backupRefs("a").value();
+    const std::vector<Fp> next = store.backupRefs("a2").value();
+    widened.insert(widened.end(), next.begin(), next.end());
+  }
+  std::vector<std::pair<ByteVec, ByteVec>> entries;
+  {
+    LogKv index(written + "/index.log");
+    index.forEach([&entries](ByteView key, ByteView value) {
+      entries.emplace_back(ByteVec(key.begin(), key.end()),
+                           ByteVec(value.begin(), value.end()));
+    });
+  }
+  const auto keyOf = [](char prefix, const std::string& name) {
+    ByteVec key{static_cast<uint8_t>(prefix)};
+    appendBytes(key, toBytes(name));
+    return key;
+  };
+
+  // The same entries as plain puts in a fresh log: chunks first, then each
+  // backup's manifest and blob, with "a" widened and "a2" left out.
+  const std::string parent = dir_ + "/parent";
+  std::filesystem::copy(written, parent,
+                        std::filesystem::copy_options::recursive);
+  for (const char* file : {"/index.log", "/index.log.ckpt"})
+    std::filesystem::remove(parent + file);
+  {
+    LogKv index(parent + "/index.log");
+    for (const auto& [key, value] : entries)
+      if (key[0] == 'C') index.put(key, value);
+    for (const auto& [key, value] : entries) {
+      if (key == keyOf('M', "a2") || key == keyOf('B', "recipe:a2")) continue;
+      if (key == keyOf('M', "a")) {
+        ByteVec manifest;
+        putVarint(manifest, widened.size());
+        for (const Fp fp : widened) putU64(manifest, fp);
+        putU32(manifest, crc32c(manifest));
+        index.put(key, manifest);
+      } else if (key[0] != 'C') {
+        index.put(key, value);
+      }
+    }
+    index.flush();
+  }
+
+  FileBackupStore store(parent, options);
+  EXPECT_EQ(store.listBackups(), (std::vector<std::string>{"a", "b"}));
+  const StoreCheckReport report = store.verify();
+  EXPECT_TRUE(report.ok()) << report.errors.front();
+  EXPECT_EQ(store.backupRefs("a")->size(), widened.size());
+  for (const auto& [fp, n] : manifestRefs(store))
+    EXPECT_EQ(store.chunkRefCount(fp), n) << fpToHex(fp);
+  DedupClient client(store, km_, chunker_);
+  EXPECT_EQ(client.beginRestore("a", userKey_).readAll(), a);
+  EXPECT_EQ(client.beginRestore("b", userKey_).readAll(), b);
+
+  client.commitBackup("a", backupAll(client, "a", a2), userKey_, rng_);
+  EXPECT_TRUE(store.verify().ok());
+  for (const auto& [fp, n] : manifestRefs(store))
+    EXPECT_EQ(store.chunkRefCount(fp), n) << fpToHex(fp);
+  EXPECT_EQ(client.beginRestore("a", userKey_).readAll(), a2);
+  EXPECT_EQ(client.beginRestore("b", userKey_).readAll(), b);
 }
 
 // A store whose 'C' values are in the 16-byte legacy form, with refcounts

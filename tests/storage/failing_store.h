@@ -125,6 +125,10 @@ class FailingStore : public BackupStore {
                             std::span<const Fp> chunkRefs) override {
     inner_->recordBackupDeferred(name, chunkRefs);
   }
+  void stageBackup(const std::string& name, std::span<const Fp> chunkRefs,
+                   ByteView recipeBlob) override {
+    inner_->stageBackup(name, chunkRefs, recipeBlob);
+  }
   void syncMetadataAsync(std::function<void(bool ok)> done) override {
     if (failSync_.load()) {
       done(false);
