@@ -1,5 +1,6 @@
-// google-benchmark microbenchmarks for the building blocks: hashing, CRC-32C,
-// Rabin rolling hash, content-defined chunking (one-shot and streamed),
+// google-benchmark microbenchmarks for the building blocks: hashing (one
+// message or two per pass), CRC-32C, Rabin rolling hash, content-defined
+// chunking (one-shot and streamed),
 // AES-CTR / MLE encryption, the persistent key-value store, the DDFS dedup
 // engine, the attack-analysis engine's index builds, the client's backup
 // path with and without seal memo hits, and its parallel restore path.
@@ -46,6 +47,32 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(32)->Arg(4096)->Arg(8192)->Arg(65536);
+
+// Two messages of the argument's size per call (bytes count both): the
+// restore path's ciphertext + plaintext check and the backup path's chunk
+// pairs. Two SHA-NI lanes where the CPU has them.
+void BM_Sha256Pair(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const ByteVec a = randomBytes(1, n);
+  const ByteVec b = randomBytes(2, n);
+  for (auto _ : state) benchmark::DoNotOptimize(sha256Pair(a, b));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 2 *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha256Pair)->Arg(4096)->Arg(8192);
+
+// BM_Sha256Pair on the fallback (two sha256() calls), which sha256Pair runs
+// on CPUs without SHA-NI.
+void BM_Sha256PairPortable(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const ByteVec a = randomBytes(1, n);
+  const ByteVec b = randomBytes(2, n);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(detail::sha256PairPortable(a, b));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 2 *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha256PairPortable)->Arg(4096)->Arg(8192);
 
 // The checksum on every container frame, cached chunk, WAL record and wire
 // frame (SSE4.2 where the CPU has it).

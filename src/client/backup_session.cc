@@ -67,6 +67,10 @@ BackupOutcome BackupSession::finish() {
   obs::ObsSpan span(&BackupMetrics::get().finishUs, "backup.finish", "backup");
   finished_ = true;
   stream_->flush();  // emits the trailing partial chunk, if any
+  if (holding_) {     // an odd chunk out: fingerprinted alone
+    holding_ = false;
+    admitChunk(held_, fpOfContent(held_));
+  }
   if (segmenter_) {
     segmenter_->finish();  // closes the open segment
     FDD_CHECK_MSG(pending_.empty(), "segment buffer not drained");
@@ -114,8 +118,9 @@ void BackupSession::storeChunk(SealedChunk& c, ByteView plain) {
 }
 
 void BackupSession::encryptAndStore(std::span<const ByteView> chunks,
+                                    std::span<const ChunkRecord> records,
                                     std::span<const size_t> order,
-                                    const SegmentKeying* segment) {
+                                    const AesKey* segmentKey) {
   // One chunk at a time, in upload order: seal it (or take it from the
   // memo), store it, then record it. The recipes keep chunk order
   // (scrambling only permutes uploads, Section 6.2).
@@ -126,22 +131,20 @@ void BackupSession::encryptAndStore(std::span<const ByteView> chunks,
   for (size_t k = 0; k < count; ++k) {
     const size_t i = order.empty() ? k : order[k];
     SealedChunk c;
-    // MinHash chunks reuse the plaintext fps computed for the segmenter.
-    c.plainFp =
-        segment != nullptr ? segment->records[i].fp : fpOfContent(chunks[i]);
+    c.plainFp = records[i].fp;
     // An MLE chunk's key is a function of its plaintext fp, so any memo
     // entry of the same size fits; a MinHash chunk's seal fits only under
     // the same segment key (Algorithm 4).
     if (const auto ref = client_->findSeal(c.plainFp);
         ref && ref->size == chunks[i].size() &&
-        (segment == nullptr || ref->key == segment->key)) {
+        (segmentKey == nullptr || ref->key == *segmentKey)) {
       c.fromMemo = true;
       c.key = ref->key;
       c.cipherFp = ref->cipherFp;
       c.size = ref->size;
     } else {
-      c.key = segment != nullptr
-                  ? segment->key  // per-segment key, shared by its chunks
+      c.key = segmentKey != nullptr
+                  ? *segmentKey  // per-segment key, shared by its chunks
                   : client_->keyManager_->deriveChunkKey(c.plainFp);
       c.seal(chunks[i]);
     }
@@ -156,17 +159,28 @@ void BackupSession::onChunk(ByteView chunk) {
   m.chunksProduced.add();
   m.chunkBytes.add(chunk.size());
   m.chunkSizeBytes.record(chunk.size());
+  if (!holding_) {
+    held_.assign(chunk.begin(), chunk.end());
+    holding_ = true;
+    return;
+  }
+  holding_ = false;
+  const auto digests = sha256Pair(held_, chunk);
+  admitChunk(held_, fpFromDigest(digests[0]));
+  admitChunk(chunk, fpFromDigest(digests[1]));
+}
+
+void BackupSession::admitChunk(ByteView chunk, Fp plainFp) {
+  const ChunkRecord record{plainFp, static_cast<uint32_t>(chunk.size())};
   if (segmenter_) {
     // MinHash path: buffer the chunk, then let the segmenter decide whether
     // this record closes a segment (possibly before admitting it).
-    const ChunkRecord record{fpOfContent(chunk),
-                             static_cast<uint32_t>(chunk.size())};
     pending_.emplace_back(chunk.begin(), chunk.end());
     segRecords_.push_back(record);
     segmenter_->push(record);
   } else {
-    // MLE: the stream's view goes straight in, no copy.
-    encryptAndStore(std::span(&chunk, 1), {}, nullptr);
+    // MLE: the chunk goes straight in, no further copy.
+    encryptAndStore(std::span(&chunk, 1), std::span(&record, 1), {}, nullptr);
   }
 }
 
@@ -179,9 +193,8 @@ void BackupSession::onSegment(const Segment& seg) {
 
   // Per-segment key from the segment's minimum fingerprint (Algorithm 4).
   const Segment local{0, count};
-  const SegmentKeying keying{client_->keyManager_->deriveSegmentKey(
-                                 segmentMinFingerprint(records, local)),
-                             records};
+  const AesKey key = client_->keyManager_->deriveSegmentKey(
+      segmentMinFingerprint(records, local));
 
   // Scrambling permutes the upload/storage order within the segment; the
   // recipe keeps the original order so restore is unaffected (Section 6.2).
@@ -193,7 +206,7 @@ void BackupSession::onSegment(const Segment& seg) {
     order = scrambleOrder(count, std::span(&local, 1), scrambleRng_);
   pendingViews_.assign(pending_.begin(),
                        pending_.begin() + static_cast<ptrdiff_t>(count));
-  encryptAndStore(pendingViews_, order, &keying);
+  encryptAndStore(pendingViews_, records, order, &key);
 
   // Drop the consumed chunks and records; an overflow-closed segment leaves
   // the chunk that triggered the close as the start of the next segment.

@@ -7,8 +7,11 @@
 // granularity, for every scheme:
 //  - chunk boundaries come from the chunker's incremental ChunkStream, which
 //    is byte-equivalent to Chunker::split();
-//  - MLE hands each chunk to the encrypt-and-store step as the stream emits
-//    it;
+//  - chunks are fingerprinted two per SHA-256 pass (sha256Pair): each
+//    odd chunk is copied and held until the next one arrives, or until
+//    finish() hashes it alone, and both then move on in stream order;
+//  - MLE hands each chunk to the encrypt-and-store step once it is
+//    fingerprinted;
 //  - MinHash(+scrambling) buffers exactly one open segment of plaintext
 //    chunks, closing segments with the same Sparse-Indexing rule as the
 //    batch segmenter (StreamSegmenter) and scrambling each one with
@@ -21,8 +24,9 @@
 // encryption and the ciphertext fingerprint, and is stored by fingerprint
 // alone; if the store no longer holds it, the loop seals it there and then
 // and puts its bytes, so the outcome never depends on the memo. The loop
-// holds one ciphertext at a time. MinHash buffers the plaintext of one open
-// segment (<= SegmentParams::maxBytes, 2 MiB by default), so peak
+// holds one ciphertext at a time, and the session at most one held
+// plaintext chunk. MinHash buffers the plaintext of one open segment
+// (<= SegmentParams::maxBytes, 2 MiB by default), so peak
 // client-side memory is O(segment bytes), independent of object size:
 // arbitrarily large objects stream through. The memo adds a fixed bound on
 // top (kSealMemoEntries).
@@ -103,14 +107,6 @@ class BackupSession {
 
   BackupSession(DedupClient& client, std::string name);
 
-  /// MinHash keying of one encryptAndStore call: the segment's shared key
-  /// and its chunks' plaintext fingerprints (already computed for the
-  /// segmenter).
-  struct SegmentKeying {
-    AesKey key;
-    std::span<const ChunkRecord> records;
-  };
-
   /// One chunk after the encrypt step, before it is stored. On a seal-memo
   /// hit (`fromMemo`) the key, fingerprint and size come from the memo and
   /// `cipher` stays empty unless the store turns out not to hold the chunk.
@@ -127,16 +123,20 @@ class BackupSession {
   };
 
   void onChunk(ByteView chunk);
+  /// Passes one fingerprinted chunk on: to the segmenter (MinHash) or to
+  /// the encrypt-and-store step (MLE).
+  void admitChunk(ByteView chunk, Fp plainFp);
   void onSegment(const Segment& seg);
 
   /// The encrypt-and-store loop of every scheme. For k = 0.. (an empty
-  /// `order` means chunk order) it takes chunks[order[k]], encrypts it under
-  /// its own MLE key when `segment` is null, else under the segment key —
-  /// unless the seal memo already holds the chunk under that key — stores
-  /// it, and writes its recipe entry and key at its chunk-order position.
+  /// `order` means chunk order) it takes chunks[order[k]], whose plaintext
+  /// fingerprint is records[order[k]].fp, encrypts it under its own MLE key
+  /// when `segmentKey` is null, else under the segment key — unless the
+  /// seal memo already holds the chunk under that key — stores it, and
+  /// writes its recipe entry and key at its chunk-order position.
   void encryptAndStore(std::span<const ByteView> chunks,
-                       std::span<const size_t> order,
-                       const SegmentKeying* segment);
+                       std::span<const ChunkRecord> records,
+                       std::span<const size_t> order, const AesKey* segmentKey);
   /// Stores one sealed chunk: a memo hit as a known duplicate, falling back
   /// to sealing `plain` and a full put when the store no longer holds it.
   void storeChunk(SealedChunk& c, ByteView plain);
@@ -149,9 +149,14 @@ class BackupSession {
 
   std::unique_ptr<ChunkStream> stream_;
 
+  // The chunk waiting for a partner to be fingerprinted with (a copy: the
+  // stream's view of it ends with its callback).
+  ByteVec held_;
+  bool holding_ = false;
+
   // MinHash path: the open segment's plaintext chunks, plus at most one
   // chunk the segmenter has deferred to the next segment. MLE buffers
-  // nothing.
+  // nothing else.
   std::vector<ByteVec> pending_;
   std::vector<ByteView> pendingViews_;  // reused view list of pending_
 

@@ -251,14 +251,23 @@ uint64_t RestoreSession::streamEntries(size_t entryBegin, size_t entryEnd,
             const RecipeEntry& entry = entries[i];
             // End-to-end verification: the store must hand back exactly the
             // ciphertext the recipe names, and decryption must reproduce the
-            // plaintext the recipe fingerprinted at backup time.
-            if (fpOfContent(ciphers[k]) != entry.cipherFp)
-              throw std::runtime_error(
-                  "restore: ciphertext fingerprint mismatch for " +
-                  fpToHex(entry.cipherFp));
+            // plaintext the recipe fingerprinted at backup time. Both are
+            // hashed in one pass, and the ciphertext is still checked
+            // first. An entry without a plaintext fp is checked before
+            // decryption, on the ciphertext alone.
+            const auto checkCipher = [&](Fp fp) {
+              if (fp != entry.cipherFp)
+                throw std::runtime_error(
+                    "restore: ciphertext fingerprint mismatch for " +
+                    fpToHex(entry.cipherFp));
+            };
+            if (entry.plainFp == 0) checkCipher(fpOfContent(ciphers[k]));
             plains[k] =
                 MleScheme::decryptWithKey(keyRecipe_.keys[i], ciphers[k]);
-            if (entry.plainFp != 0 && fpOfContent(plains[k]) != entry.plainFp)
+            if (entry.plainFp == 0) continue;
+            const auto digests = sha256Pair(ciphers[k], plains[k]);
+            checkCipher(fpFromDigest(digests[0]));
+            if (fpFromDigest(digests[1]) != entry.plainFp)
               throw std::runtime_error(
                   "restore: plaintext fingerprint mismatch for " +
                   fpToHex(entry.cipherFp));

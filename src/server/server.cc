@@ -587,7 +587,10 @@ void FreqDedupServer::handleRestoreRange(const std::shared_ptr<Conn>& conn,
   const uint64_t len =
       std::min(req.length, static_cast<uint64_t>(kMaxDataBytes));
   // offset at/past the end streams nothing — an empty range is the clean
-  // EOF signal.
+  // EOF signal. Otherwise the reply holds exactly min(len, size - offset)
+  // bytes, allocated once.
+  if (req.offset < session.size())
+    out.data.reserve(std::min(len, session.size() - req.offset));
   session.streamRange(req.offset, len,
                       [&out](ByteView bytes) { appendBytes(out.data, bytes); });
   sendReply(conn, encode(out));

@@ -17,6 +17,7 @@
 #include "client/dedup_client.h"
 #include "common/rng.h"
 #include "legacy_backup_reference.h"
+#include "obs/metrics.h"
 #include "storage/file_backup_store.h"
 #include "temp_store.h"
 
@@ -168,6 +169,130 @@ INSTANTIATE_TEST_SUITE_P(
       name += "_p" + std::to_string(std::get<3>(info.param));
       return name;
     });
+
+// --- Held chunks: a session fingerprints chunks two per SHA-256 pass, so
+// every odd chunk waits for its partner, and finish() hashes a last odd one
+// alone. Objects of 0-3 chunks leave nothing, one held chunk, a pair, and a
+// pair plus a held chunk for finish(); each must still back up exactly as
+// the one-shot reference does. ---
+
+using HeldChunkParam = std::tuple<size_t, EncryptionScheme>;
+
+std::string schemeName(EncryptionScheme scheme) {
+  switch (scheme) {
+    case EncryptionScheme::kMle: return "Mle";
+    case EncryptionScheme::kMinHash: return "MinHash";
+    case EncryptionScheme::kMinHashScrambled: return "Scrambled";
+  }
+  return "";
+}
+
+class HeldChunks : public ::testing::TestWithParam<HeldChunkParam> {
+ protected:
+  const TempDir tmp_;
+  const std::string base_ = tmp_.path();
+};
+
+TEST_P(HeldChunks, ObjectsOfZeroToThreeChunksMatchOneShot) {
+  const auto [chunks, scheme] = GetParam();
+  // 1 KiB fixed chunks; a third chunk is a short tail.
+  const size_t sizes[] = {0, 700, 2048, 2500};
+  ByteVec content = testContent();
+  content.resize(sizes[chunks]);
+  const BackupOptions options = optionsFor(scheme);
+  const FixedChunker chunker(1024);
+  KeyManager km(toBytes("held-chunk-secret"));
+
+  BackupOutcome legacyOutcome;
+  const std::string legacyDir = base_ + "/legacy";
+  {
+    FileBackupStore store(legacyDir, {.containerBytes = 64 * 1024});
+    legacyOutcome = legacy::oneShotBackup(store, km, chunker, options, "obj",
+                                          content);
+    store.flush();
+  }
+  ASSERT_EQ(legacyOutcome.chunkCount, chunks);
+
+  // Whole-object and byte-at-a-time appends: a held chunk outlives the
+  // append that produced it.
+  for (const size_t step : {content.size(), size_t{1}}) {
+    const std::string dir = base_ + "/session" + std::to_string(step);
+    BackupOutcome outcome;
+    {
+      FileBackupStore store(dir, {.containerBytes = 64 * 1024});
+      DedupClient client(store, km, chunker, options);
+      BackupSession session = client.beginBackup("obj");
+      for (size_t off = 0; off < content.size(); off += step)
+        session.append(ByteView(content.data() + off,
+                                std::min(step, content.size() - off)));
+      outcome = session.finish();
+      store.flush();
+      EXPECT_EQ(client.beginRestore(outcome.fileRecipe, outcome.keyRecipe)
+                    .readAll(),
+                content)
+          << "step " << step;
+    }
+    EXPECT_EQ(outcome.fileRecipe, legacyOutcome.fileRecipe) << "step " << step;
+    EXPECT_EQ(outcome.keyRecipe, legacyOutcome.keyRecipe) << "step " << step;
+    EXPECT_EQ(outcome.chunkCount, chunks);
+    EXPECT_EQ(outcome.newChunks, legacyOutcome.newChunks);
+    EXPECT_EQ(outcome.duplicateChunks, legacyOutcome.duplicateChunks);
+    EXPECT_EQ(containerFiles(dir), containerFiles(legacyDir))
+        << "step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chunks, HeldChunks,
+    ::testing::Combine(::testing::Values(size_t{0}, size_t{1}, size_t{2},
+                                         size_t{3}),
+                       ::testing::Values(EncryptionScheme::kMle,
+                                         EncryptionScheme::kMinHash,
+                                         EncryptionScheme::kMinHashScrambled)),
+    [](const ::testing::TestParamInfo<HeldChunkParam>& info) {
+      return std::to_string(std::get<0>(info.param)) + "Chunks_" +
+             schemeName(std::get<1>(info.param));
+    });
+
+// Two identical chunks are fingerprinted in one pass, but the first is
+// stored (and remembered) before the second is looked up: the second comes
+// from the seal memo and the store holds the chunk once.
+class HeldChunkPair : public ::testing::TestWithParam<EncryptionScheme> {};
+
+TEST_P(HeldChunkPair, IdenticalPairIsStoredOnceWithTheSecondFromTheMemo) {
+  const EncryptionScheme scheme = GetParam();
+  ByteVec content = testContent();
+  content.resize(1024);
+  content.insert(content.end(), content.begin(), content.end());
+  const FixedChunker chunker(1024);
+  KeyManager km(toBytes("held-chunk-secret"));
+  TempStore store;
+  DedupClient client(store, km, chunker, optionsFor(scheme));
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::global().snapshot();
+  BackupSession session = client.beginBackup("obj");
+  session.append(content);
+  const BackupOutcome outcome = session.finish();
+  EXPECT_EQ(obs::MetricsRegistry::global().snapshot().delta(before).counter(
+                "backup.seal_memo_hits"),
+            1u);
+  EXPECT_EQ(outcome.chunkCount, 2u);
+  EXPECT_EQ(outcome.newChunks, 1u);
+  EXPECT_EQ(outcome.duplicateChunks, 1u);
+  ASSERT_EQ(outcome.fileRecipe.entries.size(), 2u);
+  EXPECT_EQ(outcome.fileRecipe.entries[0], outcome.fileRecipe.entries[1]);
+  EXPECT_EQ(outcome.newChunkFps,
+            std::vector<Fp>{outcome.fileRecipe.entries[0].cipherFp});
+  EXPECT_EQ(client.beginRestore(outcome.fileRecipe, outcome.keyRecipe)
+                .readAll(),
+            content);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, HeldChunkPair,
+                         ::testing::Values(EncryptionScheme::kMle,
+                                           EncryptionScheme::kMinHash,
+                                           EncryptionScheme::kMinHashScrambled),
+                         [](const auto& info) { return schemeName(info.param); });
 
 }  // namespace
 }  // namespace freqdedup

@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <latch>
 #include <ostream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace freqdedup {
 namespace {
@@ -247,6 +250,167 @@ TEST(Hash, DigestEquality) {
   prefix.size = 20;
   EXPECT_FALSE(sha256(toBytes("a")) == prefix);  // size differs
 }
+
+// --- sha256Pair: the dispatched kernel (two SHA-NI lanes where the CPU has
+// them) and the portable pair of sha256() calls must both give sha256() of
+// each lane, whatever the two messages' lengths and alignments. ---
+
+enum class PairLeg { kPortable, kDispatched };
+
+std::string missingShaFeatures() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  std::string missing;
+  if (!__builtin_cpu_supports("sha")) missing += " sha";
+  if (!__builtin_cpu_supports("sse4.1")) missing += " sse4.1";
+  if (!__builtin_cpu_supports("ssse3")) missing += " ssse3";
+  return missing;
+#else
+  return " x86-64 (sha, sse4.1, ssse3)";
+#endif
+}
+
+class Sha256PairKernel : public ::testing::TestWithParam<PairLeg> {
+ protected:
+  void SetUp() override {
+    if (GetParam() != PairLeg::kDispatched) return;
+    std::printf("sha256 pair kernel: %s\n", detail::sha256PairKernelName());
+    if (std::string(detail::sha256PairKernelName()) == "portable")
+      GTEST_SKIP() << "sha256 pair kernel: portable; the CPU lacks"
+                   << missingShaFeatures();
+  }
+
+  [[nodiscard]] std::array<Digest, 2> pair(ByteView a, ByteView b) const {
+    return GetParam() == PairLeg::kPortable ? detail::sha256PairPortable(a, b)
+                                            : sha256Pair(a, b);
+  }
+
+  /// Both lanes against sha256(), in both lane orders.
+  void expectPairMatches(ByteView a, ByteView b) const {
+    const Digest da = sha256(a);
+    const Digest db = sha256(b);
+    const auto ab = pair(a, b);
+    EXPECT_EQ(ab[0], da) << "lane 0 of " << a.size() << " + " << b.size();
+    EXPECT_EQ(ab[1], db) << "lane 1 of " << a.size() << " + " << b.size();
+    const auto ba = pair(b, a);
+    EXPECT_EQ(ba[0], db) << "lane 0 of " << b.size() << " + " << a.size();
+    EXPECT_EQ(ba[1], da) << "lane 1 of " << b.size() << " + " << a.size();
+  }
+};
+
+ByteVec randomMessage(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  ByteVec data(n);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.next());
+  return data;
+}
+
+TEST_P(Sha256PairKernel, Fips180VectorsHoldInEachLane) {
+  const std::vector<std::pair<std::string, std::string>> vectors = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+       "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"}};
+  for (const auto& [a, aHex] : vectors) {
+    for (const auto& [b, bHex] : vectors) {
+      const auto d = pair(toBytes(a), toBytes(b));
+      EXPECT_EQ(d[0].hex(), aHex) << a.size() << " + " << b.size();
+      EXPECT_EQ(d[1].hex(), bHex) << a.size() << " + " << b.size();
+      EXPECT_EQ(d[0].size, 32);
+      EXPECT_EQ(d[1].size, 32);
+    }
+  }
+}
+
+// Every length across the padding cases (the tail fits the length field at
+// 0-55 bytes past a block boundary and spills into a second block at
+// 56-63), against partners of every length too.
+TEST_P(Sha256PairKernel, MatchesSha256AtLengths0To256) {
+  const ByteVec data = randomMessage(11, 600);
+  for (size_t n = 0; n <= 256; ++n) {
+    expectPairMatches(ByteView(data.data(), n),
+                      ByteView(data.data() + 300, n));
+    expectPairMatches(ByteView(data.data(), n),
+                      ByteView(data.data() + 300, 256 - n));
+  }
+}
+
+TEST_P(Sha256PairKernel, MatchesSha256AtRandomLengthsTo70000) {
+  Rng rng(GetParam() == PairLeg::kPortable ? 21 : 22);
+  const ByteVec data = randomMessage(12, 140'002);
+  for (int i = 0; i < 40; ++i) {
+    const size_t na = rng.uniformInt(0, 70'000);
+    const size_t nb = rng.uniformInt(0, 70'000);
+    expectPairMatches(ByteView(data.data(), na),
+                      ByteView(data.data() + 70'001, nb));
+  }
+}
+
+TEST_P(Sha256PairKernel, MatchesSha256AtEveryBufferOffsetOfEachLane) {
+  const ByteVec data = randomMessage(13, 4096);
+  for (size_t offA = 0; offA < 8; ++offA)
+    for (size_t offB = 0; offB < 8; ++offB)
+      for (const size_t n : {1, 63, 64, 119, 1000}) {
+        expectPairMatches(ByteView(data.data() + offA, n),
+                          ByteView(data.data() + 2048 + offB, n));
+        expectPairMatches(ByteView(data.data() + offA, n),
+                          ByteView(data.data() + 2048 + offB, n + 70));
+      }
+}
+
+TEST_P(Sha256PairKernel, EqualAndUnequalPartnersOneEmpty) {
+  const ByteVec data = randomMessage(14, 20'000);
+  const ByteView whole(data.data(), data.size());
+  // The same message in both lanes, and equal lengths with other bytes.
+  expectPairMatches(whole, whole);
+  expectPairMatches(ByteView(data.data(), 8192),
+                    ByteView(data.data() + 8192, 8192));
+  // One lane empty: the other runs alone from the first block on.
+  for (const size_t n : {0, 1, 55, 56, 64, 8192, 20'000})
+    expectPairMatches(ByteView{}, ByteView(data.data(), n));
+  // Lengths one block apart and many blocks apart.
+  expectPairMatches(ByteView(data.data(), 100), ByteView(data.data(), 164));
+  expectPairMatches(ByteView(data.data(), 10), ByteView(data.data(), 19'999));
+}
+
+TEST_P(Sha256PairKernel, EightThreadsAtOnceAgree) {
+  const ByteVec data = randomMessage(15, 16'384);
+  std::vector<std::pair<ByteView, ByteView>> pairs;
+  for (const size_t n : {0, 3, 64, 200, 4096, 8192, 16'384})
+    pairs.emplace_back(ByteView(data.data(), n),
+                       ByteView(data.data() + 1, 8192 - n / 2));
+  std::vector<std::array<Digest, 2>> expected;
+  for (const auto& [a, b] : pairs) expected.push_back({sha256(a), sha256(b)});
+  std::latch start(8);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      for (int round = 0; round < 20; ++round)
+        for (size_t i = 0; i < pairs.size(); ++i)
+          if (pair(pairs[i].first, pairs[i].second) != expected[i])
+            mismatches.fetch_add(1);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Legs, Sha256PairKernel,
+                         ::testing::Values(PairLeg::kPortable,
+                                           PairLeg::kDispatched),
+                         [](const ::testing::TestParamInfo<PairLeg>& info) {
+                           return info.param == PairLeg::kPortable
+                                      ? "Portable"
+                                      : "Dispatched";
+                         });
 
 }  // namespace
 }  // namespace freqdedup
