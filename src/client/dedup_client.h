@@ -76,8 +76,8 @@ class DedupClient {
 
   /// Full client. All referenced collaborators must outlive the client;
   /// sessions must not outlive it either. Throws std::invalid_argument on
-  /// invalid segment params or restore options. The restore
-  /// prefetch/decrypt stages share one worker pool of
+  /// invalid segment params or restore options. The restore batch
+  /// producers (fetch, decrypt, verify) share one worker pool of
   /// RestoreOptions::parallelism threads, which exists only when that is
   /// above 1.
   DedupClient(BackupStore& store, const KeyManager& keyManager,

@@ -31,6 +31,30 @@ struct Batch {
   size_t end = 0;
 };
 
+/// One batch's plaintexts, decrypted and verified, on their way from the
+/// producer stage to the in-order emitter. It counts in
+/// restore.prefetch_window for exactly its own lifetime, so a batch the
+/// pipeline drops unemitted (a failure elsewhere in the window) leaves the
+/// gauge just as an emitted one does.
+struct VerifiedBatch {
+  VerifiedBatch(obs::Gauge& window, size_t chunks)
+      : plains(chunks), window_(&window) {
+    window_->add();
+  }
+  VerifiedBatch(VerifiedBatch&& other) noexcept
+      : plains(std::move(other.plains)),
+        window_(std::exchange(other.window_, nullptr)) {}
+  VerifiedBatch& operator=(VerifiedBatch&&) = delete;
+  ~VerifiedBatch() {
+    if (window_ != nullptr) window_->sub();
+  }
+
+  std::vector<ByteVec> plains;
+
+ private:
+  obs::Gauge* window_;
+};
+
 /// Chunks not yet sealed into a container share one pseudo-container for
 /// batching purposes (they are served from the open-chunk table anyway).
 constexpr uint32_t kUnplacedContainer = UINT32_MAX;
@@ -46,7 +70,7 @@ struct RestoreMetrics {
   obs::Histogram& batchBytes = reg.histogram("restore.batch_bytes");
   obs::Histogram& streamUs = reg.histogram("restore.stream_us");
   obs::Histogram& fetchBatchUs = reg.histogram("restore.fetch_batch_us");
-  /// Batches fetched ahead of the in-order emitter but not yet emitted.
+  /// Batches fetched and not yet emitted or dropped (see VerifiedBatch).
   obs::Gauge& prefetchWindow = reg.gauge("restore.prefetch_window");
 
   static RestoreMetrics& get() {
@@ -220,74 +244,77 @@ uint64_t RestoreSession::streamEntries(size_t entryBegin, size_t entryEnd,
   ThreadPool* pool = client_->pool_.get();
   uint64_t streamed = 0;
 
-  const std::function<std::vector<ByteVec>(size_t)> fetchBatch =
-      [&](size_t b) {
-        const Batch& batch = batches[b];
-        std::vector<Fp> fps;
-        fps.reserve(batch.end - batch.begin);
-        uint64_t batchBytes = 0;
-        for (size_t i = batch.begin; i < batch.end; ++i) {
-          fps.push_back(entries[i].cipherFp);
-          batchBytes += entries[i].size;
-        }
-        m.batchChunks.record(fps.size());
-        m.batchBytes.record(batchBytes);
-        obs::ObsSpan span(&m.fetchBatchUs, "restore.fetch_batch", "restore");
-        auto ciphers = store.getChunks(fps);
-        span.finish();
-        // Fetched, not yet handed to the in-order emitter.
-        m.prefetchWindow.add();
-        return ciphers;
-      };
-  const std::function<void(size_t, std::vector<ByteVec>&&)> emitBatch =
-      [&](size_t b, std::vector<ByteVec>&& ciphers) {
-        m.prefetchWindow.sub();
-        const Batch& batch = batches[b];
-        const size_t count = batch.end - batch.begin;
-        std::vector<ByteVec> plains(count);
-        const auto decryptRange = [&](size_t begin, size_t end) {
-          for (size_t k = begin; k < end; ++k) {
-            const size_t i = batch.begin + k;
-            const RecipeEntry& entry = entries[i];
-            // End-to-end verification: the store must hand back exactly the
-            // ciphertext the recipe names, and decryption must reproduce the
-            // plaintext the recipe fingerprinted at backup time. Both are
-            // hashed in one pass, and the ciphertext is still checked
-            // first. An entry without a plaintext fp is checked before
-            // decryption, on the ciphertext alone.
-            const auto checkCipher = [&](Fp fp) {
-              if (fp != entry.cipherFp)
-                throw std::runtime_error(
-                    "restore: ciphertext fingerprint mismatch for " +
-                    fpToHex(entry.cipherFp));
-            };
-            if (entry.plainFp == 0) checkCipher(fpOfContent(ciphers[k]));
-            plains[k] =
-                MleScheme::decryptWithKey(keyRecipe_.keys[i], ciphers[k]);
-            if (entry.plainFp == 0) continue;
-            const auto digests = sha256Pair(ciphers[k], plains[k]);
-            checkCipher(fpFromDigest(digests[0]));
-            if (fpFromDigest(digests[1]) != entry.plainFp)
-              throw std::runtime_error(
-                  "restore: plaintext fingerprint mismatch for " +
-                  fpToHex(entry.cipherFp));
-          }
+  // Producer stage: fetch one batch, then decrypt and verify it on the
+  // pool. The producing task (or, inline, the caller) joins its own
+  // parallelFor, so later batches' fetches and earlier batches' emission
+  // overlap this decrypt. Each ciphertext is freed as soon as its chunk
+  // verifies, so a batch waiting in the window holds plaintexts only.
+  const std::function<VerifiedBatch(size_t)> produceBatch = [&](size_t b) {
+    const Batch& batch = batches[b];
+    const size_t count = batch.end - batch.begin;
+    std::vector<Fp> fps;
+    fps.reserve(count);
+    uint64_t batchBytes = 0;
+    for (size_t i = batch.begin; i < batch.end; ++i) {
+      fps.push_back(entries[i].cipherFp);
+      batchBytes += entries[i].size;
+    }
+    m.batchChunks.record(count);
+    m.batchBytes.record(batchBytes);
+    obs::ObsSpan span(&m.fetchBatchUs, "restore.fetch_batch", "restore");
+    std::vector<ByteVec> ciphers = store.getChunks(fps);
+    span.finish();
+    VerifiedBatch verified(m.prefetchWindow, count);
+    std::vector<ByteVec>& plains = verified.plains;
+    const auto decryptRange = [&](size_t begin, size_t end) {
+      for (size_t k = begin; k < end; ++k) {
+        const size_t i = batch.begin + k;
+        const RecipeEntry& entry = entries[i];
+        // End-to-end verification: the store must hand back exactly the
+        // ciphertext the recipe names, and decryption must reproduce the
+        // plaintext the recipe fingerprinted at backup time. Both are
+        // hashed in one pass, and the ciphertext is still checked first.
+        // An entry without a plaintext fp is checked before decryption, on
+        // the ciphertext alone.
+        const auto checkCipher = [&](Fp fp) {
+          if (fp != entry.cipherFp)
+            throw std::runtime_error(
+                "restore: ciphertext fingerprint mismatch for " +
+                fpToHex(entry.cipherFp));
         };
-        parallelFor(pool, count, decryptRange);
-        // Strictly in-order emission, batch by batch, chunk by chunk.
+        if (entry.plainFp == 0) checkCipher(fpOfContent(ciphers[k]));
+        plains[k] = MleScheme::decryptWithKey(keyRecipe_.keys[i], ciphers[k]);
+        if (entry.plainFp != 0) {
+          const auto digests = sha256Pair(ciphers[k], plains[k]);
+          checkCipher(fpFromDigest(digests[0]));
+          if (fpFromDigest(digests[1]) != entry.plainFp)
+            throw std::runtime_error(
+                "restore: plaintext fingerprint mismatch for " +
+                fpToHex(entry.cipherFp));
+        }
+        ByteVec().swap(ciphers[k]);
+      }
+    };
+    parallelFor(pool, count, decryptRange);
+    return verified;
+  };
+  // Consumer stage, on the calling thread: strictly in-order emission,
+  // batch by batch, chunk by chunk.
+  const std::function<void(size_t, VerifiedBatch&&)> emitBatch =
+      [&](size_t, VerifiedBatch&& verified) {
         uint64_t emitted = 0;
-        for (size_t k = 0; k < count; ++k) {
-          emitted += plains[k].size();
-          sink(ByteView(plains[k].data(), plains[k].size()));
+        for (const ByteVec& plain : verified.plains) {
+          emitted += plain.size();
+          sink(ByteView(plain.data(), plain.size()));
         }
         streamed += emitted;
-        m.chunksStreamed.add(count);
+        m.chunksStreamed.add(verified.plains.size());
         m.bytesStreamed.add(emitted);
       };
 
-  orderedProduceConsume<std::vector<ByteVec>>(
+  orderedProduceConsume<VerifiedBatch>(
       options.readAheadBatches > 0 ? pool : nullptr, options.readAheadBatches,
-      batches.size(), fetchBatch, emitBatch);
+      batches.size(), produceBatch, emitBatch);
 
   return streamed;
 }

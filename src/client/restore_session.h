@@ -5,13 +5,16 @@
 //  1. a planner walks the file recipe and cuts it into container-locality
 //     batches (consecutive entries, bounded bytes, bounded distinct
 //     containers — using BackupStore::chunkLocator placement);
-//  2. a prefetcher fetches up to RestoreOptions::readAheadBatches batches
-//     ahead through BackupStore::getChunks, which reads each container once
-//     and serves repeats from the store's container read cache;
-//  3. chunks are decrypted and fingerprint-verified (ciphertext fingerprint
-//     against the file recipe, decrypted plaintext fingerprint against the
-//     recipe's plaintext fingerprint) — in parallel when the client has a
-//     worker pool — and emitted to the sink strictly in recipe order.
+//  2. up to 1 + RestoreOptions::readAheadBatches producers each fetch one
+//     batch through BackupStore::getChunks (which reads each container once
+//     and serves repeats from the store's container read cache), then
+//     decrypt and fingerprint-verify it (ciphertext fingerprint against the
+//     file recipe, decrypted plaintext fingerprint against the recipe's
+//     plaintext fingerprint) — in parallel when the client has a worker
+//     pool, the producer joining its own fan-out. A chunk's ciphertext is
+//     freed as soon as it verifies;
+//  3. the calling thread only emits verified batches to the sink, strictly
+//     in recipe order.
 //
 // Output bytes and verification semantics (which checks run, with which
 // error messages) are identical to the historic chunk-at-a-time path at
@@ -19,8 +22,9 @@
 // received an in-order strict prefix of the object; unlike the historic
 // path, that prefix ends at the preceding batch boundary rather than at
 // the failing chunk (batches verify before they emit). Peak chunk-data
-// memory is O((readAheadBatches + 1) * batchBytes) on top of the recipes
-// the session already holds.
+// memory is about (readAheadBatches + 1) * batchBytes of plaintext, plus
+// the ciphertexts of the chunks still being decrypted, on top of the
+// recipes the session already holds.
 //
 // Sessions are vended by DedupClient and are not thread-safe individually,
 // but distinct sessions of one client may run concurrently — restore I/O
@@ -43,16 +47,17 @@ class DedupClient;
 /// Read-path tuning for the sessions a DedupClient vends. Every setting
 /// produces byte-identical output; the knobs trade memory for overlap.
 struct RestoreOptions {
-  /// Worker threads for the decrypt + fingerprint-verify stage. 1 keeps the
-  /// fully serial path (the client starts no pool); any larger value starts
-  /// a client worker pool of this many threads, which the decrypt stage fans
-  /// out over and the prefetcher runs on. Output is byte-identical at every
-  /// setting.
+  /// Worker threads for the fetch + decrypt + fingerprint-verify stage. 1
+  /// keeps the fully serial path (the client starts no pool); any larger
+  /// value starts a client worker pool of this many threads, which the
+  /// batch producers run on and fan their decrypt out over. Output is
+  /// byte-identical at every setting.
   uint32_t parallelism = 1;
-  /// How many locality batches the prefetcher may fetch beyond the batch
-  /// currently being decrypted and emitted. 0 disables read-ahead (fetch,
-  /// then decrypt, strictly alternating). Read-ahead needs a worker pool,
-  /// i.e. parallelism > 1.
+  /// How many locality batches may be fetched, decrypted and verified
+  /// beyond the batch currently being emitted. 0 disables read-ahead (the
+  /// calling thread fetches and verifies a batch, emits it, then moves on).
+  /// Read-ahead needs a worker pool, i.e. parallelism > 1. Each batch ahead
+  /// holds up to batchBytes of plaintext.
   uint32_t readAheadBatches = 2;
   /// Target ciphertext bytes per locality batch — the unit of restore
   /// memory and of store read amplification.

@@ -2,10 +2,10 @@
 // bounded look-ahead window, consume them on the calling thread strictly in
 // index order.
 //
-// This is the restore engine's prefetch primitive: produce(i) fetches batch
-// i (container I/O), consume(i, r) decrypts and emits it — while up to
-// `lookahead` later batches are already being fetched. It generalizes to any
-// pipeline whose stage-2 must observe stage-1 results in order.
+// This is the restore engine's prefetch primitive: produce(i) fetches,
+// decrypts and verifies batch i, consume(i, r) emits it — while up to
+// `lookahead` later batches are already being produced. It generalizes to
+// any pipeline whose stage-2 must observe stage-1 results in order.
 //
 // Guarantees:
 //  - consume(i, ...) runs on the calling thread, for i = 0..n-1 in order;
@@ -19,8 +19,10 @@
 //
 // produce must be safe to invoke concurrently for distinct indices. With a
 // null pool or lookahead == 0 everything runs inline on the calling thread.
-// consume may itself submit work to the same pool (e.g. parallelFor on the
-// pool): producers never block on consumers, so the pool always drains.
+// produce and consume may themselves run parallelFor on the same pool: its
+// caller joins its own blocks, and producers never block on consumers, so
+// the pool always drains. A result the call drops unconsumed (at or past a
+// failure) is destroyed before the call returns.
 #pragma once
 
 #include <condition_variable>

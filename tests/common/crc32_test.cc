@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -32,11 +33,12 @@ TEST(Crc32, Rfc3720Vectors) {
   }
 }
 
-// The dispatched kernel (SSE4.2 where the CPU has it) against the table
-// loop: every length 0..256 and random lengths up to 70,000, each at buffer
-// offsets 0..7 so word loads start on every alignment, from running CRCs
-// other than 0.
+// The dispatched kernel (three SSE4.2 streams where the CPU has them)
+// against the table loop: every length 0..256 and random lengths up to
+// 70,000, each at buffer offsets 0..7 so word loads start on every
+// alignment, from running CRCs other than 0.
 TEST(Crc32, DispatchedKernelMatchesTableReference) {
+  std::printf("crc32c kernel: %s\n", detail::crc32cKernelName());
   Rng rng(15);
   ByteVec buf(70'000 + 8);
   for (auto& b : buf) b = static_cast<uint8_t>(rng.next());
@@ -61,6 +63,50 @@ TEST(Crc32, ExtendAtRandomCutMatchesWhole) {
   Rng rng(3720);
   for (int round = 0; round < 200; ++round) {
     ByteVec data(rng.uniformInt(0, 20'000));
+    for (auto& b : data) b = static_cast<uint8_t>(rng.next());
+    const size_t cut = rng.uniformInt(0, data.size());
+    const ByteView view(data);
+    const uint32_t split =
+        crc32cExtend(crc32c(view.first(cut)), view.subspan(cut));
+    ASSERT_EQ(split, detail::crc32cExtendTable(0, view))
+        << "size " << data.size() << " cut " << cut;
+  }
+}
+
+// The three-stream kernel switches from long steps to short steps to one
+// stream at 3 * kCrc32cLongBlock and 3 * kCrc32cShortBlock bytes left: each
+// threshold +-1 (alone, and after whole long or short steps), plus a 4 MiB
+// container-sized buffer, at offsets 0..7 from non-zero running CRCs.
+TEST(Crc32, KernelStreamThresholdsMatchTableReference) {
+  constexpr size_t kLong = 3 * detail::kCrc32cLongBlock;
+  constexpr size_t kShort = 3 * detail::kCrc32cShortBlock;
+  std::vector<size_t> lengths;
+  for (const size_t base : {kShort, kLong, kLong + kShort, 2 * kLong,
+                            2 * kLong + 2 * kShort})
+    for (const size_t n : {base - 1, base, base + 1}) lengths.push_back(n);
+  lengths.push_back(size_t{4} << 20);
+  Rng rng(3 * 8192);
+  ByteVec buf(lengths.back() + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.next());
+  for (const size_t n : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const ByteView data(buf.data() + offset, n);
+      const auto seed = static_cast<uint32_t>(rng.next()) | 1u;
+      ASSERT_EQ(crc32cExtend(seed, data),
+                detail::crc32cExtendTable(seed, data))
+          << "length " << n << " offset " << offset;
+    }
+  }
+}
+
+// Cuts inside an interleaved block: the part before the cut ends mid-stream
+// and the part after it starts there, yet extending across the cut must give
+// the whole buffer's CRC.
+TEST(Crc32, ExtendAtRandomCutMatchesWholeAcrossStreamBlocks) {
+  Rng rng(9);
+  constexpr size_t kLong = 3 * detail::kCrc32cLongBlock;
+  for (int round = 0; round < 60; ++round) {
+    ByteVec data(rng.uniformInt(kLong + 1, 4 * kLong));
     for (auto& b : data) b = static_cast<uint8_t>(rng.next());
     const size_t cut = rng.uniformInt(0, data.size());
     const ByteView view(data);
